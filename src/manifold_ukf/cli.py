@@ -311,7 +311,10 @@ def cmd_run(args) -> int:
         truth = None
     else:
         steps = int(_effective(args, "steps", 100))
-        truth, inputs, measurements = simulate(model, steps, seed)
+        try:
+            truth, inputs, measurements = simulate(model, steps, seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         times = model.dt * np.arange(1, steps + 1)
 
     try:
@@ -347,6 +350,8 @@ def cmd_benchmark(args) -> int:
     try:
         report = benchmark(model, names, runs=runs, seed=seed, steps=steps,
                            alpha=model.alpha, workers=workers)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     except ManifoldUkfError as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

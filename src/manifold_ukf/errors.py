@@ -47,10 +47,6 @@ class SingularInnovationCovariance(ManifoldUkfError):
     """Innovation covariance could not be factorized during an update."""
 
 
-class NonPSDState(ManifoldUkfError):
-    """Belief covariance failed its symmetry / eigenvalue validation."""
-
-
 class SingularCovariance(ManifoldUkfError):
     """State covariance is singular where an inverse is required."""
 

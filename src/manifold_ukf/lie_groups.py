@@ -47,10 +47,6 @@ def tangent_dim(d: int, k: int) -> int:
     return rot_dim(d) + k * d
 
 
-def identity(d: int, k: int = 0) -> np.ndarray:
-    return np.eye(d + k)
-
-
 # ---------------------------------------------------------------------------
 # so(2) / so(3)
 
@@ -141,16 +137,6 @@ def _require_rotation(C, d):
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
     if abs(np.linalg.det(C) - 1.0) > _ROT_TOL:
         raise NotARotation("matrix determinant is not +1 within 1e-9")
-
-
-def is_rotation(C, d: int, tol: float = _ROT_TOL) -> bool:
-    C = np.asarray(C, dtype=float)
-    if C.shape != (d, d):
-        return False
-    return (
-        np.abs(C.T @ C - np.eye(d)).max() <= tol
-        and abs(np.linalg.det(C) - 1.0) <= tol
-    )
 
 
 def polar_project(R) -> np.ndarray:
@@ -319,14 +305,6 @@ def _require_embedding(X, d, k):
         and np.array_equal(X[d:, d:], np.eye(k))
     ):
         raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
-
-
-def compose(X, Y) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"cannot compose shapes {X.shape} and {Y.shape}")
-    return X @ Y
 
 
 def inverse(X, d: int) -> np.ndarray:

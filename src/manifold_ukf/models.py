@@ -2,9 +2,10 @@
 
 A ModelSpec bundles dynamics f(state, input, noise), observation h(state),
 noise covariances, the candidate retractions, an input profile defining the
-nominal trajectory, and the initial truth / belief.  Everything inside is
-immutable and built from module-level callables, so specs pickle into
-worker processes unchanged.
+nominal trajectory, and the initial truth / belief.  Every callable is a
+module-level function, with its parameters bound positionally by
+functools.partial, so specs pickle into benchmark worker processes; a spec
+holding a lambda or closure still works but benchmarks serially.
 
 Noise magnitudes, trajectory shapes and initial covariances below are
 configuration defaults, not physical constants; factories take keyword
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -37,9 +39,18 @@ from .sigma_core import Belief
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
+def _identity(state):
+    return state
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """One estimation problem: dynamics, observation, noise, retractions."""
+    """One estimation problem: dynamics, observation, noise, retractions.
+
+    f(state, input, noise), h(state), input_profile(step), state_to_vector
+    and renormalize are plain callables; write them as module-level
+    functions and bind parameters with functools.partial so the spec pickles.
+    """
 
     name: str
     f: Callable[[Any, np.ndarray, np.ndarray], Any]
@@ -57,11 +68,7 @@ class ModelSpec:
     alpha: float = 1.0
     state_labels: Tuple[str, ...] = ()
     state_to_vector: Optional[Callable[[Any], np.ndarray]] = None
-    renormalize: Callable[[Any], Any] = None  # identity when None
-
-    def __post_init__(self):
-        if self.renormalize is None:
-            object.__setattr__(self, "renormalize", _identity_renorm)
+    renormalize: Callable[[Any], Any] = _identity
 
     def retraction(self, name: Optional[str] = None) -> Retraction:
         key = name or self.default_retraction
@@ -74,25 +81,13 @@ class ModelSpec:
             ) from None
 
 
-def _identity_renorm(state):
-    return state
-
-
-@dataclass(frozen=True)
-class _RenormalizeRotationBlock:
+def _renormalize_rotation_block(d, state):
     """Project the d x d rotation block back onto SO(d)."""
-
-    d: int
-
-    def __call__(self, state):
-        if isinstance(state, MixedState):
-            return MixedState(self._fix(state.group), state.euclid)
-        return self._fix(state)
-
-    def _fix(self, X):
-        out = X.copy()
-        out[: self.d, : self.d] = lie.polar_project(X[: self.d, : self.d])
-        return out
+    if isinstance(state, MixedState):
+        return MixedState(_renormalize_rotation_block(d, state.group), state.euclid)
+    out = state.copy()
+    out[:d, :d] = lie.polar_project(state[:d, :d])
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,38 +110,24 @@ class LandmarkSet:
 # 2D localization: SE(2) pose from odometry increments and position fixes
 
 
-@dataclass(frozen=True)
-class _OdometryDynamics:
+def _se2_odometry(state, omega, w):
     """Pose composed with the exponential of the noisy body increment."""
-
-    def __call__(self, state, omega, w):
-        return state @ lie.exp_sek(np.asarray(omega, dtype=float) + w, 2, 1)
+    return state @ lie.exp_sek(np.asarray(omega, dtype=float) + w, 2, 1)
 
 
-@dataclass(frozen=True)
-class _Se2Position:
-    def __call__(self, state):
-        return state[:2, 2].copy()
+def _se2_position(state):
+    return state[:2, 2].copy()
 
 
-@dataclass(frozen=True)
-class _ConstantTurnOdometry:
+def _constant_turn_odometry(dt, speed, yaw_rate, step):
     """Constant forward speed and yaw rate, expressed as per-step increments."""
-
-    dt: float
-    speed: float
-    yaw_rate: float
-
-    def __call__(self, step):
-        return np.array([self.yaw_rate * self.dt, self.speed * self.dt, 0.0])
+    return np.array([yaw_rate * dt, speed * dt, 0.0])
 
 
-@dataclass(frozen=True)
-class _Se2StateVector:
-    def __call__(self, state):
-        return np.array(
-            [math.atan2(state[1, 0], state[0, 0]), state[0, 2], state[1, 2]]
-        )
+def _se2_state_vector(state):
+    return np.array(
+        [math.atan2(state[1, 0], state[0, 0]), state[0, 2], state[1, 2]]
+    )
 
 
 def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
@@ -161,8 +142,8 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
     pose_blocks = (("rot", 1), ("pos", 2))
     return ModelSpec(
         name="localization2d",
-        f=_OdometryDynamics(),
-        h=_Se2Position(),
+        f=_se2_odometry,
+        h=_se2_position,
         Q=np.diag(odo_std ** 2),
         R=gnss_std ** 2 * np.eye(2),
         dt=dt,
@@ -174,12 +155,12 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         initial_truth=np.eye(3),
         initial_mean=np.eye(3),
         initial_cov=np.diag([0.05 ** 2, 0.1 ** 2, 0.1 ** 2]),
-        input_profile=_ConstantTurnOdometry(dt, speed, yaw_rate),
+        input_profile=partial(_constant_turn_odometry, dt, speed, yaw_rate),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("theta", "x", "y"),
-        state_to_vector=_Se2StateVector(),
-        renormalize=_RenormalizeRotationBlock(2),
+        state_to_vector=_se2_state_vector,
+        renormalize=partial(_renormalize_rotation_block, 2),
     )
 
 
@@ -187,39 +168,23 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
 # 3D attitude: SO(3) from gyro rates and gravity + magnetometer directions
 
 
-@dataclass(frozen=True)
-class _GyroDynamics:
-    dt: float
-
-    def __call__(self, state, omega, w):
-        return state @ lie.exp_so3((np.asarray(omega, dtype=float) + w) * self.dt)
+def _gyro_dynamics(dt, state, omega, w):
+    return state @ lie.exp_so3((np.asarray(omega, dtype=float) + w) * dt)
 
 
-@dataclass(frozen=True)
-class _BodyFieldObservation:
+def _body_field_observation(gravity, mag_field, state):
     """World-fixed reference vectors observed in the body frame."""
-
-    gravity: np.ndarray
-    mag_field: np.ndarray
-
-    def __call__(self, state):
-        return np.concatenate([state.T @ self.gravity, state.T @ self.mag_field])
+    return np.concatenate([state.T @ gravity, state.T @ mag_field])
 
 
-@dataclass(frozen=True)
-class _TumbleRateProfile:
+def _tumble_rates(dt, step):
     """Smooth rates exercising all three axes."""
-
-    dt: float
-    amplitude: float = 0.4
-
-    def __call__(self, step):
-        t = step * self.dt
-        a = self.amplitude
-        return np.array(
-            [a * math.sin(0.9 * t), 0.7 * a * math.cos(0.6 * t),
-             0.5 * a * math.sin(0.4 * t + 1.0)]
-        )
+    t = step * dt
+    a = 0.4
+    return np.array(
+        [a * math.sin(0.9 * t), 0.7 * a * math.cos(0.6 * t),
+         0.5 * a * math.sin(0.4 * t + 1.0)]
+    )
 
 
 def _euler_zyx(C):
@@ -227,12 +192,6 @@ def _euler_zyx(C):
     return np.array(
         [math.atan2(C[2, 1], C[2, 2]), pitch, math.atan2(C[1, 0], C[0, 0])]
     )
-
-
-@dataclass(frozen=True)
-class _RotationStateVector:
-    def __call__(self, state):
-        return _euler_zyx(state)
 
 
 def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
@@ -247,8 +206,8 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
     rot_blocks = (("rot", 3),)
     return ModelSpec(
         name="attitude3d",
-        f=_GyroDynamics(dt),
-        h=_BodyFieldObservation(GRAVITY, mag_field),
+        f=partial(_gyro_dynamics, dt),
+        h=partial(_body_field_observation, GRAVITY, mag_field),
         Q=(gyro_std ** 2 / dt) * np.eye(3),
         R=np.diag([accel_obs_std ** 2] * 3 + [mag_obs_std ** 2] * 3),
         dt=dt,
@@ -260,12 +219,12 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
         initial_truth=np.eye(3),
         initial_mean=np.eye(3),
         initial_cov=0.1 ** 2 * np.eye(3),
-        input_profile=_TumbleRateProfile(dt),
+        input_profile=partial(_tumble_rates, dt),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("roll", "pitch", "yaw"),
-        state_to_vector=_RotationStateVector(),
-        renormalize=_RenormalizeRotationBlock(3),
+        state_to_vector=_euler_zyx,
+        renormalize=partial(_renormalize_rotation_block, 3),
     )
 
 
@@ -273,69 +232,46 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
 # 3D inertial navigation: extended pose from IMU and body-frame landmarks
 
 
-@dataclass(frozen=True)
-class _InertialNavDynamics:
-    """Strapdown propagation of (rotation, velocity, position).
-
-    Inputs stack gyro rates and specific force, both body frame; noise adds
-    to the rates the same way.
-    """
-
-    dt: float
-    gravity: np.ndarray
-
-    def __call__(self, state, omega, w):
-        omega = np.asarray(omega, dtype=float)
-        gyro = omega[:3] + w[:3]
-        acc = omega[3:6] + w[3:6]
-        C = state[:3, :3]
-        v = state[:3, 3]
-        out = np.eye(5)
-        out[:3, :3] = C @ lie.exp_so3(gyro * self.dt)
-        out[:3, 3] = v + (C @ acc + self.gravity) * self.dt
-        out[:3, 4] = state[:3, 4] + v * self.dt
-        return out
+def _strapdown(pose, gyro, acc, dt, gravity):
+    """Strapdown step of an extended pose (rotation, velocity, position)
+    under body-frame gyro rates and specific force."""
+    C = pose[:3, :3]
+    v = pose[:3, 3]
+    out = np.eye(5)
+    out[:3, :3] = C @ lie.exp_so3(gyro * dt)
+    out[:3, 3] = v + (C @ acc + gravity) * dt
+    out[:3, 4] = pose[:3, 4] + v * dt
+    return out
 
 
-@dataclass(frozen=True)
-class _BodyLandmarkObservation:
-    """Known world landmarks seen in the body frame, stacked."""
-
-    landmarks: np.ndarray  # (m, 3)
-
-    def __call__(self, state):
-        C = state[:3, :3]
-        p = state[:3, 4]
-        return ((self.landmarks - p) @ C).reshape(-1)
+def _inertial_nav_dynamics(dt, gravity, state, omega, w):
+    """Inputs stack gyro rates and specific force; noise adds to both."""
+    omega = np.asarray(omega, dtype=float)
+    return _strapdown(state, omega[:3] + w[:3], omega[3:6] + w[3:6], dt, gravity)
 
 
-@dataclass(frozen=True)
-class _CoordinatedTurnImuProfile:
+def _body_landmark_observation(landmarks, state):
+    """Known world landmarks, one per row, seen in the body frame, stacked."""
+    C = state[:3, :3]
+    p = state[:3, 4]
+    return ((landmarks - p) @ C).reshape(-1)
+
+
+def _coordinated_turn_imu(dt, speed, yaw_rate, gravity, step):
     """IMU inputs whose noise-free integration is an exact level circle.
 
     The accelerometer term compensates gravity and supplies the centripetal
     acceleration of the discrete-time turn, so f reproduces the trajectory
     with zero noise.
     """
-
-    dt: float
-    speed: float
-    yaw_rate: float
-    gravity: np.ndarray
-
-    def __call__(self, step):
-        c = math.cos(self.yaw_rate * self.dt)
-        s = math.sin(self.yaw_rate * self.dt)
-        acc = np.array(
-            [(c - 1.0) * self.speed / self.dt, s * self.speed / self.dt, 0.0]
-        ) - self.gravity
-        return np.array([0.0, 0.0, self.yaw_rate, acc[0], acc[1], acc[2]])
+    c = math.cos(yaw_rate * dt)
+    s = math.sin(yaw_rate * dt)
+    acc = np.array([(c - 1.0) * speed / dt, s * speed / dt, 0.0]) - gravity
+    return np.array([0.0, 0.0, yaw_rate, acc[0], acc[1], acc[2]])
 
 
-@dataclass(frozen=True)
-class _ExtendedPoseStateVector:
-    def __call__(self, state):
-        return np.concatenate([_euler_zyx(state[:3, :3]), state[:3, 3], state[:3, 4]])
+def _extended_pose_state_vector(state):
+    return np.concatenate([_euler_zyx(state[:3, :3]), state[:3, 3], state[:3, 4]])
 
 
 _DEFAULT_NAV_LANDMARKS = LandmarkSet(
@@ -364,8 +300,8 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
     pose_blocks = (("rot", 3), ("vel", 3), ("pos", 3))
     return ModelSpec(
         name="inertial_nav",
-        f=_InertialNavDynamics(dt, GRAVITY),
-        h=_BodyLandmarkObservation(landmarks.points),
+        f=partial(_inertial_nav_dynamics, dt, GRAVITY),
+        h=partial(_body_landmark_observation, landmarks.points),
         Q=np.diag([gyro_std ** 2 / dt] * 3 + [accel_std ** 2 / dt] * 3),
         R=obs_std ** 2 * np.eye(3 * m),
         dt=dt,
@@ -382,12 +318,12 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
              0.3 ** 2, 0.3 ** 2, 0.1 ** 2,
              1.0, 1.0, 0.1 ** 2]
         ),
-        input_profile=_CoordinatedTurnImuProfile(dt, speed, yaw_rate, GRAVITY),
+        input_profile=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("roll", "pitch", "yaw", "vx", "vy", "vz", "px", "py", "pz"),
-        state_to_vector=_ExtendedPoseStateVector(),
-        renormalize=_RenormalizeRotationBlock(3),
+        state_to_vector=_extended_pose_state_vector,
+        renormalize=partial(_renormalize_rotation_block, 3),
     )
 
 
@@ -395,25 +331,16 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
 # 2D SLAM: SE(2) pose plus landmark estimates in one state
 
 
-@dataclass(frozen=True)
-class _SlamDynamics:
+def _slam_dynamics(state, omega, w):
     """Odometry on the pose block; landmarks are static."""
-
-    def __call__(self, state, omega, w):
-        return MixedState(
-            state.group @ lie.exp_sek(np.asarray(omega, dtype=float) + w, 2, 1),
-            state.euclid,
-        )
+    return MixedState(_se2_odometry(state.group, omega, w), state.euclid)
 
 
-@dataclass(frozen=True)
-class _SlamObservation:
+def _slam_observation(state):
     """All landmark estimates observed in the body frame, stacked."""
-
-    def __call__(self, state):
-        C = state.group[:2, :2]
-        p = state.group[:2, 2]
-        return ((state.euclid.reshape(-1, 2) - p) @ C).reshape(-1)
+    C = state.group[:2, :2]
+    p = state.group[:2, 2]
+    return ((state.euclid.reshape(-1, 2) - p) @ C).reshape(-1)
 
 
 def landmark_observation(state: MixedState, landmark_ids) -> np.ndarray:
@@ -444,14 +371,8 @@ def _slam_retractions(n_landmarks: int):
     }
 
 
-@dataclass(frozen=True)
-class _SlamStateVector:
-    def __call__(self, state):
-        pose = np.array(
-            [math.atan2(state.group[1, 0], state.group[0, 0]),
-             state.group[0, 2], state.group[1, 2]]
-        )
-        return np.concatenate([pose, state.euclid])
+def _slam_state_vector(state):
+    return np.concatenate([_se2_state_vector(state.group), state.euclid])
 
 
 def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
@@ -469,8 +390,8 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
     )
     return ModelSpec(
         name="slam2d",
-        f=_SlamDynamics(),
-        h=_SlamObservation(),
+        f=_slam_dynamics,
+        h=_slam_observation,
         Q=np.diag(np.asarray(odo_std, dtype=float) ** 2),
         R=obs_std ** 2 * np.eye(2 * m),
         dt=dt,
@@ -479,12 +400,12 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         initial_truth=initial_truth,
         initial_mean=MixedState(np.eye(3), flat.copy()),
         initial_cov=np.diag([0.05 ** 2, 0.1 ** 2, 0.1 ** 2] + [0.1 ** 2] * (2 * m)),
-        input_profile=_ConstantTurnOdometry(dt, speed, yaw_rate),
+        input_profile=partial(_constant_turn_odometry, dt, speed, yaw_rate),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=labels,
-        state_to_vector=_SlamStateVector(),
-        renormalize=_RenormalizeRotationBlock(2),
+        state_to_vector=_slam_state_vector,
+        renormalize=partial(_renormalize_rotation_block, 2),
     )
 
 
@@ -537,44 +458,24 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
 # IMU + GNSS fusion: extended pose plus gyro and accelerometer biases
 
 
-@dataclass(frozen=True)
-class _BiasedImuDynamics:
+def _biased_imu_dynamics(dt, gravity, state, omega, w):
     """Inertial kinematics with bias-corrected inputs; biases random-walk.
 
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
-
-    dt: float
-    gravity: np.ndarray
-
-    def __call__(self, state, omega, w):
-        omega = np.asarray(omega, dtype=float)
-        bg = state.euclid[:3]
-        ba = state.euclid[3:6]
-        gyro = omega[:3] - bg + w[:3]
-        acc = omega[3:6] - ba + w[3:6]
-        C = state.group[:3, :3]
-        v = state.group[:3, 3]
-        pose = np.eye(5)
-        pose[:3, :3] = C @ lie.exp_so3(gyro * self.dt)
-        pose[:3, 3] = v + (C @ acc + self.gravity) * self.dt
-        pose[:3, 4] = state.group[:3, 4] + v * self.dt
-        return MixedState(pose, state.euclid + w[6:12])
+    omega = np.asarray(omega, dtype=float)
+    gyro = omega[:3] - state.euclid[:3] + w[:3]
+    acc = omega[3:6] - state.euclid[3:6] + w[3:6]
+    pose = _strapdown(state.group, gyro, acc, dt, gravity)
+    return MixedState(pose, state.euclid + w[6:12])
 
 
-@dataclass(frozen=True)
-class _MixedPosition:
-    def __call__(self, state):
-        return state.group[:3, 4].copy()
+def _mixed_position(state):
+    return state.group[:3, 4].copy()
 
 
-@dataclass(frozen=True)
-class _BiasedStateVector:
-    def __call__(self, state):
-        return np.concatenate(
-            [_euler_zyx(state.group[:3, :3]), state.group[:3, 3],
-             state.group[:3, 4], state.euclid]
-        )
+def _biased_state_vector(state):
+    return np.concatenate([_extended_pose_state_vector(state.group), state.euclid])
 
 
 def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
@@ -599,8 +500,8 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
     blocks = (("rot", 3), ("vel", 3), ("pos", 3), ("bias", 6))
     return ModelSpec(
         name="imu_gnss",
-        f=_BiasedImuDynamics(dt, GRAVITY),
-        h=_MixedPosition(),
+        f=partial(_biased_imu_dynamics, dt, GRAVITY),
+        h=_mixed_position,
         Q=np.diag(
             [gyro_std ** 2 / dt] * 3 + [accel_std ** 2 / dt] * 3
             + [gyro_walk ** 2 * dt] * 3 + [accel_walk ** 2 * dt] * 3
@@ -618,15 +519,15 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
             [0.05 ** 2] * 3 + [0.1 ** 2] * 3 + [0.5 ** 2] * 3
             + [0.05 ** 2] * 3 + [0.2 ** 2] * 3
         ),
-        input_profile=_CoordinatedTurnImuProfile(dt, speed, yaw_rate, GRAVITY),
+        input_profile=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=(
             "roll", "pitch", "yaw", "vx", "vy", "vz", "px", "py", "pz",
             "bgx", "bgy", "bgz", "bax", "bay", "baz",
         ),
-        state_to_vector=_BiasedStateVector(),
-        renormalize=_RenormalizeRotationBlock(3),
+        state_to_vector=_biased_state_vector,
+        renormalize=partial(_renormalize_rotation_block, 3),
     )
 
 
@@ -634,48 +535,28 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
 # Spherical pendulum: a unit vector tracked through its rotation lift
 
 
-@dataclass(frozen=True)
-class _LiftedSphereDynamics:
+def _lifted_sphere_dynamics(dt, state, omega, w):
     """World-frame rotation increment with a rotation-vector noise factor."""
-
-    dt: float
-
-    def __call__(self, state, omega, w):
-        return lie.exp_so3(np.asarray(omega, dtype=float) * self.dt) @ lie.exp_so3(w) @ state
+    return lie.exp_so3(np.asarray(omega, dtype=float) * dt) @ lie.exp_so3(w) @ state
 
 
-@dataclass(frozen=True)
-class _SpherePlaneObservation:
+def _sphere_point(lever, state):
+    return state @ lever
+
+
+def _sphere_plane_observation(lever, state):
     """First two world coordinates of the sphere point."""
-
-    lever: np.ndarray
-
-    def __call__(self, state):
-        x = state @ self.lever
-        return x[:2]
+    return _sphere_point(lever, state)[:2]
 
 
-@dataclass(frozen=True)
-class _SphereStateVector:
-    lever: np.ndarray
-
-    def __call__(self, state):
-        return state @ self.lever
-
-
-@dataclass(frozen=True)
-class _TabulatedProfile:
+def _tabulated_inputs(table, step):
     """Inputs precomputed at construction; step n reads row n-1."""
-
-    table: np.ndarray
-
-    def __call__(self, step):
-        if not 1 <= step <= self.table.shape[0]:
-            raise ValueError(
-                f"step {step} outside the tabulated horizon "
-                f"{self.table.shape[0]}; rebuild with a larger input_horizon"
-            )
-        return self.table[step - 1]
+    if not 1 <= step <= table.shape[0]:
+        raise ValueError(
+            f"step {step} outside the tabulated horizon "
+            f"{table.shape[0]}; rebuild with a larger input_horizon"
+        )
+    return table[step - 1]
 
 
 def _pendulum_rate_table(dt, steps, tilt, length, gravity_mag):
@@ -710,8 +591,8 @@ def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
     rot_blocks = (("rot", 3),)
     return ModelSpec(
         name="pendulum_s2",
-        f=_LiftedSphereDynamics(dt),
-        h=_SpherePlaneObservation(lever),
+        f=partial(_lifted_sphere_dynamics, dt),
+        h=partial(_sphere_plane_observation, lever),
         Q=step_noise_std ** 2 * np.eye(3),
         R=obs_std ** 2 * np.eye(2),
         dt=dt,
@@ -723,14 +604,15 @@ def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
         initial_truth=R0,
         initial_mean=R0.copy(),
         initial_cov=0.1 ** 2 * np.eye(3),
-        input_profile=_TabulatedProfile(
-            _pendulum_rate_table(dt, input_horizon, tilt, length, gravity_mag)
+        input_profile=partial(
+            _tabulated_inputs,
+            _pendulum_rate_table(dt, input_horizon, tilt, length, gravity_mag),
         ),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("x", "y", "z"),
-        state_to_vector=_SphereStateVector(lever),
-        renormalize=_RenormalizeRotationBlock(3),
+        state_to_vector=partial(_sphere_point, lever),
+        renormalize=partial(_renormalize_rotation_block, 3),
     )
 
 

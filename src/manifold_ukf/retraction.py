@@ -96,14 +96,6 @@ def group_retraction(d: int, k: int, side: str = "left", name: str = "",
     )
 
 
-def left_retraction(d: int, k: int, **kw) -> Retraction:
-    return group_retraction(d, k, "left", **kw)
-
-
-def right_retraction(d: int, k: int, **kw) -> Retraction:
-    return group_retraction(d, k, "right", **kw)
-
-
 # ---------------------------------------------------------------------------
 # Mixed group x Euclidean states
 
@@ -213,37 +205,7 @@ def additive_retraction(dim: int, name: str = "additive",
 
 
 # ---------------------------------------------------------------------------
-# Sphere-valued states lifted to rotations
-
-
-@dataclass(frozen=True)
-class SphereLiftedState:
-    """Unit vector x represented as x = R @ L with a fixed unit lever L.
-
-    The rotation carries the uncertainty; the sphere point is recovered by
-    project().
-    """
-
-    R: np.ndarray
-    L: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=float))
-        if self.L.shape != (3,):
-            raise DimensionMismatch("lever must be a 3-vector")
-        if abs(float(self.L @ self.L) - 1.0) > 1e-12:
-            raise ValueError("lever must be a unit vector")
-        if not lie.is_rotation(self.R, 3):
-            raise ValueError("R must be a rotation matrix")
-
-    def project(self) -> np.ndarray:
-        return self.R @ self.L
-
-
-def lift_sphere_dynamics(R, Omega) -> np.ndarray:
-    """Rotation-valued step matching x' = Omega @ x under x = R @ L."""
-    return np.asarray(Omega, dtype=float) @ np.asarray(R, dtype=float)
+# Sphere-valued states lifted to rotations (x = R @ L for a fixed lever L)
 
 
 def covariance_retrieval(R_hat, L, P):

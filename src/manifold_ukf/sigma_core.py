@@ -25,7 +25,6 @@ from .errors import (
     FilterStepError,
     InvalidAlpha,
     ManifoldUkfError,
-    NonPSDState,
     SingularInnovationCovariance,
 )
 from .retraction import Retraction
@@ -97,15 +96,6 @@ class Belief:
     @property
     def dim(self) -> int:
         return self.cov.shape[0]
-
-    def validate(self, sym_tol: float = 1e-9, eig_tol: float = 1e-9) -> None:
-        P = np.asarray(self.cov, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise NonPSDState(f"covariance must be square, got {P.shape}")
-        if np.abs(P - P.T).max(initial=0.0) > sym_tol:
-            raise NonPSDState("covariance is not symmetric within 1e-9")
-        if float(np.linalg.eigvalsh(P).min()) < -eig_tol:
-            raise NonPSDState("covariance has an eigenvalue below -1e-9")
 
 
 def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,

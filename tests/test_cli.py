@@ -230,6 +230,24 @@ def test_config_bad_model_param(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_run_past_input_horizon_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model_params": {"input_horizon": 5}}),
+                   encoding="utf-8")
+    code = main(["run", "pendulum_s2", "--config", str(cfg), "--steps", "6",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "error: step 6 outside the tabulated horizon" in capsys.readouterr().err
+
+
+def test_benchmark_zero_runs_is_usage_error(tmp_path, capsys):
+    code = main(["benchmark", "localization2d", "--runs", "0",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "error: runs must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # IMU log replay
 

@@ -290,7 +290,7 @@ def test_exp_sek_length_check():
 
 
 # ---------------------------------------------------------------------------
-# compose / inverse / identity
+# composition / inverse
 
 
 def random_sek(rng, d, k, max_rot=2.5):
@@ -302,16 +302,10 @@ def random_sek(rng, d, k, max_rot=2.5):
     return lie.exp_sek(xi, d, k)
 
 
-def test_compose_identity_law():
-    X = random_sek(RNG, 3, 2)
-    assert np.array_equal(lie.compose(np.eye(5), X), X)
-    assert np.array_equal(lie.compose(X, np.eye(5)), X)
-
-
 def test_compose_inverse_law():
     for d, k in ((2, 1), (3, 1), (3, 2)):
         X = random_sek(RNG, d, k)
-        assert np.abs(lie.compose(X, lie.inverse(X, d)) - np.eye(d + k)).max() < 1e-12
+        assert np.abs((X @ lie.inverse(X, d)) - np.eye(d + k)).max() < 1e-12
         assert np.abs(lie.inverse(lie.inverse(X, d), d) - X).max() < 1e-14
 
 
@@ -320,19 +314,7 @@ def test_compose_exp_opposite():
         xi = RNG.standard_normal(9)
         A = lie.exp_sek(xi, 3, 2)
         B = lie.exp_sek(-xi, 3, 2)
-        assert np.abs(lie.compose(A, B) - np.eye(5)).max() < 1e-10
-
-
-def test_compose_associativity():
-    X, Y, Z = (random_sek(RNG, 3, 2) for _ in range(3))
-    left = lie.compose(lie.compose(X, Y), Z)
-    right = lie.compose(X, lie.compose(Y, Z))
-    assert np.abs(left - right).max() < 1e-12
-
-
-def test_compose_shape_check():
-    with pytest.raises(DimensionMismatch):
-        lie.compose(np.eye(5), np.eye(4))
+        assert np.abs((A @ B) - np.eye(5)).max() < 1e-10
 
 
 def test_inverse_closed_form():
@@ -343,15 +325,10 @@ def test_inverse_closed_form():
     assert np.allclose(Xi[:3, 3:], -(X[:3, :3].T @ X[:3, 3:]), atol=1e-15)
 
 
-def test_identity_builder():
-    assert np.array_equal(lie.identity(3, 2), np.eye(5))
-    assert np.array_equal(lie.identity(2), np.eye(2))
-
-
 def test_group_preserves_embedding():
     X = random_sek(RNG, 3, 2)
     Y = random_sek(RNG, 3, 2)
-    Z = lie.compose(X, Y)
+    Z = X @ Y
     assert np.array_equal(Z[3:, :3], np.zeros((2, 3)))
     assert np.array_equal(Z[3:, 3:], np.eye(2))
 

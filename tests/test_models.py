@@ -1,6 +1,7 @@
 """Example-problem tests: dynamics, observations, augmentation, registry."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -359,6 +360,30 @@ def test_dynamics_deterministic():
             assert np.array_equal(a.euclid, b.euclid)
         else:
             assert np.array_equal(a, b)
+
+
+def _arrays(x):
+    return (x.group, x.euclid) if isinstance(x, MixedState) else (x,)
+
+
+def test_specs_pickle_bit_equal():
+    # benchmark() falls back to serial runs without a word when a spec does
+    # not pickle, so pin picklability and bit-equal behaviour here
+    for name in models.example_names():
+        model = make(name)
+        clone = pickle.loads(pickle.dumps(model))
+        x = model.initial_truth
+        u = model.input_profile(1)
+        w = np.zeros(model.Q.shape[0])
+        for a, b in (
+            (model.f(x, u, w), clone.f(x, u, w)),
+            (model.h(x), clone.h(x)),
+            (u, clone.input_profile(1)),
+            (model.state_to_vector(x), clone.state_to_vector(x)),
+            (model.renormalize(x), clone.renormalize(x)),
+        ):
+            for got, want in zip(_arrays(b), _arrays(a)):
+                assert np.array_equal(got, want), name
 
 
 def test_truth_rotation_stays_orthonormal_long_run():

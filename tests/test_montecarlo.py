@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from manifold_ukf.errors import NonPSDState, SingularCovariance
+from manifold_ukf.errors import NonPSDCovariance, SingularCovariance
 from manifold_ukf.models import make
 from manifold_ukf.montecarlo import (
     RunRecord,
@@ -140,7 +140,7 @@ def test_benchmark_divergent_variant_counted_and_excluded():
     good = model.retraction("se2_left")
 
     def exploding_phi_inv(ref, state):
-        raise NonPSDState("forced failure")
+        raise NonPSDCovariance("forced failure")
 
     bad = Retraction(name="broken", dim=good.dim, phi=good.phi,
                      phi_inv=exploding_phi_inv, blocks=good.blocks)

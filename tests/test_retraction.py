@@ -1,6 +1,5 @@
-"""Retraction-pair tests: inverse consistency, exactness at zero, sphere ops."""
+"""Retraction-pair tests: inverse consistency, exactness at zero, covariance retrieval."""
 
-import math
 
 import numpy as np
 import pytest
@@ -11,17 +10,14 @@ from manifold_ukf.errors import DimensionMismatch, NonPSDCovariance
 from manifold_ukf.retraction import (
     MixedState,
     Retraction,
-    SphereLiftedState,
     additive_retraction,
     check_retraction,
     componentwise_so3_r6,
     covariance_retrieval,
+    group_retraction,
     inverse_consistency_residuals,
     jacobian_identity_error,
-    left_retraction,
-    lift_sphere_dynamics,
     mixed_retraction,
-    right_retraction,
 )
 
 from oracles import matrix_exp_series
@@ -60,7 +56,7 @@ def all_model_retractions():
 
 
 def test_phi_left_at_identity_is_exp():
-    retr = left_retraction(3, 2)
+    retr = group_retraction(3, 2, "left")
     xi = RNG.standard_normal(9)
     got = retr.phi(np.eye(5), xi)
     assert np.abs(got - matrix_exp_series(lie.wedge_sek(xi, 3, 2))).max() < 1e-10
@@ -68,29 +64,29 @@ def test_phi_left_at_identity_is_exp():
 
 def test_left_right_coincide_at_identity():
     xi = RNG.standard_normal(9)
-    L = left_retraction(3, 2).phi(np.eye(5), xi)
-    R = right_retraction(3, 2).phi(np.eye(5), xi)
+    L = group_retraction(3, 2, "left").phi(np.eye(5), xi)
+    R = group_retraction(3, 2, "right").phi(np.eye(5), xi)
     assert np.array_equal(L, R)
 
 
 def test_phi_inv_at_reference_is_exact_zero():
     for d, k in ((2, 1), (3, 0), (3, 1), (3, 2)):
         X = random_sek(RNG, d, k)
-        for retr in (left_retraction(d, k), right_retraction(d, k)):
+        for retr in (group_retraction(d, k, "left"), group_retraction(d, k, "right")):
             assert np.array_equal(retr.phi_inv(X, X), np.zeros(retr.dim))
 
 
 def test_phi_zero_is_bit_exact():
     for d, k in ((2, 1), (3, 0), (3, 2)):
         X = random_sek(RNG, d, k)
-        for retr in (left_retraction(d, k), right_retraction(d, k)):
+        for retr in (group_retraction(d, k, "left"), group_retraction(d, k, "right")):
             assert np.array_equal(retr.phi(X, np.zeros(retr.dim)), X)
 
 
 def test_group_roundtrips():
     for d, k in ((2, 1), (3, 0), (3, 1), (3, 2)):
         rd = lie.rot_dim(d)
-        for retr in (left_retraction(d, k), right_retraction(d, k)):
+        for retr in (group_retraction(d, k, "left"), group_retraction(d, k, "right")):
             for _ in range(25):
                 X = random_sek(RNG, d, k)
                 xi = bounded_xi(RNG, retr.dim, rd)
@@ -101,8 +97,8 @@ def test_group_roundtrips():
 def test_left_right_sides_differ_away_from_identity():
     X = random_sek(RNG, 3, 1)
     xi = np.array([0.3, -0.2, 0.5, 1.0, 0.0, -1.0])
-    L = left_retraction(3, 1).phi(X, xi)
-    R = right_retraction(3, 1).phi(X, xi)
+    L = group_retraction(3, 1, "left").phi(X, xi)
+    R = group_retraction(3, 1, "right").phi(X, xi)
     assert np.abs(L - R).max() > 1e-3
 
 
@@ -175,7 +171,7 @@ def test_componentwise_differs_from_group_retraction():
     X = random_sek(RNG, 3, 2)
     xi = np.array([0.4, -0.3, 0.6, 1.0, 0.5, -0.5, 2.0, 0.0, 1.0])
     A = componentwise_so3_r6().phi(X, xi)
-    B = left_retraction(3, 2).phi(X, xi)
+    B = group_retraction(3, 2, "left").phi(X, xi)
     assert np.abs(A - B).max() > 1e-3
 
 
@@ -228,7 +224,7 @@ def test_registered_jacobian_identity():
 
 
 def test_check_retraction_passes_builtin():
-    retr = left_retraction(2, 1)
+    retr = group_retraction(2, 1, "left")
     result = check_retraction(retr, random_sek(RNG, 2, 1))
     assert result.passed
     for _, residual, ok in result.residuals:
@@ -253,7 +249,7 @@ def test_check_retraction_accepts_first_order_pair():
 
 
 def test_check_retraction_flags_broken_inverse():
-    base = left_retraction(2, 1)
+    base = group_retraction(2, 1, "left")
 
     def bad_inv(ref, state):
         return 2.0 * base.phi_inv(ref, state)
@@ -265,29 +261,7 @@ def test_check_retraction_flags_broken_inverse():
 
 
 # ---------------------------------------------------------------------------
-# Sphere lifting and covariance retrieval
-
-
-def test_lift_sphere_identity():
-    R = lie.exp_so3(np.array([0.2, 0.1, -0.4]))
-    assert np.array_equal(lift_sphere_dynamics(R, np.eye(3)), R)
-
-
-def test_lift_sphere_quarter_turn():
-    # frozen: exp of (pi/2,0,0) sends e3 to (0,-1,0)
-    Om = lie.exp_so3(np.array([math.pi / 2, 0.0, 0.0]))
-    x = lift_sphere_dynamics(np.eye(3), Om) @ np.array([0.0, 0.0, 1.0])
-    assert np.abs(x - np.array([0.0, -1.0, 0.0])).max() < 1e-15
-
-
-def test_lift_sphere_preserves_norm():
-    L = np.array([0.0, 0.0, 1.0])
-    R = np.eye(3)
-    rng = np.random.Generator(np.random.Philox(key=5))
-    for _ in range(50):
-        Om = lie.exp_so3(rng.standard_normal(3))
-        R = lift_sphere_dynamics(R, Om)
-        assert abs(np.linalg.norm(R @ L) - 1.0) < 1e-12
+# Covariance retrieval for sphere points lifted to rotations
 
 
 def test_covariance_retrieval_reference():
@@ -320,16 +294,6 @@ def test_covariance_retrieval_rejects_non_psd():
     with pytest.raises(NonPSDCovariance):
         covariance_retrieval(np.eye(3), np.array([0.0, 0.0, 1.0]),
                              np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_sphere_lifted_state_invariants():
-    s = SphereLiftedState(lie.exp_so3(np.array([0.3, 0.0, 0.1])),
-                          np.array([0.0, 0.0, 1.0]))
-    assert abs(np.linalg.norm(s.project()) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        SphereLiftedState(np.eye(3), np.array([0.0, 0.0, 2.0]))
-    with pytest.raises(ValueError):
-        SphereLiftedState(2 * np.eye(3), np.array([0.0, 0.0, 1.0]))
 
 
 def test_retraction_block_bookkeeping():

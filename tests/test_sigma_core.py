@@ -17,7 +17,7 @@ from manifold_ukf.errors import (
     SingularInnovationCovariance,
 )
 from manifold_ukf.models import ModelSpec
-from manifold_ukf.retraction import additive_retraction, left_retraction
+from manifold_ukf.retraction import additive_retraction, group_retraction
 from manifold_ukf.sigma_core import (
     Belief,
     filter_run,
@@ -204,7 +204,7 @@ def test_update_singular_innovation():
 
 def test_update_on_group_state():
     # correction vector retracts onto the group; mean stays a valid element
-    retr = left_retraction(3, 0)
+    retr = group_retraction(3, 0, "left")
     C = lie.exp_so3(np.array([0.2, -0.1, 0.3]))
     belief = Belief(C, 0.05 * np.eye(3))
     y = np.array([0.25, -0.05, 0.35])
@@ -243,7 +243,7 @@ def test_propagate_identity_no_noise():
 
 
 def test_propagate_identity_no_noise_group_state():
-    retr = left_retraction(3, 1)
+    retr = group_retraction(3, 1, "left")
     X = lie.exp_sek(np.array([0.3, -0.5, 0.2, 1.0, 2.0, -0.7]), 3, 1)
     P = 0.04 * np.eye(6)
     out = propagate(Belief(X, P), None, lambda s, o, w: s, np.zeros((6, 6)),
@@ -333,14 +333,6 @@ def test_filter_run_measurement_pairs_accepted():
     from_map = filter_run(model, inputs, {2: np.array([1.0])})
     for a, b in zip(from_pairs, from_map):
         assert np.array_equal(a.mean, b.mean)
-
-
-def test_belief_validate():
-    Belief(np.zeros(2), np.eye(2)).validate()
-    with pytest.raises(Exception):
-        Belief(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])).validate()
-    with pytest.raises(Exception):
-        Belief(np.zeros(2), -np.eye(2)).validate()
 
 
 def test_update_intermediate_quantities_match_formulas():
