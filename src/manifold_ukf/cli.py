@@ -259,11 +259,14 @@ def _build_model(args):
     if lm_path is not None:
         params["landmarks"] = read_landmarks(lm_path)
     try:
-        return make(name, **params)
+        model = make(name, **params)
     except TypeError as exc:
         raise UsageError(f"bad parameters for {name}: {exc}") from exc
     except (ValueError, ManifoldUkfError) as exc:
         raise UsageError(str(exc)) from exc
+    if not 0.0 < model.alpha <= 1.0:
+        raise UsageError(f"alpha must lie in (0, 1], got {model.alpha}")
+    return model
 
 
 def _retraction_names(args, model, many: bool):

@@ -15,6 +15,10 @@ Closed forms are used throughout: Rodrigues for exp, atan2-based log, and
 the SO(d) left Jacobian for the translational columns of exp/log on
 SE_k(d).  Trigonometric factors switch to Taylor expansions below
 _SMALL_ANGLE to stay accurate near zero.
+
+exp, log, inverse, wedge_so3 and the left Jacobians broadcast over leading
+axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
+are chosen per element, and one bad element of a stack fails the call.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ _SMALL_ANGLE = 1e-4
 _PI_MARGIN = 1e-6
 _SKEW_TOL = 1e-9
 _ROT_TOL = 1e-9
+# wedge_so3(omega) == omega[..., _WEDGE_IDX] * _WEDGE_SIGN
+_WEDGE_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_WEDGE_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
 def rot_dim(d: int) -> int:
@@ -62,9 +69,11 @@ def vee_so2(M) -> float:
 
 
 def wedge_so3(omega) -> np.ndarray:
-    """Skew matrix of omega in R^3, so that wedge(omega) @ v == cross(omega, v)."""
-    x, y, z = (float(v) for v in omega)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew matrices of (..., 3) vectors: wedge(omega) @ v == cross(omega, v)."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape[-1:] != (3,):
+        raise DimensionMismatch(f"expected (..., 3) vectors, got shape {omega.shape}")
+    return omega[..., _WEDGE_IDX] * _WEDGE_SIGN
 
 
 def vee_so3(M) -> np.ndarray:
@@ -80,62 +89,77 @@ def _require_skew(M, d):
         raise NonSkewInput("matrix is not skew-symmetric within 1e-9")
 
 
-def exp_so2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rot2(c, s) -> np.ndarray:
+    """Stack of 2x2 matrices [[c, -s], [s, c]]."""
+    return np.stack([c, -s, s, c], axis=-1).reshape(np.shape(c) + (2, 2))
 
 
-def log_so2(C) -> float:
+def _require_below_pi(theta):
+    worst = float(np.max(np.abs(theta), initial=0.0))
+    if worst >= math.pi - _PI_MARGIN:
+        raise NearPiRotation(f"rotation angle {worst:.9f} is within 1e-6 of pi")
+
+
+def exp_so2(theta) -> np.ndarray:
+    return _rot2(np.cos(theta), np.sin(theta))
+
+
+def log_so2(C):
     C = np.asarray(C, dtype=float)
     _require_rotation(C, 2)
-    theta = math.atan2(C[1, 0], C[0, 0])
-    if abs(theta) >= math.pi - _PI_MARGIN:
-        raise NearPiRotation(f"rotation angle {theta:.9f} is within 1e-6 of pi")
+    theta = np.arctan2(C[..., 1, 0], C[..., 0, 0])
+    _require_below_pi(theta)
     return theta
+
+
+def _so3_parts(omega):
+    """wedge(omega), theta^2, the per-element small-angle mask, and theta^2
+    and theta set to 1 where masked, so closed forms never divide by zero."""
+    omega = np.asarray(omega, dtype=float)
+    W = wedge_so3(omega)
+    theta2 = np.sum(omega * omega, axis=-1)
+    small = theta2 < _SMALL_ANGLE * _SMALL_ANGLE
+    safe2 = np.where(small, 1.0, theta2)
+    return W, theta2, small, safe2, np.sqrt(safe2)
+
+
+def _quadratic(W, a, b) -> np.ndarray:
+    """I + a W + b W^2 per element of a stack of so(3) matrices."""
+    a = np.asarray(a)[..., None, None]
+    b = np.asarray(b)[..., None, None]
+    return np.eye(3) + a * W + b * (W @ W)
 
 
 def exp_so3(omega) -> np.ndarray:
     """Rodrigues formula with a Taylor branch below the small-angle cutoff."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,):
-        raise DimensionMismatch(f"expected a 3-vector, got shape {omega.shape}")
-    theta2 = float(omega @ omega)
-    W = wedge_so3(omega)
-    if theta2 < _SMALL_ANGLE * _SMALL_ANGLE:
-        a = 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0)
-        b = 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0))
-    else:
-        theta = math.sqrt(theta2)
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta2
-    return np.eye(3) + a * W + b * (W @ W)
+    W, theta2, small, safe2, theta = _so3_parts(omega)
+    a = np.where(small, 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0),
+                 np.sin(theta) / theta)
+    b = np.where(small, 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0)),
+                 (1.0 - np.cos(theta)) / safe2)
+    return _quadratic(W, a, b)
 
 
 def log_so3(C) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     _require_rotation(C, 3)
     # 0.5 * vee(C - C^T) has norm sin(theta); the trace gives cos(theta).
-    s_vec = 0.5 * np.array(
-        [C[2, 1] - C[1, 2], C[0, 2] - C[2, 0], C[1, 0] - C[0, 1]]
-    )
-    s = math.sqrt(float(s_vec @ s_vec))
-    c = 0.5 * (C[0, 0] + C[1, 1] + C[2, 2] - 1.0)
-    theta = math.atan2(s, c)
-    if theta >= math.pi - _PI_MARGIN:
-        raise NearPiRotation(f"rotation angle {theta:.9f} is within 1e-6 of pi")
-    if theta < _SMALL_ANGLE:
-        scale = 1.0 + theta * theta / 6.0  # theta / sin(theta)
-    else:
-        scale = theta / s
-    return scale * s_vec
+    s_vec = 0.5 * (C[..., [2, 0, 1], [1, 2, 0]] - C[..., [1, 2, 0], [2, 0, 1]])
+    s = np.sqrt(np.sum(s_vec * s_vec, axis=-1))
+    c = 0.5 * (np.trace(C, axis1=-2, axis2=-1) - 1.0)
+    theta = np.arctan2(s, c)
+    _require_below_pi(theta)
+    small = theta < _SMALL_ANGLE  # scale is theta / sin(theta)
+    scale = np.where(small, 1.0 + theta * theta / 6.0, theta / np.where(small, 1.0, s))
+    return scale[..., None] * s_vec
 
 
 def _require_rotation(C, d):
-    if C.shape != (d, d):
-        raise DimensionMismatch(f"expected a {d}x{d} matrix, got {C.shape}")
-    if np.abs(C.T @ C - np.eye(d)).max() > _ROT_TOL:
+    if C.shape[-2:] != (d, d):
+        raise DimensionMismatch(f"expected (..., {d}, {d}) matrices, got {C.shape}")
+    if np.abs(np.swapaxes(C, -1, -2) @ C - np.eye(d)).max(initial=0.0) > _ROT_TOL:
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
-    if abs(np.linalg.det(C) - 1.0) > _ROT_TOL:
+    if np.abs(np.linalg.det(C) - 1.0).max(initial=0.0) > _ROT_TOL:
         raise NotARotation("matrix determinant is not +1 within 1e-9")
 
 
@@ -155,49 +179,38 @@ def polar_project(R) -> np.ndarray:
 
 
 def left_jacobian_so3(omega) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    theta2 = float(omega @ omega)
-    W = wedge_so3(omega)
-    if theta2 < _SMALL_ANGLE * _SMALL_ANGLE:
-        c1 = 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0))
-        c2 = (1.0 - theta2 / 20.0 * (1.0 - theta2 / 42.0)) / 6.0
-    else:
-        theta = math.sqrt(theta2)
-        c1 = (1.0 - math.cos(theta)) / theta2
-        c2 = (theta - math.sin(theta)) / (theta2 * theta)
-    return np.eye(3) + c1 * W + c2 * (W @ W)
+    W, theta2, small, safe2, theta = _so3_parts(omega)
+    c1 = np.where(small, 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0)),
+                  (1.0 - np.cos(theta)) / safe2)
+    c2 = np.where(small, (1.0 - theta2 / 20.0 * (1.0 - theta2 / 42.0)) / 6.0,
+                  (theta - np.sin(theta)) / (safe2 * theta))
+    return _quadratic(W, c1, c2)
 
 
 def inv_left_jacobian_so3(omega) -> np.ndarray:
     # Valid for angles below pi; the log never produces larger ones.
-    omega = np.asarray(omega, dtype=float)
-    theta2 = float(omega @ omega)
-    W = wedge_so3(omega)
-    if theta2 < _SMALL_ANGLE * _SMALL_ANGLE:
-        c2 = (1.0 + theta2 / 60.0) / 12.0
-    else:
-        theta = math.sqrt(theta2)
-        half = 0.5 * theta
-        c2 = (1.0 - half * math.cos(half) / math.sin(half)) / theta2
-    return np.eye(3) - 0.5 * W + c2 * (W @ W)
+    W, theta2, small, safe2, theta = _so3_parts(omega)
+    half = 0.5 * theta
+    c2 = np.where(small, (1.0 + theta2 / 60.0) / 12.0,
+                  (1.0 - half * np.cos(half) / np.sin(half)) / safe2)
+    return _quadratic(W, -0.5, c2)
 
 
-def left_jacobian_so2(theta: float) -> np.ndarray:
-    if abs(theta) < _SMALL_ANGLE:
-        theta2 = theta * theta
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 * theta * (1.0 - theta2 / 12.0)
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta
-    return np.array([[a, -b], [b, a]])
+def left_jacobian_so2(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    small = np.abs(theta) < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    theta2 = theta * theta
+    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 * theta * (1.0 - theta2 / 12.0),
+                 (1.0 - np.cos(safe)) / safe)
+    return _rot2(a, b)
 
 
-def inv_left_jacobian_so2(theta: float) -> np.ndarray:
+def inv_left_jacobian_so2(theta) -> np.ndarray:
     J = left_jacobian_so2(theta)
-    a, b = J[0, 0], J[1, 0]
-    det = a * a + b * b
-    return np.array([[a, b], [-b, a]]) / det
+    a, b = J[..., 0, 0], J[..., 1, 0]
+    return _rot2(a, -b) / (a * a + b * b)[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -248,77 +261,70 @@ def _check_d(d):
         raise DimensionMismatch(f"rotation block dimension must be 2 or 3, got {d}")
 
 
+def _square(X, d) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    _check_d(d)
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2] or X.shape[-1] < d:
+        raise DimensionMismatch(
+            f"expected square matrices of size >= {d}, got {X.shape}")
+    return X
+
+
 def exp_sek(xi, d: int, k: int) -> np.ndarray:
     """Group exponential: rotation by Rodrigues, translations via the left Jacobian."""
     xi = np.asarray(xi, dtype=float)
     _check_d(d)
-    rd = _split_dims(d, k, xi.shape[0])
-    if d == 3:
-        R = exp_so3(xi[:3])
-        if k:
-            J = left_jacobian_so3(xi[:3])
-    else:
-        R = exp_so2(float(xi[0]))
-        if k:
-            J = left_jacobian_so2(float(xi[0]))
+    rd = _split_dims(d, k, xi.shape[-1])
+    rot = xi[..., :3] if d == 3 else xi[..., 0]
+    R = exp_so3(rot) if d == 3 else exp_so2(rot)
     if k == 0:
         return R
-    X = np.eye(d + k)
-    X[:d, :d] = R
-    for i in range(k):
-        X[:d, d + i] = J @ xi[rd + i * d : rd + (i + 1) * d]
+    J = left_jacobian_so3(rot) if d == 3 else left_jacobian_so2(rot)
+    lead = xi.shape[:-1]
+    X = np.zeros(lead + (d + k, d + k))
+    X[..., :d, :d] = R
+    X[..., :d, d:] = J @ np.swapaxes(xi[..., rd:].reshape(lead + (k, d)), -1, -2)
+    X[..., d:, d:] = np.eye(k)
     return X
 
 
 def log_sek(X, d: int) -> np.ndarray:
-    """Group logarithm; the number of translational columns is X.shape[0] - d."""
-    X = np.asarray(X, dtype=float)
-    _check_d(d)
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < d:
-        raise DimensionMismatch(f"expected a square matrix of size >= {d}, got {X.shape}")
-    k = X.shape[0] - d
+    """Group logarithm; the number of translational columns is X.shape[-1] - d."""
+    X = _square(X, d)
+    k = X.shape[-1] - d
     _require_embedding(X, d, k)
     if d == 3:
-        omega = log_so3(X[:3, :3])
+        omega = log_so3(X[..., :3, :3])
         if k == 0:
             return omega
         Jinv = inv_left_jacobian_so3(omega)
     else:
-        theta = log_so2(X[:2, :2])
-        omega = np.array([theta])
+        theta = log_so2(X[..., :2, :2])
+        omega = np.expand_dims(theta, -1)
         if k == 0:
             return omega
         Jinv = inv_left_jacobian_so2(theta)
-    rd = rot_dim(d)
-    xi = np.empty(rd + k * d)
-    xi[:rd] = omega
-    for i in range(k):
-        xi[rd + i * d : rd + (i + 1) * d] = Jinv @ X[:d, d + i]
-    return xi
+    trans = np.swapaxes(Jinv @ X[..., :d, d:], -1, -2)
+    return np.concatenate([omega, trans.reshape(X.shape[:-2] + (k * d,))], axis=-1)
 
 
 def _require_embedding(X, d, k):
     # The bottom block rows are [0 I] exactly; group operations preserve this
     # bit-for-bit, so any deviation means the matrix was built by hand wrong.
-    if k and not (
-        np.array_equal(X[d:, :d], np.zeros((k, d)))
-        and np.array_equal(X[d:, d:], np.eye(k))
-    ):
+    if k and not ((X[..., d:, :d] == 0.0).all() and (X[..., d:, d:] == np.eye(k)).all()):
         raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
 
 
 def inverse(X, d: int) -> np.ndarray:
     """Closed-form inverse [[C^T, -C^T p_i], [0, I]]; no linear solve."""
-    X = np.asarray(X, dtype=float)
-    _check_d(d)
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < d:
-        raise DimensionMismatch(f"expected a square matrix of size >= {d}, got {X.shape}")
-    k = X.shape[0] - d
+    X = _square(X, d)
+    k = X.shape[-1] - d
     _require_embedding(X, d, k)
-    Rt = X[:d, :d].T
+    Rt = np.swapaxes(X[..., :d, :d], -1, -2)
     if k == 0:
         return Rt.copy()
-    out = np.eye(d + k)
-    out[:d, :d] = Rt
-    out[:d, d:] = -(Rt @ X[:d, d:])
+    out = np.zeros_like(X)
+    out[..., :d, :d] = Rt
+    out[..., :d, d:] = -(Rt @ X[..., :d, d:])
+    out[..., d:, d:] = np.eye(k)
     return out

@@ -47,9 +47,12 @@ def _identity(state):
 class ModelSpec:
     """One estimation problem: dynamics, observation, noise, retractions.
 
-    f(state, input, noise), h(state), input_profile(step), state_to_vector
-    and renormalize are plain callables; write them as module-level
-    functions and bind parameters with functools.partial so the spec pickles.
+    f(state, input, noise) and h(state) broadcast over a leading batch axis of
+    state or noise, e.g. f = state @ F.T + w and h = state @ H.T, because the
+    filter passes each set of sigma points in one call.  These and
+    input_profile(step), state_to_vector and renormalize are plain callables;
+    write them as module-level functions and bind parameters with
+    functools.partial so the spec pickles.
     """
 
     name: str
@@ -116,7 +119,7 @@ def _se2_odometry(state, omega, w):
 
 
 def _se2_position(state):
-    return state[:2, 2].copy()
+    return state[..., :2, 2].copy()
 
 
 def _constant_turn_odometry(dt, speed, yaw_rate, step):
@@ -173,8 +176,8 @@ def _gyro_dynamics(dt, state, omega, w):
 
 
 def _body_field_observation(gravity, mag_field, state):
-    """World-fixed reference vectors observed in the body frame."""
-    return np.concatenate([state.T @ gravity, state.T @ mag_field])
+    """World-fixed reference vectors observed in the body frame (v @ C is C^T v)."""
+    return np.concatenate([gravity @ state, mag_field @ state], axis=-1)
 
 
 def _tumble_rates(dt, step):
@@ -235,26 +238,30 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
 def _strapdown(pose, gyro, acc, dt, gravity):
     """Strapdown step of an extended pose (rotation, velocity, position)
     under body-frame gyro rates and specific force."""
-    C = pose[:3, :3]
-    v = pose[:3, 3]
-    out = np.eye(5)
-    out[:3, :3] = C @ lie.exp_so3(gyro * dt)
-    out[:3, 3] = v + (C @ acc + gravity) * dt
-    out[:3, 4] = pose[:3, 4] + v * dt
+    C = pose[..., :3, :3]
+    v = pose[..., :3, 3]
+    out = np.zeros(np.broadcast_shapes(pose.shape[:-2], gyro.shape[:-1],
+                                       acc.shape[:-1]) + (5, 5))
+    out[..., :3, :3] = C @ lie.exp_so3(gyro * dt)
+    out[..., :3, 3] = v + ((C @ acc[..., None])[..., 0] + gravity) * dt
+    out[..., :3, 4] = pose[..., :3, 4] + v * dt
+    out[..., 3:, 3:] = np.eye(2)
     return out
 
 
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
     """Inputs stack gyro rates and specific force; noise adds to both."""
     omega = np.asarray(omega, dtype=float)
-    return _strapdown(state, omega[:3] + w[:3], omega[3:6] + w[3:6], dt, gravity)
+    return _strapdown(state, omega[:3] + w[..., :3], omega[3:6] + w[..., 3:6],
+                      dt, gravity)
 
 
 def _body_landmark_observation(landmarks, state):
     """Known world landmarks, one per row, seen in the body frame, stacked."""
-    C = state[:3, :3]
-    p = state[:3, 4]
-    return ((landmarks - p) @ C).reshape(-1)
+    C = state[..., :3, :3]
+    p = state[..., None, :3, 4]
+    body = (landmarks - p) @ C
+    return body.reshape(body.shape[:-2] + (-1,))
 
 
 def _coordinated_turn_imu(dt, speed, yaw_rate, gravity, step):
@@ -338,9 +345,10 @@ def _slam_dynamics(state, omega, w):
 
 def _slam_observation(state):
     """All landmark estimates observed in the body frame, stacked."""
-    C = state.group[:2, :2]
-    p = state.group[:2, 2]
-    return ((state.euclid.reshape(-1, 2) - p) @ C).reshape(-1)
+    C = state.group[..., :2, :2]
+    p = state.group[..., None, :2, 2]
+    body = (state.euclid.reshape(state.euclid.shape[:-1] + (-1, 2)) - p) @ C
+    return body.reshape(body.shape[:-2] + (-1,))
 
 
 def landmark_observation(state: MixedState, landmark_ids) -> np.ndarray:
@@ -432,14 +440,12 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     d_old = belief.cov.shape[0]
     G = np.zeros((2, d_old))
     eps = 1e-6
-    for j in range(3):  # only the pose coordinates move the new landmark
-        e = np.zeros(d_old)
-        e[j] = eps
-        sp = retraction.phi(state, e)
-        sm = retraction.phi(state, -e)
-        lp = sp.group[:2, 2] + sp.group[:2, :2] @ y_new
-        lm = sm.group[:2, 2] + sm.group[:2, :2] @ y_new
-        G[:, j] = (lp - lm) / (2.0 * eps)
+    E = eps * np.eye(d_old)[:3]  # only the pose coordinates move the new landmark
+    sp = retraction.phi(state, E).group
+    sm = retraction.phi(state, -E).group
+    lp = sp[:, :2, 2] + sp[:, :2, :2] @ y_new
+    lm = sm[:, :2, 2] + sm[:, :2, :2] @ y_new
+    G[:, :3] = ((lp - lm) / (2.0 * eps)).T
 
     P = belief.cov
     cross = G @ P  # (2, d_old)
@@ -464,14 +470,14 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
     omega = np.asarray(omega, dtype=float)
-    gyro = omega[:3] - state.euclid[:3] + w[:3]
-    acc = omega[3:6] - state.euclid[3:6] + w[3:6]
+    gyro = omega[:3] - state.euclid[..., :3] + w[..., :3]
+    acc = omega[3:6] - state.euclid[..., 3:6] + w[..., 3:6]
     pose = _strapdown(state.group, gyro, acc, dt, gravity)
-    return MixedState(pose, state.euclid + w[6:12])
+    return MixedState(pose, state.euclid + w[..., 6:12])
 
 
 def _mixed_position(state):
-    return state.group[:3, 4].copy()
+    return state.group[..., :3, 4].copy()
 
 
 def _biased_state_vector(state):
@@ -546,7 +552,7 @@ def _sphere_point(lever, state):
 
 def _sphere_plane_observation(lever, state):
     """First two world coordinates of the sphere point."""
-    return _sphere_point(lever, state)[:2]
+    return _sphere_point(lever, state)[..., :2]
 
 
 def _tabulated_inputs(table, step):
@@ -559,21 +565,33 @@ def _tabulated_inputs(table, step):
     return table[step - 1]
 
 
+def _rotate(w, v):
+    """exp_so3(w) @ v as v + a (w x v) + b w x (w x v), in plain floats;
+    b = 2 sin^2(t/2) / t^2 needs no small-angle branch."""
+    (wx, wy, wz), (vx, vy, vz) = w, v
+    t = math.sqrt(wx * wx + wy * wy + wz * wz)
+    a, b = (math.sin(t) / t, 2.0 * (math.sin(0.5 * t) / t) ** 2) if t else (1.0, 0.5)
+    cx, cy, cz = wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx
+    return (vx + a * cx + b * (wy * cz - wz * cy), vy + a * cy + b * (wz * cx - wx * cz),
+            vz + a * cz + b * (wx * cy - wy * cx))
+
+
 def _pendulum_rate_table(dt, steps, tilt, length, gravity_mag):
     """Semi-implicit integration of a spherical pendulum about its rest point.
 
     The frame is chosen with gravity along +z so the rest direction is +e3
-    (the lever default); the tilt is applied about the x axis.
+    (the lever default); the tilt is applied about the x axis.  The loop is
+    sequential, so it runs on plain floats rather than 3x3 arrays.
     """
-    g_over_l = gravity_mag / length
-    e3 = np.array([0.0, 0.0, 1.0])
-    x = lie.exp_so3(np.array([tilt, 0.0, 0.0])) @ e3
-    omega = np.zeros(3)
+    k = dt * (gravity_mag / length)
+    x = _rotate((tilt, 0.0, 0.0), (0.0, 0.0, 1.0))
+    wx = wy = 0.0
     table = np.empty((steps, 3))
     for n in range(steps):
-        omega = omega + dt * g_over_l * np.cross(x, e3)
-        x = lie.exp_so3(omega * dt) @ x
-        table[n] = omega
+        # x cross e3 = (x_y, -x_x, 0)
+        wx, wy = wx + k * x[1], wy - k * x[0]
+        x = _rotate((wx * dt, wy * dt, 0.0), x)
+        table[n] = wx, wy, 0.0
     return table
 
 

@@ -55,6 +55,8 @@ def simulate(model, steps: int, seed: int):
     model's schedule.  Identical arguments give identical output, whatever
     the platform's default RNG does.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     Lq = _psd_sqrt(model.Q)
     Lr = _psd_sqrt(model.R)
@@ -103,13 +105,21 @@ def run_record(model, retraction, truth, inputs, measurements,
 
 def nees(record: RunRecord) -> np.ndarray:
     """Normalized estimation error squared, one value per step."""
-    out = np.empty(len(record.beliefs))
-    for i, (xi, belief) in enumerate(zip(record.errors, record.beliefs)):
-        try:
-            out[i] = float(xi @ np.linalg.solve(belief.cov, xi))
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance(f"singular covariance at step {i + 1}") from exc
-    return out
+    if not record.beliefs:
+        return np.empty(0)
+    covs = np.array([b.cov for b in record.beliefs])
+    errors = record.errors
+    try:
+        sol = np.linalg.solve(covs, errors[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for i, cov in enumerate(covs):  # name the first singular step
+            try:
+                np.linalg.solve(cov, errors[i])
+            except np.linalg.LinAlgError as exc:
+                raise SingularCovariance(
+                    f"singular covariance at step {i + 1}") from exc
+        raise
+    return np.einsum("ij,ij->i", errors, sol)
 
 
 def nees_band(dim: int, runs: int, lower: float = 0.025,

@@ -6,6 +6,9 @@ unchanged and the Jacobian of xi -> phi(state, xi) at zero is the identity;
 the filter core relies on both properties but never on a particular group
 structure, so new state spaces only need a new pair.
 
+Both maps broadcast over leading axes too: the filter core passes each set
+of sigma points as one stack, e.g. all 2d tangent vectors as a (2d, d) array.
+
 Provided families:
 
 * group retractions on SE_k(d), left (state @ exp(xi)) or right
@@ -36,6 +39,10 @@ from .errors import DimensionMismatch, NonPSDCovariance
 class Retraction:
     """A phi / phi_inv pair over a fixed tangent dimension.
 
+    phi(state, xi) and phi_inv(ref, state) broadcast over leading axes: with
+    xi of shape (N, dim) phi returns N states, and phi_inv returns (N, dim)
+    when either argument holds N states (e.g. state + xi, state - ref).
+
     blocks names contiguous spans of the tangent vector, e.g.
     (("rot", 3), ("vel", 3), ("pos", 3)); reporting code aggregates errors
     per block.  Defaults to one block spanning everything.
@@ -62,22 +69,27 @@ class Retraction:
         return out
 
 
+def _cat(*parts) -> np.ndarray:
+    """Concatenate along the last axis, broadcasting the leading axes."""
+    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    return np.concatenate(
+        [np.broadcast_to(p, lead + p.shape[-1:]) for p in parts], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Group retractions
 
 
 def _phi_group(state, xi, d, side):
-    xi = np.asarray(xi, dtype=float)
-    G = lie.exp_sek(xi, d, state.shape[0] - d)
+    G = lie.exp_sek(xi, d, state.shape[-1] - d)
     return state @ G if side == "left" else G @ state
 
 
 def _phi_inv_group(ref, state, d, side):
-    if np.array_equal(ref, state):
-        return np.zeros(lie.tangent_dim(d, ref.shape[0] - d))
     inv_ref = lie.inverse(ref, d)
     rel = inv_ref @ state if side == "left" else state @ inv_ref
-    return lie.log_sek(rel, d)
+    same = np.all(ref == state, axis=(-2, -1))  # these map to exact zeros
+    return np.where(same[..., None], 0.0, lie.log_sek(rel, d))
 
 
 def group_retraction(d: int, k: int, side: str = "left", name: str = "",
@@ -102,7 +114,8 @@ def group_retraction(d: int, k: int, side: str = "left", name: str = "",
 
 @dataclass(frozen=True)
 class MixedState:
-    """A group element plus a flat Euclidean block (landmarks, biases, ...)."""
+    """A group element plus a Euclidean block (landmarks, biases, ...);
+    group (..., n, n) and euclid (..., m) broadcast over their leading axes."""
 
     group: np.ndarray
     euclid: np.ndarray
@@ -110,27 +123,25 @@ class MixedState:
     def __post_init__(self):
         object.__setattr__(self, "group", np.asarray(self.group, dtype=float))
         object.__setattr__(self, "euclid", np.asarray(self.euclid, dtype=float))
-        if self.euclid.ndim != 1:
-            raise DimensionMismatch("euclid block must be a flat vector")
+        if self.euclid.ndim < 1:
+            raise DimensionMismatch("euclid block must be a vector or a stack of them")
 
 
 def _phi_mixed(state, xi, d, side, gdim):
     xi = np.asarray(xi, dtype=float)
-    if xi.shape[0] != gdim + state.euclid.shape[0]:
+    if xi.shape[-1] != gdim + state.euclid.shape[-1]:
         raise DimensionMismatch(
-            f"tangent length {xi.shape[0]} != {gdim} + {state.euclid.shape[0]}"
+            f"tangent length {xi.shape[-1]} != {gdim} + {state.euclid.shape[-1]}"
         )
     return MixedState(
-        _phi_group(state.group, xi[:gdim], d, side),
-        state.euclid + xi[gdim:],
+        _phi_group(state.group, xi[..., :gdim], d, side),
+        state.euclid + xi[..., gdim:],
     )
 
 
 def _phi_inv_mixed(ref, state, d, side, gdim):
-    return np.concatenate(
-        [_phi_inv_group(ref.group, state.group, d, side),
-         state.euclid - ref.euclid]
-    )
+    return _cat(_phi_inv_group(ref.group, state.group, d, side),
+                state.euclid - ref.euclid)
 
 
 def mixed_retraction(d: int, k: int, n_euclid: int, side: str = "right",
@@ -154,22 +165,21 @@ def mixed_retraction(d: int, k: int, n_euclid: int, side: str = "right",
 
 def _phi_componentwise(state, xi):
     xi = np.asarray(xi, dtype=float)
-    if xi.shape[0] != 9:
-        raise DimensionMismatch(f"expected a 9-vector, got length {xi.shape[0]}")
-    out = state.copy()
-    out[:3, :3] = state[:3, :3] @ lie.exp_so3(xi[0:3])
-    out[:3, 3] += xi[3:6]
-    out[:3, 4] += xi[6:9]
+    if xi.shape[-1] != 9:
+        raise DimensionMismatch(f"expected 9-vectors, got length {xi.shape[-1]}")
+    out = state + np.zeros(xi.shape[:-1] + (1, 1))  # a copy, one per xi
+    out[..., :3, :3] = state[..., :3, :3] @ lie.exp_so3(xi[..., 0:3])
+    out[..., :3, 3] += xi[..., 3:6]
+    out[..., :3, 4] += xi[..., 6:9]
     return out
 
 
 def _phi_inv_componentwise(ref, state):
-    if np.array_equal(ref, state):
-        return np.zeros(9)
-    rot = lie.log_so3(ref[:3, :3].T @ state[:3, :3])
-    return np.concatenate(
-        [rot, state[:3, 3] - ref[:3, 3], state[:3, 4] - ref[:3, 4]]
-    )
+    same = np.all(ref == state, axis=(-2, -1))  # these map to exact zeros
+    rot = lie.log_so3(np.swapaxes(ref[..., :3, :3], -1, -2) @ state[..., :3, :3])
+    out = _cat(rot, state[..., :3, 3] - ref[..., :3, 3],
+               state[..., :3, 4] - ref[..., :3, 4])
+    return np.where(same[..., None], 0.0, out)
 
 
 def componentwise_so3_r6(name: str = "so3xr6") -> Retraction:
@@ -190,7 +200,7 @@ def componentwise_so3_r6(name: str = "so3xr6") -> Retraction:
 
 def _phi_additive(state, xi):
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != state.shape:
+    if xi.shape[-1:] != state.shape[-1:]:
         raise DimensionMismatch(f"tangent shape {xi.shape} != state shape {state.shape}")
     return state + xi
 

@@ -7,6 +7,10 @@ set of sigma points so the state and noise dimensions never have to be
 stacked.  The update applies a standard unscented correction to the
 measurement moments and retracts the correction vector onto the state.
 
+Each set of sigma points goes through each of phi, f, phi_inv and h in one
+call, so they must broadcast over a leading batch axis (see ModelSpec and
+Retraction); an output that is constant over the batch is broadcast to it.
+
 Weights follow the scaled unscented transform with kappa = 0 and beta = 2;
 alpha in (0, 1] is the only exposed knob.  The mean point reuses the plain
 mean weight while its covariance term uses w_m + (1 - alpha^2 + beta).
@@ -22,6 +26,7 @@ import scipy.linalg
 
 from .errors import (
     CholeskyFailure,
+    DimensionMismatch,
     FilterStepError,
     InvalidAlpha,
     ManifoldUkfError,
@@ -86,6 +91,17 @@ def sigma_points(P, lam: float) -> np.ndarray:
     return np.concatenate([L.T, -L.T], axis=0)
 
 
+def _rows(values, n: int, width: int) -> np.ndarray:
+    """A callable's stacked output as an (n, width) array, or DimensionMismatch."""
+    values = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(values, (n, width))
+    except ValueError:
+        raise DimensionMismatch(
+            f"expected output broadcastable to {(n, width)}, got {values.shape}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class Belief:
     """State estimate: a mean point and a tangent-space covariance."""
@@ -116,19 +132,15 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
 
     w_d = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w_d.lam)
-    imgs = np.empty((2 * d, d))
-    for j, xi in enumerate(xis):
-        imgs[j] = retraction.phi_inv(
-            mean_new, f(retraction.phi(belief.mean, xi), omega, zero_w)
-        )
+    imgs = _rows(retraction.phi_inv(
+        mean_new, f(retraction.phi(belief.mean, xis), omega, zero_w)), 2 * d, d)
     cov = w_d.w_j * (imgs.T @ imgs)
 
     if Q.any():
         w_q = set_weights(q, alpha)
         ws = sigma_points(Q, w_q.lam)
-        noise_imgs = np.empty((2 * q, d))
-        for j, w in enumerate(ws):
-            noise_imgs[j] = retraction.phi_inv(mean_new, f(belief.mean, omega, w))
+        noise_imgs = _rows(retraction.phi_inv(mean_new, f(belief.mean, omega, ws)),
+                           2 * q, d)
         cov = cov + w_q.w_j * (noise_imgs.T @ noise_imgs)
 
     return Belief(mean_new, 0.5 * (cov + cov.T))
@@ -149,10 +161,10 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     w = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w.lam)
 
-    y0 = np.asarray(h(belief.mean), dtype=float)
-    ys = np.empty((2 * d, y0.shape[0]))
-    for j, xi in enumerate(xis):
-        ys[j] = h(retraction.phi(belief.mean, xi))
+    # row 0 is the mean itself: phi(mean, 0) == mean
+    points = retraction.phi(belief.mean, np.concatenate([np.zeros((1, d)), xis]))
+    y_all = _rows(h(points), 2 * d + 1, R.shape[0])
+    y0, ys = y_all[0], y_all[1:]
 
     y_bar = w.w_m * y0 + w.w_j * ys.sum(axis=0)
     dy0 = y0 - y_bar

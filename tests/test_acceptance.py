@@ -40,10 +40,10 @@ def _linear_model(name="linear2"):
     params = {"F": F, "H": H}
 
     def f(state, omega, w):
-        return params["F"] @ state + w
+        return state @ params["F"].T + w
 
     def h(state):
-        return params["H"] @ state
+        return state @ params["H"].T
 
     return ModelSpec(
         name=name, f=f, h=h, Q=Q, R=R, dt=1.0,

@@ -1,0 +1,237 @@
+"""The broadcast contract: Lie primitives, retractions and model callables
+take a leading batch axis, and a batch call equals the stack of its
+single-element calls.  Validation covers every element of a batch."""
+
+import math
+
+import numpy as np
+import pytest
+
+from manifold_ukf import lie_groups as lie
+from manifold_ukf.errors import (
+    DimensionMismatch,
+    MalformedEmbedding,
+    NearPiRotation,
+    NotARotation,
+)
+from manifold_ukf.models import example_names, make
+from manifold_ukf.retraction import MixedState, Retraction, additive_retraction
+from manifold_ukf.sigma_core import Belief, propagate, update
+
+RNG = np.random.Generator(np.random.Philox(key=2718))
+N = 9
+TOL = 1e-12
+
+
+def rotvecs(n, max_angle=3.0):
+    """Random rotation vectors; row 0 is exactly zero and row 1 is below the
+    small-angle cutoff, so each batch mixes both branches."""
+    w = RNG.standard_normal((n, 3))
+    w *= RNG.uniform(0.0, max_angle, (n, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+    w[0] = 0.0
+    w[1] *= 1e-6 / np.linalg.norm(w[1])
+    return w
+
+
+def angles(n, max_angle=3.0):
+    th = RNG.uniform(-max_angle, max_angle, n)
+    th[0], th[1] = 0.0, -3e-7
+    return th
+
+
+def tangents(n, d, k):
+    rot = rotvecs(n, 2.5) if d == 3 else angles(n, 2.5)[:, None]
+    return np.concatenate([rot, RNG.standard_normal((n, k * d))], axis=1)
+
+
+def assert_stacked(batch, singles):
+    """batch equals the stack of single-element results within TOL."""
+    if isinstance(batch, MixedState):
+        for field in ("group", "euclid"):
+            part = getattr(batch, field)
+            rows = np.array([getattr(s, field) for s in singles])
+            assert np.abs(np.broadcast_to(part, rows.shape) - rows).max() <= TOL
+        return
+    rows = np.array(singles)
+    assert np.asarray(batch).shape == rows.shape
+    assert np.abs(batch - rows).max() <= TOL
+
+
+def unstack(states, n):
+    """The n single states of a stacked state, shared blocks broadcast."""
+    if isinstance(states, MixedState):
+        g = np.broadcast_to(states.group, (n,) + states.group.shape[-2:])
+        e = np.broadcast_to(states.euclid, (n,) + states.euclid.shape[-1:])
+        return [MixedState(g[j], e[j]) for j in range(n)]
+    return list(states)
+
+
+# ---------------------------------------------------------------------------
+# Lie primitives
+
+
+@pytest.mark.parametrize("fn", [lie.exp_so3, lie.wedge_so3, lie.left_jacobian_so3,
+                                lie.inv_left_jacobian_so3])
+def test_so3_vector_maps_batch(fn):
+    w = rotvecs(N)
+    assert_stacked(fn(w), [fn(x) for x in w])
+
+
+def test_log_so3_batch():
+    C = lie.exp_so3(rotvecs(N))
+    assert_stacked(lie.log_so3(C), [lie.log_so3(c) for c in C])
+
+
+@pytest.mark.parametrize("fn", [lie.exp_so2, lie.left_jacobian_so2,
+                                lie.inv_left_jacobian_so2])
+def test_so2_angle_maps_batch(fn):
+    th = angles(N)
+    assert_stacked(fn(th), [fn(t) for t in th])
+
+
+def test_log_so2_batch():
+    C = lie.exp_so2(angles(N))
+    assert_stacked(lie.log_so2(C), [lie.log_so2(c) for c in C])
+
+
+@pytest.mark.parametrize("d,k", [(2, 0), (3, 0), (2, 1), (3, 1), (3, 2)])
+def test_sek_maps_batch(d, k):
+    xi = tangents(N, d, k)
+    X = lie.exp_sek(xi, d, k)
+    assert_stacked(X, [lie.exp_sek(x, d, k) for x in xi])
+    assert_stacked(lie.log_sek(X, d), [lie.log_sek(x, d) for x in X])
+    assert_stacked(lie.inverse(X, d), [lie.inverse(x, d) for x in X])
+
+
+def test_leading_axes_of_any_depth():
+    w = rotvecs(6).reshape(2, 3, 3)
+    R = lie.exp_so3(w)
+    assert R.shape == (2, 3, 3, 3)
+    assert np.abs(lie.log_so3(R) - w).max() < 1e-9
+
+
+def test_batch_with_one_non_rotation_fails():
+    C = lie.exp_so3(rotvecs(N))
+    C[4] *= 1.1
+    with pytest.raises(NotARotation):
+        lie.log_so3(C)
+    C[4] = np.diag([1.0, 1.0, -1.0])  # orthonormal, det = -1
+    with pytest.raises(NotARotation):
+        lie.log_so3(C)
+
+
+def test_batch_with_one_near_pi_row_fails():
+    w = rotvecs(N)
+    w[5] = [0.0, math.pi - 1e-7, 0.0]
+    with pytest.raises(NearPiRotation):
+        lie.log_so3(lie.exp_so3(w))
+    th = angles(N)
+    th[3] = -(math.pi - 1e-8)
+    with pytest.raises(NearPiRotation):
+        lie.log_so2(lie.exp_so2(th))
+
+
+def test_batch_with_one_malformed_embedding_fails():
+    X = lie.exp_sek(tangents(N, 3, 2), 3, 2)
+    X[6, 4, 0] = 1e-14
+    with pytest.raises(MalformedEmbedding):
+        lie.log_sek(X, 3)
+    with pytest.raises(MalformedEmbedding):
+        lie.inverse(X, 3)
+
+
+# ---------------------------------------------------------------------------
+# Retractions
+
+
+def model_retractions():
+    return [(name, rname) for name in example_names()
+            for rname in make(name).retractions]
+
+
+def sigma_like(dim):
+    xi = 0.3 * RNG.standard_normal((N, dim))
+    xi[0] = 0.0  # phi(state, 0) is the state itself
+    return xi
+
+
+@pytest.mark.parametrize("name,rname", model_retractions())
+def test_retraction_phi_and_phi_inv_batch(name, rname):
+    model = make(name)
+    retr = model.retraction(rname)
+    mean = model.initial_mean
+    states = retr.phi(mean, sigma_like(retr.dim))
+    xis = sigma_like(retr.dim)
+    assert_stacked(retr.phi(mean, xis), [retr.phi(mean, x) for x in xis])
+
+    ref = retr.phi(mean, 0.1 * RNG.standard_normal(retr.dim))
+    singles = unstack(states, N)
+    assert_stacked(retr.phi_inv(ref, states), [retr.phi_inv(ref, s) for s in singles])
+    # a stacked reference works the same way
+    assert_stacked(retr.phi_inv(states, ref), [retr.phi_inv(s, ref) for s in singles])
+    # elements equal to the reference map to exact zeros, batch or not
+    assert np.array_equal(retr.phi_inv(mean, states)[0], np.zeros(retr.dim))
+
+
+def test_group_retraction_batch_near_pi_fails():
+    retr = make("attitude3d").retraction("so3_left")
+    xi = sigma_like(3)
+    xi[2] = [math.pi - 1e-7, 0.0, 0.0]
+    with pytest.raises(NearPiRotation):
+        retr.phi_inv(np.eye(3), retr.phi(np.eye(3), xi))
+
+
+# ---------------------------------------------------------------------------
+# Model callables
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_model_callables_batch(name):
+    model = make(name)
+    retr = model.retraction()
+    mean = model.initial_mean
+    u = model.input_profile(1)
+    q = model.Q.shape[0]
+    zero_w = np.zeros(q)
+
+    states = retr.phi(mean, sigma_like(retr.dim))
+    singles = unstack(states, N)
+    assert_stacked(model.f(states, u, zero_w), [model.f(s, u, zero_w) for s in singles])
+    assert_stacked(model.h(states), [model.h(s) for s in singles])
+
+    ws = RNG.standard_normal((N, q)) * np.sqrt(np.diag(model.Q))
+    assert_stacked(model.f(mean, u, ws), [model.f(mean, u, w) for w in ws])
+
+
+# ---------------------------------------------------------------------------
+# Filter core
+
+
+def test_propagate_rejects_output_that_does_not_broadcast():
+    # per-element code that flattens its result: (N, 2) becomes (2N,)
+    flat = Retraction("flat", 2, phi=lambda s, xi: s + xi,
+                      phi_inv=lambda ref, s: (s - ref).reshape(-1))
+    belief = Belief(np.zeros(2), np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        propagate(belief, None, lambda s, o, w: s, np.zeros((2, 2)), flat, 1.0)
+
+
+def test_update_rejects_output_that_does_not_broadcast():
+    belief = Belief(np.zeros(2), np.eye(2))
+    retr = additive_retraction(2)
+    with pytest.raises(DimensionMismatch):
+        update(belief, np.zeros(2), lambda s: s.reshape(-1), np.eye(2), retr, 1.0)
+    with pytest.raises(DimensionMismatch):  # three outputs per state, R is 2x2
+        update(belief, np.zeros(2), lambda s: s @ np.ones((2, 3)), np.eye(2),
+               retr, 1.0)
+
+
+def test_constant_callables_broadcast():
+    belief = Belief(np.zeros(2), np.eye(2))
+    retr = additive_retraction(2)
+    out = propagate(belief, None, lambda s, o, w: np.ones(2), np.eye(2), retr, 1.0)
+    assert np.array_equal(out.mean, np.ones(2))
+    assert np.array_equal(out.cov, np.zeros((2, 2)))
+    out = update(belief, np.zeros(2), lambda s: np.ones(2), np.eye(2), retr, 1.0)
+    assert np.array_equal(out.mean, np.zeros(2))
+    assert np.array_equal(out.cov, belief.cov)

@@ -248,6 +248,37 @@ def test_benchmark_zero_runs_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "nan"])
+def test_run_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys, alpha):
+    code = main(["run", "attitude3d", "--alpha", alpha, "--steps", "3",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "error: alpha must lie in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_benchmark_alpha_from_config_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model_params": {"alpha": 0.0}}), encoding="utf-8")
+    code = main(["benchmark", "attitude3d", "--config", str(cfg), "--runs", "1",
+                 "--steps", "3", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "error: alpha must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,steps", [("run", "-3"), ("run", "0"),
+                                           ("benchmark", "0")])
+def test_nonpositive_steps_is_usage_error(tmp_path, capsys, command, steps):
+    args = [command, "attitude3d", "--steps", steps,
+            "--out", str(tmp_path / "x.csv")]
+    if command == "benchmark":
+        args += ["--runs", "2"]
+    code = main(args)
+    assert code == EXIT_CONFIG
+    assert "error: steps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # IMU log replay
 

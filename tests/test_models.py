@@ -324,6 +324,24 @@ def test_pendulum_profile_horizon_error():
         model.input_profile(51)
 
 
+@pytest.mark.parametrize("tilt,steps", [(0.7, 20000), (0.0, 10)])
+def test_pendulum_rate_table_matches_matrix_recurrence(tilt, steps):
+    # the same semi-implicit integration, each step rotating x by a 3x3
+    # exp_so3 matrix; tilt 0 keeps every step in the small-angle branch
+    dt, g_over_l = 0.01, 9.81
+    model = make("pendulum_s2", dt=dt, tilt=tilt, input_horizon=steps)
+    table = np.array([model.input_profile(n) for n in range(1, steps + 1)])
+    e3 = np.array([0.0, 0.0, 1.0])
+    x = lie.exp_so3(np.array([tilt, 0.0, 0.0])) @ e3
+    omega = np.zeros(3)
+    expected = np.empty((steps, 3))
+    for n in range(steps):
+        omega = omega + dt * g_over_l * np.cross(x, e3)
+        x = lie.exp_so3(omega * dt) @ x
+        expected[n] = omega
+    assert np.abs(table - expected).max() <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # registry and spec plumbing
 

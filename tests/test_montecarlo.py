@@ -81,6 +81,30 @@ def test_nees_singular_covariance():
         nees(rec)
 
 
+def test_nees_names_first_singular_step():
+    covs = [np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))]
+    rec = _toy_record([[1.0, 0.0]] * 3, covs)
+    with pytest.raises(SingularCovariance, match="at step 2$"):
+        nees(rec)
+
+
+def test_nees_matches_per_step_solve():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    A = rng.standard_normal((6, 3, 3))
+    covs = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    errors = rng.standard_normal((6, 3))
+    expected = [e @ np.linalg.solve(P, e) for e, P in zip(errors, covs)]
+    assert np.abs(nees(_toy_record(errors, covs)) - expected).max() < 1e-12
+
+
+def test_simulate_and_benchmark_reject_nonpositive_steps():
+    model = make("attitude3d")
+    with pytest.raises(ValueError, match="steps must be positive"):
+        simulate(model, 0, seed=0)
+    with pytest.raises(ValueError, match="steps must be positive"):
+        benchmark(model, ["so3_left"], runs=2, seed=0, steps=-1, workers=1)
+
+
 def test_nees_band_brackets_dimension():
     lo, hi = nees_band(3, 100)
     assert lo < 3.0 < hi

@@ -40,10 +40,10 @@ def linear_model(F, Q, H, R, x0, P0, controls=None, name="linear"):
     retr = additive_retraction(d)
 
     def f(state, omega, w):
-        return F @ state + omega + w
+        return state @ F.T + omega + w
 
     def h(state):
-        return H @ state
+        return state @ H.T
 
     def profile(step):
         if controls is None:
@@ -164,7 +164,7 @@ def test_update_zero_innovation_keeps_mean():
     H = np.array([[1.0, 0.5], [0.0, 2.0]])
     x = np.array([0.3, -0.7])
     belief = Belief(x, np.diag([0.5, 2.0]))
-    out = update(belief, H @ x, lambda s: H @ s, 0.1 * np.eye(2), retr, 0.9)
+    out = update(belief, H @ x, lambda s: s @ H.T, 0.1 * np.eye(2), retr, 0.9)
     assert np.abs(out.mean - x).max() < 1e-10
 
 
@@ -174,7 +174,7 @@ def test_update_matches_closed_form_linear():
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
     x = np.array([1.0, -1.0])
     y = np.array([0.7, 0.1])
-    out = update(Belief(x, P), y, lambda s: H @ s, R, additive_retraction(2), 0.8)
+    out = update(Belief(x, P), y, lambda s: s @ H.T, R, additive_retraction(2), 0.8)
     ex, eP, _ = kf_update(x, P, y, H, R)
     assert np.abs(out.mean - ex).max() < 1e-10
     assert np.abs(out.cov - eP).max() < 1e-10
@@ -189,7 +189,7 @@ def test_update_never_grows_covariance():
         R = np.diag(RNG.uniform(0.1, 1.0, p))
         y = RNG.standard_normal(p)
         out = update(Belief(RNG.standard_normal(d), P), y,
-                     lambda s, H=H: H @ s, R, additive_retraction(d), 1.0)
+                     lambda s, H=H: s @ H.T, R, additive_retraction(d), 1.0)
         assert np.linalg.eigvalsh(P - out.cov).min() > -1e-10
         assert np.abs(out.cov - out.cov.T).max() <= 1e-12
 
@@ -260,7 +260,7 @@ def test_propagate_linear_matches_oracle():
         Q = np.diag(RNG.uniform(0.1, 1.0, 2))
         x = RNG.standard_normal(2)
         out = propagate(Belief(x, P), np.zeros(2),
-                        lambda s, o, w, F=F: F @ s + w, Q,
+                        lambda s, o, w, F=F: s @ F.T + w, Q,
                         additive_retraction(2), 0.6)
         assert np.abs(out.mean - F @ x).max() < 1e-12
         assert np.abs(out.cov - (F @ P @ F.T + Q)).max() < 1e-8
@@ -342,7 +342,7 @@ def test_update_intermediate_quantities_match_formulas():
     R = 0.5 * np.eye(2)
     x = np.zeros(2)
     y = np.array([1.0, -2.0])
-    out = update(Belief(x, P), y, lambda s: H @ s, R, additive_retraction(2), 1.0)
+    out = update(Belief(x, P), y, lambda s: s @ H.T, R, additive_retraction(2), 1.0)
     S = H @ P @ H.T + R          # exact for linear h under the UT
     K = P @ H.T @ np.linalg.inv(S)
     assert np.abs(out.mean - K @ y).max() < 1e-10
