@@ -14,7 +14,9 @@ rotation part is a scalar for d = 2 and a 3-vector for d = 3.
 Closed forms are used throughout: Rodrigues for exp, atan2-based log, and
 the SO(d) left Jacobian for the translational columns of exp/log on
 SE_k(d).  Trigonometric factors switch to Taylor expansions below
-_SMALL_ANGLE to stay accurate near zero.
+_SMALL_ANGLE to stay accurate near zero, and one coefficient routine
+(_so3_coeffs) holds every SO(3) series.  Near pi the SO(3) log takes the
+rotation axis from the symmetric part of the matrix.
 
 exp, log, inverse, wedge_so3 and the left Jacobians broadcast over leading
 axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
@@ -37,6 +39,9 @@ from .errors import (
 
 _SMALL_ANGLE = 1e-4
 _PI_MARGIN = 1e-6
+# log_so3 takes the axis from the symmetric part above pi - _PI_BRANCH,
+# where theta / sin(theta) would cost more than a digit
+_PI_BRANCH = 0.1
 _SKEW_TOL = 1e-9
 _ROT_TOL = 1e-9
 # wedge_so3(omega) == omega[..., _WEDGE_IDX] * _WEDGE_SIGN
@@ -112,35 +117,66 @@ def log_so2(C):
     return theta
 
 
+# Coefficients of the SO(3) closed forms I + a W + b W^2, W = wedge(omega):
+#   exp          a = sinc,        b = cosc
+#   left Jac.    a = cosc,        b = sinc3
+#   inverse      a = -1/2,        b = cotc
+# as closed forms in theta and, below _SMALL_ANGLE, Taylor series in theta^2.
+_TAYLOR = {
+    "sinc": lambda t2: 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0),          # sin(t) / t
+    "cosc": lambda t2: 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0)),  # (1 - cos t) / t^2
+    "sinc3": lambda t2: (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0,  # (t - sin t) / t^3
+    "cotc": lambda t2: (1.0 + t2 / 60.0) / 12.0,  # (1 - (t/2) cot(t/2)) / t^2
+}
+
+
+def _so3_coeffs(theta2, *kinds):
+    """The named coefficients at squared angles theta2, one array each.
+
+    The Taylor series are evaluated only if some element is below the
+    small-angle cutoff; the closed forms then see theta = 1 there, so they
+    never divide by zero.  The inverse Jacobian's cotc needs half-angle trig
+    and is never asked for together with the others.
+    """
+    small = theta2 < _SMALL_ANGLE * _SMALL_ANGLE
+    any_small = bool(small.any())
+    t2 = np.where(small, 1.0, theta2) if any_small else theta2
+    t = np.sqrt(t2)
+    if kinds == ("cotc",):
+        half = 0.5 * t
+        closed = {"cotc": (1.0 - half * np.cos(half) / np.sin(half)) / t2}
+    else:
+        sin = np.sin(t)
+        closed = {"sinc": sin / t, "cosc": (1.0 - np.cos(t)) / t2}
+        if "sinc3" in kinds:
+            closed["sinc3"] = (t - sin) / (t2 * t)
+    if not any_small:
+        return [closed[kind] for kind in kinds]
+    return [np.where(small, _TAYLOR[kind](theta2), closed[kind]) for kind in kinds]
+
+
 def _so3_parts(omega):
-    """wedge(omega), theta^2, the per-element small-angle mask, and theta^2
-    and theta set to 1 where masked, so closed forms never divide by zero."""
+    """wedge(omega), its square and theta^2 = |omega|^2."""
     omega = np.asarray(omega, dtype=float)
     W = wedge_so3(omega)
-    theta2 = np.sum(omega * omega, axis=-1)
-    small = theta2 < _SMALL_ANGLE * _SMALL_ANGLE
-    safe2 = np.where(small, 1.0, theta2)
-    return W, theta2, small, safe2, np.sqrt(safe2)
+    return W, W @ W, np.sum(omega * omega, axis=-1)
 
 
-def _quadratic(W, a, b) -> np.ndarray:
+def _quadratic(W, WW, a, b) -> np.ndarray:
     """I + a W + b W^2 per element of a stack of so(3) matrices."""
     a = np.asarray(a)[..., None, None]
     b = np.asarray(b)[..., None, None]
-    return np.eye(3) + a * W + b * (W @ W)
+    return np.eye(3) + a * W + b * WW
 
 
 def exp_so3(omega) -> np.ndarray:
     """Rodrigues formula with a Taylor branch below the small-angle cutoff."""
-    W, theta2, small, safe2, theta = _so3_parts(omega)
-    a = np.where(small, 1.0 - theta2 / 6.0 * (1.0 - theta2 / 20.0),
-                 np.sin(theta) / theta)
-    b = np.where(small, 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0)),
-                 (1.0 - np.cos(theta)) / safe2)
-    return _quadratic(W, a, b)
+    W, WW, theta2 = _so3_parts(omega)
+    return _quadratic(W, WW, *_so3_coeffs(theta2, "sinc", "cosc"))
 
 
-def log_so3(C) -> np.ndarray:
+def _log_so3(C):
+    """Rotation vectors of a stack of rotations, and their angles."""
     C = np.asarray(C, dtype=float)
     _require_rotation(C, 3)
     # 0.5 * vee(C - C^T) has norm sin(theta); the trace gives cos(theta).
@@ -150,8 +186,35 @@ def log_so3(C) -> np.ndarray:
     theta = np.arctan2(s, c)
     _require_below_pi(theta)
     small = theta < _SMALL_ANGLE  # scale is theta / sin(theta)
-    scale = np.where(small, 1.0 + theta * theta / 6.0, theta / np.where(small, 1.0, s))
-    return scale[..., None] * s_vec
+    if small.any():
+        scale = np.where(small, 1.0 + theta * theta / 6.0,
+                         theta / np.where(small, 1.0, s))
+    else:
+        scale = theta / s
+    omega = scale[..., None] * s_vec
+    near_pi = theta > math.pi - _PI_BRANCH
+    if near_pi.any():
+        omega[near_pi] = theta[near_pi, None] * _axis_near_pi(
+            C[near_pi], c[near_pi], s_vec[near_pi])
+    return omega, theta
+
+
+def _axis_near_pi(C, c, s_vec):
+    """Unit rotation axes u of rotations far from the identity.
+
+    The symmetric part (C + C^T) / 2 = c I + (1 - c) u u^T keeps full
+    precision as theta nears pi, where s_vec = sin(theta) u does not; s_vec
+    still fixes the sign of u.
+    """
+    B = 0.5 * (C + np.swapaxes(C, -1, -2)) - c[..., None, None] * np.eye(3)
+    j = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
+    u = np.take_along_axis(B, j[..., None, None], axis=-1)[..., 0]  # u * u_j (1 - c)
+    u = u / np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
+    return np.where(np.sum(u * s_vec, axis=-1, keepdims=True) < 0.0, -u, u)
+
+
+def log_so3(C) -> np.ndarray:
+    return _log_so3(C)[0]
 
 
 def _require_rotation(C, d):
@@ -179,21 +242,14 @@ def polar_project(R) -> np.ndarray:
 
 
 def left_jacobian_so3(omega) -> np.ndarray:
-    W, theta2, small, safe2, theta = _so3_parts(omega)
-    c1 = np.where(small, 0.5 * (1.0 - theta2 / 12.0 * (1.0 - theta2 / 30.0)),
-                  (1.0 - np.cos(theta)) / safe2)
-    c2 = np.where(small, (1.0 - theta2 / 20.0 * (1.0 - theta2 / 42.0)) / 6.0,
-                  (theta - np.sin(theta)) / (safe2 * theta))
-    return _quadratic(W, c1, c2)
+    W, WW, theta2 = _so3_parts(omega)
+    return _quadratic(W, WW, *_so3_coeffs(theta2, "cosc", "sinc3"))
 
 
 def inv_left_jacobian_so3(omega) -> np.ndarray:
     # Valid for angles below pi; the log never produces larger ones.
-    W, theta2, small, safe2, theta = _so3_parts(omega)
-    half = 0.5 * theta
-    c2 = np.where(small, (1.0 + theta2 / 60.0) / 12.0,
-                  (1.0 - half * np.cos(half) / np.sin(half)) / safe2)
-    return _quadratic(W, -0.5, c2)
+    W, WW, theta2 = _so3_parts(omega)
+    return _quadratic(W, WW, -0.5, *_so3_coeffs(theta2, "cotc"))
 
 
 def left_jacobian_so2(theta) -> np.ndarray:
@@ -271,15 +327,22 @@ def _square(X, d) -> np.ndarray:
 
 
 def exp_sek(xi, d: int, k: int) -> np.ndarray:
-    """Group exponential: rotation by Rodrigues, translations via the left Jacobian."""
+    """Group exponential: rotation by Rodrigues, translations via the left
+    Jacobian; for d = 3 both come from one wedge and one set of trig terms."""
     xi = np.asarray(xi, dtype=float)
     _check_d(d)
     rd = _split_dims(d, k, xi.shape[-1])
     rot = xi[..., :3] if d == 3 else xi[..., 0]
-    R = exp_so3(rot) if d == 3 else exp_so2(rot)
     if k == 0:
-        return R
-    J = left_jacobian_so3(rot) if d == 3 else left_jacobian_so2(rot)
+        return exp_so3(rot) if d == 3 else exp_so2(rot)
+    if d == 3:
+        W, WW, theta2 = _so3_parts(rot)
+        sinc, cosc, sinc3 = _so3_coeffs(theta2, "sinc", "cosc", "sinc3")
+        R = _quadratic(W, WW, sinc, cosc)
+        J = _quadratic(W, WW, cosc, sinc3)
+    else:
+        R = exp_so2(rot)
+        J = left_jacobian_so2(rot)
     lead = xi.shape[:-1]
     X = np.zeros(lead + (d + k, d + k))
     X[..., :d, :d] = R
@@ -289,15 +352,19 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
 
 
 def log_sek(X, d: int) -> np.ndarray:
-    """Group logarithm; the number of translational columns is X.shape[-1] - d."""
+    """Group logarithm; the number of translational columns is X.shape[-1] - d.
+
+    For d = 3 the inverse left Jacobian reuses the angles of the rotation log.
+    """
     X = _square(X, d)
     k = X.shape[-1] - d
     _require_embedding(X, d, k)
     if d == 3:
-        omega = log_so3(X[..., :3, :3])
         if k == 0:
-            return omega
-        Jinv = inv_left_jacobian_so3(omega)
+            return log_so3(X)
+        omega, theta = _log_so3(X[..., :3, :3])
+        W = wedge_so3(omega)
+        Jinv = _quadratic(W, W @ W, -0.5, *_so3_coeffs(theta * theta, "cotc"))
     else:
         theta = log_so2(X[..., :2, :2])
         omega = np.expand_dims(theta, -1)
@@ -311,7 +378,7 @@ def log_sek(X, d: int) -> np.ndarray:
 def _require_embedding(X, d, k):
     # The bottom block rows are [0 I] exactly; group operations preserve this
     # bit-for-bit, so any deviation means the matrix was built by hand wrong.
-    if k and not ((X[..., d:, :d] == 0.0).all() and (X[..., d:, d:] == np.eye(k)).all()):
+    if k and not (X[..., d:, :] == np.eye(d + k)[d:]).all():
         raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
 
 

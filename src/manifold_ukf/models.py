@@ -47,9 +47,11 @@ def _identity(state):
 class ModelSpec:
     """One estimation problem: dynamics, observation, noise, retractions.
 
-    f(state, input, noise) and h(state) broadcast over a leading batch axis of
-    state or noise, e.g. f = state @ F.T + w and h = state @ H.T, because the
-    filter passes each set of sigma points in one call.  These and
+    f(state, input, noise) and h(state) broadcast over a leading batch axis,
+    e.g. f = state @ F.T + w and h = state @ H.T, because the filter passes
+    all its sigma points in one call: f gets a stack of N states together
+    with a stack of N noise vectors and pairs them row by row (a single
+    state or noise vector broadcasts against a stack).  These and
     input_profile(step), state_to_vector and renormalize are plain callables;
     write them as module-level functions and bind parameters with
     functools.partial so the spec pickles.

@@ -2,13 +2,17 @@
 
 The belief is (mean, P) with P a covariance over tangent coordinates at the
 mean.  Propagation pushes sigma points through the dynamics and maps them
-back through phi_inv at the new mean; process noise gets its own, separate
-set of sigma points so the state and noise dimensions never have to be
-stacked.  The update applies a standard unscented correction to the
-measurement moments and retracts the correction vector onto the state.
+back through phi_inv at the new mean; process noise gets its own set of
+sigma points, weighted apart from the state's, so the state and noise
+dimensions are never augmented into one covariance.  The update applies a
+standard unscented correction to the measurement moments and retracts the
+correction vector onto the state.
 
-Each set of sigma points goes through each of phi, f, phi_inv and h in one
-call, so they must broadcast over a leading batch axis (see ModelSpec and
+All sigma points of a step go through each of phi, f, phi_inv and h in one
+call: propagate stacks the 2d state points and the 2q noise points into one
+(2d + 2q)-row batch, so per step f runs twice (once at the mean) and phi
+and phi_inv once each.  The callables must broadcast over a leading batch
+axis, f over a state stack and a noise stack together (see ModelSpec and
 Retraction); an output that is constant over the batch is broadcast to it.
 
 Weights follow the scaled unscented transform with kappa = 0 and beta = 2;
@@ -26,13 +30,12 @@ import scipy.linalg
 
 from .errors import (
     CholeskyFailure,
-    DimensionMismatch,
     FilterStepError,
     InvalidAlpha,
     ManifoldUkfError,
     SingularInnovationCovariance,
 )
-from .retraction import Retraction
+from .retraction import Retraction, _rows
 
 _JITTER_REL = 1e-9
 _JITTER_ABS = 1e-12
@@ -91,17 +94,6 @@ def sigma_points(P, lam: float) -> np.ndarray:
     return np.concatenate([L.T, -L.T], axis=0)
 
 
-def _rows(values, n: int, width: int) -> np.ndarray:
-    """A callable's stacked output as an (n, width) array, or DimensionMismatch."""
-    values = np.asarray(values, dtype=float)
-    try:
-        return np.broadcast_to(values, (n, width))
-    except ValueError:
-        raise DimensionMismatch(
-            f"expected output broadcastable to {(n, width)}, got {values.shape}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class Belief:
     """State estimate: a mean point and a tangent-space covariance."""
@@ -121,26 +113,31 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     The new mean is the unnoisy image of the old mean.  State uncertainty is
     re-expressed at the new mean by pushing the 2d state sigma points through
     f with zero noise; process noise contributes through its own 2q sigma
-    points drawn from Q and pushed through f at the old mean.  The mean
-    sigma point maps to zero by construction and drops out of both sums.
+    points drawn from Q and pushed through f at the old mean.  Both sets go
+    through one phi, one f and one phi_inv call as a single stack: states
+    phi(mean, [xis; 0]) with noise [0; ws], so the noise rows see the mean
+    itself (phi(mean, 0) == mean).  With Q all zero the stack has only the
+    2d state rows.  The mean sigma point maps to zero by construction and
+    drops out of both sums.
     """
     Q = np.asarray(Q, dtype=float)
     d = retraction.dim
     q = Q.shape[0]
-    zero_w = np.zeros(q)
-    mean_new = f(belief.mean, omega, zero_w)
+    mean_new = f(belief.mean, omega, np.zeros(q))
 
     w_d = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w_d.lam)
-    imgs = _rows(retraction.phi_inv(
-        mean_new, f(retraction.phi(belief.mean, xis), omega, zero_w)), 2 * d, d)
-    cov = w_d.w_j * (imgs.T @ imgs)
-
-    if Q.any():
+    noise = np.zeros((2 * d, q))
+    noisy = Q.any()
+    if noisy:
         w_q = set_weights(q, alpha)
-        ws = sigma_points(Q, w_q.lam)
-        noise_imgs = _rows(retraction.phi_inv(mean_new, f(belief.mean, omega, ws)),
-                           2 * q, d)
+        xis = np.concatenate([xis, np.zeros((2 * q, d))])
+        noise = np.concatenate([noise, sigma_points(Q, w_q.lam)])
+    imgs = _rows(retraction.phi_inv(
+        mean_new, f(retraction.phi(belief.mean, xis), omega, noise)), len(xis), d)
+    state_imgs, noise_imgs = imgs[:2 * d], imgs[2 * d:]
+    cov = w_d.w_j * (state_imgs.T @ state_imgs)
+    if noisy:
         cov = cov + w_q.w_j * (noise_imgs.T @ noise_imgs)
 
     return Belief(mean_new, 0.5 * (cov + cov.T))
@@ -204,8 +201,9 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
 
     inputs[n-1] drives step n (1-based); measurements map step indices to
     measurement vectors and trigger an update right after that step's
-    prediction.  Returns one Belief per step.  Any numerical failure is
-    re-raised as FilterStepError carrying the step index.
+    prediction.  Returns one Belief per step.  Any numerical failure, a
+    LinAlgError from inside f or h included, is re-raised as
+    FilterStepError carrying the step index.
 
     The rotation block of the mean is re-orthonormalized every renorm_every
     steps; this guards long runs against drift and never moves the mean by
@@ -231,6 +229,6 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
             if renorm_every and step % renorm_every == 0:
                 belief = Belief(model.renormalize(belief.mean), belief.cov)
             out.append(belief)
-    except ManifoldUkfError as exc:
+    except (ManifoldUkfError, np.linalg.LinAlgError) as exc:
         raise FilterStepError(step, exc) from exc
     return out

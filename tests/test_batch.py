@@ -23,24 +23,32 @@ N = 9
 TOL = 1e-12
 
 
-def rotvecs(n, max_angle=3.0):
-    """Random rotation vectors; row 0 is exactly zero and row 1 is below the
-    small-angle cutoff, so each batch mixes both branches."""
+KINDS = ("mixed", "large", "small")
+
+
+def rotvecs(n, max_angle=3.0, kind="mixed"):
+    """Random rotation vectors.  "mixed": row 0 is exactly zero and row 1 is
+    below the small-angle cutoff, so the batch takes both branches; "large":
+    every angle is above the cutoff; "small": every angle is below it."""
     w = RNG.standard_normal((n, 3))
-    w *= RNG.uniform(0.0, max_angle, (n, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
-    w[0] = 0.0
-    w[1] *= 1e-6 / np.linalg.norm(w[1])
+    lo, hi = (1e-9, 9e-5) if kind == "small" else (0.1, max_angle)
+    w *= RNG.uniform(lo, hi, (n, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+    if kind == "mixed":
+        w[0] = 0.0
+        w[1] *= 1e-6 / np.linalg.norm(w[1])
     return w
 
 
-def angles(n, max_angle=3.0):
-    th = RNG.uniform(-max_angle, max_angle, n)
-    th[0], th[1] = 0.0, -3e-7
+def angles(n, max_angle=3.0, kind="mixed"):
+    lo, hi = (1e-9, 9e-5) if kind == "small" else (0.1, max_angle)
+    th = RNG.uniform(lo, hi, n) * RNG.choice([-1.0, 1.0], n)
+    if kind == "mixed":
+        th[0], th[1] = 0.0, -3e-7
     return th
 
 
-def tangents(n, d, k):
-    rot = rotvecs(n, 2.5) if d == 3 else angles(n, 2.5)[:, None]
+def tangents(n, d, k, kind="mixed"):
+    rot = rotvecs(n, 2.5, kind) if d == 3 else angles(n, 2.5, kind)[:, None]
     return np.concatenate([rot, RNG.standard_normal((n, k * d))], axis=1)
 
 
@@ -73,34 +81,39 @@ def unstack(states, n):
 @pytest.mark.parametrize("fn", [lie.exp_so3, lie.wedge_so3, lie.left_jacobian_so3,
                                 lie.inv_left_jacobian_so3])
 def test_so3_vector_maps_batch(fn):
-    w = rotvecs(N)
-    assert_stacked(fn(w), [fn(x) for x in w])
+    for kind in KINDS:
+        w = rotvecs(N, kind=kind)
+        assert_stacked(fn(w), [fn(x) for x in w])
 
 
 def test_log_so3_batch():
-    C = lie.exp_so3(rotvecs(N))
-    assert_stacked(lie.log_so3(C), [lie.log_so3(c) for c in C])
+    for kind in KINDS:  # "large" reaches past the near-pi branch's threshold
+        C = lie.exp_so3(rotvecs(N, 3.1, kind))
+        assert_stacked(lie.log_so3(C), [lie.log_so3(c) for c in C])
 
 
 @pytest.mark.parametrize("fn", [lie.exp_so2, lie.left_jacobian_so2,
                                 lie.inv_left_jacobian_so2])
 def test_so2_angle_maps_batch(fn):
-    th = angles(N)
-    assert_stacked(fn(th), [fn(t) for t in th])
+    for kind in KINDS:
+        th = angles(N, kind=kind)
+        assert_stacked(fn(th), [fn(t) for t in th])
 
 
 def test_log_so2_batch():
-    C = lie.exp_so2(angles(N))
-    assert_stacked(lie.log_so2(C), [lie.log_so2(c) for c in C])
+    for kind in KINDS:
+        C = lie.exp_so2(angles(N, kind=kind))
+        assert_stacked(lie.log_so2(C), [lie.log_so2(c) for c in C])
 
 
 @pytest.mark.parametrize("d,k", [(2, 0), (3, 0), (2, 1), (3, 1), (3, 2)])
 def test_sek_maps_batch(d, k):
-    xi = tangents(N, d, k)
-    X = lie.exp_sek(xi, d, k)
-    assert_stacked(X, [lie.exp_sek(x, d, k) for x in xi])
-    assert_stacked(lie.log_sek(X, d), [lie.log_sek(x, d) for x in X])
-    assert_stacked(lie.inverse(X, d), [lie.inverse(x, d) for x in X])
+    for kind in KINDS:
+        xi = tangents(N, d, k, kind)
+        X = lie.exp_sek(xi, d, k)
+        assert_stacked(X, [lie.exp_sek(x, d, k) for x in xi])
+        assert_stacked(lie.log_sek(X, d), [lie.log_sek(x, d) for x in X])
+        assert_stacked(lie.inverse(X, d), [lie.inverse(x, d) for x in X])
 
 
 def test_leading_axes_of_any_depth():
@@ -201,6 +214,9 @@ def test_model_callables_batch(name):
 
     ws = RNG.standard_normal((N, q)) * np.sqrt(np.diag(model.Q))
     assert_stacked(model.f(mean, u, ws), [model.f(mean, u, w) for w in ws])
+    # a state stack and a noise stack together, row by row
+    assert_stacked(model.f(states, u, ws),
+                   [model.f(s, u, w) for s, w in zip(singles, ws)])
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +240,40 @@ def test_update_rejects_output_that_does_not_broadcast():
     with pytest.raises(DimensionMismatch):  # three outputs per state, R is 2x2
         update(belief, np.zeros(2), lambda s: s @ np.ones((2, 3)), np.eye(2),
                retr, 1.0)
+
+
+class Counted:
+    """Wraps a callable and records the shape of argument `arg` on each call."""
+
+    def __init__(self, fn, arg=0):
+        self.fn, self.arg, self.shapes = fn, arg, []
+
+    def __call__(self, *args):
+        self.shapes.append(np.shape(args[self.arg]))
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("with_noise", [True, False])
+def test_propagate_and_update_call_counts(with_noise):
+    model = make("inertial_nav")  # 5 x 5 states, d = 9, q = 6
+    base = model.retraction()
+    phi, phi_inv = Counted(base.phi, arg=1), Counted(base.phi_inv, arg=1)
+    f, h = Counted(model.f), Counted(model.h)
+    retr = Retraction(base.name, base.dim, phi, phi_inv, base.blocks)
+    d, q = retr.dim, model.Q.shape[0]
+    Q = model.Q if with_noise else np.zeros_like(model.Q)
+    belief = Belief(model.initial_mean, model.initial_cov)
+
+    belief = propagate(belief, model.input_profile(1), f, Q, retr, model.alpha)
+    rows = 2 * d + 2 * q if with_noise else 2 * d
+    assert f.shapes == [(5, 5), (rows, 5, 5)]  # the mean, then one stack
+    assert phi.shapes == [(rows, d)]
+    assert phi_inv.shapes == [(rows, 5, 5)]
+
+    phi.shapes.clear()
+    update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
+    assert h.shapes == [(2 * d + 1, 5, 5)]
+    assert phi.shapes == [(2 * d + 1, d), (d,)]  # sigma points, then the correction
 
 
 def test_constant_callables_broadcast():

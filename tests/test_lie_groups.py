@@ -150,6 +150,19 @@ def test_log_so3_near_pi_error():
     assert np.abs(lie.log_so3(lie.exp_so3(w)) - w).max() < 1e-9
 
 
+def test_log_so3_accurate_near_pi():
+    # theta / sin(theta) would lose digits here; the axis comes from the
+    # symmetric part instead
+    rng = np.random.Generator(np.random.Philox(key=31))
+    for gap in (1e-4, 1e-5, 2e-6):
+        for _ in range(20):
+            u = rng.standard_normal(3)
+            w = (math.pi - gap) * u / np.linalg.norm(u)
+            assert np.abs(lie.log_so3(lie.exp_so3(w)) - w).max() < 1e-13
+            xi = np.concatenate([w, rng.standard_normal(6)])  # SE_2(3)
+            assert np.abs(lie.log_sek(lie.exp_sek(xi, 3, 2), 3) - xi).max() < 1e-13
+
+
 def test_log_so3_rejects_non_rotation():
     with pytest.raises(NotARotation):
         lie.log_so3(1.1 * np.eye(3))

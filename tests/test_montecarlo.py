@@ -180,6 +180,21 @@ def test_benchmark_divergent_variant_counted_and_excluded():
         assert np.array_equal(ok.rmse[lbl], alone.filters[0].rmse[lbl])
 
 
+def test_benchmark_counts_linalg_error_as_divergence():
+    model = make("localization2d")
+    good = model.retraction("se2_left")
+
+    def singular_phi(state, xi):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    bad = Retraction(name="singular", dim=good.dim, phi=singular_phi,
+                     phi_inv=good.phi_inv, blocks=good.blocks)
+    report = benchmark(model, [good, bad], runs=2, seed=1, steps=10, workers=1)
+    ok, broken = report.filters
+    assert ok.diverged == 0 and ok.valid_runs == 2
+    assert broken.diverged == 2 and broken.valid_runs == 0
+
+
 def test_benchmark_report_metadata():
     model = make("localization2d", dt=0.2)
     report = benchmark(model, ["se2_left"], runs=1, seed=0, steps=8, workers=1)

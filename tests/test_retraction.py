@@ -236,7 +236,7 @@ def test_check_retraction_accepts_first_order_pair():
     c = np.array([0.7, -0.3, 0.2])
 
     def phi(state, xi):
-        return state + xi + 0.5 * float(xi @ xi) * c
+        return state + xi + 0.5 * np.sum(xi * xi, axis=-1)[..., None] * c
 
     def phi_inv(ref, state):
         return np.asarray(state, dtype=float) - ref

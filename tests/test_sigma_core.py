@@ -4,6 +4,8 @@ The linear-model expectations come from the textbook Kalman filter in
 oracles.py; scalar expected values are frozen from its closed forms.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from manifold_ukf.errors import (
     InvalidAlpha,
     SingularInnovationCovariance,
 )
-from manifold_ukf.models import ModelSpec
+from manifold_ukf.models import ModelSpec, make
 from manifold_ukf.retraction import additive_retraction, group_retraction
 from manifold_ukf.sigma_core import (
     Belief,
@@ -323,6 +325,22 @@ def test_filter_run_reports_failing_step():
         filter_run(model, [np.zeros(1)] * 5, meas)
     assert exc_info.value.step == 3
     assert isinstance(exc_info.value.cause, SingularInnovationCovariance)
+
+
+def test_filter_run_wraps_linalg_error():
+    model = make("attitude3d")
+
+    def f(state, omega, w):
+        if np.isnan(omega).any():
+            raise np.linalg.LinAlgError("singular matrix inside f")
+        return model.f(state, omega, w)
+
+    inputs = [model.input_profile(n) for n in range(1, 6)]
+    inputs[2] = np.full(3, np.nan)  # drives step 3
+    with pytest.raises(FilterStepError) as exc_info:
+        filter_run(dataclasses.replace(model, f=f), inputs)
+    assert exc_info.value.step == 3
+    assert isinstance(exc_info.value.cause, np.linalg.LinAlgError)
 
 
 def test_filter_run_measurement_pairs_accepted():
