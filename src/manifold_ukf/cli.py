@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="Monte-Carlo comparison of retraction variants")
     common(p_bench, runs_default=50)
     p_bench.add_argument("--workers", type=int, default=None,
-                         help="worker processes; 0 = one per CPU "
-                              "(default: UKFM_THREADS or auto)")
+                         help="accepted and ignored: all runs of a variant "
+                              "step in lockstep in one process")
 
     p_check = sub.add_parser("check-retraction",
                              help="verify phi / phi_inv consistency")
@@ -346,13 +346,10 @@ def cmd_benchmark(args) -> int:
     seed = int(_effective(args, "seed", 0))
     steps = int(_effective(args, "steps", 100))
     runs = int(_effective(args, "runs", 50))
-    workers = _effective(args, "workers")
-    if workers is not None:
-        workers = int(workers)
 
     try:
         report = benchmark(model, names, runs=runs, seed=seed, steps=steps,
-                           alpha=model.alpha, workers=workers)
+                           alpha=model.alpha)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except ManifoldUkfError as exc:

@@ -227,12 +227,13 @@ def _require_rotation(C, d):
 
 
 def polar_project(R) -> np.ndarray:
-    """Nearest rotation matrix in the Frobenius sense (SVD polar factor)."""
+    """Nearest rotation matrix in the Frobenius sense (SVD polar factor),
+    per element of a stack (..., d, d)."""
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
     out = U @ Vt
-    if np.linalg.det(out) < 0.0:
-        U = U.copy()
-        U[:, -1] = -U[:, -1]
+    flip = np.linalg.det(out) < 0.0
+    if flip.any():
+        U[..., -1] = np.where(flip[..., None], -U[..., -1], U[..., -1])
         out = U @ Vt
     return out
 
@@ -252,20 +253,28 @@ def inv_left_jacobian_so3(omega) -> np.ndarray:
     return _quadratic(W, WW, -0.5, *_so3_coeffs(theta2, "cotc"))
 
 
-def left_jacobian_so2(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+def _so2_coeffs(theta, c, s):
+    """Entries a = sin(t) / t and b = (1 - cos t) / t of the SO(2) left
+    Jacobian [[a, -b], [b, a]] from c = cos(theta) and s = sin(theta);
+    Taylor series below the small-angle cutoff, evaluated only if some
+    element is there."""
     small = np.abs(theta) < _SMALL_ANGLE
+    if not small.any():
+        return s / theta, (1.0 - c) / theta
     safe = np.where(small, 1.0, theta)
     theta2 = theta * theta
-    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5 * theta * (1.0 - theta2 / 12.0),
-                 (1.0 - np.cos(safe)) / safe)
-    return _rot2(a, b)
+    return (np.where(small, 1.0 - theta2 / 6.0, s / safe),
+            np.where(small, 0.5 * theta * (1.0 - theta2 / 12.0), (1.0 - c) / safe))
+
+
+def left_jacobian_so2(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    return _rot2(*_so2_coeffs(theta, np.cos(theta), np.sin(theta)))
 
 
 def inv_left_jacobian_so2(theta) -> np.ndarray:
-    J = left_jacobian_so2(theta)
-    a, b = J[..., 0, 0], J[..., 1, 0]
+    theta = np.asarray(theta, dtype=float)
+    a, b = _so2_coeffs(theta, np.cos(theta), np.sin(theta))
     return _rot2(a, -b) / (a * a + b * b)[..., None, None]
 
 
@@ -328,7 +337,8 @@ def _square(X, d) -> np.ndarray:
 
 def exp_sek(xi, d: int, k: int) -> np.ndarray:
     """Group exponential: rotation by Rodrigues, translations via the left
-    Jacobian; for d = 3 both come from one wedge and one set of trig terms."""
+    Jacobian; both come from one set of trig terms (and for d = 3 one
+    wedge)."""
     xi = np.asarray(xi, dtype=float)
     _check_d(d)
     rd = _split_dims(d, k, xi.shape[-1])
@@ -341,8 +351,9 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
         R = _quadratic(W, WW, sinc, cosc)
         J = _quadratic(W, WW, cosc, sinc3)
     else:
-        R = exp_so2(rot)
-        J = left_jacobian_so2(rot)
+        c, s = np.cos(rot), np.sin(rot)
+        R = _rot2(c, s)
+        J = _rot2(*_so2_coeffs(rot, c, s))
     lead = xi.shape[:-1]
     X = np.zeros(lead + (d + k, d + k))
     X[..., :d, :d] = R

@@ -4,8 +4,7 @@ A ModelSpec bundles dynamics f(state, input, noise), observation h(state),
 noise covariances, the candidate retractions, an input profile defining the
 nominal trajectory, and the initial truth / belief.  Every callable is a
 module-level function, with its parameters bound positionally by
-functools.partial, so specs pickle into benchmark worker processes; a spec
-holding a lambda or closure still works but benchmarks serially.
+functools.partial.
 
 Noise magnitudes, trajectory shapes and initial covariances below are
 configuration defaults, not physical constants; factories take keyword
@@ -47,14 +46,15 @@ def _identity(state):
 class ModelSpec:
     """One estimation problem: dynamics, observation, noise, retractions.
 
-    f(state, input, noise) and h(state) broadcast over a leading batch axis,
-    e.g. f = state @ F.T + w and h = state @ H.T, because the filter passes
-    all its sigma points in one call: f gets a stack of N states together
-    with a stack of N noise vectors and pairs them row by row (a single
-    state or noise vector broadcasts against a stack).  These and
-    input_profile(step), state_to_vector and renormalize are plain callables;
-    write them as module-level functions and bind parameters with
-    functools.partial so the spec pickles.
+    f(state, input, noise) and h(state) broadcast over leading axes, e.g.
+    f = state @ F.T + w and h = state @ H.T, because the filter passes all
+    its sigma points in one call: f gets a stack of N states together with a
+    stack of N noise vectors and pairs them row by row (a single state or
+    noise vector broadcasts against a stack).  benchmark() steps all its runs
+    in lockstep, so there f and h see (2(d + q), runs, ...) stacks and
+    renormalize a (runs, ...) stack of states; input_profile(step) must
+    depend on the step alone, since every run shares one input sequence.
+    state_to_vector maps a single state.
     """
 
     name: str
@@ -87,11 +87,11 @@ class ModelSpec:
 
 
 def _renormalize_rotation_block(d, state):
-    """Project the d x d rotation block back onto SO(d)."""
+    """Project the d x d rotation block of each state back onto SO(d)."""
     if isinstance(state, MixedState):
         return MixedState(_renormalize_rotation_block(d, state.group), state.euclid)
     out = state.copy()
-    out[:d, :d] = lie.polar_project(state[:d, :d])
+    out[..., :d, :d] = lie.polar_project(state[..., :d, :d])
     return out
 
 

@@ -6,22 +6,20 @@ benchmark() repeats that over independent per-run seeds and feeds the same
 simulated data to every retraction variant (common random numbers), then
 aggregates RMSE per tangent block, mean NEES and divergence counts.
 
-Runs are independent, so they can execute in worker processes; results are
-reduced in run order either way, which keeps every reported number
-bit-identical between serial and parallel execution.  Wall-clock times are
-the only nondeterministic outputs and are reported separately.
+All runs of one variant step in lockstep through a single filter pass: the
+belief carries a run axis, so each sigma-point call serves every run at
+once, and each run's numbers are bit-identical to a pass of that run alone.
+If the lockstep pass raises, the variant is run again one run at a time, so
+that only the failing runs count as diverged.  Wall-clock times are the
+only nondeterministic outputs and are reported separately.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
+import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import multiprocessing
 
 import numpy as np
 import scipy.stats
@@ -85,6 +83,8 @@ class RunRecord:
 
     errors[n] is phi_inv at the estimate of the true state after step n + 1,
     i.e. the tangent-space estimation error in the filter's own coordinates.
+    A lockstep pass over several runs has per-step states and beliefs with a
+    run axis and errors of shape (steps, runs, dim).
     """
 
     seed: int
@@ -93,18 +93,32 @@ class RunRecord:
     errors: np.ndarray
 
 
+def _stack(states):
+    """A list of states as one stack along a new axis 0; dataclass states
+    (MixedState) field by field."""
+    first = states[0]
+    if dataclasses.is_dataclass(first):
+        return type(first)(*(_stack([getattr(s, f.name) for s in states])
+                             for f in dataclasses.fields(first)))
+    return np.stack(states)
+
+
 def run_record(model, retraction, truth, inputs, measurements,
-               alpha: Optional[float] = None, seed: int = 0) -> RunRecord:
+               alpha: Optional[float] = None, seed: int = 0,
+               initial: Optional[Belief] = None) -> RunRecord:
+    """Filter one simulation, or a lockstep stack of them when `initial`
+    holds a stack of means and covariances with a run axis, and map every
+    step's error in one phi_inv call."""
     retr = retraction if isinstance(retraction, Retraction) else model.retraction(retraction)
-    beliefs = filter_run(model, inputs, measurements, retraction=retr, alpha=alpha)
-    errors = np.array(
-        [retr.phi_inv(b.mean, t) for b, t in zip(beliefs, truth[1:])]
-    )
-    return RunRecord(seed, truth[1:], beliefs, errors)
+    beliefs = filter_run(model, inputs, measurements, retraction=retr,
+                         alpha=alpha, initial=initial)
+    errors = retr.phi_inv(_stack([b.mean for b in beliefs]), _stack(truth[1:]))
+    return RunRecord(seed, truth[1:], beliefs,
+                     np.ascontiguousarray(errors, dtype=float))
 
 
 def nees(record: RunRecord) -> np.ndarray:
-    """Normalized estimation error squared, one value per step."""
+    """Normalized estimation error squared, one value per step (and run)."""
     if not record.beliefs:
         return np.empty(0)
     covs = np.array([b.cov for b in record.beliefs])
@@ -114,12 +128,12 @@ def nees(record: RunRecord) -> np.ndarray:
     except np.linalg.LinAlgError:
         for i, cov in enumerate(covs):  # name the first singular step
             try:
-                np.linalg.solve(cov, errors[i])
+                np.linalg.solve(cov, errors[i][..., None])
             except np.linalg.LinAlgError as exc:
                 raise SingularCovariance(
                     f"singular covariance at step {i + 1}") from exc
         raise
-    return np.einsum("ij,ij->i", errors, sol)
+    return np.einsum("...j,...j->...", errors, sol)
 
 
 def nees_band(dim: int, runs: int, lower: float = 0.025,
@@ -160,43 +174,42 @@ class BenchmarkReport:
     filters: Tuple[FilterReport, ...]
 
 
-def _run_one(task):
-    """Simulate one seed and run every filter variant on the same data."""
-    model, retractions, steps, run_seed, alpha = task
-    truth, inputs, measurements = simulate(model, steps, run_seed)
-    results = []
-    for retr in retractions:
-        t0 = time.perf_counter()
+def _lockstep(model, retr, sims, alpha):
+    """Filter the simulations `sims` in one lockstep pass; per run its
+    (errors, nees), or None if it diverged.  Raises what the pass raises."""
+    truth = [_stack(states) for states in zip(*(t for t, _, _ in sims))]
+    # inputs depend on the step alone, so every run shares the first's
+    inputs = sims[0][1]
+    measurements = {n: np.stack([m[n] for _, _, m in sims]) for n in sims[0][2]}
+    cov = np.asarray(model.initial_cov, dtype=float)
+    initial = Belief(_stack([model.initial_mean] * len(sims)),
+                     np.broadcast_to(cov, (len(sims),) + cov.shape))
+    record = run_record(model, retr, truth, inputs, measurements, alpha=alpha,
+                        initial=initial)
+    nees_vals = nees(record)
+    out = []
+    for r in range(len(sims)):
+        errors, values = record.errors[:, r], nees_vals[:, r]
+        bad = (not np.isfinite(errors).all() or not np.isfinite(values).all()
+               or float(values.max()) > DIVERGENCE_NEES)
+        out.append(None if bad else (errors, values))
+    return out
+
+
+def _outcomes(model, retr, sims, alpha):
+    """Per run (errors, nees) or None: all runs in lockstep, or, if that
+    pass raises, one run at a time so that only the failing runs diverge."""
+    try:
+        return _lockstep(model, retr, sims, alpha)
+    except ManifoldUkfError:
+        pass
+    out = []
+    for sim in sims:
         try:
-            record = run_record(model, retr, truth, inputs, measurements,
-                                alpha=alpha, seed=run_seed)
-            nees_vals = nees(record)
-            bad = (not np.isfinite(record.errors).all()
-                   or not np.isfinite(nees_vals).all()
-                   or float(nees_vals.max()) > DIVERGENCE_NEES)
-            if bad:
-                results.append((None, None, True, time.perf_counter() - t0))
-            else:
-                results.append((record.errors, nees_vals, False,
-                                time.perf_counter() - t0))
+            out += _lockstep(model, retr, [sim], alpha)
         except ManifoldUkfError:
-            results.append((None, None, True, time.perf_counter() - t0))
-    return results
-
-
-def resolve_workers(workers: Optional[int], runs: int) -> int:
-    """Worker count: explicit argument, else UKFM_THREADS, else one per CPU.
-
-    Zero means auto.  The result is clamped to [1, runs].
-    """
-    if workers is None:
-        env = os.environ.get("UKFM_THREADS", "").strip()
-        workers = int(env) if env else 0
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
-    return max(1, min(workers, max(runs, 1)))
+            out.append(None)
+    return out
 
 
 def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
@@ -208,7 +221,8 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
     run.  Diverged runs (non-finite errors, NEES beyond 1e6, or a numerical
     failure inside the filter) are counted and excluded from RMSE / NEES
     aggregates.  All reported metrics depend only on (model, retractions,
-    runs, seed, steps, alpha), not on the worker count.
+    runs, seed, steps, alpha).  `workers` is accepted and has no effect:
+    the runs of a variant share one lockstep pass in this process.
     """
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
@@ -226,28 +240,18 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
 
     run_seeds = [int(s.generate_state(1)[0])
                  for s in np.random.SeedSequence(seed).spawn(runs)]
-    tasks = [(model, retrs, steps, rs, alpha) for rs in run_seeds]
-
-    n_workers = resolve_workers(workers, runs)
-    parallel = n_workers > 1 and _forkable(tasks[0])
-    if parallel:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-            per_run = list(pool.map(_run_one, tasks))
-    else:
-        per_run = [_run_one(t) for t in tasks]
+    sims = [simulate(model, steps, rs) for rs in run_seeds]
 
     filters = []
-    for i, retr in enumerate(retrs):
-        outs = [per_run[r][i] for r in range(runs)]
-        wall = sum(o[3] for o in outs)
-        good_errors = [o[0] for o in outs if not o[2]]
-        good_nees = [o[1] for o in outs if not o[2]]
-        diverged = runs - len(good_errors)
+    for retr in retrs:
+        t0 = time.perf_counter()
+        good = [o for o in _outcomes(model, retr, sims, alpha) if o is not None]
+        wall = time.perf_counter() - t0
+        diverged = runs - len(good)
         slices = retr.block_slices()
-        if good_errors:
-            E = np.array(good_errors)       # (valid, steps, dim)
-            N = np.array(good_nees)         # (valid, steps)
+        if good:
+            E = np.array([e for e, _ in good])  # (valid, steps, dim)
+            N = np.array([v for _, v in good])  # (valid, steps)
             rmse = {
                 lbl: np.sqrt(np.mean(np.sum(E[:, :, slices[lbl]] ** 2, axis=2),
                                      axis=0))
@@ -268,12 +272,3 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
         blocks=blocks, filters=tuple(filters),
     )
 
-
-def _forkable(task) -> bool:
-    if not hasattr(os, "fork"):
-        return False
-    try:
-        pickle.dumps(task)
-        return True
-    except Exception:
-        return False

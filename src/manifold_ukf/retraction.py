@@ -20,8 +20,7 @@ Provided families:
   velocity and position separately (rotation multiplies, vectors add);
 * plain vector addition for Euclidean states.
 
-All callables are module-level functions bound with functools.partial so
-retraction objects pickle cleanly into worker processes.
+All callables are module-level functions, bound with functools.partial.
 """
 
 from __future__ import annotations
@@ -70,14 +69,18 @@ class Retraction:
         return out
 
 
-def _rows(values, n: int, width: int) -> np.ndarray:
-    """A callable's stacked output as an (n, width) array, or DimensionMismatch."""
+def _rows(values, lead: Tuple[int, ...], width: int) -> np.ndarray:
+    """A callable's stacked output as a lead + (width,) array, or
+    DimensionMismatch."""
     values = np.asarray(values, dtype=float)
+    shape = tuple(lead) + (width,)
+    if values.shape == shape:
+        return values
     try:
-        return np.broadcast_to(values, (n, width))
+        return np.broadcast_to(values, shape)
     except ValueError:
         raise DimensionMismatch(
-            f"expected output broadcastable to {(n, width)}, got {values.shape}"
+            f"expected output broadcastable to {shape}, got {values.shape}"
         ) from None
 
 
@@ -260,7 +263,7 @@ def _round_trip(retraction: Retraction, state, xis) -> np.ndarray:
     """phi_inv(state, phi(state, xi)) for a stack of tangent vectors, in one
     call each."""
     back = retraction.phi_inv(state, retraction.phi(state, xis))
-    return _rows(back, len(xis), retraction.dim)
+    return _rows(back, (len(xis),), retraction.dim)
 
 
 def inverse_consistency_residuals(retraction: Retraction, state,

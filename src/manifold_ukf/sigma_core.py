@@ -15,6 +15,12 @@ and phi_inv once each.  The callables must broadcast over a leading batch
 axis, f over a state stack and a noise stack together (see ModelSpec and
 Retraction); an output that is constant over the batch is broadcast to it.
 
+A belief may also carry leading run axes: cov (..., d, d) holds the
+covariances of independent runs and the mean broadcasts to them (one shared
+state, or one per run).  The sigma axis then comes first, so the callables
+see (2(d + q), ..., ·) stacks and every run of a Monte-Carlo batch shares
+each call.  Each run's numbers are bit-identical to its run alone.
+
 Weights follow the scaled unscented transform with kappa = 0 and beta = 2;
 alpha in (0, 1] is the only exposed knob.  The mean point reuses the plain
 mean weight while its covariance term uses w_m + (1 - alpha^2 + beta).
@@ -40,6 +46,10 @@ from .retraction import Retraction, _rows
 _JITTER_REL = 1e-9
 _JITTER_ABS = 1e-12
 _RENORM_EVERY = 1000
+# LAPACK's Cholesky factor and solve, as scipy.linalg.cho_factor / cho_solve
+# call them, without their per-call checks
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
+                                               (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -69,41 +79,67 @@ def set_weights(n: int, alpha: float) -> SigmaWeights:
 
 
 def sigma_points(P, lam: float) -> np.ndarray:
-    """Rows are the 2n symmetric sigma points +-col_i(sqrt((lam + n) P)).
+    """The 2n symmetric sigma points +-col_i(sqrt((lam + n) P)).
 
-    A failed Cholesky gets one retry with diagonal jitter scaled to
-    trace(P); if that also fails the covariance is declared broken.
+    P may be a stack (..., n, n); the result is (2n, ..., n), sigma axis
+    first.  A failed Cholesky gets one retry with diagonal jitter scaled to
+    trace(P), on the failing covariances of a stack only; if that also fails
+    the covariance is declared broken.
     """
     P = np.asarray(P, dtype=float)
-    n = P.shape[0]
+    n = P.shape[-1]
     scale = lam + n
     if scale <= 0.0:
         raise ValueError(f"lam + n must be positive, got {scale}")
     try:
         L = np.linalg.cholesky(scale * P)
     except np.linalg.LinAlgError:
-        delta = _JITTER_REL * float(np.trace(P)) / n
-        if delta <= 0.0:
-            delta = _JITTER_ABS
-        try:
-            L = np.linalg.cholesky(scale * (P + delta * np.eye(n)))
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyFailure(
-                f"covariance not factorizable even with jitter {delta:.3e}"
-            ) from exc
-    return np.concatenate([L.T, -L.T], axis=0)
+        L = np.empty(P.shape)
+        for i in np.ndindex(P.shape[:-2]):
+            L[i] = _jittered_cholesky(P[i], scale)
+    Lt = L.transpose((-1,) + tuple(range(L.ndim - 1)))
+    return np.concatenate([Lt, -Lt])
+
+
+def _jittered_cholesky(P, scale):
+    """Cholesky factor of scale * P for one covariance; one retry with
+    jitter."""
+    try:
+        return np.linalg.cholesky(scale * P)
+    except np.linalg.LinAlgError:
+        pass
+    n = P.shape[0]
+    delta = _JITTER_REL * float(np.trace(P)) / n
+    if delta <= 0.0:
+        delta = _JITTER_ABS
+    try:
+        return np.linalg.cholesky(scale * (P + delta * np.eye(n)))
+    except np.linalg.LinAlgError as exc:
+        raise CholeskyFailure(
+            f"covariance not factorizable even with jitter {delta:.3e}"
+        ) from exc
+
+
+def _gram(a, b) -> np.ndarray:
+    """sum_i a_i^T b_i over the sigma axis 0: (N, ..., m) x (N, ..., k) ->
+    (..., m, k); a.T @ b for 2-D inputs, at its cost and to the bit."""
+    return np.matmul(a, b, axes=[(-1, 0), (0, -1), (-2, -1)])
 
 
 @dataclass(frozen=True)
 class Belief:
-    """State estimate: a mean point and a tangent-space covariance."""
+    """State estimate: a mean point and a tangent-space covariance.
+
+    cov may be a stack (..., d, d), one covariance per run; mean is then one
+    state shared by every run or a stack of states with those leading axes.
+    """
 
     mean: Any
     cov: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.cov.shape[0]
+        return self.cov.shape[-1]
 
 
 def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
@@ -118,7 +154,8 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     phi(mean, [xis; 0]) with noise [0; ws], so the noise rows see the mean
     itself (phi(mean, 0) == mean).  With Q all zero the stack has only the
     2d state rows.  The mean sigma point maps to zero by construction and
-    drops out of both sums.
+    drops out of both sums.  On a belief with run axes the stack is
+    (2d + 2q, ..., ·) and the noise points (2d + 2q, 1, ..., q).
     """
     Q = np.asarray(Q, dtype=float)
     d = retraction.dim
@@ -127,20 +164,24 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
 
     w_d = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w_d.lam)
-    noise = np.zeros((2 * d, q))
+    lead = xis.shape[1:-1]
+    ones = (1,) * len(lead)  # noise is the same for every run
+    noise = np.zeros((2 * d,) + ones + (q,))
     noisy = Q.any()
     if noisy:
         w_q = set_weights(q, alpha)
-        xis = np.concatenate([xis, np.zeros((2 * q, d))])
-        noise = np.concatenate([noise, sigma_points(Q, w_q.lam)])
+        xis = np.concatenate([xis, np.zeros((2 * q,) + lead + (d,))])
+        noise = np.concatenate(
+            [noise, sigma_points(Q, w_q.lam).reshape((2 * q,) + ones + (q,))])
     imgs = _rows(retraction.phi_inv(
-        mean_new, f(retraction.phi(belief.mean, xis), omega, noise)), len(xis), d)
+        mean_new, f(retraction.phi(belief.mean, xis), omega, noise)),
+        xis.shape[:-1], d)
     state_imgs, noise_imgs = imgs[:2 * d], imgs[2 * d:]
-    cov = w_d.w_j * (state_imgs.T @ state_imgs)
+    cov = w_d.w_j * _gram(state_imgs, state_imgs)
     if noisy:
-        cov = cov + w_q.w_j * (noise_imgs.T @ noise_imgs)
+        cov = cov + w_q.w_j * _gram(noise_imgs, noise_imgs)
 
-    return Belief(mean_new, 0.5 * (cov + cov.T))
+    return Belief(mean_new, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
 
 def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
@@ -150,36 +191,45 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     Sigma points live in the tangent space at the current mean; the Kalman
     gain maps innovation to a tangent correction which is retracted onto the
     state.  The covariance update P - K S K^T keeps the existing tangent
-    coordinates.
+    coordinates.  On a belief with run axes, y holds one measurement per
+    run, (..., p).
     """
     y = np.asarray(y, dtype=float)
     R = np.asarray(R, dtype=float)
     d = retraction.dim
     w = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w.lam)
+    lead = xis.shape[1:-1]
 
     # row 0 is the mean itself: phi(mean, 0) == mean
-    points = retraction.phi(belief.mean, np.concatenate([np.zeros((1, d)), xis]))
-    y_all = _rows(h(points), 2 * d + 1, R.shape[0])
+    points = retraction.phi(
+        belief.mean, np.concatenate([np.zeros((1,) + lead + (d,)), xis]))
+    y_all = _rows(h(points), (2 * d + 1,) + lead, R.shape[0])
     y0, ys = y_all[0], y_all[1:]
 
     y_bar = w.w_m * y0 + w.w_j * ys.sum(axis=0)
     dy0 = y0 - y_bar
     dys = ys - y_bar
-    S = w.w_0c * np.outer(dy0, dy0) + w.w_j * (dys.T @ dys) + R
-    P_xy = w.w_j * (xis.T @ dys)
+    S = (w.w_0c * (dy0[..., :, None] * dy0[..., None, :])
+         + w.w_j * _gram(dys, dys) + R)
+    K = _gain(S, w.w_j * _gram(xis, dys))
 
-    try:
-        factor = scipy.linalg.cho_factor(S)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovariance(
-            "innovation covariance is not positive definite"
-        ) from exc
-    K = scipy.linalg.cho_solve(factor, P_xy.T).T
+    mean_new = retraction.phi(belief.mean, (K @ (y - y_bar)[..., None])[..., 0])
+    cov = belief.cov - K @ S @ K.swapaxes(-1, -2)
+    return Belief(mean_new, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
-    mean_new = retraction.phi(belief.mean, K @ (y - y_bar))
-    cov = belief.cov - K @ S @ K.T
-    return Belief(mean_new, 0.5 * (cov + cov.T))
+
+def _gain(S, P_xy) -> np.ndarray:
+    """Kalman gain P_xy S^-1 through the Cholesky factor of S, per element
+    of a stack."""
+    K = np.empty(P_xy.shape)
+    for i in np.ndindex(S.shape[:-2]):
+        factor, info = _POTRF(S[i])
+        if info != 0:
+            raise SingularInnovationCovariance(
+                "innovation covariance is not positive definite")
+        K[i] = _POTRS(factor, P_xy[i].T)[0].T
+    return K
 
 
 MeasurementSchedule = Union[None, Mapping[int, Any], Iterable]

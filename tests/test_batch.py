@@ -65,6 +65,13 @@ def assert_stacked(batch, singles):
     assert np.abs(batch - rows).max() <= TOL
 
 
+def same_state(a, b):
+    """Bit-for-bit equality of two states."""
+    if isinstance(a, MixedState):
+        return np.array_equal(a.group, b.group) and np.array_equal(a.euclid, b.euclid)
+    return np.array_equal(a, b)
+
+
 def unstack(states, n):
     """The n single states of a stacked state, shared blocks broadcast."""
     if isinstance(states, MixedState):
@@ -243,13 +250,15 @@ def test_update_rejects_output_that_does_not_broadcast():
 
 
 class Counted:
-    """Wraps a callable and records the shape of argument `arg` on each call."""
+    """Wraps a callable and records the shape of argument `arg` on each call
+    (of its group block, for a MixedState)."""
 
     def __init__(self, fn, arg=0):
         self.fn, self.arg, self.shapes = fn, arg, []
 
     def __call__(self, *args):
-        self.shapes.append(np.shape(args[self.arg]))
+        x = args[self.arg]
+        self.shapes.append(np.shape(x.group if isinstance(x, MixedState) else x))
         return self.fn(*args)
 
 
@@ -274,6 +283,51 @@ def test_propagate_and_update_call_counts(with_noise):
     update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
     assert h.shapes == [(2 * d + 1, 5, 5)]
     assert phi.shapes == [(2 * d + 1, d), (d,)]  # sigma points, then the correction
+
+
+@pytest.mark.parametrize("name", ["inertial_nav", "slam2d"])
+def test_propagate_and_update_on_a_run_stack(name):
+    """A belief with a run axis: the callables see (rows, runs, ...) stacks
+    and each run's result equals its single-belief call bit for bit."""
+    model = make(name)
+    base = model.retraction()
+    phi, f, h = Counted(base.phi, arg=1), Counted(model.f), Counted(model.h)
+    retr = Retraction(base.name, base.dim, phi, base.phi_inv, base.blocks)
+    d, q, runs = retr.dim, model.Q.shape[0], 3
+    means = base.phi(model.initial_mean, 0.1 * RNG.standard_normal((runs, d)))
+    covs = model.initial_cov * RNG.uniform(0.5, 2.0, (runs, 1, 1))
+    singles = [Belief(m, c) for m, c in zip(unstack(means, runs), covs)]
+    u = model.input_profile(1)
+
+    stacked = propagate(Belief(means, covs), u, f, model.Q, retr, model.alpha)
+    assert phi.shapes == [(2 * (d + q), runs, d)]
+    assert f.shapes[1][:2] == (2 * (d + q), runs)
+    ys = np.array([model.h(b.mean) for b in singles]) + 0.05
+    stacked = update(stacked, ys, h, model.R, retr, model.alpha)
+    assert h.shapes[0][:2] == (2 * d + 1, runs)
+
+    for r, belief in enumerate(singles):
+        one = propagate(belief, u, model.f, model.Q, retr, model.alpha)
+        one = update(one, ys[r], model.h, model.R, retr, model.alpha)
+        assert np.array_equal(stacked.cov[r], one.cov)
+        assert same_state(unstack(stacked.mean, runs)[r], one.mean)
+
+
+def test_renormalize_batch_equals_elements():
+    """polar_project and every example's renormalize on a stack equal their
+    per-element calls, including an element whose SVD factor needs a flip."""
+    A = lie.exp_so3(rotvecs(N)) + 1e-3 * RNG.standard_normal((N, 3, 3))
+    A[2] = np.diag([1.0, 1.0, -1.0]) @ A[2]  # U @ Vt has det -1
+    assert np.linalg.det(lie.polar_project(A[2])) > 0.0
+    assert np.array_equal(lie.polar_project(A), [lie.polar_project(a) for a in A])
+    for name in example_names():
+        model = make(name)
+        retr = model.retraction()
+        states = retr.phi(model.initial_mean, sigma_like(retr.dim))
+        singles = unstack(states, N)
+        batch = unstack(model.renormalize(states), N)
+        for got, one in zip(batch, singles):
+            assert same_state(got, model.renormalize(one))
 
 
 def test_constant_callables_broadcast():

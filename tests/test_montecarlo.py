@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from manifold_ukf.errors import NonPSDCovariance, SingularCovariance
-from manifold_ukf.models import make
+from manifold_ukf.models import example_names, make
 from manifold_ukf.montecarlo import (
     RunRecord,
+    _lockstep,
     _psd_sqrt,
     benchmark,
     nees,
     nees_band,
-    resolve_workers,
     run_record,
     simulate,
 )
@@ -229,6 +229,83 @@ def test_benchmark_distinct_variants_differ():
 
 
 # ---------------------------------------------------------------------------
+# lockstep runs
+
+
+def _run_seeds(seed, runs):
+    return [int(s.generate_state(1)[0])
+            for s in np.random.SeedSequence(seed).spawn(runs)]
+
+
+def _aggregate(model, retr, records):
+    """benchmark()'s RMSE and mean NEES over one-run records."""
+    E = np.array([rec.errors for rec in records])
+    rmse = {lbl: np.sqrt(np.mean(np.sum(E[:, :, sl] ** 2, axis=2), axis=0))
+            for lbl, sl in model.retraction(retr).block_slices().items()}
+    return rmse, np.array([nees(rec) for rec in records]).mean(axis=0)
+
+
+def _assert_report_matches(flt, rmse, mean_nees):
+    for lbl in rmse:
+        assert np.array_equal(flt.rmse[lbl], rmse[lbl])
+    assert np.array_equal(flt.mean_nees, mean_nees)
+
+
+PAIRS = [(name, retr) for name in example_names()
+         for retr in sorted(make(name).retractions)]
+
+
+@pytest.mark.parametrize("name,retr", PAIRS)
+def test_lockstep_runs_equal_single_runs(name, retr):
+    """Per-run errors and NEES of a lockstep pass, and benchmark()'s
+    aggregates, equal one-run records bit for bit."""
+    model = make(name)
+    sims = [simulate(model, 30, s) for s in _run_seeds(7, 3)]
+    records = [run_record(model, retr, *sim) for sim in sims]
+    outcomes = _lockstep(model, model.retraction(retr), sims, model.alpha)
+    for out, rec in zip(outcomes, records):
+        assert out is not None
+        assert np.array_equal(out[0], rec.errors)
+        assert np.array_equal(out[1], nees(rec))
+    report = benchmark(model, [retr], runs=3, seed=7, steps=30)
+    assert report.filters[0].diverged == 0
+    _assert_report_matches(report.filters[0], *_aggregate(model, retr, records))
+
+
+def test_benchmark_one_failing_run_diverges_alone():
+    """A callable that raises on one run's data fails the lockstep pass; the
+    rerun one run at a time counts that run alone as diverged."""
+    model = make("localization2d")
+    good = model.retraction("se2_left")
+    sims = [simulate(model, 20, s) for s in _run_seeds(5, 3)]
+    marker = sims[1][0][-1]  # run 1's final true state
+
+    def picky_phi_inv(ref, state):
+        if np.all(np.asarray(state) == marker, axis=(-2, -1)).any():
+            raise NonPSDCovariance("forced failure on run 1")
+        return good.phi_inv(ref, state)
+
+    picky = Retraction(name="picky", dim=good.dim, phi=good.phi,
+                       phi_inv=picky_phi_inv, blocks=good.blocks)
+    report = benchmark(model, [good, picky], runs=3, seed=5, steps=20)
+    ok, flt = report.filters
+    assert (ok.diverged, flt.diverged, flt.valid_runs) == (0, 1, 2)
+    records = [run_record(model, good, *sims[r]) for r in (0, 2)]
+    _assert_report_matches(flt, *_aggregate(model, "se2_left", records))
+
+
+def test_benchmark_long_run_matches_filter_run():
+    """1000 steps cross the renormalization step of the stacked means."""
+    model = make("attitude3d")
+    report = benchmark(model, ["so3_left"], runs=2, seed=3, steps=1000)
+    records = [run_record(model, "so3_left", *simulate(model, 1000, s))
+               for s in _run_seeds(3, 2)]
+    assert report.filters[0].diverged == 0
+    _assert_report_matches(report.filters[0],
+                           *_aggregate(model, "so3_left", records))
+
+
+# ---------------------------------------------------------------------------
 # helpers
 
 
@@ -242,14 +319,3 @@ def test_psd_sqrt_reconstructs():
     with pytest.raises(ValueError):
         _psd_sqrt(np.diag([1.0, -1.0]))
 
-
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("UKFM_THREADS", raising=False)
-    assert resolve_workers(3, 10) == 3
-    assert resolve_workers(8, 2) == 2  # clamped to the run count
-    monkeypatch.setenv("UKFM_THREADS", "5")
-    assert resolve_workers(None, 10) == 5
-    monkeypatch.setenv("UKFM_THREADS", "0")
-    assert resolve_workers(None, 64) == min(64, __import__("os").cpu_count() or 1)
-    with pytest.raises(ValueError):
-        resolve_workers(-1, 4)

@@ -143,6 +143,19 @@ def test_sigma_points_failure_after_jitter():
         sigma_points(np.diag([1.0, -1.0]), 0.0)
 
 
+def test_sigma_points_stack_jitters_only_failing_elements():
+    A = RNG.standard_normal((3, 3))
+    P = np.array([A @ A.T + 0.1 * np.eye(3), np.diag([1.0, 0.0, 2.0]), np.eye(3)])
+    w = set_weights(3, 0.5)
+    pts = sigma_points(P, w.lam)
+    assert pts.shape == (6, 3, 3)  # sigma axis first
+    for i in range(3):
+        assert np.array_equal(pts[:, i], sigma_points(P[i], w.lam))
+    assert np.abs(w.w_j * (pts[:, 1].T @ pts[:, 1]) - P[1]).max() < 1e-8
+    with pytest.raises(CholeskyFailure):  # one element beyond repair fails the stack
+        sigma_points(np.array([np.eye(2), np.diag([1.0, -1.0])]), 0.0)
+
+
 def test_sigma_points_scale_check():
     with pytest.raises(ValueError):
         sigma_points(np.eye(2), -2.0)
