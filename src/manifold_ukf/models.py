@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .errors import DimensionMismatch, UnknownLandmarkId
 from .retraction import (
     MixedState,
     Retraction,
+    _pose_join,
+    _pose_parts,
     componentwise_so3_r6,
     group_retraction,
     mixed_retraction,
@@ -75,7 +77,11 @@ class ModelSpec:
     state_to_vector: Optional[Callable[[Any], np.ndarray]] = None
     renormalize: Callable[[Any], Any] = _identity
 
-    def retraction(self, name: Optional[str] = None) -> Retraction:
+    def retraction(self, name: Union[str, Retraction, None] = None) -> Retraction:
+        """The retraction registered under name (None: the default one); a
+        Retraction is returned as given."""
+        if isinstance(name, Retraction):
+            return name
         key = name or self.default_retraction
         try:
             return self.retractions[key]
@@ -144,7 +150,6 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
     cross-track) increment noise.
     """
     odo_std = np.asarray(odo_std, dtype=float)
-    pose_blocks = (("rot", 1), ("pos", 2))
     return ModelSpec(
         name="localization2d",
         f=_se2_odometry,
@@ -153,8 +158,8 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         R=gnss_std ** 2 * np.eye(2),
         dt=dt,
         retractions={
-            "se2_left": group_retraction(2, 1, "left", "se2_left", pose_blocks),
-            "se2_right": group_retraction(2, 1, "right", "se2_right", pose_blocks),
+            "se2_left": group_retraction(2, 1, "left", "se2_left"),
+            "se2_right": group_retraction(2, 1, "right", "se2_right"),
         },
         default_retraction="se2_left",
         initial_truth=np.eye(3),
@@ -208,7 +213,6 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
     per-sample rate variance is gyro_std^2 / dt.
     """
     mag_field = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-    rot_blocks = (("rot", 3),)
     return ModelSpec(
         name="attitude3d",
         f=partial(_gyro_dynamics, dt),
@@ -217,8 +221,8 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
         R=np.diag([accel_obs_std ** 2] * 3 + [mag_obs_std ** 2] * 3),
         dt=dt,
         retractions={
-            "so3_left": group_retraction(3, 0, "left", "so3_left", rot_blocks),
-            "so3_right": group_retraction(3, 0, "right", "so3_right", rot_blocks),
+            "so3_left": group_retraction(3, 0, "left", "so3_left"),
+            "so3_right": group_retraction(3, 0, "right", "so3_right"),
         },
         default_retraction="so3_left",
         initial_truth=np.eye(3),
@@ -240,15 +244,9 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
 def _strapdown(pose, gyro, acc, dt, gravity):
     """Strapdown step of an extended pose (rotation, velocity, position)
     under body-frame gyro rates and specific force."""
-    C = pose[..., :3, :3]
-    v = pose[..., :3, 3]
-    out = np.zeros(np.broadcast_shapes(pose.shape[:-2], gyro.shape[:-1],
-                                       acc.shape[:-1]) + (5, 5))
-    out[..., :3, :3] = C @ lie.exp_so3(gyro * dt)
-    out[..., :3, 3] = v + ((C @ acc[..., None])[..., 0] + gravity) * dt
-    out[..., :3, 4] = pose[..., :3, 4] + v * dt
-    out[..., 3:, 3:] = np.eye(2)
-    return out
+    C, v, p = _pose_parts(pose)
+    return _pose_join(C @ lie.exp_so3(gyro * dt),
+                      v + ((C @ acc[..., None])[..., 0] + gravity) * dt, p + v * dt)
 
 
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
@@ -306,7 +304,6 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
     initial_mean = initial_truth.copy()
     initial_mean[:3, :3] = lie.exp_so3(np.array([0.0, 0.0, heading_error]))
     initial_mean[:3, 4] = initial_truth[:3, 4] + np.asarray(position_error, dtype=float)
-    pose_blocks = (("rot", 3), ("vel", 3), ("pos", 3))
     return ModelSpec(
         name="inertial_nav",
         f=partial(_inertial_nav_dynamics, dt, GRAVITY),
@@ -315,8 +312,8 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
         R=obs_std ** 2 * np.eye(3 * m),
         dt=dt,
         retractions={
-            "se23_left": group_retraction(3, 2, "left", "se23_left", pose_blocks),
-            "se23_right": group_retraction(3, 2, "right", "se23_right", pose_blocks),
+            "se23_left": group_retraction(3, 2, "left", "se23_left"),
+            "se23_right": group_retraction(3, 2, "right", "se23_right"),
             "so3xr6": componentwise_so3_r6(),
         },
         default_retraction="se23_right",
@@ -372,12 +369,10 @@ _DEFAULT_SLAM_LANDMARKS = LandmarkSet(
 
 
 def _slam_retractions(n_landmarks: int):
-    blocks = (("rot", 1), ("pos", 2), ("landmarks", 2 * n_landmarks))
     return {
-        "mixed_left": mixed_retraction(2, 1, 2 * n_landmarks, "left",
-                                       "mixed_left", blocks),
-        "mixed_right": mixed_retraction(2, 1, 2 * n_landmarks, "right",
-                                        "mixed_right", blocks),
+        f"mixed_{side}": mixed_retraction(2, 1, 2 * n_landmarks, side,
+                                          f"mixed_{side}", "landmarks")
+        for side in ("left", "right")
     }
 
 
@@ -505,7 +500,6 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
                                np.asarray(true_accel_bias, dtype=float)])
     )
     mean = MixedState(pose0.copy(), np.zeros(6))
-    blocks = (("rot", 3), ("vel", 3), ("pos", 3), ("bias", 6))
     return ModelSpec(
         name="imu_gnss",
         f=partial(_biased_imu_dynamics, dt, GRAVITY),
@@ -517,8 +511,8 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
         R=gnss_std ** 2 * np.eye(3),
         dt=dt,
         retractions={
-            "mixed_left": mixed_retraction(3, 2, 6, "left", "mixed_left", blocks),
-            "mixed_right": mixed_retraction(3, 2, 6, "right", "mixed_right", blocks),
+            "mixed_left": mixed_retraction(3, 2, 6, "left", "mixed_left", "bias"),
+            "mixed_right": mixed_retraction(3, 2, 6, "right", "mixed_right", "bias"),
         },
         default_retraction="mixed_right",
         initial_truth=truth,
@@ -608,7 +602,6 @@ def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
     """
     lever = np.array([0.0, 0.0, 1.0])
     R0 = lie.exp_so3(np.array([tilt, 0.0, 0.0]))
-    rot_blocks = (("rot", 3),)
     return ModelSpec(
         name="pendulum_s2",
         f=partial(_lifted_sphere_dynamics, dt),
@@ -617,8 +610,8 @@ def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
         R=obs_std ** 2 * np.eye(2),
         dt=dt,
         retractions={
-            "so3_left": group_retraction(3, 0, "left", "so3_left", rot_blocks),
-            "so3_right": group_retraction(3, 0, "right", "so3_right", rot_blocks),
+            "so3_left": group_retraction(3, 0, "left", "so3_left"),
+            "so3_right": group_retraction(3, 0, "right", "so3_right"),
         },
         default_retraction="so3_right",
         initial_truth=R0,

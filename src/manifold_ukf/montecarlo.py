@@ -26,7 +26,7 @@ import scipy.stats
 
 from .errors import ManifoldUkfError, SingularCovariance
 from .retraction import Retraction
-from .sigma_core import Belief, filter_run
+from .sigma_core import _RENORM_EVERY, Belief, filter_run
 
 DIVERGENCE_NEES = 1e6
 
@@ -68,7 +68,7 @@ def simulate(model, steps: int, seed: int):
         u = model.input_profile(n)
         w = Lq @ rng.standard_normal(q) if q else np.zeros(0)
         state = model.f(state, u, w)
-        if n % 1000 == 0:
+        if n % _RENORM_EVERY == 0:
             state = model.renormalize(state)
         truth.append(state)
         inputs.append(u)
@@ -109,7 +109,7 @@ def run_record(model, retraction, truth, inputs, measurements,
     """Filter one simulation, or a lockstep stack of them when `initial`
     holds a stack of means and covariances with a run axis, and map every
     step's error in one phi_inv call."""
-    retr = retraction if isinstance(retraction, Retraction) else model.retraction(retraction)
+    retr = model.retraction(retraction)
     beliefs = filter_run(model, inputs, measurements, retraction=retr,
                          alpha=alpha, initial=initial)
     errors = retr.phi_inv(_stack([b.mean for b in beliefs]), _stack(truth[1:]))
@@ -226,8 +226,7 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
     """
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
-    retrs = [r if isinstance(r, Retraction) else model.retraction(r)
-             for r in retractions]
+    retrs = [model.retraction(r) for r in retractions]
     if not retrs:
         raise ValueError("need at least one retraction to benchmark")
     labels = tuple(lbl for lbl, _ in retrs[0].blocks)

@@ -4,21 +4,26 @@ A Retraction bundles phi(state, xi) and phi_inv(ref, state) for one choice
 of local coordinates around each state.  phi(state, 0) returns the state
 unchanged and the Jacobian of xi -> phi(state, xi) at zero is the identity;
 the filter core relies on both properties but never on a particular group
-structure, so new state spaces only need a new pair.
+structure, so new state spaces only need a new pair.  Both maps broadcast
+over leading axes: the filter core passes each set of sigma points as one
+stack, e.g. all 2d tangent vectors as a (2d, d) array.
 
-Both maps broadcast over leading axes too: the filter core passes each set
-of sigma points as one stack, e.g. all 2d tangent vectors as a (2d, d) array,
-and check_retraction probes a pair the same way.
+Every built-in retraction is one factor or a product of factors; a factor
+is itself a Retraction of one of two kinds:
 
-Provided families:
+* SE_k(d), multiplying on the left (state @ exp(xi)) or on the right
+  (exp(xi) @ state), with blocks rot, then pos (k = 1) or vel, pos (k = 2);
+* R^n, plain addition, with one block named by the caller; it checks the
+  tangent width against the state (exp_sek checks it for SE_k(d)).
 
-* group retractions on SE_k(d), left (state @ exp(xi)) or right
-  (exp(xi) @ state) multiplication;
-* mixed retractions for states with a group block and a plain
-  Euclidean block (the Euclidean part just adds);
-* a componentwise retraction on extended poses that treats rotation,
-  velocity and position separately (rotation multiplies, vectors add);
-* plain vector addition for Euclidean states.
+A product splits states into parts through a layout, split(state) -> parts
+and join(*parts) -> state: MixedState into (group, euclid), a 5x5 extended
+pose into (rotation block, velocity column, position column).  Each factor
+takes the next span of the tangent vector and the last one takes the rest,
+so a growing state (augment_landmark's landmark tail) keeps working.  Each
+factor maps equal parts to exact zeros.  group_retraction and
+additive_retraction are single factors, mixed_retraction is SE_k(d) x R^n
+and componentwise_so3_r6 is SO(3) x R^3 x R^3.
 
 All callables are module-level functions, bound with functools.partial.
 """
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Any, Callable, Tuple
 
 import numpy as np
@@ -84,15 +90,8 @@ def _rows(values, lead: Tuple[int, ...], width: int) -> np.ndarray:
         ) from None
 
 
-def _cat(*parts) -> np.ndarray:
-    """Concatenate along the last axis, broadcasting the leading axes."""
-    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
-    return np.concatenate(
-        [np.broadcast_to(p, lead + p.shape[-1:]) for p in parts], axis=-1)
-
-
 # ---------------------------------------------------------------------------
-# Group retractions
+# Factors: SE_k(d) and R^n
 
 
 def _phi_group(state, xi, d, side):
@@ -107,24 +106,79 @@ def _phi_inv_group(ref, state, d, side):
     return np.where(same[..., None], 0.0, lie.log_sek(rel, d))
 
 
-def group_retraction(d: int, k: int, side: str = "left", name: str = "",
-                     blocks: Tuple[Tuple[str, int], ...] = ()) -> Retraction:
+# block labels of the k translation-like columns of SE_k(d)
+_COLUMN_LABELS = {0: (), 1: ("pos",), 2: ("vel", "pos")}
+
+
+def group_retraction(d: int, k: int, side: str = "left",
+                     name: str = "") -> Retraction:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not name:
         family = f"so{d}" if k == 0 else f"se{d}" if k == 1 else f"se{k}{d}"
         name = f"{family}_{side}"
+    columns = _COLUMN_LABELS.get(k, tuple(f"t{i}" for i in range(1, k + 1)))
     return Retraction(
         name=name,
         dim=lie.tangent_dim(d, k),
         phi=partial(_phi_group, d=d, side=side),
         phi_inv=partial(_phi_inv_group, d=d, side=side),
-        blocks=blocks,
+        blocks=(("rot", lie.rot_dim(d)),) + tuple((c, d) for c in columns),
     )
 
 
+def _phi_euclid(state, xi):
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != state.shape[-1:]:
+        raise DimensionMismatch(f"tangent shape {xi.shape} != state shape {state.shape}")
+    return state + xi
+
+
+def _phi_inv_euclid(ref, state):
+    return np.asarray(state, dtype=float) - ref
+
+
+def _euclid(n: int, label: str, name: str = "") -> Retraction:
+    return Retraction(name, n, _phi_euclid, _phi_inv_euclid, ((label, n),))
+
+
+def additive_retraction(dim: int, name: str = "additive") -> Retraction:
+    return _euclid(dim, "xi", name)
+
+
 # ---------------------------------------------------------------------------
-# Mixed group x Euclidean states
+# Products of factors over a layout
+
+
+def _phi_product(state, xi, split, join, phis, spans):
+    xi = np.asarray(xi, dtype=float)
+    return join(*(phi(part, xi[..., span])
+                  for phi, part, span in zip(phis, split(state), spans)))
+
+
+def _phi_inv_product(ref, state, split, phi_invs, spans):
+    parts = [f(r, s) for f, r, s in zip(phi_invs, split(ref), split(state))]
+    out = np.empty(np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+                   + (spans[-1].start + parts[-1].shape[-1],))
+    for span, part in zip(spans, parts):
+        out[..., span] = part
+    return out
+
+
+def _product(name: str, split, join, *factors: Retraction) -> Retraction:
+    """phi and phi_inv factor by factor on the parts split(state); the last
+    factor takes the rest of the tangent vector."""
+    ends = list(accumulate(f.dim for f in factors[:-1]))
+    spans = tuple(map(slice, [0] + ends, ends + [None]))
+    return Retraction(
+        name=name,
+        dim=sum(f.dim for f in factors),
+        phi=partial(_phi_product, split=split, join=join,
+                    phis=tuple(f.phi for f in factors), spans=spans),
+        phi_inv=partial(_phi_inv_product, split=split,
+                        phi_invs=tuple(f.phi_inv for f in factors), spans=spans),
+        blocks=sum((f.blocks for f in factors), ()),
+    )
 
 
 @dataclass(frozen=True)
@@ -142,91 +196,37 @@ class MixedState:
             raise DimensionMismatch("euclid block must be a vector or a stack of them")
 
 
-def _phi_mixed(state, xi, d, side, gdim):
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != gdim + state.euclid.shape[-1]:
-        raise DimensionMismatch(
-            f"tangent length {xi.shape[-1]} != {gdim} + {state.euclid.shape[-1]}"
-        )
-    return MixedState(
-        _phi_group(state.group, xi[..., :gdim], d, side),
-        state.euclid + xi[..., gdim:],
-    )
-
-
-def _phi_inv_mixed(ref, state, d, side, gdim):
-    return _cat(_phi_inv_group(ref.group, state.group, d, side),
-                state.euclid - ref.euclid)
+def _mixed_parts(state):
+    return state.group, state.euclid
 
 
 def mixed_retraction(d: int, k: int, n_euclid: int, side: str = "right",
-                     name: str = "", blocks: Tuple[Tuple[str, int], ...] = ()) -> Retraction:
+                     name: str = "", label: str = "euclid") -> Retraction:
     """Group retraction on the group block, plain addition on the rest."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    gdim = lie.tangent_dim(d, k)
-    return Retraction(
-        name=name or f"mixed_{side}",
-        dim=gdim + n_euclid,
-        phi=partial(_phi_mixed, d=d, side=side, gdim=gdim),
-        phi_inv=partial(_phi_inv_mixed, d=d, side=side, gdim=gdim),
-        blocks=blocks,
-    )
+    return _product(name or f"mixed_{side}", _mixed_parts, MixedState,
+                    group_retraction(d, k, side), _euclid(n_euclid, label))
 
 
-# ---------------------------------------------------------------------------
-# Componentwise retraction on extended poses (rotation, velocity, position)
+def _pose_parts(X):
+    """Rotation block, velocity column and position column of extended poses."""
+    return X[..., :3, :3], X[..., :3, 3], X[..., :3, 4]
 
 
-def _phi_componentwise(state, xi):
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != 9:
-        raise DimensionMismatch(f"expected 9-vectors, got length {xi.shape[-1]}")
-    out = state + np.zeros(xi.shape[:-1] + (1, 1))  # a copy, one per xi
-    out[..., :3, :3] = state[..., :3, :3] @ lie.exp_so3(xi[..., 0:3])
-    out[..., :3, 3] += xi[..., 3:6]
-    out[..., :3, 4] += xi[..., 6:9]
+def _pose_join(C, v, p):
+    out = np.zeros(np.broadcast_shapes(C.shape[:-2], v.shape[:-1], p.shape[:-1])
+                   + (5, 5))
+    out[..., :3, :3] = C
+    out[..., :3, 3] = v
+    out[..., :3, 4] = p
+    out[..., 3:, 3:] = np.eye(2)
     return out
-
-
-def _phi_inv_componentwise(ref, state):
-    same = np.all(ref == state, axis=(-2, -1))  # these map to exact zeros
-    rot = lie.log_so3(np.swapaxes(ref[..., :3, :3], -1, -2) @ state[..., :3, :3])
-    out = _cat(rot, state[..., :3, 3] - ref[..., :3, 3],
-               state[..., :3, 4] - ref[..., :3, 4])
-    return np.where(same[..., None], 0.0, out)
 
 
 def componentwise_so3_r6(name: str = "so3xr6") -> Retraction:
     """Rotation multiplies on the right of the body frame; velocity and
     position add in world coordinates.  State is a 5x5 extended pose."""
-    return Retraction(
-        name=name,
-        dim=9,
-        phi=_phi_componentwise,
-        phi_inv=_phi_inv_componentwise,
-        blocks=(("rot", 3), ("vel", 3), ("pos", 3)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Plain vector states
-
-
-def _phi_additive(state, xi):
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1:] != state.shape[-1:]:
-        raise DimensionMismatch(f"tangent shape {xi.shape} != state shape {state.shape}")
-    return state + xi
-
-
-def _phi_inv_additive(ref, state):
-    return np.asarray(state, dtype=float) - ref
-
-
-def additive_retraction(dim: int, name: str = "additive",
-                        blocks: Tuple[Tuple[str, int], ...] = ()) -> Retraction:
-    return Retraction(name, dim, _phi_additive, _phi_inv_additive, blocks)
+    return _product(name, _pose_parts, _pose_join, group_retraction(3, 0, "left"),
+                    _euclid(3, "vel"), _euclid(3, "pos"))
 
 
 # ---------------------------------------------------------------------------

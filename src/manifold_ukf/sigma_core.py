@@ -36,6 +36,7 @@ import scipy.linalg
 
 from .errors import (
     CholeskyFailure,
+    DimensionMismatch,
     FilterStepError,
     InvalidAlpha,
     ManifoldUkfError,
@@ -196,6 +197,9 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     """
     y = np.asarray(y, dtype=float)
     R = np.asarray(R, dtype=float)
+    if y.shape[-1:] != R.shape[:1]:
+        raise DimensionMismatch(
+            f"measurement shape {y.shape} does not match R of shape {R.shape}")
     d = retraction.dim
     w = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w.lam)
@@ -245,24 +249,21 @@ def _as_schedule(measurements: MeasurementSchedule) -> dict:
 
 def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
                retraction=None, alpha: Optional[float] = None,
-               initial: Optional[Belief] = None,
-               renorm_every: int = _RENORM_EVERY):
+               initial: Optional[Belief] = None):
     """Run the full recursion over an input sequence.
 
     inputs[n-1] drives step n (1-based); measurements map step indices to
     measurement vectors and trigger an update right after that step's
     prediction.  Returns one Belief per step.  Any numerical failure, a
-    LinAlgError from inside f or h included, is re-raised as
-    FilterStepError carrying the step index.
+    LinAlgError from inside f or h or a measurement of the wrong length
+    included, is re-raised as FilterStepError carrying the step index.
+    retraction is whatever model.retraction() accepts.
 
-    The rotation block of the mean is re-orthonormalized every renorm_every
-    steps; this guards long runs against drift and never moves the mean by
-    more than floating-point dust.
+    The rotation block of the mean is re-orthonormalized every 1000 steps,
+    as simulate() does with the truth; this guards long runs against drift
+    and never moves the mean by more than floating-point dust.
     """
-    if isinstance(retraction, Retraction):
-        retr = retraction
-    else:
-        retr = model.retraction(retraction)
+    retr = model.retraction(retraction)
     if alpha is None:
         alpha = model.alpha
     belief = initial if initial is not None else Belief(model.initial_mean,
@@ -276,7 +277,7 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
             if step in schedule:
                 belief = update(belief, schedule[step], model.h, model.R,
                                 retr, alpha)
-            if renorm_every and step % renorm_every == 0:
+            if step % _RENORM_EVERY == 0:
                 belief = Belief(model.renormalize(belief.mean), belief.cov)
             out.append(belief)
     except (ManifoldUkfError, np.linalg.LinAlgError) as exc:

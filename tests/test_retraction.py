@@ -305,3 +305,64 @@ def test_retraction_block_bookkeeping():
     with pytest.raises(ValueError):
         Retraction("bad", 4, lambda s, x: s, lambda r, s: np.zeros(4),
                    blocks=(("a", 1), ("b", 2)))
+
+
+# ---------------------------------------------------------------------------
+# Blocks and widths derived from the factors
+
+
+REGISTERED_BLOCKS = {
+    "localization2d": (("rot", 1), ("pos", 2)),
+    "attitude3d": (("rot", 3),),
+    "pendulum_s2": (("rot", 3),),
+    "inertial_nav": (("rot", 3), ("vel", 3), ("pos", 3)),
+    "slam2d": (("rot", 1), ("pos", 2), ("landmarks", 8)),
+    "imu_gnss": (("rot", 3), ("vel", 3), ("pos", 3), ("bias", 6)),
+}
+
+
+def test_registered_blocks():
+    retractions = all_model_retractions()
+    assert len(retractions) == 13
+    for label, retr, _ in retractions:
+        assert retr.blocks == REGISTERED_BLOCKS[label.split("/")[0]], label
+    slam = models.make("slam2d", landmarks=models.LandmarkSet(np.zeros((3, 2))))
+    for retr in slam.retractions.values():
+        assert retr.blocks == (("rot", 1), ("pos", 2), ("landmarks", 6))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("label, retr, state",
+                         [pytest.param(*r, id=r[0]) for r in all_model_retractions()])
+def test_registered_phi_rejects_wrong_width(label, retr, state, delta):
+    for shape in ((retr.dim + delta,), (4, retr.dim + delta)):
+        with pytest.raises(DimensionMismatch):
+            retr.phi(state, np.zeros(shape))
+
+
+def test_group_retraction_k3_builds_and_roundtrips():
+    rng = np.random.Generator(np.random.Philox(key=33))
+    for d in (2, 3):
+        for side in ("left", "right"):
+            retr = group_retraction(d, 3, side)
+            assert retr.dim == lie.tangent_dim(d, 3)
+            assert retr.blocks[0] == ("rot", lie.rot_dim(d))
+            assert len(retr.block_slices()) == 4
+            X = random_sek(rng, d, 3)
+            xis = np.array([bounded_xi(rng, retr.dim, lie.rot_dim(d))
+                            for _ in range(10)])
+            assert np.abs(retr.phi_inv(X, retr.phi(X, xis)) - xis).max() < 1e-10
+            assert check_retraction(retr, X).passed
+
+
+def test_mixed_last_factor_takes_the_rest():
+    # a state grown past the retraction's dimension, as augment_landmark does
+    rng = np.random.Generator(np.random.Philox(key=34))
+    retr = mixed_retraction(2, 1, 4)
+    state = MixedState(random_sek(rng, 2, 1), rng.standard_normal(6))
+    xis = np.array([bounded_xi(rng, 9, 1) for _ in range(5)])
+    out = retr.phi(state, xis)
+    assert out.euclid.shape == (5, 6)
+    assert np.abs(retr.phi_inv(state, out) - xis).max() < 1e-10
+    with pytest.raises(DimensionMismatch):
+        retr.phi(state, np.zeros(8))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from manifold_ukf import lie_groups as lie
 from manifold_ukf.errors import (
     CholeskyFailure,
+    DimensionMismatch,
     FilterStepError,
     InvalidAlpha,
     SingularInnovationCovariance,
@@ -354,6 +355,17 @@ def test_filter_run_wraps_linalg_error():
         filter_run(dataclasses.replace(model, f=f), inputs)
     assert exc_info.value.step == 3
     assert isinstance(exc_info.value.cause, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_filter_run_reports_wrong_length_measurement(length):
+    model = make("localization2d")  # R is 2 x 2
+    inputs = [model.input_profile(n) for n in range(1, 6)]
+    meas = {2: np.zeros(2), 4: np.zeros(length)}
+    with pytest.raises(FilterStepError) as exc_info:
+        filter_run(model, inputs, meas)
+    assert exc_info.value.step == 4
+    assert isinstance(exc_info.value.cause, DimensionMismatch)
 
 
 def test_filter_run_measurement_pairs_accepted():
