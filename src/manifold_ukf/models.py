@@ -53,10 +53,11 @@ class ModelSpec:
     its sigma points in one call: f gets a stack of N states together with a
     stack of N noise vectors and pairs them row by row (a single state or
     noise vector broadcasts against a stack).  benchmark() steps all its runs
-    in lockstep, so there f and h see (2(d + q), runs, ...) stacks and
-    renormalize a (runs, ...) stack of states; input_profile(step) must
-    depend on the step alone, since every run shares one input sequence.
-    state_to_vector maps a single state.
+    in lockstep, so there f and h see (2(d + q), runs, ...) stacks in the
+    filter and (runs, ...) stacks in the simulation, and renormalize a
+    (runs, ...) stack of states; input_profile(step) must depend on the
+    step alone, since every run shares one input sequence.  state_to_vector
+    maps a single state.
     """
 
     name: str

@@ -6,12 +6,17 @@ benchmark() repeats that over independent per-run seeds and feeds the same
 simulated data to every retraction variant (common random numbers), then
 aggregates RMSE per tangent block, mean NEES and divergence counts.
 
-All runs of one variant step in lockstep through a single filter pass: the
-belief carries a run axis, so each sigma-point call serves every run at
-once, and each run's numbers are bit-identical to a pass of that run alone.
-If the lockstep pass raises, the variant is run again one run at a time, so
-that only the failing runs count as diverged.  Wall-clock times are the
-only nondeterministic outputs and are reported separately.
+All runs step in lockstep.  The simulator steps every run's truth through
+one f, one h and one renormalize call per step; simulate() is its one-run
+case.  Each variant then filters all runs in one pass: the belief carries a
+run axis, so each sigma-point call serves every run at once.  The pass is
+a stream of beliefs, reduced every _CHUNK steps to errors and NEES and then
+dropped, so memory grows with runs x steps x state size, plus one chunk of
+beliefs.  Each run's numbers are bit-identical to a pass of that run alone.
+If the lockstep pass raises, the variant is run again one run at a time,
+on that run's slice of the simulation, so that only the failing runs count
+as diverged.  Wall-clock times are the only nondeterministic outputs and
+are reported separately.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import scipy.stats
 
 from .errors import ManifoldUkfError, SingularCovariance
 from .retraction import Retraction
-from .sigma_core import _RENORM_EVERY, Belief, filter_run
+from .sigma_core import _RENORM_EVERY, Belief, _filter_steps, filter_run
 
 DIVERGENCE_NEES = 1e6
+_CHUNK = 128  # steps of beliefs a lockstep pass buffers per reduction
 
 
 def _psd_sqrt(M) -> np.ndarray:
@@ -53,27 +59,55 @@ def simulate(model, steps: int, seed: int):
     model's schedule.  Identical arguments give identical output, whatever
     the platform's default RNG does.
     """
+    return _simulate(model, steps, seed)
+
+
+def _simulate(model, steps: int, seeds):
+    """Sample one trajectory per seed, all runs stepping together.
+
+    seeds is one int, for simulate()'s unstacked output, or a sequence of
+    them: then every truth is a (runs, ...) stack of states and every
+    measurement a (runs, p) array, and all runs share one f, one h and one
+    renormalize call per step.  Each run draws all its noise in one
+    standard_normal call from its own Philox generator and slices it in
+    step order: step n's process noise, then its measurement noise when
+    one is due.  Run r is bit-identical to simulate(model, steps, seeds[r]).
+    """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
     Lq = _psd_sqrt(model.Q)
     Lr = _psd_sqrt(model.R)
     q = Lq.shape[0]
     p = Lr.shape[0]
-    state = model.initial_truth
+    lead = np.shape(seeds)
+    draws = steps * q + steps // model.measure_every * p
+    keys = seeds if lead else [seeds]
+    z = np.array([np.random.Generator(np.random.Philox(key=s))
+                  .standard_normal(draws) for s in keys])
+    at = 0
+
+    def noise(L):
+        """L @ z per run for the next L.shape[0] draws of every run."""
+        nonlocal at
+        k = L.shape[0]
+        out = np.array([L @ zr for zr in z[:, at:at + k]]).reshape(lead + (k,))
+        at += k
+        return out
+
+    state = model.initial_truth if not lead else _stack(
+        [model.initial_truth] * lead[0])
     truth = [state]
     inputs = []
     measurements: Dict[int, np.ndarray] = {}
     for n in range(1, steps + 1):
         u = model.input_profile(n)
-        w = Lq @ rng.standard_normal(q) if q else np.zeros(0)
-        state = model.f(state, u, w)
+        state = model.f(state, u, noise(Lq))
         if n % _RENORM_EVERY == 0:
             state = model.renormalize(state)
         truth.append(state)
         inputs.append(u)
         if n % model.measure_every == 0:
-            measurements[n] = model.h(state) + Lr @ rng.standard_normal(p)
+            measurements[n] = model.h(state) + noise(Lr)
     return truth, inputs, measurements
 
 
@@ -103,6 +137,21 @@ def _stack(states):
     return np.stack(states)
 
 
+def _runs(state) -> int:
+    """Length of the run axis of a stack of states."""
+    if dataclasses.is_dataclass(state):
+        return _runs(getattr(state, dataclasses.fields(state)[0].name))
+    return len(state)
+
+
+def _take(state, index):
+    """state[index] along the run axis; dataclass states field by field."""
+    if dataclasses.is_dataclass(state):
+        return type(state)(*(_take(getattr(state, f.name), index)
+                             for f in dataclasses.fields(state)))
+    return state[index]
+
+
 def run_record(model, retraction, truth, inputs, measurements,
                alpha: Optional[float] = None, seed: int = 0,
                initial: Optional[Belief] = None) -> RunRecord:
@@ -121,8 +170,13 @@ def nees(record: RunRecord) -> np.ndarray:
     """Normalized estimation error squared, one value per step (and run)."""
     if not record.beliefs:
         return np.empty(0)
-    covs = np.array([b.cov for b in record.beliefs])
-    errors = record.errors
+    return _nees(np.array([b.cov for b in record.beliefs]), record.errors, 1)
+
+
+def _nees(covs, errors, first: int) -> np.ndarray:
+    """errors^T covs^-1 errors over a stack of steps, the first of which is
+    step `first`; a singular covariance raises SingularCovariance naming
+    its step."""
     try:
         sol = np.linalg.solve(covs, errors[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -131,7 +185,7 @@ def nees(record: RunRecord) -> np.ndarray:
                 np.linalg.solve(cov, errors[i][..., None])
             except np.linalg.LinAlgError as exc:
                 raise SingularCovariance(
-                    f"singular covariance at step {i + 1}") from exc
+                    f"singular covariance at step {first + i}") from exc
         raise
     return np.einsum("...j,...j->...", errors, sol)
 
@@ -174,39 +228,65 @@ class BenchmarkReport:
     filters: Tuple[FilterReport, ...]
 
 
-def _lockstep(model, retr, sims, alpha):
-    """Filter the simulations `sims` in one lockstep pass; per run its
-    (errors, nees), or None if it diverged.  Raises what the pass raises."""
-    truth = [_stack(states) for states in zip(*(t for t, _, _ in sims))]
-    # inputs depend on the step alone, so every run shares the first's
-    inputs = sims[0][1]
-    measurements = {n: np.stack([m[n] for _, _, m in sims]) for n in sims[0][2]}
+def _lockstep(model, retr, sim, alpha):
+    """Filter the lockstep simulation `sim` (from _simulate with a sequence
+    of seeds) in one pass; per run its (errors, nees), or None if it
+    diverged.  Raises what the pass raises.
+
+    Every _CHUNK steps the buffered means go through one phi_inv call
+    against the truth stack and their NEES through one batched solve; then
+    the beliefs are dropped, so the pass holds one chunk of them.
+    """
+    truth, inputs, measurements = sim
+    runs = _runs(truth[0])
     cov = np.asarray(model.initial_cov, dtype=float)
-    initial = Belief(_stack([model.initial_mean] * len(sims)),
-                     np.broadcast_to(cov, (len(sims),) + cov.shape))
-    record = run_record(model, retr, truth, inputs, measurements, alpha=alpha,
-                        initial=initial)
-    nees_vals = nees(record)
+    initial = Belief(_stack([model.initial_mean] * runs),
+                     np.broadcast_to(cov, (runs,) + cov.shape))
+    steps = len(inputs)
+    errors = np.empty((steps, runs, retr.dim))  # C-contiguous, as NEES needs
+    values = np.empty((steps, runs))
+    chunk = []
+
+    def reduce(end):
+        start = end - len(chunk)
+        errors[start:end] = retr.phi_inv(_stack([b.mean for b in chunk]),
+                                         _stack(truth[start + 1:end + 1]))
+        values[start:end] = _nees(np.array([b.cov for b in chunk]),
+                                  errors[start:end], start + 1)
+        chunk.clear()
+
+    for step, belief in _filter_steps(model, inputs, measurements, retr,
+                                      alpha, initial):
+        chunk.append(belief)
+        if len(chunk) == _CHUNK:
+            reduce(step)
+    if chunk:
+        reduce(steps)
     out = []
-    for r in range(len(sims)):
-        errors, values = record.errors[:, r], nees_vals[:, r]
-        bad = (not np.isfinite(errors).all() or not np.isfinite(values).all()
-               or float(values.max()) > DIVERGENCE_NEES)
-        out.append(None if bad else (errors, values))
+    for r in range(runs):
+        e, v = errors[:, r], values[:, r]
+        bad = (not np.isfinite(e).all() or not np.isfinite(v).all()
+               or float(v.max()) > DIVERGENCE_NEES)
+        out.append(None if bad else (e, v))
     return out
 
 
-def _outcomes(model, retr, sims, alpha):
+def _outcomes(model, retr, sim, alpha):
     """Per run (errors, nees) or None: all runs in lockstep, or, if that
-    pass raises, one run at a time so that only the failing runs diverge."""
+    pass raises, one run at a time on its slice of the simulation, so that
+    only the failing runs diverge."""
     try:
-        return _lockstep(model, retr, sims, alpha)
+        return _lockstep(model, retr, sim, alpha)
     except ManifoldUkfError:
         pass
+    truth, inputs, measurements = sim
     out = []
-    for sim in sims:
+    for r in range(_runs(truth[0])):
+        one = np.s_[r:r + 1]
         try:
-            out += _lockstep(model, retr, [sim], alpha)
+            out += _lockstep(model, retr, (
+                [_take(s, one) for s in truth], inputs,
+                {n: y[one] for n, y in measurements.items()}), alpha)
         except ManifoldUkfError:
             out.append(None)
     return out
@@ -239,12 +319,12 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
 
     run_seeds = [int(s.generate_state(1)[0])
                  for s in np.random.SeedSequence(seed).spawn(runs)]
-    sims = [simulate(model, steps, rs) for rs in run_seeds]
+    sim = _simulate(model, steps, run_seeds)
 
     filters = []
     for retr in retrs:
         t0 = time.perf_counter()
-        good = [o for o in _outcomes(model, retr, sims, alpha) if o is not None]
+        good = [o for o in _outcomes(model, retr, sim, alpha) if o is not None]
         wall = time.perf_counter() - t0
         diverged = runs - len(good)
         slices = retr.block_slices()

@@ -157,9 +157,13 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     2d state rows.  The mean sigma point maps to zero by construction and
     drops out of both sums.  On a belief with run axes the stack is
     (2d + 2q, ..., ·) and the noise points (2d + 2q, 1, ..., q).
+
+    d is the belief's dimension, not the retraction's, so a state grown at
+    runtime (augment_landmark) keeps filtering; a width the retraction's
+    factors cannot take raises DimensionMismatch.
     """
     Q = np.asarray(Q, dtype=float)
-    d = retraction.dim
+    d = belief.dim
     q = Q.shape[0]
     mean_new = f(belief.mean, omega, np.zeros(q))
 
@@ -193,14 +197,15 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     gain maps innovation to a tangent correction which is retracted onto the
     state.  The covariance update P - K S K^T keeps the existing tangent
     coordinates.  On a belief with run axes, y holds one measurement per
-    run, (..., p).
+    run, (..., p).  As in propagate, the sigma points take the belief's
+    dimension.
     """
     y = np.asarray(y, dtype=float)
     R = np.asarray(R, dtype=float)
     if y.shape[-1:] != R.shape[:1]:
         raise DimensionMismatch(
             f"measurement shape {y.shape} does not match R of shape {R.shape}")
-    d = retraction.dim
+    d = belief.dim
     w = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w.lam)
     lead = xis.shape[1:-1]
@@ -262,14 +267,25 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
     The rotation block of the mean is re-orthonormalized every 1000 steps,
     as simulate() does with the truth; this guards long runs against drift
     and never moves the mean by more than floating-point dust.
+
+    This is the list of _filter_steps, which yields each step's belief as
+    it is made; benchmark() consumes that stream and keeps no belief past
+    its reduction.
     """
     retr = model.retraction(retraction)
     if alpha is None:
         alpha = model.alpha
+    return [belief for _, belief in _filter_steps(
+        model, inputs, measurements, retr, alpha, initial)]
+
+
+def _filter_steps(model, inputs, measurements: MeasurementSchedule,
+                  retr: Retraction, alpha: float, initial: Optional[Belief]):
+    """Yield (step, belief) after each step of filter_run's recursion, with
+    its FilterStepError step attribution."""
     belief = initial if initial is not None else Belief(model.initial_mean,
                                                         model.initial_cov)
     schedule = _as_schedule(measurements)
-    out = []
     step = 0
     try:
         for step, omega in enumerate(inputs, start=1):
@@ -279,7 +295,6 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
                                 retr, alpha)
             if step % _RENORM_EVERY == 0:
                 belief = Belief(model.renormalize(belief.mean), belief.cov)
-            out.append(belief)
+            yield step, belief
     except (ManifoldUkfError, np.linalg.LinAlgError) as exc:
         raise FilterStepError(step, exc) from exc
-    return out

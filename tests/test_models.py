@@ -16,7 +16,7 @@ from manifold_ukf.models import (
     make,
 )
 from manifold_ukf.retraction import MixedState
-from manifold_ukf.sigma_core import Belief
+from manifold_ukf.sigma_core import Belief, propagate, update
 
 from oracles import matrix_exp_series
 
@@ -198,6 +198,26 @@ def test_slam2d_augment_order_insensitive():
     blk_a_first = ab.cov[11:13, 11:13]
     blk_a_second = ba.cov[13:15, 13:15]
     assert np.abs(blk_a_first - blk_a_second).max() <= 1e-12
+
+
+def test_slam2d_augmented_belief_keeps_filtering():
+    """propagate and update size their sigma points from the belief, so a
+    state grown twice past the retraction's 11 dimensions still filters."""
+    model = make("slam2d")
+    retr = model.retraction()
+    R2 = 0.05 ** 2 * np.eye(2)
+    belief = Belief(model.initial_mean, model.initial_cov)
+    for y in (np.array([1.0, 0.5]), np.array([-0.5, 2.0])):
+        belief = augment_landmark(belief, y, retr, R2)
+    R = 0.05 ** 2 * np.eye(12)  # all six landmarks observed
+    for step in range(1, 6):
+        belief = propagate(belief, model.input_profile(step), model.f,
+                           model.Q, retr, model.alpha)
+        y = model.h(belief.mean) + 0.01 * RNG.standard_normal(12)
+        belief = update(belief, y, model.h, R, retr, model.alpha)
+    assert belief.cov.shape == (15, 15)
+    assert np.isfinite(belief.cov).all()
+    assert np.array_equal(belief.cov, belief.cov.T)
 
 
 def test_slam2d_observation_consistency():

@@ -1,21 +1,27 @@
 """Simulation determinism, metric aggregation and benchmark reproducibility."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from manifold_ukf import montecarlo
 from manifold_ukf.errors import NonPSDCovariance, SingularCovariance
-from manifold_ukf.models import example_names, make
+from manifold_ukf.models import ModelSpec, example_names, make
 from manifold_ukf.montecarlo import (
     RunRecord,
     _lockstep,
     _psd_sqrt,
+    _simulate,
+    _take,
     benchmark,
     nees,
     nees_band,
     run_record,
     simulate,
 )
-from manifold_ukf.retraction import Retraction
+from manifold_ukf.retraction import Retraction, additive_retraction
 from manifold_ukf.sigma_core import Belief
 
 
@@ -262,7 +268,8 @@ def test_lockstep_runs_equal_single_runs(name, retr):
     model = make(name)
     sims = [simulate(model, 30, s) for s in _run_seeds(7, 3)]
     records = [run_record(model, retr, *sim) for sim in sims]
-    outcomes = _lockstep(model, model.retraction(retr), sims, model.alpha)
+    outcomes = _lockstep(model, model.retraction(retr),
+                         _simulate(model, 30, _run_seeds(7, 3)), model.alpha)
     for out, rec in zip(outcomes, records):
         assert out is not None
         assert np.array_equal(out[0], rec.errors)
@@ -303,6 +310,132 @@ def test_benchmark_long_run_matches_filter_run():
     assert report.filters[0].diverged == 0
     _assert_report_matches(report.filters[0],
                            *_aggregate(model, "so3_left", records))
+
+
+# ---------------------------------------------------------------------------
+# lockstep simulation
+
+
+def _assert_same_state(a, b):
+    if dataclasses.is_dataclass(b):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(b):
+            _assert_same_state(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert np.array_equal(a, b)
+
+
+def _assert_lockstep_simulation_is_simulate(model, steps, seeds):
+    truth, inputs, measurements = _simulate(model, steps, seeds)
+    for r, seed in enumerate(seeds):
+        t1, u1, m1 = simulate(model, steps, seed)
+        assert len(truth) == len(t1) == steps + 1
+        for stack, state in zip(truth, t1):
+            _assert_same_state(_take(stack, r), state)
+        assert len(inputs) == len(u1)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, u1))
+        assert measurements.keys() == m1.keys()
+        for n, y in m1.items():
+            assert np.array_equal(measurements[n][r], y)
+
+
+def _full_noise_linear_model():
+    """Three states, two measurements, full non-diagonal F, Q and R.  f and
+    h take one matrix-vector product per state, so that each run of a stack
+    rounds as it does alone (a (runs, 3) @ (3, 3) product does not)."""
+    F = np.array([[1.0, 0.1, 0.02], [-0.05, 0.98, 0.1], [0.01, -0.1, 0.97]])
+    H = np.array([[1.0, 0.3, -0.2], [0.1, -0.4, 1.0]])
+    A = np.array([[0.3, 0.1, -0.2], [0.05, 0.2, 0.1], [-0.1, 0.15, 0.25]])
+    B = np.array([[0.5, 0.2], [-0.1, 0.3]])
+    retr = additive_retraction(3)
+    return ModelSpec(
+        name="linear3", f=lambda x, u, w: (F @ x[..., None])[..., 0] + u + w,
+        h=lambda x: (H @ x[..., None])[..., 0],
+        Q=A @ A.T, R=B @ B.T, dt=1.0, retractions={"additive": retr},
+        default_retraction="additive", initial_truth=np.array([1.0, -2.0, 0.5]),
+        initial_mean=np.zeros(3), initial_cov=np.eye(3),
+        input_profile=lambda n: np.array([0.01 * n, 0.0, -0.02]),
+        measure_every=3)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_lockstep_simulation_equals_simulate(name):
+    _assert_lockstep_simulation_is_simulate(make(name), 60, _run_seeds(2, 3))
+
+
+def test_lockstep_simulation_full_noise_linear_model():
+    model = _full_noise_linear_model()
+    assert np.count_nonzero(model.Q) == 9 and np.count_nonzero(model.R) == 4
+    _assert_lockstep_simulation_is_simulate(model, 50, _run_seeds(4, 3))
+
+
+def test_lockstep_simulation_crosses_renormalization():
+    _assert_lockstep_simulation_is_simulate(make("attitude3d"), 1005,
+                                            _run_seeds(6, 2))
+
+
+def test_lockstep_simulation_without_measurements():
+    model = make("imu_gnss")
+    steps = model.measure_every - 1
+    _assert_lockstep_simulation_is_simulate(model, steps, _run_seeds(8, 3))
+    assert _simulate(model, steps, _run_seeds(8, 3))[2] == {}
+    report = benchmark(model, ["mixed_right"], runs=3, seed=8, steps=steps)
+    assert report.filters[0].diverged == 0
+
+
+# ---------------------------------------------------------------------------
+# streaming reduction
+
+
+@pytest.mark.parametrize("name,retr", PAIRS)
+def test_lockstep_chunks_equal_single_runs(monkeypatch, name, retr):
+    """Chunk boundaries inside the run leave every run's errors and NEES
+    bit-identical to its one-run record."""
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    model = make(name)
+    seeds = _run_seeds(3, 2)
+    outcomes = _lockstep(model, model.retraction(retr),
+                         _simulate(model, 30, seeds), model.alpha)
+    for out, seed in zip(outcomes, seeds):
+        rec = run_record(model, retr, *simulate(model, 30, seed))
+        assert out is not None
+        assert np.array_equal(out[0], rec.errors)
+        assert np.array_equal(out[1], nees(rec))
+
+
+def test_run_failing_in_second_chunk_diverges_alone(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    model = make("localization2d")
+    good = model.retraction("se2_left")
+    seeds = _run_seeds(5, 3)
+    marker = _take(_simulate(model, 20, seeds)[0][10], 1)  # run 1, step 10
+
+    def picky_phi_inv(ref, state):
+        if np.all(np.asarray(state) == marker, axis=(-2, -1)).any():
+            raise NonPSDCovariance("forced failure on run 1")
+        return good.phi_inv(ref, state)
+
+    picky = Retraction(name="picky", dim=good.dim, phi=good.phi,
+                       phi_inv=picky_phi_inv, blocks=good.blocks)
+    report = benchmark(model, [good, picky], runs=3, seed=5, steps=20)
+    ok, flt = report.filters
+    assert (ok.diverged, flt.diverged, flt.valid_runs) == (0, 1, 2)
+    records = [run_record(model, good, *simulate(model, 20, seeds[r]))
+               for r in (0, 2)]
+    _assert_report_matches(flt, *_aggregate(model, "se2_left", records))
+
+
+def test_benchmark_memory_does_not_grow_with_beliefs():
+    """Only one chunk of beliefs is alive at a time: 20 runs x 400 steps of
+    imu_gnss stay well below the 40 MiB that keeping every belief takes."""
+    model = make("imu_gnss")
+    tracemalloc.start()
+    try:
+        benchmark(model, ["mixed_right"], runs=20, steps=400, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,19 @@ def test_propagate_linear_matches_oracle():
         assert np.abs(out.cov - (F @ P @ F.T + Q)).max() < 1e-8
 
 
+def test_propagate_and_update_reject_width_the_retraction_cannot_take():
+    """A 4-dimensional belief under SE(2) (3 dimensions) raises
+    DimensionMismatch, not a raw numpy error."""
+    retr = group_retraction(2, 1)
+    belief = Belief(np.eye(3), 0.01 * np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        propagate(belief, np.zeros(3), lambda s, o, w: s, 1e-4 * np.eye(3),
+                  retr, 1.0)
+    with pytest.raises(DimensionMismatch):
+        update(belief, np.zeros(2), lambda s: s[..., :2, 2], np.eye(2), retr,
+               1.0)
+
+
 # ---------------------------------------------------------------------------
 # filter_run
 
