@@ -26,6 +26,8 @@ are chosen per element, and one bad element of a stack fails the call.
 from __future__ import annotations
 
 import math
+from functools import cache
+from itertools import permutations
 
 import numpy as np
 
@@ -47,6 +49,22 @@ _ROT_TOL = 1e-9
 # wedge_so3(omega) == omega[..., _WEDGE_IDX] * _WEDGE_SIGN
 _WEDGE_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
 _WEDGE_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
+
+@cache
+def _eye(n: int) -> np.ndarray:
+    """A read-only n x n identity, built once per size."""
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _det_terms(d: int):
+    """rows, perms, signs with det(C) = C[..., rows, perms].prod(-1) @ signs."""
+    perms = np.array(list(permutations(range(d))))
+    i, j = np.triu_indices(d, 1)
+    return np.arange(d), perms, np.sign(perms[:, j] - perms[:, i]).prod(axis=1) * 1.0
 
 
 def rot_dim(d: int) -> int:
@@ -133,8 +151,8 @@ _TAYLOR = {
 def _so3_coeffs(theta2, *kinds):
     """The named coefficients at squared angles theta2, one array each.
 
-    The Taylor series are evaluated only if some element is below the
-    small-angle cutoff; the closed forms then see theta = 1 there, so they
+    The Taylor series are evaluated only on elements below the small-angle
+    cutoff, if any; the closed forms then see theta = 1 there, so they
     never divide by zero.  The inverse Jacobian's cotc needs half-angle trig
     and is never asked for together with the others.
     """
@@ -152,21 +170,25 @@ def _so3_coeffs(theta2, *kinds):
             closed["sinc3"] = (t - sin) / (t2 * t)
     if not any_small:
         return [closed[kind] for kind in kinds]
-    return [np.where(small, _TAYLOR[kind](theta2), closed[kind]) for kind in kinds]
+    if np.ndim(theta2) == 0:
+        return [np.where(small, _TAYLOR[kind](theta2), closed[kind]) for kind in kinds]
+    for kind in kinds:
+        closed[kind][small] = _TAYLOR[kind](theta2[small])
+    return [closed[kind] for kind in kinds]
 
 
 def _so3_parts(omega):
     """wedge(omega), its square and theta^2 = |omega|^2."""
     omega = np.asarray(omega, dtype=float)
     W = wedge_so3(omega)
-    return W, W @ W, np.sum(omega * omega, axis=-1)
+    return W, W @ W, (omega * omega).sum(axis=-1)
 
 
 def _quadratic(W, WW, a, b) -> np.ndarray:
     """I + a W + b W^2 per element of a stack of so(3) matrices."""
     a = np.asarray(a)[..., None, None]
     b = np.asarray(b)[..., None, None]
-    return np.eye(3) + a * W + b * WW
+    return _eye(3) + a * W + b * WW
 
 
 def exp_so3(omega) -> np.ndarray:
@@ -181,8 +203,8 @@ def _log_so3(C):
     _require_rotation(C, 3)
     # 0.5 * vee(C - C^T) has norm sin(theta); the trace gives cos(theta).
     s_vec = 0.5 * (C[..., [2, 0, 1], [1, 2, 0]] - C[..., [1, 2, 0], [2, 0, 1]])
-    s = np.sqrt(np.sum(s_vec * s_vec, axis=-1))
-    c = 0.5 * (np.trace(C, axis1=-2, axis2=-1) - 1.0)
+    s = np.sqrt((s_vec * s_vec).sum(axis=-1))
+    c = 0.5 * (C.trace(axis1=-2, axis2=-1) - 1.0)
     theta = np.arctan2(s, c)
     _require_below_pi(theta)
     small = theta < _SMALL_ANGLE  # scale is theta / sin(theta)
@@ -206,7 +228,7 @@ def _axis_near_pi(C, c, s_vec):
     precision as theta nears pi, where s_vec = sin(theta) u does not; s_vec
     still fixes the sign of u.
     """
-    B = 0.5 * (C + np.swapaxes(C, -1, -2)) - c[..., None, None] * np.eye(3)
+    B = 0.5 * (C + np.swapaxes(C, -1, -2)) - c[..., None, None] * _eye(3)
     j = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
     u = np.take_along_axis(B, j[..., None, None], axis=-1)[..., 0]  # u * u_j (1 - c)
     u = u / np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
@@ -220,9 +242,12 @@ def log_so3(C) -> np.ndarray:
 def _require_rotation(C, d):
     if C.shape[-2:] != (d, d):
         raise DimensionMismatch(f"expected (..., {d}, {d}) matrices, got {C.shape}")
-    if np.abs(np.swapaxes(C, -1, -2) @ C - np.eye(d)).max(initial=0.0) > _ROT_TOL:
+    # "not <=" so that NaN and inf entries fail too
+    if not np.abs(C.swapaxes(-1, -2) @ C - _eye(d)).max(initial=0.0) <= _ROT_TOL:
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
-    if np.abs(np.linalg.det(C) - 1.0).max(initial=0.0) > _ROT_TOL:
+    rows, perms, signs = _det_terms(d)
+    det = C[..., rows, perms].prod(axis=-1) @ signs
+    if not np.abs(det - 1.0).max(initial=0.0) <= _ROT_TOL:
         raise NotARotation("matrix determinant is not +1 within 1e-9")
 
 
@@ -358,7 +383,7 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
     X = np.zeros(lead + (d + k, d + k))
     X[..., :d, :d] = R
     X[..., :d, d:] = J @ np.swapaxes(xi[..., rd:].reshape(lead + (k, d)), -1, -2)
-    X[..., d:, d:] = np.eye(k)
+    X[..., d:, d:] = _eye(k)
     return X
 
 
@@ -389,7 +414,7 @@ def log_sek(X, d: int) -> np.ndarray:
 def _require_embedding(X, d, k):
     # The bottom block rows are [0 I] exactly; group operations preserve this
     # bit-for-bit, so any deviation means the matrix was built by hand wrong.
-    if k and not (X[..., d:, :] == np.eye(d + k)[d:]).all():
+    if k and not (X[..., d:, :] == _eye(d + k)[d:]).all():
         raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
 
 
@@ -401,8 +426,7 @@ def inverse(X, d: int) -> np.ndarray:
     Rt = np.swapaxes(X[..., :d, :d], -1, -2)
     if k == 0:
         return Rt.copy()
-    out = np.zeros_like(X)
+    out = X.copy()  # keeps the bottom rows [0 I] checked above
     out[..., :d, :d] = Rt
     out[..., :d, d:] = -(Rt @ X[..., :d, d:])
-    out[..., d:, d:] = np.eye(k)
     return out

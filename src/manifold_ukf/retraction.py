@@ -101,9 +101,9 @@ def _phi_group(state, xi, d, side):
 
 def _phi_inv_group(ref, state, d, side):
     inv_ref = lie.inverse(ref, d)
-    rel = inv_ref @ state if side == "left" else state @ inv_ref
-    same = np.all(ref == state, axis=(-2, -1))  # these map to exact zeros
-    return np.where(same[..., None], 0.0, lie.log_sek(rel, d))
+    xi = lie.log_sek(inv_ref @ state if side == "left" else state @ inv_ref, d)
+    same = (ref == state).all(axis=(-2, -1))  # these map to exact zeros
+    return np.where(same[..., None], 0.0, xi) if same.any() else xi
 
 
 # block labels of the k translation-like columns of SE_k(d)
@@ -218,7 +218,7 @@ def _pose_join(C, v, p):
     out[..., :3, :3] = C
     out[..., :3, 3] = v
     out[..., :3, 4] = p
-    out[..., 3:, 3:] = np.eye(2)
+    out[..., 3:, 3:] = lie._eye(2)
     return out
 
 

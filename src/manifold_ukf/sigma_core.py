@@ -29,6 +29,7 @@ mean weight while its covariance term uses w_m + (1 - alpha^2 + beta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -71,6 +72,11 @@ def set_weights(n: int, alpha: float) -> SigmaWeights:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InvalidAlpha(f"alpha must lie in (0, 1], got {alpha}")
+    return _weights(int(n), alpha)
+
+
+@lru_cache(maxsize=64)
+def _weights(n: int, alpha: float) -> SigmaWeights:
     lam = alpha * alpha * n - n
     denom = n + lam
     w_m = lam / denom
@@ -119,6 +125,15 @@ def _jittered_cholesky(P, scale):
         raise CholeskyFailure(
             f"covariance not factorizable even with jitter {delta:.3e}"
         ) from exc
+
+
+@lru_cache(maxsize=64)
+def _noise_points(Q_bytes: bytes, shape: tuple, lam: float) -> np.ndarray:
+    """Read-only sigma_points(Q, lam) of the noise covariance Q with these
+    bytes and shape: propagate reuses them while Q keeps its values."""
+    points = sigma_points(np.frombuffer(Q_bytes).reshape(shape), lam)
+    points.flags.writeable = False
+    return points
 
 
 def _gram(a, b) -> np.ndarray:
@@ -176,8 +191,8 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     if noisy:
         w_q = set_weights(q, alpha)
         xis = np.concatenate([xis, np.zeros((2 * q,) + lead + (d,))])
-        noise = np.concatenate(
-            [noise, sigma_points(Q, w_q.lam).reshape((2 * q,) + ones + (q,))])
+        noise = np.concatenate([noise, _noise_points(
+            Q.tobytes(), Q.shape, w_q.lam).reshape((2 * q,) + ones + (q,))])
     imgs = _rows(retraction.phi_inv(
         mean_new, f(retraction.phi(belief.mean, xis), omega, noise)),
         xis.shape[:-1], d)

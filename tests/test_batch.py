@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from manifold_ukf import lie_groups as lie
+from manifold_ukf import sigma_core
 from manifold_ukf.errors import (
     DimensionMismatch,
     MalformedEmbedding,
@@ -262,8 +263,20 @@ class Counted:
         return self.fn(*args)
 
 
+def count_calls(monkeypatch, **owners):
+    """Replace owner.name by a counting wrapper for each name=owner; returns
+    the live counts."""
+    calls = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("with_noise", [True, False])
-def test_propagate_and_update_call_counts(with_noise):
+def test_propagate_and_update_call_counts(with_noise, monkeypatch):
     model = make("inertial_nav")  # 5 x 5 states, d = 9, q = 6
     base = model.retraction()
     phi, phi_inv = Counted(base.phi, arg=1), Counted(base.phi_inv, arg=1)
@@ -283,6 +296,16 @@ def test_propagate_and_update_call_counts(with_noise):
     update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
     assert h.shapes == [(2 * d + 1, 5, 5)]
     assert phi.shapes == [(2 * d + 1, d), (d,)]  # sigma points, then the correction
+
+    # after that step, constants and the noise points are cached: no identity
+    # is rebuilt, no determinant goes through LAPACK, and only the belief's
+    # covariance gets factored
+    calls = count_calls(monkeypatch, eye=np, det=np.linalg,
+                        sigma_points=sigma_core)
+    belief = propagate(belief, model.input_profile(2), f, Q, retr, model.alpha)
+    assert calls == {"eye": 0, "det": 0, "sigma_points": 1}
+    update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
+    assert calls == {"eye": 0, "det": 0, "sigma_points": 2}
 
 
 @pytest.mark.parametrize("name", ["inertial_nav", "slam2d"])

@@ -170,6 +170,37 @@ def test_log_so3_rejects_non_rotation():
         lie.log_so3(np.diag([1.0, 1.0, -1.0]))  # det = -1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_are_not_rotations(bad):
+    """NaN compares false against any tolerance, so the checks must not pass
+    it; one bad entry in one element of a stack fails the call."""
+    X = lie.exp_sek(np.array([0.3, -0.2, 0.1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), 3, 2)
+    for log, C, d in ((lie.log_so3, lie.exp_so3(np.array([0.1, 0.2, 0.3])), 3),
+                      (lie.log_so2, lie.exp_so2(0.4), 2),
+                      (lambda M: lie.log_sek(M, 3), X, 3),
+                      (lambda M: lie.log_sek(M, 2), lie.exp_sek(np.ones(3), 2, 1), 2)):
+        whole = C.copy()
+        whole[:d, :d] = bad  # the rotation block; the bottom rows stay [0 I]
+        with pytest.raises(NotARotation):
+            log(whole)
+        stack = np.array([C, C, C])
+        stack[1, 0, 1] = bad
+        with pytest.raises(NotARotation):
+            log(stack)
+
+
+def test_reflections_are_not_rotations_in_2d_and_3d():
+    """The determinant check on a stack with one reflection (det -1, columns
+    still orthonormal), for both rotation sizes."""
+    for log, C in ((lie.log_so3, lie.exp_so3(np.array([0.1, 0.2, 0.3]))),
+                   (lie.log_so2, lie.exp_so2(0.4))):
+        stack = np.array([C, C, C])
+        stack[2, -1] *= -1.0
+        with pytest.raises(NotARotation, match="determinant"):
+            log(stack)
+        log(stack[:2])
+
+
 def test_exp_log_so2():
     assert np.array_equal(lie.exp_so2(0.0), np.eye(2))
     th = 0.8

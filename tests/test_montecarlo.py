@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from manifold_ukf import montecarlo
-from manifold_ukf.errors import NonPSDCovariance, SingularCovariance
+from manifold_ukf.errors import (
+    FilterStepError,
+    NonPSDCovariance,
+    NotARotation,
+    SingularCovariance,
+)
 from manifold_ukf.models import ModelSpec, example_names, make
 from manifold_ukf.montecarlo import (
     RunRecord,
@@ -22,7 +27,7 @@ from manifold_ukf.montecarlo import (
     simulate,
 )
 from manifold_ukf.retraction import Retraction, additive_retraction
-from manifold_ukf.sigma_core import Belief
+from manifold_ukf.sigma_core import Belief, filter_run
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +304,42 @@ def test_benchmark_one_failing_run_diverges_alone():
     assert (ok.diverged, flt.diverged, flt.valid_runs) == (0, 1, 2)
     records = [run_record(model, good, *sims[r]) for r in (0, 2)]
     _assert_report_matches(flt, *_aggregate(model, "se2_left", records))
+
+
+@pytest.mark.parametrize("kind", ["scaled", "reflected", "nan"])
+@pytest.mark.parametrize("name,d", [("attitude3d", 3), ("localization2d", 2)])
+def test_bad_state_from_f_diverges_its_run_alone(name, d, kind):
+    """f turns run 1's new mean at step 7 into a non-rotation: the lockstep
+    pass fails at step 7 with NotARotation, and benchmark() counts run 1
+    alone as diverged."""
+    model = make(name, measure_every=2)
+    retr = model.retraction()
+    seeds = _run_seeds(5, 3)
+    sims = [simulate(model, 10, s) for s in seeds]
+    marker = filter_run(model, *sims[1][1:])[5].mean  # run 1 entering step 7
+
+    def f(state, omega, w):
+        out = model.f(state, omega, w)
+        if np.ndim(w) == 1:  # the zero-noise call that makes the new means
+            hit = np.all(np.asarray(state) == marker, axis=(-2, -1))
+            out = np.array(out)
+            if kind == "scaled":
+                out[hit, :d, :d] *= 1.01
+            elif kind == "reflected":
+                out[hit, d - 1, :] *= -1.0
+            else:
+                out[hit, :d, :d] = np.nan
+        return out
+
+    bad = dataclasses.replace(model, f=f)
+    with pytest.raises(FilterStepError) as exc_info:
+        _lockstep(bad, retr, _simulate(bad, 10, seeds), bad.alpha)
+    assert exc_info.value.step == 7
+    assert isinstance(exc_info.value.cause, NotARotation)
+    flt = benchmark(bad, [retr], runs=3, seed=5, steps=10).filters[0]
+    assert (flt.diverged, flt.valid_runs) == (1, 2)
+    records = [run_record(model, retr, *sims[r]) for r in (0, 2)]
+    _assert_report_matches(flt, *_aggregate(model, retr.name, records))
 
 
 def test_benchmark_long_run_matches_filter_run():

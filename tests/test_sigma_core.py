@@ -12,14 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manifold_ukf import lie_groups as lie
+from manifold_ukf import sigma_core
 from manifold_ukf.errors import (
     CholeskyFailure,
     DimensionMismatch,
     FilterStepError,
     InvalidAlpha,
+    MalformedEmbedding,
+    NotARotation,
     SingularInnovationCovariance,
 )
 from manifold_ukf.models import ModelSpec, make
+from manifold_ukf.montecarlo import simulate
 from manifold_ukf.retraction import additive_retraction, group_retraction
 from manifold_ukf.sigma_core import (
     Belief,
@@ -110,6 +114,19 @@ def test_weights_rejects_bad_alpha():
         set_weights(0, 0.5)
 
 
+def test_weights_accept_numpy_alphas_and_reject_every_bad_call():
+    """set_weights is memoized: numpy scalars and 0-d arrays hit the same
+    entry as a float, and a bad alpha raises on every call, not the first."""
+    ref = set_weights(3, 0.5)
+    for alpha in (np.float64(0.5), np.array(0.5), np.float32(0.5)):
+        assert set_weights(3, alpha) == ref
+    assert set_weights(np.int64(3), 0.5) == ref
+    for alpha in (0.0, np.float64(1.5), np.array(-0.5), np.nan):
+        for _ in range(2):
+            with pytest.raises(InvalidAlpha):
+                set_weights(3, alpha)
+
+
 # ---------------------------------------------------------------------------
 # Sigma points
 
@@ -160,6 +177,33 @@ def test_sigma_points_stack_jitters_only_failing_elements():
 def test_sigma_points_scale_check():
     with pytest.raises(ValueError):
         sigma_points(np.eye(2), -2.0)
+
+
+def test_noise_points_are_memoized_read_only():
+    Q = make("inertial_nav").Q
+    lam = set_weights(Q.shape[0], 0.5).lam
+    pts = sigma_core._noise_points(Q.tobytes(), Q.shape, lam)
+    assert pts is sigma_core._noise_points(Q.tobytes(), Q.shape, lam)
+    assert np.array_equal(pts, sigma_points(Q, lam))
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+
+
+def test_propagate_sees_in_place_changes_to_q():
+    """The noise points are keyed on Q's values, not on the array object."""
+    model = make("inertial_nav")
+    retr, u = model.retraction(), model.input_profile(1)
+    belief = Belief(model.initial_mean, model.initial_cov)
+    Q = model.Q.copy()
+    first = propagate(belief, u, model.f, Q, retr, model.alpha)
+    Q *= 4.0
+    Q[0, 1] = Q[1, 0] = 1e-6
+    second = propagate(belief, u, model.f, Q, retr, model.alpha)
+    assert not np.array_equal(first.cov, second.cov)
+    sigma_core._noise_points.cache_clear()
+    fresh = propagate(belief, u, model.f, Q, retr, model.alpha)
+    assert np.array_equal(second.cov, fresh.cov)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +396,46 @@ def test_filter_run_reports_failing_step():
         filter_run(model, [np.zeros(1)] * 5, meas)
     assert exc_info.value.step == 3
     assert isinstance(exc_info.value.cause, SingularInnovationCovariance)
+
+
+def _bad_rotation(kind, d):
+    """Corrupts the rotation block of states: scaled by 1.01, reflected
+    (det -1, still orthonormal), or NaN."""
+    def corrupt(X):
+        X = np.array(X)
+        if kind == "scaled":
+            X[..., :d, :d] *= 1.01
+        elif kind == "reflected":
+            X[..., d - 1, :] *= -1.0
+        else:
+            X[..., :d, :d] = np.nan
+        return X
+    return corrupt
+
+
+@pytest.mark.parametrize("kind", ["scaled", "reflected", "nan"])
+@pytest.mark.parametrize("name,d", [("attitude3d", 3), ("inertial_nav", 3),
+                                    ("localization2d", 2)])
+def test_filter_run_rejects_bad_state_from_f_at_its_step(name, d, kind):
+    """A user f whose new mean at step 7 is not a rotation fails that step
+    with NotARotation; d = 2 goes through log_so2.  With NaN on se23_right,
+    state @ inverse(mean) spreads NaN into the bottom rows, and the
+    embedding check sees it first."""
+    model = make(name, measure_every=2)
+    _, inputs, meas = simulate(model, 10, 3)
+    corrupt = _bad_rotation(kind, d)
+
+    def f(state, omega, w):
+        out = model.f(state, omega, w)
+        # the zero-noise call at the mean makes the new mean
+        return corrupt(out) if omega is inputs[6] and np.ndim(w) == 1 else out
+
+    with pytest.raises(FilterStepError) as exc_info:
+        filter_run(dataclasses.replace(model, f=f), inputs, meas)
+    assert exc_info.value.step == 7
+    nan_rows = kind == "nan" and name == "inertial_nav"
+    assert isinstance(exc_info.value.cause,
+                      MalformedEmbedding if nan_rows else NotARotation)
 
 
 def test_filter_run_wraps_linalg_error():
