@@ -31,6 +31,10 @@ class MalformedEmbedding(ManifoldUkfError):
     """Bottom block rows of a group embedding are not exactly [0 I]."""
 
 
+class NonFiniteState(ManifoldUkfError):
+    """A Euclidean state block holds NaN or inf."""
+
+
 class NonPSDCovariance(ManifoldUkfError):
     """Covariance matrix is not symmetric positive semidefinite."""
 

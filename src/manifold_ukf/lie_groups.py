@@ -108,7 +108,7 @@ def vee_so3(M) -> np.ndarray:
 def _require_skew(M, d):
     if M.shape != (d, d):
         raise DimensionMismatch(f"expected a {d}x{d} matrix, got {M.shape}")
-    if np.abs(M + M.T).max() > _SKEW_TOL:
+    if not np.abs(M + M.T).max() <= _SKEW_TOL:  # NaN and inf fail too
         raise NonSkewInput("matrix is not skew-symmetric within 1e-9")
 
 
@@ -419,10 +419,12 @@ def _require_embedding(X, d, k):
 
 
 def inverse(X, d: int) -> np.ndarray:
-    """Closed-form inverse [[C^T, -C^T p_i], [0, I]]; no linear solve."""
+    """Closed-form inverse [[C^T, -C^T p_i], [0, I]]; no linear solve.  The
+    rotation block C must be a rotation."""
     X = _square(X, d)
     k = X.shape[-1] - d
     _require_embedding(X, d, k)
+    _require_rotation(X[..., :d, :d], d)
     Rt = np.swapaxes(X[..., :d, :d], -1, -2)
     if k == 0:
         return Rt.copy()

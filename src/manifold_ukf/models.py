@@ -27,13 +27,14 @@ import numpy as np
 from . import lie_groups as lie
 from .errors import DimensionMismatch, UnknownLandmarkId
 from .retraction import (
-    MixedState,
     Retraction,
+    _mixed_parts,
     _pose_join,
     _pose_parts,
     componentwise_so3_r6,
     group_retraction,
     mixed_retraction,
+    mixed_state,
 )
 from .sigma_core import Belief
 
@@ -47,6 +48,9 @@ def _identity(state):
 @dataclass(frozen=True)
 class ModelSpec:
     """One estimation problem: dynamics, observation, noise, retractions.
+
+    A state is one float ndarray: a matrix, a vector or a flat mixed state
+    (retraction.mixed_state), so a stack of states is one array.
 
     f(state, input, noise) and h(state) broadcast over leading axes, e.g.
     f = state @ F.T + w and h = state @ H.T, because the filter passes all
@@ -95,11 +99,15 @@ class ModelSpec:
 
 def _renormalize_rotation_block(d, state):
     """Project the d x d rotation block of each state back onto SO(d)."""
-    if isinstance(state, MixedState):
-        return MixedState(_renormalize_rotation_block(d, state.group), state.euclid)
     out = state.copy()
     out[..., :d, :d] = lie.polar_project(state[..., :d, :d])
     return out
+
+
+def _renormalize_mixed(n, d, state):
+    """The same on the n x n group block of flat mixed states."""
+    group, euclid = _mixed_parts(n, state)
+    return mixed_state(_renormalize_rotation_block(d, group), euclid)
 
 
 @dataclass(frozen=True)
@@ -340,27 +348,33 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
 
 def _slam_dynamics(state, omega, w):
     """Odometry on the pose block; landmarks are static."""
-    return MixedState(_se2_odometry(state.group, omega, w), state.euclid)
+    pose, landmarks = _mixed_parts(3, state)
+    pose = _se2_odometry(pose, omega, w)
+    if pose.shape[:-2] != landmarks.shape[:-1]:  # one state, a stack of noise
+        landmarks = np.broadcast_to(landmarks, pose.shape[:-2] + landmarks.shape[-1:])
+    return mixed_state(pose, landmarks)
 
 
 def _slam_observation(state):
     """All landmark estimates observed in the body frame, stacked."""
-    C = state.group[..., :2, :2]
-    p = state.group[..., None, :2, 2]
-    body = (state.euclid.reshape(state.euclid.shape[:-1] + (-1, 2)) - p) @ C
+    pose, landmarks = _mixed_parts(3, state)
+    C = pose[..., :2, :2]
+    p = pose[..., None, :2, 2]
+    body = (landmarks.reshape(landmarks.shape[:-1] + (-1, 2)) - p) @ C
     return body.reshape(body.shape[:-2] + (-1,))
 
 
-def landmark_observation(state: MixedState, landmark_ids) -> np.ndarray:
+def landmark_observation(state, landmark_ids) -> np.ndarray:
     """Body-frame observation of selected landmarks of a SLAM state."""
-    n = state.euclid.shape[0] // 2
-    C = state.group[:2, :2]
-    p = state.group[:2, 2]
+    pose, landmarks = _mixed_parts(3, state)
+    n = landmarks.shape[0] // 2
+    C = pose[:2, :2]
+    p = pose[:2, 2]
     out = np.empty(2 * len(landmark_ids))
     for i, lid in enumerate(landmark_ids):
         if not 0 <= lid < n:
             raise UnknownLandmarkId(f"landmark {lid} not in state (have {n})")
-        out[2 * i : 2 * i + 2] = C.T @ (state.euclid[2 * lid : 2 * lid + 2] - p)
+        out[2 * i : 2 * i + 2] = C.T @ (landmarks[2 * lid : 2 * lid + 2] - p)
     return out
 
 
@@ -378,7 +392,8 @@ def _slam_retractions(n_landmarks: int):
 
 
 def _slam_state_vector(state):
-    return np.concatenate([_se2_state_vector(state.group), state.euclid])
+    pose, landmarks = _mixed_parts(3, state)
+    return np.concatenate([_se2_state_vector(pose), landmarks])
 
 
 def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
@@ -390,7 +405,7 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         raise DimensionMismatch("slam2d landmarks must be 2D")
     m = len(landmarks)
     flat = landmarks.points.reshape(-1)
-    initial_truth = MixedState(np.eye(3), flat)
+    initial_truth = mixed_state(np.eye(3), flat)
     labels = ("theta", "x", "y") + tuple(
         f"l{i}{ax}" for i in range(m) for ax in ("x", "y")
     )
@@ -404,14 +419,14 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         retractions=_slam_retractions(m),
         default_retraction="mixed_right",
         initial_truth=initial_truth,
-        initial_mean=MixedState(np.eye(3), flat.copy()),
+        initial_mean=initial_truth.copy(),
         initial_cov=np.diag([0.05 ** 2, 0.1 ** 2, 0.1 ** 2] + [0.1 ** 2] * (2 * m)),
         input_profile=partial(_constant_turn_odometry, dt, speed, yaw_rate),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=labels,
         state_to_vector=_slam_state_vector,
-        renormalize=partial(_renormalize_rotation_block, 2),
+        renormalize=partial(_renormalize_mixed, 3, 2),
     )
 
 
@@ -428,19 +443,20 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     y_new = np.asarray(y_new, dtype=float)
     obs_cov = np.asarray(obs_cov, dtype=float)
     state = belief.mean
-    C = state.group[:2, :2]
-    p = state.group[:2, 2]
+    pose = _mixed_parts(3, state)[0]
+    C = pose[:2, :2]
+    p = pose[:2, 2]
     l_new = p + C @ y_new
 
     # size from the belief, not the retraction: repeated augmentation grows
     # the state past the dimension the retraction was built for, and the
-    # mixed-retraction maps adapt to whatever euclid block the state carries
+    # mixed-retraction maps adapt to whatever Euclidean tail the state has
     d_old = belief.cov.shape[0]
     G = np.zeros((2, d_old))
     eps = 1e-6
     E = eps * np.eye(d_old)[:3]  # only the pose coordinates move the new landmark
-    sp = retraction.phi(state, E).group
-    sm = retraction.phi(state, -E).group
+    sp = _mixed_parts(3, retraction.phi(state, E))[0]
+    sm = _mixed_parts(3, retraction.phi(state, -E))[0]
     lp = sp[:, :2, 2] + sp[:, :2, :2] @ y_new
     lm = sm[:, :2, 2] + sm[:, :2, :2] @ y_new
     G[:, :3] = ((lp - lm) / (2.0 * eps)).T
@@ -454,8 +470,8 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     P_aug[d_old:, :d_old] = cross
     P_aug[d_old:, d_old:] = 0.5 * (block + block.T)
 
-    mean = MixedState(state.group, np.concatenate([state.euclid, l_new]))
-    return Belief(mean, P_aug)
+    # the landmarks are the tail of the flat state: append the new one
+    return Belief(np.concatenate([state, l_new]), P_aug)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +484,20 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
     omega = np.asarray(omega, dtype=float)
-    gyro = omega[:3] - state.euclid[..., :3] + w[..., :3]
-    acc = omega[3:6] - state.euclid[..., 3:6] + w[..., 3:6]
-    pose = _strapdown(state.group, gyro, acc, dt, gravity)
-    return MixedState(pose, state.euclid + w[..., 6:12])
+    pose, bias = _mixed_parts(5, state)
+    gyro = omega[:3] - bias[..., :3] + w[..., :3]
+    acc = omega[3:6] - bias[..., 3:6] + w[..., 3:6]
+    return mixed_state(_strapdown(pose, gyro, acc, dt, gravity),
+                       bias + w[..., 6:12])
 
 
 def _mixed_position(state):
-    return state.group[..., :3, 4].copy()
+    return _mixed_parts(5, state)[0][..., :3, 4].copy()
 
 
 def _biased_state_vector(state):
-    return np.concatenate([_extended_pose_state_vector(state.group), state.euclid])
+    pose, bias = _mixed_parts(5, state)
+    return np.concatenate([_extended_pose_state_vector(pose), bias])
 
 
 def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
@@ -496,11 +514,11 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
     """
     pose0 = np.eye(5)
     pose0[:3, 3] = np.array([speed, 0.0, 0.0])
-    truth = MixedState(
+    truth = mixed_state(
         pose0, np.concatenate([np.asarray(true_gyro_bias, dtype=float),
                                np.asarray(true_accel_bias, dtype=float)])
     )
-    mean = MixedState(pose0.copy(), np.zeros(6))
+    mean = mixed_state(pose0, np.zeros(6))
     return ModelSpec(
         name="imu_gnss",
         f=partial(_biased_imu_dynamics, dt, GRAVITY),
@@ -530,7 +548,7 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
             "bgx", "bgy", "bgz", "bax", "bay", "baz",
         ),
         state_to_vector=_biased_state_vector,
-        renormalize=partial(_renormalize_rotation_block, 3),
+        renormalize=partial(_renormalize_mixed, 5, 3),
     )
 
 

@@ -6,22 +6,22 @@ benchmark() repeats that over independent per-run seeds and feeds the same
 simulated data to every retraction variant (common random numbers), then
 aggregates RMSE per tangent block, mean NEES and divergence counts.
 
-All runs step in lockstep.  The simulator steps every run's truth through
-one f, one h and one renormalize call per step; simulate() is its one-run
-case.  Each variant then filters all runs in one pass: the belief carries a
-run axis, so each sigma-point call serves every run at once.  The pass is
-a stream of beliefs, reduced every _CHUNK steps to errors and NEES and then
-dropped, so memory grows with runs x steps x state size, plus one chunk of
-beliefs.  Each run's numbers are bit-identical to a pass of that run alone.
-If the lockstep pass raises, the variant is run again one run at a time,
-on that run's slice of the simulation, so that only the failing runs count
-as diverged.  Wall-clock times are the only nondeterministic outputs and
-are reported separately.
+All runs step in lockstep.  Every state is one ndarray, so a stack of
+runs is np.stack of their states and run r is index r.  The simulator steps
+every run's truth through one f, one h and one renormalize call per step;
+simulate() is its one-run case.  Each variant then filters all runs in one
+pass: the belief carries a run axis, so each sigma-point call serves every
+run at once.  The pass is a stream of beliefs, reduced every _CHUNK steps
+to errors and NEES and then dropped, so memory grows with runs x steps x
+state size, plus one chunk of beliefs.  Each run's numbers are
+bit-identical to a pass of that run alone.  If the lockstep pass raises,
+the variant is run again one run at a time, on that run's slice of the
+simulation, so that only the failing runs count as diverged.  Wall-clock
+times are the only nondeterministic outputs and are reported separately.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -94,7 +94,7 @@ def _simulate(model, steps: int, seeds):
         at += k
         return out
 
-    state = model.initial_truth if not lead else _stack(
+    state = model.initial_truth if not lead else np.stack(
         [model.initial_truth] * lead[0])
     truth = [state]
     inputs = []
@@ -117,8 +117,6 @@ class RunRecord:
 
     errors[n] is phi_inv at the estimate of the true state after step n + 1,
     i.e. the tangent-space estimation error in the filter's own coordinates.
-    A lockstep pass over several runs has per-step states and beliefs with a
-    run axis and errors of shape (steps, runs, dim).
     """
 
     seed: int
@@ -127,41 +125,12 @@ class RunRecord:
     errors: np.ndarray
 
 
-def _stack(states):
-    """A list of states as one stack along a new axis 0; dataclass states
-    (MixedState) field by field."""
-    first = states[0]
-    if dataclasses.is_dataclass(first):
-        return type(first)(*(_stack([getattr(s, f.name) for s in states])
-                             for f in dataclasses.fields(first)))
-    return np.stack(states)
-
-
-def _runs(state) -> int:
-    """Length of the run axis of a stack of states."""
-    if dataclasses.is_dataclass(state):
-        return _runs(getattr(state, dataclasses.fields(state)[0].name))
-    return len(state)
-
-
-def _take(state, index):
-    """state[index] along the run axis; dataclass states field by field."""
-    if dataclasses.is_dataclass(state):
-        return type(state)(*(_take(getattr(state, f.name), index)
-                             for f in dataclasses.fields(state)))
-    return state[index]
-
-
 def run_record(model, retraction, truth, inputs, measurements,
-               alpha: Optional[float] = None, seed: int = 0,
-               initial: Optional[Belief] = None) -> RunRecord:
-    """Filter one simulation, or a lockstep stack of them when `initial`
-    holds a stack of means and covariances with a run axis, and map every
-    step's error in one phi_inv call."""
+               alpha: Optional[float] = None, seed: int = 0) -> RunRecord:
+    """Filter one simulation; every step's error comes from one phi_inv call."""
     retr = model.retraction(retraction)
-    beliefs = filter_run(model, inputs, measurements, retraction=retr,
-                         alpha=alpha, initial=initial)
-    errors = retr.phi_inv(_stack([b.mean for b in beliefs]), _stack(truth[1:]))
+    beliefs = filter_run(model, inputs, measurements, retraction=retr, alpha=alpha)
+    errors = retr.phi_inv(np.stack([b.mean for b in beliefs]), np.stack(truth[1:]))
     return RunRecord(seed, truth[1:], beliefs,
                      np.ascontiguousarray(errors, dtype=float))
 
@@ -238,9 +207,9 @@ def _lockstep(model, retr, sim, alpha):
     the beliefs are dropped, so the pass holds one chunk of them.
     """
     truth, inputs, measurements = sim
-    runs = _runs(truth[0])
+    runs = len(truth[0])
     cov = np.asarray(model.initial_cov, dtype=float)
-    initial = Belief(_stack([model.initial_mean] * runs),
+    initial = Belief(np.stack([model.initial_mean] * runs),
                      np.broadcast_to(cov, (runs,) + cov.shape))
     steps = len(inputs)
     errors = np.empty((steps, runs, retr.dim))  # C-contiguous, as NEES needs
@@ -249,8 +218,8 @@ def _lockstep(model, retr, sim, alpha):
 
     def reduce(end):
         start = end - len(chunk)
-        errors[start:end] = retr.phi_inv(_stack([b.mean for b in chunk]),
-                                         _stack(truth[start + 1:end + 1]))
+        errors[start:end] = retr.phi_inv(np.stack([b.mean for b in chunk]),
+                                         np.stack(truth[start + 1:end + 1]))
         values[start:end] = _nees(np.array([b.cov for b in chunk]),
                                   errors[start:end], start + 1)
         chunk.clear()
@@ -281,11 +250,11 @@ def _outcomes(model, retr, sim, alpha):
         pass
     truth, inputs, measurements = sim
     out = []
-    for r in range(_runs(truth[0])):
+    for r in range(len(truth[0])):
         one = np.s_[r:r + 1]
         try:
             out += _lockstep(model, retr, (
-                [_take(s, one) for s in truth], inputs,
+                [s[one] for s in truth], inputs,
                 {n: y[one] for n, y in measurements.items()}), alpha)
         except ManifoldUkfError:
             out.append(None)

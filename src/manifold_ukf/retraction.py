@@ -14,16 +14,20 @@ is itself a Retraction of one of two kinds:
 * SE_k(d), multiplying on the left (state @ exp(xi)) or on the right
   (exp(xi) @ state), with blocks rot, then pos (k = 1) or vel, pos (k = 2);
 * R^n, plain addition, with one block named by the caller; it checks the
-  tangent width against the state (exp_sek checks it for SE_k(d)).
+  tangent width against the state (exp_sek checks it for SE_k(d)) and
+  raises NonFiniteState when phi_inv meets a NaN or inf.
 
 A product splits states into parts through a layout, split(state) -> parts
-and join(*parts) -> state: MixedState into (group, euclid), a 5x5 extended
-pose into (rotation block, velocity column, position column).  Each factor
-takes the next span of the tangent vector and the last one takes the rest,
-so a growing state (augment_landmark's landmark tail) keeps working.  Each
-factor maps equal parts to exact zeros.  group_retraction and
-additive_retraction are single factors, mixed_retraction is SE_k(d) x R^n
-and componentwise_so3_r6 is SO(3) x R^3 x R^3.
+and join(*parts) -> state.  A mixed state is one flat (..., n*n + m) array,
+the n x n group element in row-major order and then the Euclidean block,
+split into a (..., n, n) view and the tail and joined by mixed_state; a
+5x5 extended pose splits into (rotation block, velocity column, position
+column).  Each factor takes the next span of the tangent vector and the
+last one takes the rest, so a growing state (augment_landmark's landmark
+tail) keeps working.  Each factor maps equal parts to exact zeros.
+group_retraction and additive_retraction are single factors,
+mixed_retraction is SE_k(d) x R^n and componentwise_so3_r6 is
+SO(3) x R^3 x R^3.
 
 All callables are module-level functions, bound with functools.partial.
 """
@@ -38,7 +42,7 @@ from typing import Any, Callable, Tuple
 import numpy as np
 
 from . import lie_groups as lie
-from .errors import DimensionMismatch, NonPSDCovariance
+from .errors import DimensionMismatch, NonFiniteState, NonPSDCovariance
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,10 @@ def _phi_euclid(state, xi):
 
 
 def _phi_inv_euclid(ref, state):
-    return np.asarray(state, dtype=float) - ref
+    out = np.asarray(state, dtype=float) - ref
+    if not np.isfinite(out).all():
+        raise NonFiniteState("Euclidean state or reference is not finite")
+    return out
 
 
 def _euclid(n: int, label: str, name: str = "") -> Retraction:
@@ -181,30 +188,26 @@ def _product(name: str, split, join, *factors: Retraction) -> Retraction:
     )
 
 
-@dataclass(frozen=True)
-class MixedState:
-    """A group element plus a Euclidean block (landmarks, biases, ...);
-    group (..., n, n) and euclid (..., m) broadcast over their leading axes."""
-
-    group: np.ndarray
-    euclid: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", np.asarray(self.group, dtype=float))
-        object.__setattr__(self, "euclid", np.asarray(self.euclid, dtype=float))
-        if self.euclid.ndim < 1:
-            raise DimensionMismatch("euclid block must be a vector or a stack of them")
+def _mixed_parts(n, state):
+    """The (..., n, n) group block, as a view, and the Euclidean tail of flat
+    mixed states."""
+    return state[..., :n * n].reshape(state.shape[:-1] + (n, n)), state[..., n * n:]
 
 
-def _mixed_parts(state):
-    return state.group, state.euclid
+def mixed_state(group, euclid) -> np.ndarray:
+    """A flat mixed state: the n x n group element(s) in row-major order,
+    then the Euclidean block; leading axes must agree."""
+    group = np.asarray(group, dtype=float)
+    return np.concatenate([group.reshape(group.shape[:-2] + (-1,)), euclid], -1)
 
 
 def mixed_retraction(d: int, k: int, n_euclid: int, side: str = "right",
                      name: str = "", label: str = "euclid") -> Retraction:
-    """Group retraction on the group block, plain addition on the rest."""
-    return _product(name or f"mixed_{side}", _mixed_parts, MixedState,
-                    group_retraction(d, k, side), _euclid(n_euclid, label))
+    """Group retraction on the group block, plain addition on the rest, over
+    flat mixed states (see mixed_state)."""
+    return _product(name or f"mixed_{side}", partial(_mixed_parts, d + k),
+                    mixed_state, group_retraction(d, k, side),
+                    _euclid(n_euclid, label))
 
 
 def _pose_parts(X):

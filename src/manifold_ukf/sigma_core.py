@@ -268,8 +268,7 @@ def _as_schedule(measurements: MeasurementSchedule) -> dict:
 
 
 def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
-               retraction=None, alpha: Optional[float] = None,
-               initial: Optional[Belief] = None):
+               retraction=None, alpha: Optional[float] = None):
     """Run the full recursion over an input sequence.
 
     inputs[n-1] drives step n (1-based); measurements map step indices to
@@ -291,7 +290,7 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
     if alpha is None:
         alpha = model.alpha
     return [belief for _, belief in _filter_steps(
-        model, inputs, measurements, retr, alpha, initial)]
+        model, inputs, measurements, retr, alpha, None)]
 
 
 def _filter_steps(model, inputs, measurements: MeasurementSchedule,

@@ -16,7 +16,7 @@ from manifold_ukf.errors import (
     NotARotation,
 )
 from manifold_ukf.models import example_names, make
-from manifold_ukf.retraction import MixedState, Retraction, additive_retraction
+from manifold_ukf.retraction import Retraction, additive_retraction
 from manifold_ukf.sigma_core import Belief, propagate, update
 
 RNG = np.random.Generator(np.random.Philox(key=2718))
@@ -55,31 +55,9 @@ def tangents(n, d, k, kind="mixed"):
 
 def assert_stacked(batch, singles):
     """batch equals the stack of single-element results within TOL."""
-    if isinstance(batch, MixedState):
-        for field in ("group", "euclid"):
-            part = getattr(batch, field)
-            rows = np.array([getattr(s, field) for s in singles])
-            assert np.abs(np.broadcast_to(part, rows.shape) - rows).max() <= TOL
-        return
     rows = np.array(singles)
     assert np.asarray(batch).shape == rows.shape
     assert np.abs(batch - rows).max() <= TOL
-
-
-def same_state(a, b):
-    """Bit-for-bit equality of two states."""
-    if isinstance(a, MixedState):
-        return np.array_equal(a.group, b.group) and np.array_equal(a.euclid, b.euclid)
-    return np.array_equal(a, b)
-
-
-def unstack(states, n):
-    """The n single states of a stacked state, shared blocks broadcast."""
-    if isinstance(states, MixedState):
-        g = np.broadcast_to(states.group, (n,) + states.group.shape[-2:])
-        e = np.broadcast_to(states.euclid, (n,) + states.euclid.shape[-1:])
-        return [MixedState(g[j], e[j]) for j in range(n)]
-    return list(states)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +164,7 @@ def test_retraction_phi_and_phi_inv_batch(name, rname):
     assert_stacked(retr.phi(mean, xis), [retr.phi(mean, x) for x in xis])
 
     ref = retr.phi(mean, 0.1 * RNG.standard_normal(retr.dim))
-    singles = unstack(states, N)
+    singles = list(states)
     assert_stacked(retr.phi_inv(ref, states), [retr.phi_inv(ref, s) for s in singles])
     # a stacked reference works the same way
     assert_stacked(retr.phi_inv(states, ref), [retr.phi_inv(s, ref) for s in singles])
@@ -216,7 +194,7 @@ def test_model_callables_batch(name):
     zero_w = np.zeros(q)
 
     states = retr.phi(mean, sigma_like(retr.dim))
-    singles = unstack(states, N)
+    singles = list(states)
     assert_stacked(model.f(states, u, zero_w), [model.f(s, u, zero_w) for s in singles])
     assert_stacked(model.h(states), [model.h(s) for s in singles])
 
@@ -251,15 +229,15 @@ def test_update_rejects_output_that_does_not_broadcast():
 
 
 class Counted:
-    """Wraps a callable and records the shape of argument `arg` on each call
-    (of its group block, for a MixedState)."""
+    """Wraps a callable and records the shape of argument `arg` on each
+    call."""
 
     def __init__(self, fn, arg=0):
         self.fn, self.arg, self.shapes = fn, arg, []
 
     def __call__(self, *args):
         x = args[self.arg]
-        self.shapes.append(np.shape(x.group if isinstance(x, MixedState) else x))
+        self.shapes.append(np.shape(x))
         return self.fn(*args)
 
 
@@ -319,7 +297,7 @@ def test_propagate_and_update_on_a_run_stack(name):
     d, q, runs = retr.dim, model.Q.shape[0], 3
     means = base.phi(model.initial_mean, 0.1 * RNG.standard_normal((runs, d)))
     covs = model.initial_cov * RNG.uniform(0.5, 2.0, (runs, 1, 1))
-    singles = [Belief(m, c) for m, c in zip(unstack(means, runs), covs)]
+    singles = [Belief(m, c) for m, c in zip(means, covs)]
     u = model.input_profile(1)
 
     stacked = propagate(Belief(means, covs), u, f, model.Q, retr, model.alpha)
@@ -333,7 +311,7 @@ def test_propagate_and_update_on_a_run_stack(name):
         one = propagate(belief, u, model.f, model.Q, retr, model.alpha)
         one = update(one, ys[r], model.h, model.R, retr, model.alpha)
         assert np.array_equal(stacked.cov[r], one.cov)
-        assert same_state(unstack(stacked.mean, runs)[r], one.mean)
+        assert np.array_equal(stacked.mean[r], one.mean)
 
 
 def test_renormalize_batch_equals_elements():
@@ -347,10 +325,8 @@ def test_renormalize_batch_equals_elements():
         model = make(name)
         retr = model.retraction()
         states = retr.phi(model.initial_mean, sigma_like(retr.dim))
-        singles = unstack(states, N)
-        batch = unstack(model.renormalize(states), N)
-        for got, one in zip(batch, singles):
-            assert same_state(got, model.renormalize(one))
+        for got, one in zip(model.renormalize(states), states):
+            assert np.array_equal(got, model.renormalize(one))
 
 
 def test_constant_callables_broadcast():

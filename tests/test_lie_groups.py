@@ -64,15 +64,25 @@ def test_vee_so3_reference():
     assert np.array_equal(lie.vee_so3(np.zeros((3, 3))), np.zeros(3))
 
 
+def _skew_inf(d):
+    """Skew-looking with +-inf entries: M + M^T is NaN off the diagonal."""
+    M = np.zeros((d, d))
+    M[0, 1], M[1, 0] = np.inf, -np.inf
+    return M
+
+
 def test_vee_so3_rejects_symmetric():
-    with pytest.raises(NonSkewInput):
-        lie.vee_so3(np.eye(3))
+    for M in (np.eye(3), np.full((3, 3), np.nan), _skew_inf(3)):
+        with pytest.raises(NonSkewInput):
+            lie.vee_so3(M)
 
 
 def test_vee_so2_roundtrip_and_error():
     assert lie.vee_so2(lie.wedge_so2(0.37)) == 0.37
-    with pytest.raises(NonSkewInput):
-        lie.vee_so2(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for M in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.full((2, 2), np.nan),
+              _skew_inf(2)):
+        with pytest.raises(NonSkewInput):
+            lie.vee_so2(M)
 
 
 def test_wedge_so3_shape_check():

@@ -18,7 +18,7 @@ from manifold_ukf.errors import (
     DimensionMismatch,
     FilterStepError,
     InvalidAlpha,
-    MalformedEmbedding,
+    NonFiniteState,
     NotARotation,
     SingularInnovationCovariance,
 )
@@ -398,44 +398,59 @@ def test_filter_run_reports_failing_step():
     assert isinstance(exc_info.value.cause, SingularInnovationCovariance)
 
 
-def _bad_rotation(kind, d):
-    """Corrupts the rotation block of states: scaled by 1.01, reflected
-    (det -1, still orthonormal), or NaN."""
+def _corrupt(kind, d):
+    """Corrupts states: the d x d rotation block scaled by 1.01, reflected
+    (det -1, still orthonormal) or NaN, or the last d entries, a Euclidean
+    block, NaN."""
     def corrupt(X):
         X = np.array(X)
         if kind == "scaled":
             X[..., :d, :d] *= 1.01
-        elif kind == "reflected":
+        elif kind.startswith("reflected"):
             X[..., d - 1, :] *= -1.0
-        else:
+        elif kind == "nan":
             X[..., :d, :d] = np.nan
+        else:
+            X[..., -d:] = np.nan
         return X
     return corrupt
 
 
-@pytest.mark.parametrize("kind", ["scaled", "reflected", "nan"])
-@pytest.mark.parametrize("name,d", [("attitude3d", 3), ("inertial_nav", 3),
-                                    ("localization2d", 2)])
+_MEAN_ONLY = ("scaled", "reflected", "nan")  # the other kinds hit every state
+
+
+@pytest.mark.parametrize("name,d,kind", [
+    (name, d, kind)
+    for name, d in (("attitude3d", 3), ("inertial_nav", 3), ("localization2d", 2))
+    for kind in _MEAN_ONLY
+] + [("attitude3d", 3, "reflected_all"), ("linear", 2, "nan_tail"),
+     ("imu_gnss", 6, "nan_tail")])
 def test_filter_run_rejects_bad_state_from_f_at_its_step(name, d, kind):
     """A user f whose new mean at step 7 is not a rotation fails that step
-    with NotARotation; d = 2 goes through log_so2.  With NaN on se23_right,
-    state @ inverse(mean) spreads NaN into the bottom rows, and the
-    embedding check sees it first."""
-    model = make(name, measure_every=2)
+    with NotARotation; d = 2 goes through log_so2.  inverse(mean) checks the
+    mean itself, so NaN and an f that reflects every state of the step
+    alike (its relative products stay rotations) fail there.  NaN in a
+    Euclidean block fails as NonFiniteState."""
+    if name == "linear":
+        model = dataclasses.replace(linear_model(
+            np.eye(2), 0.01 * np.eye(2), np.eye(2), 0.1 * np.eye(2),
+            np.zeros(2), np.eye(2)), measure_every=2)
+    else:
+        model = make(name, measure_every=2)
     _, inputs, meas = simulate(model, 10, 3)
-    corrupt = _bad_rotation(kind, d)
+    corrupt = _corrupt(kind, d)
 
     def f(state, omega, w):
         out = model.f(state, omega, w)
         # the zero-noise call at the mean makes the new mean
-        return corrupt(out) if omega is inputs[6] and np.ndim(w) == 1 else out
+        hit = omega is inputs[6] and (np.ndim(w) == 1 or kind not in _MEAN_ONLY)
+        return corrupt(out) if hit else out
 
     with pytest.raises(FilterStepError) as exc_info:
         filter_run(dataclasses.replace(model, f=f), inputs, meas)
     assert exc_info.value.step == 7
-    nan_rows = kind == "nan" and name == "inertial_nav"
     assert isinstance(exc_info.value.cause,
-                      MalformedEmbedding if nan_rows else NotARotation)
+                      NonFiniteState if kind == "nan_tail" else NotARotation)
 
 
 def test_filter_run_wraps_linalg_error():
