@@ -61,17 +61,39 @@ def write_estimates_csv(path, model, retraction, beliefs, nees_vals,
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def read_csv_columns(path) -> Dict[str, np.ndarray]:
-    """Read a comma-separated file into float columns keyed by header name."""
+def _csv_lines(path):
+    """(line number, cells) of each non-blank line of a comma-separated file
+    whose rows all have as many cells as its header; UsageError otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    header, body = rows[0], rows[1:]
+        lines = [(n, line.rstrip("\n").split(","))
+                 for n, line in enumerate(fh, start=1) if line.strip()]
+    if not lines:
+        raise UsageError(f"{path} is empty")
+    width = len(lines[0][1])
+    for n, cells in lines:
+        if len(cells) != width:
+            raise UsageError(f"{path}, line {n}: expected {width} cells")
+    return lines
+
+
+def _floats(path, n, cells):
+    """The cells of line n as floats, or UsageError naming the line."""
+    try:
+        return [float(c) for c in cells]
+    except ValueError as exc:
+        raise UsageError(f"{path}, line {n}: {exc}") from None
+
+
+def read_csv_columns(path) -> Dict[str, np.ndarray]:
+    """Read a comma-separated file into columns keyed by header name: float
+    columns, and text columns where a cell is not a number."""
+    (_, header), *body = _csv_lines(path)
     out = {}
     for j, name in enumerate(header):
         try:
-            out[name] = np.array([float(r[j]) for r in body])
+            out[name] = np.array([float(r[j]) for _, r in body])
         except ValueError:
-            out[name] = np.array([r[j] for r in body])
+            out[name] = np.array([r[j] for _, r in body])
     return out
 
 
@@ -116,31 +138,25 @@ def write_imu_log(path, times, inputs, measurements) -> None:
 
 
 def read_imu_log(path):
-    """Returns (times, inputs, measurements) in filter_run's conventions."""
-    cols = read_csv_columns(path)
-    expected = IMU_LOG_HEADER.split(",")
-    if list(cols) != expected:
-        raise UsageError(
-            f"IMU log must have header {IMU_LOG_HEADER!r}, got {list(cols)}"
-        )
-    times = cols["t"]
-    inputs = np.column_stack([cols[c] for c in ("wx", "wy", "wz", "ax", "ay", "az")])
-    gnss = np.column_stack([cols[c] for c in ("gnss_x", "gnss_y", "gnss_z")])
-    measurements = {
-        i + 1: gnss[i] for i in range(len(times)) if cols["gnss_valid"][i] != 0
-    }
-    return times, list(inputs), measurements
+    """Returns (times, inputs, measurements) in filter_run's conventions;
+    every row must be full and numeric."""
+    (_, header), *body = _csv_lines(path)
+    if header != IMU_LOG_HEADER.split(","):
+        raise UsageError(f"IMU log must have header {IMU_LOG_HEADER!r}, got {header}")
+    rows = np.reshape([_floats(path, n, cells) for n, cells in body], (-1, 11))
+    measurements = {i + 1: row[7:10] for i, row in enumerate(rows) if row[10] != 0}
+    return rows[:, 0], list(rows[:, 1:7]), measurements
 
 
 def read_landmarks(path) -> LandmarkSet:
     """One landmark per line, comma-separated coordinates."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = []
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(c) for c in line.split(",")])
+            rows.append(_floats(path, n, line.split(",")))
     if not rows:
         raise UsageError(f"no landmarks found in {path}")
     widths = {len(r) for r in rows}
@@ -173,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Lie-group state spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, runs_default=None):
+    def common(p):
         p.add_argument("example", help="example name, e.g. one of: "
                                        + ", ".join(example_names()))
         p.add_argument("--steps", type=int, default=None)
@@ -186,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--landmarks", default=None,
                        help="CSV file of landmark coordinates")
-        if runs_default is not None:
-            p.add_argument("--runs", type=int, default=None)
 
     p_run = sub.add_parser("run", help="run one filter and write estimates")
     common(p_run)
@@ -197,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark",
                              help="Monte-Carlo comparison of retraction variants")
-    common(p_bench, runs_default=50)
+    common(p_bench)
+    p_bench.add_argument("--runs", type=int, default=None)
     p_bench.add_argument("--workers", type=int, default=None,
                          help="accepted and ignored: all runs of a variant "
                               "step in lockstep in one process")
@@ -211,9 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {"steps", "dt", "seed", "alpha", "retractions", "out",
-                "landmarks", "imu_log", "runs", "workers", "epsilons",
-                "model_params"}
+# config key -> the JSON types its value may have (null means unset)
+_NUMBER = (int, float)
+_CONFIG_KEYS = {"steps": (int,), "dt": _NUMBER, "seed": (int,), "alpha": _NUMBER,
+                "retractions": (str, list), "out": (str,), "landmarks": (str,),
+                "imu_log": (str,), "runs": (int,), "workers": (int,),
+                "epsilons": (str,) + _NUMBER, "model_params": (dict,)}
 
 
 def _load_config(path) -> dict:
@@ -224,9 +242,14 @@ def _load_config(path) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must contain a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in cfg.items():
+        types = _CONFIG_KEYS[key]
+        if value is not None and (type(value) is bool or not isinstance(value, types)):
+            raise UsageError(f"config {path}: {key} must be "
+                             f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
     return cfg
 
 
@@ -260,7 +283,7 @@ def _build_model(args):
         params["landmarks"] = read_landmarks(lm_path)
     try:
         model = make(name, **params)
-    except TypeError as exc:
+    except (TypeError, AttributeError, ArithmeticError) as exc:
         raise UsageError(f"bad parameters for {name}: {exc}") from exc
     except (ValueError, ManifoldUkfError) as exc:
         raise UsageError(str(exc)) from exc
@@ -277,7 +300,7 @@ def _retraction_names(args, model, many: bool):
         if isinstance(text, str):
             names = [t.strip() for t in text.split(",") if t.strip()]
         else:
-            names = list(text)
+            names = [str(n) for n in text]
         for n in names:
             if n not in model.retractions:
                 raise UsageError(
@@ -322,12 +345,11 @@ def cmd_run(args) -> int:
 
     try:
         if truth is None:
-            beliefs = filter_run(model, inputs, measurements,
-                                 retraction=retr, alpha=model.alpha)
+            beliefs = filter_run(model, inputs, measurements, retraction=retr)
             nees_vals = np.full(len(beliefs), np.nan)
         else:
             record = run_record(model, retr, truth, inputs, measurements,
-                                alpha=model.alpha, seed=seed)
+                                seed=seed)
             beliefs = record.beliefs
             nees_vals = nees(record)
     except (FilterStepError, ManifoldUkfError) as exc:
@@ -348,8 +370,7 @@ def cmd_benchmark(args) -> int:
     runs = int(_effective(args, "runs", 50))
 
     try:
-        report = benchmark(model, names, runs=runs, seed=seed, steps=steps,
-                           alpha=model.alpha)
+        report = benchmark(model, names, runs=runs, seed=seed, steps=steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     except ManifoldUkfError as exc:
@@ -382,16 +403,13 @@ def cmd_benchmark(args) -> int:
 def cmd_check_retraction(args) -> int:
     model = _build_model(args)
     names = _retraction_names(args, model, many=True)
-    eps_text = _effective(args, "epsilons")
-    if eps_text is None:
-        epsilons = (1e-1, 1e-2, 1e-3)
-    else:
-        try:
-            epsilons = tuple(float(t) for t in str(eps_text).split(",") if t.strip())
-        except ValueError as exc:
-            raise UsageError(f"bad --epsilons value: {eps_text!r}") from exc
-        if not epsilons:
-            raise UsageError("no epsilons given")
+    eps_text = str(_effective(args, "epsilons", "1e-1,1e-2,1e-3"))
+    try:
+        epsilons = tuple(float(t) for t in eps_text.split(",") if t.strip())
+    except ValueError as exc:
+        raise UsageError(f"bad --epsilons value: {eps_text!r}") from exc
+    if not epsilons:
+        raise UsageError("no epsilons given")
 
     all_ok = True
     for name in names:

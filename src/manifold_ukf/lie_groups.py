@@ -108,7 +108,7 @@ def vee_so3(M) -> np.ndarray:
 def _require_skew(M, d):
     if M.shape != (d, d):
         raise DimensionMismatch(f"expected a {d}x{d} matrix, got {M.shape}")
-    if not np.abs(M + M.T).max() <= _SKEW_TOL:  # NaN and inf fail too
+    if not np.isfinite(M).all() or np.abs(M + M.T).max() > _SKEW_TOL:
         raise NonSkewInput("matrix is not skew-symmetric within 1e-9")
 
 

@@ -166,10 +166,8 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         Q=np.diag(odo_std ** 2),
         R=gnss_std ** 2 * np.eye(2),
         dt=dt,
-        retractions={
-            "se2_left": group_retraction(2, 1, "left", "se2_left"),
-            "se2_right": group_retraction(2, 1, "right", "se2_right"),
-        },
+        retractions={r.name: r for r in (group_retraction(2, 1, "left"),
+                                         group_retraction(2, 1, "right"))},
         default_retraction="se2_left",
         initial_truth=np.eye(3),
         initial_mean=np.eye(3),
@@ -229,10 +227,8 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
         Q=(gyro_std ** 2 / dt) * np.eye(3),
         R=np.diag([accel_obs_std ** 2] * 3 + [mag_obs_std ** 2] * 3),
         dt=dt,
-        retractions={
-            "so3_left": group_retraction(3, 0, "left", "so3_left"),
-            "so3_right": group_retraction(3, 0, "right", "so3_right"),
-        },
+        retractions={r.name: r for r in (group_retraction(3, 0, "left"),
+                                         group_retraction(3, 0, "right"))},
         default_retraction="so3_left",
         initial_truth=np.eye(3),
         initial_mean=np.eye(3),
@@ -320,11 +316,9 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
         Q=np.diag([gyro_std ** 2 / dt] * 3 + [accel_std ** 2 / dt] * 3),
         R=obs_std ** 2 * np.eye(3 * m),
         dt=dt,
-        retractions={
-            "se23_left": group_retraction(3, 2, "left", "se23_left"),
-            "se23_right": group_retraction(3, 2, "right", "se23_right"),
-            "so3xr6": componentwise_so3_r6(),
-        },
+        retractions={r.name: r for r in (group_retraction(3, 2, "left"),
+                                         group_retraction(3, 2, "right"),
+                                         componentwise_so3_r6())},
         default_retraction="se23_right",
         initial_truth=initial_truth,
         initial_mean=initial_mean,
@@ -383,14 +377,6 @@ _DEFAULT_SLAM_LANDMARKS = LandmarkSet(
 )
 
 
-def _slam_retractions(n_landmarks: int):
-    return {
-        f"mixed_{side}": mixed_retraction(2, 1, 2 * n_landmarks, side,
-                                          f"mixed_{side}", "landmarks")
-        for side in ("left", "right")
-    }
-
-
 def _slam_state_vector(state):
     pose, landmarks = _mixed_parts(3, state)
     return np.concatenate([_se2_state_vector(pose), landmarks])
@@ -416,7 +402,9 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         Q=np.diag(np.asarray(odo_std, dtype=float) ** 2),
         R=obs_std ** 2 * np.eye(2 * m),
         dt=dt,
-        retractions=_slam_retractions(m),
+        retractions={r.name: r for r in (
+            mixed_retraction(2, 1, 2 * m, "left", "landmarks"),
+            mixed_retraction(2, 1, 2 * m, "right", "landmarks"))},
         default_retraction="mixed_right",
         initial_truth=initial_truth,
         initial_mean=initial_truth.copy(),
@@ -529,10 +517,8 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
         ),
         R=gnss_std ** 2 * np.eye(3),
         dt=dt,
-        retractions={
-            "mixed_left": mixed_retraction(3, 2, 6, "left", "mixed_left", "bias"),
-            "mixed_right": mixed_retraction(3, 2, 6, "right", "mixed_right", "bias"),
-        },
+        retractions={r.name: r for r in (mixed_retraction(3, 2, 6, "left", "bias"),
+                                         mixed_retraction(3, 2, 6, "right", "bias"))},
         default_retraction="mixed_right",
         initial_truth=truth,
         initial_mean=mean,
@@ -628,10 +614,8 @@ def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
         Q=step_noise_std ** 2 * np.eye(3),
         R=obs_std ** 2 * np.eye(2),
         dt=dt,
-        retractions={
-            "so3_left": group_retraction(3, 0, "left", "so3_left"),
-            "so3_right": group_retraction(3, 0, "right", "so3_right"),
-        },
+        retractions={r.name: r for r in (group_retraction(3, 0, "left"),
+                                         group_retraction(3, 0, "right"))},
         default_retraction="so3_right",
         initial_truth=R0,
         initial_mean=R0.copy(),

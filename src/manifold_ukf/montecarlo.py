@@ -1,23 +1,24 @@
 """Monte-Carlo simulation and benchmarking of filter variants.
 
-simulate() draws one ground-truth trajectory plus measurements from a
-counter-based generator (Philox), fully determined by an integer seed.
-benchmark() repeats that over independent per-run seeds and feeds the same
-simulated data to every retraction variant (common random numbers), then
-aggregates RMSE per tangent block, mean NEES and divergence counts.
+simulate() draws a ground-truth trajectory plus measurements from a
+counter-based generator (Philox), fully determined by an integer seed, or
+one per seed of a sequence.  benchmark() draws them for independent per-run
+seeds and feeds the same simulated data to every retraction variant (common
+random numbers), then aggregates RMSE per tangent block, mean NEES and
+divergence counts.
 
-All runs step in lockstep.  Every state is one ndarray, so a stack of
-runs is np.stack of their states and run r is index r.  The simulator steps
-every run's truth through one f, one h and one renormalize call per step;
-simulate() is its one-run case.  Each variant then filters all runs in one
-pass: the belief carries a run axis, so each sigma-point call serves every
-run at once.  The pass is a stream of beliefs, reduced every _CHUNK steps
-to errors and NEES and then dropped, so memory grows with runs x steps x
-state size, plus one chunk of beliefs.  Each run's numbers are
-bit-identical to a pass of that run alone.  If the lockstep pass raises,
-the variant is run again one run at a time, on that run's slice of the
-simulation, so that only the failing runs count as diverged.  Wall-clock
-times are the only nondeterministic outputs and are reported separately.
+All runs step in lockstep.  Every state is one ndarray, so a stack of runs
+is np.stack of their states and run r is index r.  simulate() steps every
+run's truth through one f, one h and one renormalize call per step.  Each
+variant then filters all runs in one pass: the belief carries a run axis,
+so each sigma-point call serves every run at once.  The pass is a stream of
+beliefs, reduced every _CHUNK steps to errors and NEES and then dropped, so
+memory grows with runs x steps x state size, plus one chunk of beliefs.
+Each run's numbers are bit-identical to a pass of that run alone.  If the
+lockstep pass raises, the variant is run again one run at a time, on that
+run's slice of the simulation, so that only the failing runs count as
+diverged.  Wall-clock times are the only nondeterministic outputs and are
+reported separately.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .errors import ManifoldUkfError, SingularCovariance
 from .retraction import Retraction
@@ -50,28 +51,21 @@ def _psd_sqrt(M) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def simulate(model, steps: int, seed: int):
-    """Sample one trajectory of the model.
+def simulate(model, steps: int, seed):
+    """Sample one trajectory of the model per seed, all runs stepping together.
 
-    Returns (truth, inputs, measurements): truth has steps + 1 states
-    starting at the initial one, inputs has one vector per step, and
-    measurements maps 1-based step indices to noisy observations on the
-    model's schedule.  Identical arguments give identical output, whatever
-    the platform's default RNG does.
-    """
-    return _simulate(model, steps, seed)
+    With one int seed, returns (truth, inputs, measurements): truth has
+    steps + 1 states starting at the initial one, inputs has one vector per
+    step, and measurements maps 1-based step indices to noisy observations
+    on the model's schedule.  Identical arguments give identical output,
+    whatever the platform's default RNG does.
 
-
-def _simulate(model, steps: int, seeds):
-    """Sample one trajectory per seed, all runs stepping together.
-
-    seeds is one int, for simulate()'s unstacked output, or a sequence of
-    them: then every truth is a (runs, ...) stack of states and every
-    measurement a (runs, p) array, and all runs share one f, one h and one
-    renormalize call per step.  Each run draws all its noise in one
-    standard_normal call from its own Philox generator and slices it in
-    step order: step n's process noise, then its measurement noise when
-    one is due.  Run r is bit-identical to simulate(model, steps, seeds[r]).
+    With a sequence of seeds, every truth is a (runs, ...) stack of states
+    and every measurement a (runs, p) array, and all runs share one f, one h
+    and one renormalize call per step.  Each run draws all its noise in one
+    standard_normal call from its own Philox generator and slices it in step
+    order: step n's process noise, then its measurement noise when one is
+    due.  Run r is bit-identical to simulate(model, steps, seed[r]).
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -79,9 +73,9 @@ def _simulate(model, steps: int, seeds):
     Lr = _psd_sqrt(model.R)
     q = Lq.shape[0]
     p = Lr.shape[0]
-    lead = np.shape(seeds)
+    lead = np.shape(seed)
     draws = steps * q + steps // model.measure_every * p
-    keys = seeds if lead else [seeds]
+    keys = seed if lead else [seed]
     z = np.array([np.random.Generator(np.random.Philox(key=s))
                   .standard_normal(draws) for s in keys])
     at = 0
@@ -126,10 +120,10 @@ class RunRecord:
 
 
 def run_record(model, retraction, truth, inputs, measurements,
-               alpha: Optional[float] = None, seed: int = 0) -> RunRecord:
+               seed: int = 0) -> RunRecord:
     """Filter one simulation; every step's error comes from one phi_inv call."""
     retr = model.retraction(retraction)
-    beliefs = filter_run(model, inputs, measurements, retraction=retr, alpha=alpha)
+    beliefs = filter_run(model, inputs, measurements, retraction=retr)
     errors = retr.phi_inv(np.stack([b.mean for b in beliefs]), np.stack(truth[1:]))
     return RunRecord(seed, truth[1:], beliefs,
                      np.ascontiguousarray(errors, dtype=float))
@@ -159,14 +153,14 @@ def _nees(covs, errors, first: int) -> np.ndarray:
     return np.einsum("...j,...j->...", errors, sol)
 
 
-def nees_band(dim: int, runs: int, lower: float = 0.025,
-              upper: float = 0.975) -> Tuple[float, float]:
-    """Chi-square interval for the mean NEES of `runs` independent runs."""
-    dof = dim * runs
-    return (
-        float(scipy.stats.chi2.ppf(lower, dof)) / runs,
-        float(scipy.stats.chi2.ppf(upper, dof)) / runs,
-    )
+def nees_band(dim: int, runs: int) -> Tuple[float, float]:
+    """95% interval for the mean NEES of `runs` independent runs: the 2.5%
+    and 97.5% quantiles of chi-square with dim * runs degrees of freedom,
+    over runs.  The quantile is 2 gammaincinv(dof / 2, p), as scipy.stats
+    computes it, without importing scipy.stats."""
+    half_dof = dim * runs / 2
+    return tuple(2 * float(scipy.special.gammaincinv(half_dof, p)) / runs
+                 for p in (0.025, 0.975))
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ class BenchmarkReport:
 
 
 def _lockstep(model, retr, sim, alpha):
-    """Filter the lockstep simulation `sim` (from _simulate with a sequence
+    """Filter the lockstep simulation `sim` (from simulate with a sequence
     of seeds) in one pass; per run its (errors, nees), or None if it
     diverged.  Raises what the pass raises.
 
@@ -240,12 +234,12 @@ def _lockstep(model, retr, sim, alpha):
     return out
 
 
-def _outcomes(model, retr, sim, alpha):
+def _outcomes(model, retr, sim):
     """Per run (errors, nees) or None: all runs in lockstep, or, if that
     pass raises, one run at a time on its slice of the simulation, so that
     only the failing runs diverge."""
     try:
-        return _lockstep(model, retr, sim, alpha)
+        return _lockstep(model, retr, sim, model.alpha)
     except ManifoldUkfError:
         pass
     truth, inputs, measurements = sim
@@ -255,14 +249,14 @@ def _outcomes(model, retr, sim, alpha):
         try:
             out += _lockstep(model, retr, (
                 [s[one] for s in truth], inputs,
-                {n: y[one] for n, y in measurements.items()}), alpha)
+                {n: y[one] for n, y in measurements.items()}), model.alpha)
         except ManifoldUkfError:
             out.append(None)
     return out
 
 
 def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
-              seed: int, steps: int = 100, alpha: Optional[float] = None,
+              seed: int, steps: int = 100,
               workers: Optional[int] = None) -> BenchmarkReport:
     """Compare retraction variants over `runs` independent simulations.
 
@@ -270,8 +264,9 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
     run.  Diverged runs (non-finite errors, NEES beyond 1e6, or a numerical
     failure inside the filter) are counted and excluded from RMSE / NEES
     aggregates.  All reported metrics depend only on (model, retractions,
-    runs, seed, steps, alpha).  `workers` is accepted and has no effect:
-    the runs of a variant share one lockstep pass in this process.
+    runs, seed, steps); the sigma-point spread is model.alpha.  `workers` is
+    accepted and has no effect: the runs of a variant share one lockstep
+    pass in this process.
     """
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
@@ -283,17 +278,15 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
         if tuple(lbl for lbl, _ in r.blocks) != labels:
             raise ValueError("retraction variants must share block labels")
     blocks = retrs[0].blocks
-    if alpha is None:
-        alpha = model.alpha
 
     run_seeds = [int(s.generate_state(1)[0])
                  for s in np.random.SeedSequence(seed).spawn(runs)]
-    sim = _simulate(model, steps, run_seeds)
+    sim = simulate(model, steps, run_seeds)
 
     filters = []
     for retr in retrs:
         t0 = time.perf_counter()
-        good = [o for o in _outcomes(model, retr, sim, alpha) if o is not None]
+        good = [o for o in _outcomes(model, retr, sim) if o is not None]
         wall = time.perf_counter() - t0
         diverged = runs - len(good)
         slices = retr.block_slices()
@@ -316,7 +309,7 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
 
     return BenchmarkReport(
         model=model.name, steps=steps, dt=model.dt, runs=runs, seed=seed,
-        alpha=alpha, times=model.dt * np.arange(1, steps + 1),
+        alpha=model.alpha, times=model.dt * np.arange(1, steps + 1),
         blocks=blocks, filters=tuple(filters),
     )
 

@@ -22,7 +22,8 @@ see (2(d + q), ..., ·) stacks and every run of a Monte-Carlo batch shares
 each call.  Each run's numbers are bit-identical to its run alone.
 
 Weights follow the scaled unscented transform with kappa = 0 and beta = 2;
-alpha in (0, 1] is the only exposed knob.  The mean point reuses the plain
+the spread alpha in (0, 1] is the only knob, set on the model (ModelSpec.alpha)
+and passed to propagate and update.  The mean point reuses the plain
 mean weight while its covariance term uses w_m + (1 - alpha^2 + beta).
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 import numpy as np
 import scipy.linalg
@@ -268,7 +269,7 @@ def _as_schedule(measurements: MeasurementSchedule) -> dict:
 
 
 def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
-               retraction=None, alpha: Optional[float] = None):
+               retraction=None):
     """Run the full recursion over an input sequence.
 
     inputs[n-1] drives step n (1-based); measurements map step indices to
@@ -276,7 +277,8 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
     prediction.  Returns one Belief per step.  Any numerical failure, a
     LinAlgError from inside f or h or a measurement of the wrong length
     included, is re-raised as FilterStepError carrying the step index.
-    retraction is whatever model.retraction() accepts.
+    retraction is whatever model.retraction() accepts; the sigma-point
+    spread is model.alpha.
 
     The rotation block of the mean is re-orthonormalized every 1000 steps,
     as simulate() does with the truth; this guards long runs against drift
@@ -286,19 +288,15 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
     it is made; benchmark() consumes that stream and keeps no belief past
     its reduction.
     """
-    retr = model.retraction(retraction)
-    if alpha is None:
-        alpha = model.alpha
     return [belief for _, belief in _filter_steps(
-        model, inputs, measurements, retr, alpha, None)]
+        model, inputs, measurements, model.retraction(retraction), model.alpha,
+        Belief(model.initial_mean, model.initial_cov))]
 
 
 def _filter_steps(model, inputs, measurements: MeasurementSchedule,
-                  retr: Retraction, alpha: float, initial: Optional[Belief]):
-    """Yield (step, belief) after each step of filter_run's recursion, with
-    its FilterStepError step attribution."""
-    belief = initial if initial is not None else Belief(model.initial_mean,
-                                                        model.initial_cov)
+                  retr: Retraction, alpha: float, belief: Belief):
+    """Yield (step, belief) after each step of filter_run's recursion from
+    the initial belief, with its FilterStepError step attribution."""
     schedule = _as_schedule(measurements)
     step = 0
     try:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from manifold_ukf import lie_groups as lie
-from manifold_ukf import sigma_core
+from manifold_ukf import montecarlo, sigma_core
 from manifold_ukf.errors import (
     DimensionMismatch,
     MalformedEmbedding,
@@ -16,7 +16,7 @@ from manifold_ukf.errors import (
     NotARotation,
 )
 from manifold_ukf.models import example_names, make
-from manifold_ukf.retraction import Retraction, additive_retraction
+from manifold_ukf.retraction import Retraction, additive_retraction, check_retraction
 from manifold_ukf.sigma_core import Belief, propagate, update
 
 RNG = np.random.Generator(np.random.Philox(key=2718))
@@ -284,6 +284,26 @@ def test_propagate_and_update_call_counts(with_noise, monkeypatch):
     assert calls == {"eye": 0, "det": 0, "sigma_points": 1}
     update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
     assert calls == {"eye": 0, "det": 0, "sigma_points": 2}
+
+
+def test_check_retraction_is_one_stacked_call():
+    model = make("inertial_nav")
+    base = model.retraction("se23_right")
+    phi, phi_inv = Counted(base.phi, arg=1), Counted(base.phi_inv, arg=1)
+    retr = Retraction(base.name, base.dim, phi, phi_inv, base.blocks)
+    assert check_retraction(retr, model.initial_mean).passed
+    rows = 3 * 8 + 2 * retr.dim  # 8 directions per eps, then +-step e_j
+    assert phi.shapes == [(rows, retr.dim)]
+    assert phi_inv.shapes == [(rows, 5, 5)]
+
+
+def test_benchmark_simulates_through_simulate(monkeypatch):
+    """benchmark() calls the module-level simulate once, so that wrapping
+    it (as perfbench's tracing does) sees the lockstep simulation."""
+    calls = count_calls(monkeypatch, simulate=montecarlo)
+    montecarlo.benchmark(make("attitude3d"), ["so3_left", "so3_right"], runs=3,
+                         seed=0, steps=5)
+    assert calls == {"simulate": 1}
 
 
 @pytest.mark.parametrize("name", ["inertial_nav", "slam2d"])

@@ -365,6 +365,52 @@ def test_landmark_file_wrong_dimension(tmp_path):
     assert code == EXIT_CONFIG
 
 
+_IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"
+
+
+@pytest.mark.parametrize("example,flag,text,expect", [
+    pytest.param("imu_gnss", "--imu-log",
+                 f"{IMU_LOG_HEADER}\n{_IMU_ROW}\n0.1,0.0\n", "line 3",
+                 id="imu-log-short-row"),
+    pytest.param("imu_gnss", "--imu-log",
+                 f"{IMU_LOG_HEADER}\n{_IMU_ROW.replace('0.3', 'abc')}\n",
+                 "line 2", id="imu-log-text-cell"),
+    pytest.param("imu_gnss", "--imu-log", "", "empty", id="imu-log-empty"),
+    pytest.param("inertial_nav", "--landmarks", "1.0,2.0,3.0\n1.0,abc,2.0\n",
+                 "line 2", id="landmarks-text-cell"),
+    pytest.param("attitude3d", "--config", '{"steps": "abc"}', "steps",
+                 id="config-steps"),
+    pytest.param("attitude3d", "--config", '{"seed": [1]}', "seed",
+                 id="config-seed"),
+    pytest.param("attitude3d", "--config", '{"retractions": 5}', "retractions",
+                 id="config-retractions"),
+    pytest.param("attitude3d", "--config", '{"retractions": [[1]]}',
+                 "retraction", id="config-retraction-list"),
+    pytest.param("attitude3d", "--config", '{"model_params": [1]}',
+                 "model_params", id="config-model-params"),
+    pytest.param("attitude3d", "--config", '{"alpha": "x"}', "alpha",
+                 id="config-alpha"),
+    pytest.param("attitude3d", "--config", '{"out": 5}', "out", id="config-out"),
+    pytest.param("attitude3d", "--config", '{"dt": 0}', "attitude3d",
+                 id="config-dt-zero"),
+    pytest.param("inertial_nav", "--config",
+                 '{"model_params": {"landmarks": [1, 2]}}', "inertial_nav",
+                 id="config-landmarks-list"),
+])
+def test_malformed_input_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                           example, flag, text, expect):
+    monkeypatch.chdir(tmp_path)  # a config's "out" is not overridden
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    code = main(["run", example, flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and expect in err
+    if flag != "--config":
+        assert str(path) in err
+
+
 # ---------------------------------------------------------------------------
 # divergence exit code
 

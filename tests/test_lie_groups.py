@@ -5,6 +5,7 @@ power-series exponential in oracles.py and frozen here as literals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ def test_vee_so2_roundtrip_and_error():
               _skew_inf(2)):
         with pytest.raises(NonSkewInput):
             lie.vee_so2(M)
+
+
+@pytest.mark.parametrize("vee,d", [(lie.vee_so2, 2), (lie.vee_so3, 3)])
+def test_vee_rejects_infinite_input_without_a_warning(vee, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonSkewInput):
+            vee(_skew_inf(d))
 
 
 def test_wedge_so3_shape_check():

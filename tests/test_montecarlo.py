@@ -1,6 +1,8 @@
 """Simulation determinism, metric aggregation and benchmark reproducibility."""
 
 import dataclasses
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,6 @@ from manifold_ukf.montecarlo import (
     RunRecord,
     _lockstep,
     _psd_sqrt,
-    _simulate,
     benchmark,
     nees,
     nees_band,
@@ -120,6 +121,23 @@ def test_nees_band_brackets_dimension():
     assert lo < 3.0 < hi
     lo2, hi2 = nees_band(3, 1000)
     assert lo < lo2 < 3.0 < hi2 < hi  # more runs, tighter band
+
+
+def test_nees_band_is_the_chi_square_quantiles():
+    import scipy.stats
+    for dim in (1, 2, 3, 9, 11, 15, 131):
+        for runs in (1, 2, 7, 20, 50, 100, 1000):
+            assert nees_band(dim, runs) == tuple(
+                float(scipy.stats.chi2.ppf(p, dim * runs)) / runs
+                for p in (0.025, 0.975))
+
+
+def test_import_does_not_load_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, manifold_ukf; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +291,7 @@ def test_lockstep_runs_equal_single_runs(name, retr):
     sims = [simulate(model, 30, s) for s in _run_seeds(7, 3)]
     records = [run_record(model, retr, *sim) for sim in sims]
     outcomes = _lockstep(model, model.retraction(retr),
-                         _simulate(model, 30, _run_seeds(7, 3)), model.alpha)
+                         simulate(model, 30, _run_seeds(7, 3)), model.alpha)
     for out, rec in zip(outcomes, records):
         assert out is not None
         assert np.array_equal(out[0], rec.errors)
@@ -332,7 +350,7 @@ def test_bad_state_from_f_diverges_its_run_alone(name, d, kind):
 
     bad = dataclasses.replace(model, f=f)
     with pytest.raises(FilterStepError) as exc_info:
-        _lockstep(bad, retr, _simulate(bad, 10, seeds), bad.alpha)
+        _lockstep(bad, retr, simulate(bad, 10, seeds), bad.alpha)
     assert exc_info.value.step == 7
     assert isinstance(exc_info.value.cause, NotARotation)
     flt = benchmark(bad, [retr], runs=3, seed=5, steps=10).filters[0]
@@ -357,7 +375,7 @@ def test_benchmark_long_run_matches_filter_run():
 
 
 def _assert_lockstep_simulation_is_simulate(model, steps, seeds):
-    truth, inputs, measurements = _simulate(model, steps, seeds)
+    truth, inputs, measurements = simulate(model, steps, seeds)
     for r, seed in enumerate(seeds):
         t1, u1, m1 = simulate(model, steps, seed)
         assert len(truth) == len(t1) == steps + 1
@@ -409,7 +427,7 @@ def test_lockstep_simulation_without_measurements():
     model = make("imu_gnss")
     steps = model.measure_every - 1
     _assert_lockstep_simulation_is_simulate(model, steps, _run_seeds(8, 3))
-    assert _simulate(model, steps, _run_seeds(8, 3))[2] == {}
+    assert simulate(model, steps, _run_seeds(8, 3))[2] == {}
     report = benchmark(model, ["mixed_right"], runs=3, seed=8, steps=steps)
     assert report.filters[0].diverged == 0
 
@@ -426,7 +444,7 @@ def test_lockstep_chunks_equal_single_runs(monkeypatch, name, retr):
     model = make(name)
     seeds = _run_seeds(3, 2)
     outcomes = _lockstep(model, model.retraction(retr),
-                         _simulate(model, 30, seeds), model.alpha)
+                         simulate(model, 30, seeds), model.alpha)
     for out, seed in zip(outcomes, seeds):
         rec = run_record(model, retr, *simulate(model, 30, seed))
         assert out is not None
@@ -439,7 +457,7 @@ def test_run_failing_in_second_chunk_diverges_alone(monkeypatch):
     model = make("localization2d")
     good = model.retraction("se2_left")
     seeds = _run_seeds(5, 3)
-    marker = _simulate(model, 20, seeds)[0][10][1]  # run 1, step 10
+    marker = simulate(model, 20, seeds)[0][10][1]  # run 1, step 10
 
     def picky_phi_inv(ref, state):
         if np.all(np.asarray(state) == marker, axis=(-2, -1)).any():

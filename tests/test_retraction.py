@@ -15,8 +15,6 @@ from manifold_ukf.retraction import (
     componentwise_so3_r6,
     covariance_retrieval,
     group_retraction,
-    inverse_consistency_residuals,
-    jacobian_identity_error,
     mixed_retraction,
     mixed_state,
 )
@@ -194,6 +192,12 @@ def test_additive_retraction():
 # Registered retractions: invariants across every model
 
 
+def test_registered_retractions_name_themselves():
+    for name in models.example_names():
+        for key, retr in models.make(name).retractions.items():
+            assert retr.name == key, (name, key)
+
+
 def test_registered_phi_zero_bit_exact():
     for label, retr, state in all_model_retractions():
         out = retr.phi(state, np.zeros(retr.dim))
@@ -207,14 +211,13 @@ def test_registered_phi_inv_zero_exact():
 
 def test_registered_second_order_residuals():
     for label, retr, state in all_model_retractions():
-        res = inverse_consistency_residuals(retr, state)
-        for eps, r in res.items():
+        for eps, r, _ in check_retraction(retr, state).residuals:
             assert r <= max(1e-10, 10.0 * eps * eps), (label, eps, r)
 
 
 def test_registered_jacobian_identity():
     for label, retr, state in all_model_retractions():
-        assert jacobian_identity_error(retr, state) < 1e-6, label
+        assert check_retraction(retr, state).jacobian_error < 1e-6, label
 
 
 # ---------------------------------------------------------------------------
