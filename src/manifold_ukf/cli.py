@@ -287,8 +287,6 @@ def _build_model(args):
         raise UsageError(f"bad parameters for {name}: {exc}") from exc
     except (ValueError, ManifoldUkfError) as exc:
         raise UsageError(str(exc)) from exc
-    if not 0.0 < model.alpha <= 1.0:
-        raise UsageError(f"alpha must lie in (0, 1], got {model.alpha}")
     return model
 
 
@@ -348,8 +346,7 @@ def cmd_run(args) -> int:
             beliefs = filter_run(model, inputs, measurements, retraction=retr)
             nees_vals = np.full(len(beliefs), np.nan)
         else:
-            record = run_record(model, retr, truth, inputs, measurements,
-                                seed=seed)
+            record = run_record(model, retr, truth, inputs, measurements)
             beliefs = record.beliefs
             nees_vals = nees(record)
     except (FilterStepError, ManifoldUkfError) as exc:

@@ -1,7 +1,7 @@
 """Example estimation problems, each packaged as a ModelSpec.
 
 A ModelSpec bundles dynamics f(state, input, noise), observation h(state),
-noise covariances, the candidate retractions, an input profile defining the
+noise covariances, the candidate retractions, the input sequence driving the
 nominal trajectory, and the initial truth / belief.  Every callable is a
 module-level function, with its parameters bound positionally by
 functools.partial.
@@ -36,7 +36,7 @@ from .retraction import (
     mixed_retraction,
     mixed_state,
 )
-from .sigma_core import Belief
+from .sigma_core import Belief, _check_alpha
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -59,9 +59,9 @@ class ModelSpec:
     noise vector broadcasts against a stack).  benchmark() steps all its runs
     in lockstep, so there f and h see (2(d + q), runs, ...) stacks in the
     filter and (runs, ...) stacks in the simulation, and renormalize a
-    (runs, ...) stack of states; input_profile(step) must depend on the
-    step alone, since every run shares one input sequence.  state_to_vector
-    maps a single state.
+    (runs, ...) stack of states.  inputs(steps) returns the (steps, m)
+    input sequence, row n - 1 driving step n; every run shares it.
+    state_to_vector maps a single state.
     """
 
     name: str
@@ -75,12 +75,18 @@ class ModelSpec:
     initial_truth: Any
     initial_mean: Any
     initial_cov: np.ndarray
-    input_profile: Callable[[int], np.ndarray]
+    inputs: Callable[[int], np.ndarray]
     measure_every: int = 1
     alpha: float = 1.0
     state_labels: Tuple[str, ...] = ()
     state_to_vector: Optional[Callable[[Any], np.ndarray]] = None
     renormalize: Callable[[Any], Any] = _identity
+
+    def __post_init__(self):
+        _check_alpha(self.alpha)
+        every = self.measure_every
+        if not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"measure_every must be an int >= 1, got {every!r}")
 
     def retraction(self, name: Union[str, Retraction, None] = None) -> Retraction:
         """The retraction registered under name (None: the default one); a
@@ -139,9 +145,9 @@ def _se2_position(state):
     return state[..., :2, 2].copy()
 
 
-def _constant_turn_odometry(dt, speed, yaw_rate, step):
+def _constant_turn_odometry(dt, speed, yaw_rate, steps):
     """Constant forward speed and yaw rate, expressed as per-step increments."""
-    return np.array([yaw_rate * dt, speed * dt, 0.0])
+    return np.tile(np.array([yaw_rate * dt, speed * dt, 0.0]), (steps, 1))
 
 
 def _se2_state_vector(state):
@@ -172,7 +178,7 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         initial_truth=np.eye(3),
         initial_mean=np.eye(3),
         initial_cov=np.diag([0.05 ** 2, 0.1 ** 2, 0.1 ** 2]),
-        input_profile=partial(_constant_turn_odometry, dt, speed, yaw_rate),
+        inputs=partial(_constant_turn_odometry, dt, speed, yaw_rate),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("theta", "x", "y"),
@@ -194,14 +200,15 @@ def _body_field_observation(gravity, mag_field, state):
     return np.concatenate([gravity @ state, mag_field @ state], axis=-1)
 
 
-def _tumble_rates(dt, step):
-    """Smooth rates exercising all three axes."""
-    t = step * dt
+def _tumble_rates(dt, steps):
+    """Smooth rates exercising all three axes; step n is at time n dt."""
     a = 0.4
-    return np.array(
-        [a * math.sin(0.9 * t), 0.7 * a * math.cos(0.6 * t),
-         0.5 * a * math.sin(0.4 * t + 1.0)]
-    )
+    rates = np.empty((steps, 3))
+    for n in range(steps):
+        t = (n + 1) * dt
+        rates[n] = (a * math.sin(0.9 * t), 0.7 * a * math.cos(0.6 * t),
+                    0.5 * a * math.sin(0.4 * t + 1.0))
+    return rates
 
 
 def _euler_zyx(C):
@@ -233,7 +240,7 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
         initial_truth=np.eye(3),
         initial_mean=np.eye(3),
         initial_cov=0.1 ** 2 * np.eye(3),
-        input_profile=partial(_tumble_rates, dt),
+        inputs=partial(_tumble_rates, dt),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("roll", "pitch", "yaw"),
@@ -269,7 +276,7 @@ def _body_landmark_observation(landmarks, state):
     return body.reshape(body.shape[:-2] + (-1,))
 
 
-def _coordinated_turn_imu(dt, speed, yaw_rate, gravity, step):
+def _coordinated_turn_imu(dt, speed, yaw_rate, gravity, steps):
     """IMU inputs whose noise-free integration is an exact level circle.
 
     The accelerometer term compensates gravity and supplies the centripetal
@@ -279,7 +286,8 @@ def _coordinated_turn_imu(dt, speed, yaw_rate, gravity, step):
     c = math.cos(yaw_rate * dt)
     s = math.sin(yaw_rate * dt)
     acc = np.array([(c - 1.0) * speed / dt, s * speed / dt, 0.0]) - gravity
-    return np.array([0.0, 0.0, yaw_rate, acc[0], acc[1], acc[2]])
+    return np.tile(np.array([0.0, 0.0, yaw_rate, acc[0], acc[1], acc[2]]),
+                   (steps, 1))
 
 
 def _extended_pose_state_vector(state):
@@ -327,7 +335,7 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
              0.3 ** 2, 0.3 ** 2, 0.1 ** 2,
              1.0, 1.0, 0.1 ** 2]
         ),
-        input_profile=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
+        inputs=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("roll", "pitch", "yaw", "vx", "vy", "vz", "px", "py", "pz"),
@@ -409,7 +417,7 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         initial_truth=initial_truth,
         initial_mean=initial_truth.copy(),
         initial_cov=np.diag([0.05 ** 2, 0.1 ** 2, 0.1 ** 2] + [0.1 ** 2] * (2 * m)),
-        input_profile=partial(_constant_turn_odometry, dt, speed, yaw_rate),
+        inputs=partial(_constant_turn_odometry, dt, speed, yaw_rate),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=labels,
@@ -526,7 +534,7 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
             [0.05 ** 2] * 3 + [0.1 ** 2] * 3 + [0.5 ** 2] * 3
             + [0.05 ** 2] * 3 + [0.2 ** 2] * 3
         ),
-        input_profile=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
+        inputs=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=(
@@ -556,16 +564,6 @@ def _sphere_plane_observation(lever, state):
     return _sphere_point(lever, state)[..., :2]
 
 
-def _tabulated_inputs(table, step):
-    """Inputs precomputed at construction; step n reads row n-1."""
-    if not 1 <= step <= table.shape[0]:
-        raise ValueError(
-            f"step {step} outside the tabulated horizon "
-            f"{table.shape[0]}; rebuild with a larger input_horizon"
-        )
-    return table[step - 1]
-
-
 def _rotate(w, v):
     """exp_so3(w) @ v as v + a (w x v) + b w x (w x v), in plain floats;
     b = 2 sin^2(t/2) / t^2 needs no small-angle branch."""
@@ -577,7 +575,7 @@ def _rotate(w, v):
             vz + a * cz + b * (wx * cy - wy * cx))
 
 
-def _pendulum_rate_table(dt, steps, tilt, length, gravity_mag):
+def _pendulum_rates(dt, tilt, length, gravity_mag, steps):
     """Semi-implicit integration of a spherical pendulum about its rest point.
 
     The frame is chosen with gravity along +z so the rest direction is +e3
@@ -599,7 +597,7 @@ def _pendulum_rate_table(dt, steps, tilt, length, gravity_mag):
 def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
                 gravity_mag: float = 9.81, step_noise_std: float = 0.005,
                 obs_std: float = 0.02, measure_every: int = 10,
-                input_horizon: int = 20000, alpha: float = 1.0) -> ModelSpec:
+                alpha: float = 1.0) -> ModelSpec:
     """Spherical pendulum direction estimated through its rotation lift.
 
     The state is the lifting rotation R with the pendulum direction R @ e3;
@@ -620,10 +618,7 @@ def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
         initial_truth=R0,
         initial_mean=R0.copy(),
         initial_cov=0.1 ** 2 * np.eye(3),
-        input_profile=partial(
-            _tabulated_inputs,
-            _pendulum_rate_table(dt, input_horizon, tilt, length, gravity_mag),
-        ),
+        inputs=partial(_pendulum_rates, dt, tilt, length, gravity_mag),
         measure_every=measure_every,
         alpha=alpha,
         state_labels=("x", "y", "z"),

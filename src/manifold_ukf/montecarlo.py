@@ -55,10 +55,11 @@ def simulate(model, steps: int, seed):
     """Sample one trajectory of the model per seed, all runs stepping together.
 
     With one int seed, returns (truth, inputs, measurements): truth has
-    steps + 1 states starting at the initial one, inputs has one vector per
-    step, and measurements maps 1-based step indices to noisy observations
-    on the model's schedule.  Identical arguments give identical output,
-    whatever the platform's default RNG does.
+    steps + 1 states starting at the initial one, inputs lists the rows of
+    model.inputs(steps), one per step, and measurements maps 1-based step
+    indices to noisy observations on the model's schedule.  Identical
+    arguments give identical output, whatever the platform's default RNG
+    does.
 
     With a sequence of seeds, every truth is a (runs, ...) stack of states
     and every measurement a (runs, p) array, and all runs share one f, one h
@@ -91,15 +92,13 @@ def simulate(model, steps: int, seed):
     state = model.initial_truth if not lead else np.stack(
         [model.initial_truth] * lead[0])
     truth = [state]
-    inputs = []
+    inputs = list(model.inputs(steps))
     measurements: Dict[int, np.ndarray] = {}
-    for n in range(1, steps + 1):
-        u = model.input_profile(n)
+    for n, u in enumerate(inputs, start=1):
         state = model.f(state, u, noise(Lq))
         if n % _RENORM_EVERY == 0:
             state = model.renormalize(state)
         truth.append(state)
-        inputs.append(u)
         if n % model.measure_every == 0:
             measurements[n] = model.h(state) + noise(Lr)
     return truth, inputs, measurements
@@ -113,20 +112,16 @@ class RunRecord:
     i.e. the tangent-space estimation error in the filter's own coordinates.
     """
 
-    seed: int
-    truth: list
     beliefs: List[Belief]
     errors: np.ndarray
 
 
-def run_record(model, retraction, truth, inputs, measurements,
-               seed: int = 0) -> RunRecord:
+def run_record(model, retraction, truth, inputs, measurements) -> RunRecord:
     """Filter one simulation; every step's error comes from one phi_inv call."""
     retr = model.retraction(retraction)
     beliefs = filter_run(model, inputs, measurements, retraction=retr)
     errors = retr.phi_inv(np.stack([b.mean for b in beliefs]), np.stack(truth[1:]))
-    return RunRecord(seed, truth[1:], beliefs,
-                     np.ascontiguousarray(errors, dtype=float))
+    return RunRecord(beliefs, np.ascontiguousarray(errors, dtype=float))
 
 
 def nees(record: RunRecord) -> np.ndarray:

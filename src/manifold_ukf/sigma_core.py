@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 import scipy.linalg
@@ -70,10 +70,18 @@ class SigmaWeights:
 def set_weights(n: int, alpha: float) -> SigmaWeights:
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
+    return _weights(int(n), _check_alpha(alpha))
+
+
+def _check_alpha(alpha) -> float:
+    """alpha as a float, or InvalidAlpha if it is not a number in (0, 1]."""
+    try:
+        value = float(alpha)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not 0.0 < value <= 1.0:
         raise InvalidAlpha(f"alpha must lie in (0, 1], got {alpha}")
-    return _weights(int(n), alpha)
+    return value
 
 
 @lru_cache(maxsize=64)
@@ -257,26 +265,16 @@ def _gain(S, P_xy) -> np.ndarray:
     return K
 
 
-MeasurementSchedule = Union[None, Mapping[int, Any], Iterable]
-
-
-def _as_schedule(measurements: MeasurementSchedule) -> dict:
-    if measurements is None:
-        return {}
-    if isinstance(measurements, Mapping):
-        return {int(k): v for k, v in measurements.items()}
-    return {int(step): y for step, y in measurements}
-
-
-def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
-               retraction=None):
+def filter_run(model, inputs, measurements: Optional[Mapping[int, Any]] = None,
+               *, retraction=None):
     """Run the full recursion over an input sequence.
 
-    inputs[n-1] drives step n (1-based); measurements map step indices to
-    measurement vectors and trigger an update right after that step's
-    prediction.  Returns one Belief per step.  Any numerical failure, a
-    LinAlgError from inside f or h or a measurement of the wrong length
-    included, is re-raised as FilterStepError carrying the step index.
+    inputs[n-1] drives step n (1-based); measurements, a mapping or None,
+    map step indices to measurement vectors and trigger an update right
+    after that step's prediction.  Returns one Belief per step.  Any
+    numerical failure, a LinAlgError from inside f or h or a measurement of
+    the wrong length included, is re-raised as FilterStepError carrying the
+    step index.
     retraction is whatever model.retraction() accepts; the sigma-point
     spread is model.alpha.
 
@@ -293,11 +291,11 @@ def filter_run(model, inputs, measurements: MeasurementSchedule = None, *,
         Belief(model.initial_mean, model.initial_cov))]
 
 
-def _filter_steps(model, inputs, measurements: MeasurementSchedule,
+def _filter_steps(model, inputs, measurements: Optional[Mapping[int, Any]],
                   retr: Retraction, alpha: float, belief: Belief):
     """Yield (step, belief) after each step of filter_run's recursion from
     the initial belief, with its FilterStepError step attribution."""
-    schedule = _as_schedule(measurements)
+    schedule = measurements or {}
     step = 0
     try:
         for step, omega in enumerate(inputs, start=1):

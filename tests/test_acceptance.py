@@ -56,7 +56,7 @@ def _linear_model(name="linear2"):
         initial_truth=np.array([0.0, 1.0]),
         initial_mean=np.array([0.0, 1.0]),
         initial_cov=np.diag([1.0, 0.5]),
-        input_profile=lambda step: np.zeros(2),
+        inputs=lambda steps: np.zeros((steps, 2)),
         state_labels=("x0", "x1"),
         state_to_vector=lambda s: s,
     ), F, H

@@ -189,7 +189,7 @@ def test_model_callables_batch(name):
     model = make(name)
     retr = model.retraction()
     mean = model.initial_mean
-    u = model.input_profile(1)
+    u = model.inputs(1)[0]
     q = model.Q.shape[0]
     zero_w = np.zeros(q)
 
@@ -264,7 +264,7 @@ def test_propagate_and_update_call_counts(with_noise, monkeypatch):
     Q = model.Q if with_noise else np.zeros_like(model.Q)
     belief = Belief(model.initial_mean, model.initial_cov)
 
-    belief = propagate(belief, model.input_profile(1), f, Q, retr, model.alpha)
+    belief = propagate(belief, model.inputs(1)[0], f, Q, retr, model.alpha)
     rows = 2 * d + 2 * q if with_noise else 2 * d
     assert f.shapes == [(5, 5), (rows, 5, 5)]  # the mean, then one stack
     assert phi.shapes == [(rows, d)]
@@ -280,7 +280,7 @@ def test_propagate_and_update_call_counts(with_noise, monkeypatch):
     # covariance gets factored
     calls = count_calls(monkeypatch, eye=np, det=np.linalg,
                         sigma_points=sigma_core)
-    belief = propagate(belief, model.input_profile(2), f, Q, retr, model.alpha)
+    belief = propagate(belief, model.inputs(2)[1], f, Q, retr, model.alpha)
     assert calls == {"eye": 0, "det": 0, "sigma_points": 1}
     update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
     assert calls == {"eye": 0, "det": 0, "sigma_points": 2}
@@ -318,7 +318,7 @@ def test_propagate_and_update_on_a_run_stack(name):
     means = base.phi(model.initial_mean, 0.1 * RNG.standard_normal((runs, d)))
     covs = model.initial_cov * RNG.uniform(0.5, 2.0, (runs, 1, 1))
     singles = [Belief(m, c) for m, c in zip(means, covs)]
-    u = model.input_profile(1)
+    u = model.inputs(1)[0]
 
     stacked = propagate(Belief(means, covs), u, f, model.Q, retr, model.alpha)
     assert phi.shapes == [(2 * (d + q), runs, d)]

@@ -230,16 +230,6 @@ def test_config_bad_model_param(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_run_past_input_horizon_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model_params": {"input_horizon": 5}}),
-                   encoding="utf-8")
-    code = main(["run", "pendulum_s2", "--config", str(cfg), "--steps", "6",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == EXIT_CONFIG
-    assert "error: step 6 outside the tabulated horizon" in capsys.readouterr().err
-
-
 def test_benchmark_zero_runs_is_usage_error(tmp_path, capsys):
     code = main(["benchmark", "localization2d", "--runs", "0",
                  "--out", str(tmp_path / "x.csv")])
@@ -390,6 +380,14 @@ _IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"
                  "model_params", id="config-model-params"),
     pytest.param("attitude3d", "--config", '{"alpha": "x"}', "alpha",
                  id="config-alpha"),
+    pytest.param("attitude3d", "--config", '{"model_params": {"alpha": "x"}}',
+                 "alpha", id="config-model-params-alpha"),
+    pytest.param("attitude3d", "--config",
+                 '{"model_params": {"measure_every": 0}}', "measure_every",
+                 id="config-measure-every-zero"),
+    pytest.param("attitude3d", "--config",
+                 '{"model_params": {"measure_every": 2.5}}', "measure_every",
+                 id="config-measure-every-float"),
     pytest.param("attitude3d", "--config", '{"out": 5}', "out", id="config-out"),
     pytest.param("attitude3d", "--config", '{"dt": 0}', "attitude3d",
                  id="config-dt-zero"),

@@ -39,8 +39,8 @@ def test_localization2d_straight_line():
     v_dt = 1.5 * model.dt
     state = np.eye(3)
     n = 20
-    for step in range(1, n + 1):
-        state = model.f(state, model.input_profile(step), np.zeros(3))
+    for u in model.inputs(n):
+        state = model.f(state, u, np.zeros(3))
     assert np.abs(state[:2, 2] - np.array([n * v_dt, 0.0])).max() < 1e-12
     assert np.abs(state[:2, :2] - np.eye(2)).max() < 1e-15
 
@@ -122,8 +122,8 @@ def test_inertial_nav_profile_is_exact_circle():
     # the nominal IMU inputs integrate to a level constant-rate turn
     model = make("inertial_nav", speed=4.0, yaw_rate=0.3)
     state = model.initial_truth
-    for step in range(1, 101):
-        state = model.f(state, model.input_profile(step), np.zeros(6))
+    for u in model.inputs(100):
+        state = model.f(state, u, np.zeros(6))
     psi = 0.3 * 100 * model.dt
     C_expected = lie.exp_so3(np.array([0.0, 0.0, psi]))
     v_expected = C_expected @ np.array([4.0, 0.0, 0.0])
@@ -210,9 +210,8 @@ def test_slam2d_augmented_belief_keeps_filtering():
     for y in (np.array([1.0, 0.5]), np.array([-0.5, 2.0])):
         belief = augment_landmark(belief, y, retr, R2)
     R = 0.05 ** 2 * np.eye(12)  # all six landmarks observed
-    for step in range(1, 6):
-        belief = propagate(belief, model.input_profile(step), model.f,
-                           model.Q, retr, model.alpha)
+    for u in model.inputs(5):
+        belief = propagate(belief, u, model.f, model.Q, retr, model.alpha)
         y = model.h(belief.mean) + 0.01 * RNG.standard_normal(12)
         belief = update(belief, y, model.h, R, retr, model.alpha)
     assert belief.cov.shape == (15, 15)
@@ -244,8 +243,7 @@ def test_imu_gnss_reduces_to_inertial_nav_with_zero_bias():
     fused = make("imu_gnss", dt=nav.dt)
     pose = nav.initial_truth
     state = mixed_state(pose, np.zeros(6))
-    for step in range(1, 30):
-        u = fused.input_profile(step)
+    for u in fused.inputs(29):
         pose = nav.f(pose, u, np.zeros(6))
         state = fused.f(state, u, np.zeros(12))
     group, euclid = _mixed_parts(5, state)
@@ -320,9 +318,9 @@ def test_pendulum_direction_norm_preserved_under_noise():
     lever = np.array([0.0, 0.0, 1.0])
     rng = np.random.Generator(np.random.Philox(key=17))
     R = model.initial_truth
-    for step in range(1, 200):
+    for u in model.inputs(199):
         w = 0.01 * rng.standard_normal(3)
-        R = model.f(R, model.input_profile(step), w)
+        R = model.f(R, u, w)
         assert abs(np.linalg.norm(R @ lever) - 1.0) < 1e-12
 
 
@@ -331,8 +329,8 @@ def test_pendulum_profile_oscillates():
     lever = np.array([0.0, 0.0, 1.0])
     R = model.initial_truth
     zs = []
-    for step in range(1, 400):
-        R = model.f(R, model.input_profile(step), np.zeros(3))
+    for u in model.inputs(399):
+        R = model.f(R, u, np.zeros(3))
         zs.append((R @ lever)[2])
     zs = np.array(zs)
     # swings away from and back toward the rest direction
@@ -340,19 +338,13 @@ def test_pendulum_profile_oscillates():
     assert zs.max() > math.cos(0.15)
 
 
-def test_pendulum_profile_horizon_error():
-    model = make("pendulum_s2", input_horizon=50)
-    with pytest.raises(ValueError):
-        model.input_profile(51)
-
-
 @pytest.mark.parametrize("tilt,steps", [(0.7, 20000), (0.0, 10)])
 def test_pendulum_rate_table_matches_matrix_recurrence(tilt, steps):
     # the same semi-implicit integration, each step rotating x by a 3x3
     # exp_so3 matrix; tilt 0 keeps every step in the small-angle branch
     dt, g_over_l = 0.01, 9.81
-    model = make("pendulum_s2", dt=dt, tilt=tilt, input_horizon=steps)
-    table = np.array([model.input_profile(n) for n in range(1, steps + 1)])
+    model = make("pendulum_s2", dt=dt, tilt=tilt)
+    table = model.inputs(steps)
     e3 = np.array([0.0, 0.0, 1.0])
     x = lie.exp_so3(np.array([tilt, 0.0, 0.0])) @ e3
     omega = np.zeros(3)
@@ -388,10 +380,25 @@ def test_state_vector_matches_labels():
         assert vec.shape == (len(model.state_labels),), name
 
 
+@pytest.mark.parametrize("name,m", [
+    ("localization2d", 3), ("attitude3d", 3), ("inertial_nav", 6),
+    ("slam2d", 3), ("imu_gnss", 6), ("pendulum_s2", 3)])
+def test_inputs_is_a_prefix_of_longer_inputs(name, m):
+    model = make(name)
+    short, long = model.inputs(25), model.inputs(50)
+    assert short.shape == (25, m) and long.shape == (50, m)
+    assert np.array_equal(short, long[:25])
+
+
+def test_pendulum_inputs_past_twenty_thousand_steps():
+    inputs = make("pendulum_s2").inputs(20_001)
+    assert inputs.shape == (20_001, 3) and np.isfinite(inputs).all()
+
+
 def test_dynamics_deterministic():
     for name in models.example_names():
         model = make(name)
-        u = model.input_profile(1)
+        u = model.inputs(1)[0]
         w = np.zeros(model.Q.shape[0])
         a = model.f(model.initial_truth, u, w)
         b = model.f(model.initial_truth, u, w)
@@ -399,18 +406,18 @@ def test_dynamics_deterministic():
 
 
 def test_specs_pickle_bit_equal():
-    # benchmark() falls back to serial runs without a word when a spec does
-    # not pickle, so pin picklability and bit-equal behaviour here
+    # perfbench --trace 1 pickles every spec to size its task (pool_bytes),
+    # so pin picklability and bit-equal behaviour here
     for name in models.example_names():
         model = make(name)
         clone = pickle.loads(pickle.dumps(model))
         x = model.initial_truth
-        u = model.input_profile(1)
+        u = model.inputs(1)[0]
         w = np.zeros(model.Q.shape[0])
         for a, b in (
             (model.f(x, u, w), clone.f(x, u, w)),
             (model.h(x), clone.h(x)),
-            (u, clone.input_profile(1)),
+            (u, clone.inputs(1)[0]),
             (model.state_to_vector(x), clone.state_to_vector(x)),
             (model.renormalize(x), clone.renormalize(x)),
         ):

@@ -67,13 +67,27 @@ def test_simulate_measurement_schedule():
     assert sorted(measurements) == [7, 14, 21, 28]
 
 
+@pytest.mark.parametrize("name", example_names())
+def test_simulate_is_a_prefix_of_a_longer_simulate(name):
+    """Each run draws its noise in step order and the inputs are one
+    sequence, so a shorter simulation is the start of a longer one."""
+    model = make(name)
+    truth, inputs, measurements = simulate(model, 30, 5)
+    long_truth, long_inputs, long_measurements = simulate(model, 60, 5)
+    for a, b in zip(truth + inputs, long_truth[:31] + long_inputs[:30]):
+        assert np.array_equal(a, b)
+    assert measurements.keys() == {n for n in long_measurements if n <= 30}
+    for n, y in measurements.items():
+        assert np.array_equal(y, long_measurements[n])
+
+
 # ---------------------------------------------------------------------------
 # NEES
 
 
 def _toy_record(errors, covs):
     beliefs = [Belief(np.zeros(2), P) for P in covs]
-    return RunRecord(0, [None] * len(beliefs), beliefs, np.asarray(errors, dtype=float))
+    return RunRecord(beliefs, np.asarray(errors, dtype=float))
 
 
 def test_nees_identity_covariance():
@@ -403,7 +417,8 @@ def _full_noise_linear_model():
         Q=A @ A.T, R=B @ B.T, dt=1.0, retractions={"additive": retr},
         default_retraction="additive", initial_truth=np.array([1.0, -2.0, 0.5]),
         initial_mean=np.zeros(3), initial_cov=np.eye(3),
-        input_profile=lambda n: np.array([0.01 * n, 0.0, -0.02]),
+        inputs=lambda steps: np.array([[0.01 * n, 0.0, -0.02]
+                                       for n in range(1, steps + 1)]),
         measure_every=3)
 
 

@@ -52,10 +52,10 @@ def linear_model(F, Q, H, R, x0, P0, controls=None, name="linear"):
     def h(state):
         return state @ H.T
 
-    def profile(step):
+    def inputs(steps):
         if controls is None:
-            return np.zeros(d)
-        return controls[step - 1]
+            return np.zeros((steps, d))
+        return np.array(controls[:steps])
 
     return ModelSpec(
         name=name, f=f, h=h, Q=np.asarray(Q, dtype=float),
@@ -64,7 +64,7 @@ def linear_model(F, Q, H, R, x0, P0, controls=None, name="linear"):
         initial_truth=np.asarray(x0, dtype=float),
         initial_mean=np.asarray(x0, dtype=float),
         initial_cov=np.asarray(P0, dtype=float),
-        input_profile=profile,
+        inputs=inputs,
         state_labels=tuple(f"x{i}" for i in range(d)),
         state_to_vector=lambda s: s,
     )
@@ -193,7 +193,7 @@ def test_noise_points_are_memoized_read_only():
 def test_propagate_sees_in_place_changes_to_q():
     """The noise points are keyed on Q's values, not on the array object."""
     model = make("inertial_nav")
-    retr, u = model.retraction(), model.input_profile(1)
+    retr, u = model.retraction(), model.inputs(1)[0]
     belief = Belief(model.initial_mean, model.initial_cov)
     Q = model.Q.copy()
     first = propagate(belief, u, model.f, Q, retr, model.alpha)
@@ -461,7 +461,7 @@ def test_filter_run_wraps_linalg_error():
             raise np.linalg.LinAlgError("singular matrix inside f")
         return model.f(state, omega, w)
 
-    inputs = [model.input_profile(n) for n in range(1, 6)]
+    inputs = list(model.inputs(5))
     inputs[2] = np.full(3, np.nan)  # drives step 3
     with pytest.raises(FilterStepError) as exc_info:
         filter_run(dataclasses.replace(model, f=f), inputs)
@@ -472,22 +472,12 @@ def test_filter_run_wraps_linalg_error():
 @pytest.mark.parametrize("length", [1, 3])
 def test_filter_run_reports_wrong_length_measurement(length):
     model = make("localization2d")  # R is 2 x 2
-    inputs = [model.input_profile(n) for n in range(1, 6)]
+    inputs = model.inputs(5)
     meas = {2: np.zeros(2), 4: np.zeros(length)}
     with pytest.raises(FilterStepError) as exc_info:
         filter_run(model, inputs, meas)
     assert exc_info.value.step == 4
     assert isinstance(exc_info.value.cause, DimensionMismatch)
-
-
-def test_filter_run_measurement_pairs_accepted():
-    model = linear_model(np.eye(1), 0.1 * np.eye(1), np.eye(1),
-                         0.1 * np.eye(1), np.zeros(1), np.eye(1))
-    inputs = [np.zeros(1)] * 4
-    from_pairs = filter_run(model, inputs, [(2, np.array([1.0]))])
-    from_map = filter_run(model, inputs, {2: np.array([1.0])})
-    for a, b in zip(from_pairs, from_map):
-        assert np.array_equal(a.mean, b.mean)
 
 
 def test_update_intermediate_quantities_match_formulas():
