@@ -15,15 +15,15 @@ import json
 import math
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FilterStepError, ManifoldUkfError
 from .models import LandmarkSet, example_names, make
-from .montecarlo import benchmark, nees, run_record, simulate
+from .montecarlo import _scored, benchmark, simulate
 from .retraction import check_retraction
-from .sigma_core import filter_run
+from .sigma_core import Belief
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -45,20 +45,17 @@ def _fmt(x) -> str:
 # File formats
 
 
-def write_estimates_csv(path, model, retraction, beliefs, nees_vals,
-                        times) -> None:
-    d = retraction.dim
-    header = (["step", "t"] + list(model.state_labels)
-              + [f"P{i}" for i in range(d)] + ["nees"])
-    lines = [",".join(header)]
-    for i, belief in enumerate(beliefs):
-        vec = model.state_to_vector(belief.mean)
-        row = [str(i + 1), _fmt(times[i])]
-        row += [_fmt(v) for v in vec]
-        row += [_fmt(v) for v in np.diag(belief.cov)]
-        row.append(_fmt(nees_vals[i]))
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _estimate_lines(model, retraction, chunks, times):
+    """The estimates CSV, one line per belief of _scored's chunks."""
+    yield ",".join(["step", "t"] + list(model.state_labels)
+                   + [f"P{i}" for i in range(retraction.dim)] + ["nees"])
+    for first, beliefs, _, values in chunks:
+        for step, (belief, value) in enumerate(zip(beliefs, values), first):
+            row = [str(step), _fmt(times[step - 1])]
+            row += [_fmt(v) for v in model.state_to_vector(belief.mean)]
+            row += [_fmt(v) for v in np.diag(belief.cov)]
+            row.append(_fmt(value))
+            yield ",".join(row)
 
 
 def _csv_lines(path):
@@ -84,19 +81,6 @@ def _floats(path, n, cells):
         raise UsageError(f"{path}, line {n}: {exc}") from None
 
 
-def read_csv_columns(path) -> Dict[str, np.ndarray]:
-    """Read a comma-separated file into columns keyed by header name: float
-    columns, and text columns where a cell is not a number."""
-    (_, header), *body = _csv_lines(path)
-    out = {}
-    for j, name in enumerate(header):
-        try:
-            out[name] = np.array([float(r[j]) for _, r in body])
-        except ValueError:
-            out[name] = np.array([r[j] for _, r in body])
-    return out
-
-
 def write_benchmark_csv(path, report) -> None:
     rmse_cols = [f"rmse_{lbl}" for lbl, _ in report.blocks]
     header = (["retraction", "step", "t"] + rmse_cols
@@ -109,7 +93,7 @@ def write_benchmark_csv(path, report) -> None:
             row += [_fmt(flt.mean_nees[i]), str(flt.diverged),
                     str(flt.valid_runs), _fmt(flt.wall_clock_s)]
             lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, lines)
 
 
 def strip_runtime_column(text: str) -> str:
@@ -134,7 +118,7 @@ def write_imu_log(path, times, inputs, measurements) -> None:
         y = y if y is not None else np.zeros(3)
         cells = [_fmt(t)] + [_fmt(v) for v in u] + [_fmt(v) for v in y] + [str(valid)]
         lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, lines)
 
 
 def read_imu_log(path):
@@ -165,11 +149,20 @@ def read_landmarks(path) -> LandmarkSet:
     return LandmarkSet(np.array(rows))
 
 
-def _write_text(path, text) -> None:
+def _write_text(path, lines) -> None:
+    """Write each line, newline-terminated, to path.partial as the lines
+    come, then move it onto path.  If anything raises, path.partial is
+    removed and path is left as it was."""
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 # ---------------------------------------------------------------------------
@@ -332,30 +325,24 @@ def cmd_run(args) -> int:
                 "--imu-log needs a model with 3D position measurements "
                 "(use the imu_gnss example)")
         times, inputs, measurements = read_imu_log(imu_log)
-        truth = None
+        sim = (None, inputs, measurements)
     else:
         steps = int(_effective(args, "steps", 100))
         try:
-            truth, inputs, measurements = simulate(model, steps, seed)
+            sim = simulate(model, steps, seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         times = model.dt * np.arange(1, steps + 1)
 
+    out = _effective(args, "out", f"{model.name}_{retr_name}_estimates.csv")
+    chunks = _scored(model, retr, sim,
+                     Belief(model.initial_mean, model.initial_cov))
     try:
-        if truth is None:
-            beliefs = filter_run(model, inputs, measurements, retraction=retr)
-            nees_vals = np.full(len(beliefs), np.nan)
-        else:
-            record = run_record(model, retr, truth, inputs, measurements)
-            beliefs = record.beliefs
-            nees_vals = nees(record)
-    except (FilterStepError, ManifoldUkfError) as exc:
+        _write_text(out, _estimate_lines(model, retr, chunks, times))
+    except ManifoldUkfError as exc:
         print(f"filter run failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-
-    out = _effective(args, "out", f"{model.name}_{retr_name}_estimates.csv")
-    write_estimates_csv(out, model, retr, beliefs, nees_vals, times)
-    print(f"wrote {len(beliefs)} estimates to {out}")
+    print(f"wrote {len(times)} estimates to {out}")
     return EXIT_OK
 
 
@@ -411,7 +398,11 @@ def cmd_check_retraction(args) -> int:
     all_ok = True
     for name in names:
         retr = model.retraction(name)
-        result = check_retraction(retr, model.initial_mean, epsilons=epsilons)
+        try:
+            result = check_retraction(retr, model.initial_mean,
+                                      epsilons=epsilons)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         print(f"{model.name} / {name}:")
         for eps, residual, ok in result.residuals:
             print(f"  eps={eps:<8.1e} residual={residual:.3e}  "

@@ -15,10 +15,6 @@ class DimensionMismatch(ManifoldUkfError):
     """Array shapes do not agree with the operation's contract."""
 
 
-class NonSkewInput(ManifoldUkfError):
-    """vee() received a matrix that is not skew-symmetric within tolerance."""
-
-
 class NotARotation(ManifoldUkfError):
     """Matrix is not orthogonal with determinant +1 within tolerance."""
 
@@ -53,10 +49,6 @@ class SingularInnovationCovariance(ManifoldUkfError):
 
 class SingularCovariance(ManifoldUkfError):
     """State covariance is singular where an inverse is required."""
-
-
-class UnknownLandmarkId(ManifoldUkfError):
-    """Requested landmark index does not exist in the state."""
 
 
 class FilterStepError(ManifoldUkfError):

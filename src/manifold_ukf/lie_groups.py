@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     MalformedEmbedding,
     NearPiRotation,
-    NonSkewInput,
     NotARotation,
 )
 
@@ -44,7 +43,6 @@ _PI_MARGIN = 1e-6
 # log_so3 takes the axis from the symmetric part above pi - _PI_BRANCH,
 # where theta / sin(theta) would cost more than a digit
 _PI_BRANCH = 0.1
-_SKEW_TOL = 1e-9
 _ROT_TOL = 1e-9
 # wedge_so3(omega) == omega[..., _WEDGE_IDX] * _WEDGE_SIGN
 _WEDGE_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
@@ -85,31 +83,12 @@ def wedge_so2(theta: float) -> np.ndarray:
     return np.array([[0.0, -theta], [theta, 0.0]])
 
 
-def vee_so2(M) -> float:
-    M = np.asarray(M, dtype=float)
-    _require_skew(M, 2)
-    return float(M[1, 0])
-
-
 def wedge_so3(omega) -> np.ndarray:
     """Skew matrices of (..., 3) vectors: wedge(omega) @ v == cross(omega, v)."""
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-1:] != (3,):
         raise DimensionMismatch(f"expected (..., 3) vectors, got shape {omega.shape}")
     return omega[..., _WEDGE_IDX] * _WEDGE_SIGN
-
-
-def vee_so3(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    _require_skew(M, 3)
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
-def _require_skew(M, d):
-    if M.shape != (d, d):
-        raise DimensionMismatch(f"expected a {d}x{d} matrix, got {M.shape}")
-    if not np.isfinite(M).all() or np.abs(M + M.T).max() > _SKEW_TOL:
-        raise NonSkewInput("matrix is not skew-symmetric within 1e-9")
 
 
 def _rot2(c, s) -> np.ndarray:
@@ -326,24 +305,6 @@ def wedge_sek(xi, d: int, k: int) -> np.ndarray:
     for i in range(k):
         M[:d, d + i] = xi[rd + i * d : rd + (i + 1) * d]
     return M
-
-
-def vee_sek(M, d: int, k: int) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    _check_d(d)
-    if M.shape != (d + k, d + k):
-        raise DimensionMismatch(f"expected {(d + k, d + k)}, got {M.shape}")
-    if np.abs(M[d:, :]).max(initial=0.0) != 0.0:
-        raise MalformedEmbedding("bottom rows of a tangent embedding must be zero")
-    rd = rot_dim(d)
-    xi = np.empty(rd + k * d)
-    if d == 3:
-        xi[:3] = vee_so3(M[:3, :3])
-    else:
-        xi[0] = vee_so2(M[:2, :2])
-    for i in range(k):
-        xi[rd + i * d : rd + (i + 1) * d] = M[:d, d + i]
-    return xi
 
 
 def _check_d(d):

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import lie_groups as lie
-from .errors import DimensionMismatch, UnknownLandmarkId
+from .errors import DimensionMismatch
 from .retraction import (
     Retraction,
     _mixed_parts,
@@ -364,20 +364,6 @@ def _slam_observation(state):
     p = pose[..., None, :2, 2]
     body = (landmarks.reshape(landmarks.shape[:-1] + (-1, 2)) - p) @ C
     return body.reshape(body.shape[:-2] + (-1,))
-
-
-def landmark_observation(state, landmark_ids) -> np.ndarray:
-    """Body-frame observation of selected landmarks of a SLAM state."""
-    pose, landmarks = _mixed_parts(3, state)
-    n = landmarks.shape[0] // 2
-    C = pose[:2, :2]
-    p = pose[:2, 2]
-    out = np.empty(2 * len(landmark_ids))
-    for i, lid in enumerate(landmark_ids):
-        if not 0 <= lid < n:
-            raise UnknownLandmarkId(f"landmark {lid} not in state (have {n})")
-        out[2 * i : 2 * i + 2] = C.T @ (landmarks[2 * lid : 2 * lid + 2] - p)
-    return out
 
 
 _DEFAULT_SLAM_LANDMARKS = LandmarkSet(

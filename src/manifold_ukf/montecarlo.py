@@ -12,8 +12,9 @@ is np.stack of their states and run r is index r.  simulate() steps every
 run's truth through one f, one h and one renormalize call per step.  Each
 variant then filters all runs in one pass: the belief carries a run axis,
 so each sigma-point call serves every run at once.  The pass is a stream of
-beliefs, reduced every _CHUNK steps to errors and NEES and then dropped, so
-memory grows with runs x steps x state size, plus one chunk of beliefs.
+beliefs, reduced every _CHUNK steps to errors and NEES and then dropped
+(_scored, which `cli run` consumes too), so memory grows with runs x steps
+x state size, plus one chunk of beliefs.
 Each run's numbers are bit-identical to a pass of that run alone.  If the
 lockstep pass raises, the variant is run again one run at a time, on that
 run's slice of the simulation, so that only the failing runs count as
@@ -23,6 +24,7 @@ reported separately.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -186,40 +188,49 @@ class BenchmarkReport:
     filters: Tuple[FilterReport, ...]
 
 
-def _lockstep(model, retr, sim, alpha):
-    """Filter the lockstep simulation `sim` (from simulate with a sequence
-    of seeds) in one pass; per run its (errors, nees), or None if it
-    diverged.  Raises what the pass raises.
-
-    Every _CHUNK steps the buffered means go through one phi_inv call
-    against the truth stack and their NEES through one batched solve; then
-    the beliefs are dropped, so the pass holds one chunk of them.
+def _scored(model, retr, sim, initial):
+    """The filter pass from `initial` over sim = (truth, inputs,
+    measurements), one chunk of up to _CHUNK steps at a time: yields (first
+    step, beliefs, errors, nees).  A chunk's means go through one phi_inv
+    call against the truth and their NEES through one batched solve; with
+    truth None (a recorded log) both are NaN.  A chunk's beliefs list is
+    emptied when the next chunk is asked for, so the pass holds one chunk.
     """
     truth, inputs, measurements = sim
+    stream = _filter_steps(model, inputs, measurements, retr, model.alpha,
+                           initial)
+    first = 1
+    while beliefs := [b for _, b in itertools.islice(stream, _CHUNK)]:
+        end = first + len(beliefs)
+        if truth is None:
+            errors = np.full((len(beliefs),) + beliefs[0].cov.shape[:-1],
+                             np.nan)
+            values = np.full(errors.shape[:-1], np.nan)
+        else:  # C-contiguous, as NEES needs
+            errors = np.ascontiguousarray(retr.phi_inv(
+                np.stack([b.mean for b in beliefs]),
+                np.stack(truth[first:end])), dtype=float)
+            values = _nees(np.array([b.cov for b in beliefs]), errors, first)
+        yield first, beliefs, errors, values
+        beliefs.clear()
+        first = end
+
+
+def _lockstep(model, retr, sim):
+    """Filter the lockstep simulation `sim` (from simulate with a sequence
+    of seeds) in one pass of _scored; per run its (errors, nees), or None
+    if it diverged.  Raises what the pass raises.
+    """
+    truth, inputs, _ = sim
     runs = len(truth[0])
     cov = np.asarray(model.initial_cov, dtype=float)
     initial = Belief(np.stack([model.initial_mean] * runs),
                      np.broadcast_to(cov, (runs,) + cov.shape))
-    steps = len(inputs)
-    errors = np.empty((steps, runs, retr.dim))  # C-contiguous, as NEES needs
-    values = np.empty((steps, runs))
-    chunk = []
-
-    def reduce(end):
-        start = end - len(chunk)
-        errors[start:end] = retr.phi_inv(np.stack([b.mean for b in chunk]),
-                                         np.stack(truth[start + 1:end + 1]))
-        values[start:end] = _nees(np.array([b.cov for b in chunk]),
-                                  errors[start:end], start + 1)
-        chunk.clear()
-
-    for step, belief in _filter_steps(model, inputs, measurements, retr,
-                                      alpha, initial):
-        chunk.append(belief)
-        if len(chunk) == _CHUNK:
-            reduce(step)
-    if chunk:
-        reduce(steps)
+    errors = np.empty((len(inputs), runs, retr.dim))
+    values = np.empty((len(inputs), runs))
+    for first, beliefs, e, v in _scored(model, retr, sim, initial):
+        rows = slice(first - 1, first - 1 + len(beliefs))
+        errors[rows], values[rows] = e, v
     out = []
     for r in range(runs):
         e, v = errors[:, r], values[:, r]
@@ -234,7 +245,7 @@ def _outcomes(model, retr, sim):
     pass raises, one run at a time on its slice of the simulation, so that
     only the failing runs diverge."""
     try:
-        return _lockstep(model, retr, sim, model.alpha)
+        return _lockstep(model, retr, sim)
     except ManifoldUkfError:
         pass
     truth, inputs, measurements = sim
@@ -244,7 +255,7 @@ def _outcomes(model, retr, sim):
         try:
             out += _lockstep(model, retr, (
                 [s[one] for s in truth], inputs,
-                {n: y[one] for n, y in measurements.items()}), model.alpha)
+                {n: y[one] for n, y in measurements.items()}))
         except ManifoldUkfError:
             out.append(None)
     return out

@@ -285,9 +285,13 @@ def check_retraction(retraction: Retraction, state,
     The central-difference Jacobian at zero of xi -> phi_inv(state,
     phi(state, xi)), over the 2 dim points +-1e-5 e_j, must match the
     identity within 1e-6.  All points go through one phi and one phi_inv
-    call.
+    call.  An eps that is not in (0, 1], NaN and inf included, raises
+    ValueError: past 1 a rotation can wrap past pi and still pass.
     """
     epsilons = [float(eps) for eps in epsilons]
+    for eps in epsilons:
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"epsilons must lie in (0, 1], got {eps}")
     d, step = retraction.dim, 1e-5
     dirs = np.random.Generator(np.random.Philox(key=0)).standard_normal((8, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

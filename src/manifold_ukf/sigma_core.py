@@ -283,8 +283,8 @@ def filter_run(model, inputs, measurements: Optional[Mapping[int, Any]] = None,
     and never moves the mean by more than floating-point dust.
 
     This is the list of _filter_steps, which yields each step's belief as
-    it is made; benchmark() consumes that stream and keeps no belief past
-    its reduction.
+    it is made; benchmark() and the run command consume that stream in
+    chunks (montecarlo._scored) and keep no belief past its chunk.
     """
     return [belief for _, belief in _filter_steps(
         model, inputs, measurements, model.retraction(retraction), model.alpha,

@@ -14,18 +14,23 @@ from manifold_ukf.cli import (
     IMU_LOG_HEADER,
     UsageError,
     main,
-    read_csv_columns,
     read_imu_log,
     read_landmarks,
     strip_runtime_column,
     write_imu_log,
 )
-from manifold_ukf.models import make
-from manifold_ukf.montecarlo import simulate
+from manifold_ukf.models import example_names, make
+from manifold_ukf.montecarlo import nees, run_record, simulate
 
 
 def _read(path):
     return path.read_text(encoding="utf-8")
+
+
+def _columns(path):
+    """A CSV with a header row as a structured array, one field per column."""
+    return np.genfromtxt(path, delimiter=",", names=True, dtype=None,
+                         encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +42,33 @@ def test_run_writes_one_row_per_step(tmp_path):
     code = main(["run", "localization2d", "--steps", "12", "--seed", "2",
                  "--out", str(out)])
     assert code == EXIT_OK
-    cols = read_csv_columns(out)
-    assert list(cols) == ["step", "t", "theta", "x", "y", "P0", "P1", "P2",
-                          "nees"]
+    cols = _columns(out)
+    assert cols.dtype.names == ("step", "t", "theta", "x", "y", "P0", "P1",
+                                "P2", "nees")
     assert cols["step"].shape == (12,)
     assert np.allclose(cols["t"], 0.1 * np.arange(1, 13), atol=1e-15)
     assert np.isfinite(cols["nees"]).all()
     assert (cols["P0"] > 0).all()
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_run_streams_the_run_record(tmp_path, name):
+    """run writes its rows chunk by chunk; the state, P and nees columns
+    equal the whole-run record's means, covariance diagonals and NEES bit
+    for bit."""
+    out = tmp_path / "est.csv"
+    assert main(["run", name, "--steps", "300", "--seed", "3",
+                 "--out", str(out)]) == EXIT_OK
+    model = make(name)
+    record = run_record(model, model.default_retraction,
+                        *simulate(model, 300, 3))
+    cols = _columns(out)
+    table = np.array([cols[k] for k in cols.dtype.names[2:-1]]).T
+    assert np.array_equal(cols["step"], np.arange(1, 301))
+    assert np.array_equal(table, [
+        np.concatenate([model.state_to_vector(b.mean), np.diag(b.cov)])
+        for b in record.beliefs])
+    assert np.array_equal(cols["nees"], nees(record))
 
 
 def test_run_default_output_name(tmp_path, monkeypatch):
@@ -118,7 +143,7 @@ def test_benchmark_single_run(tmp_path):
     code = main(["benchmark", "attitude3d", "--runs", "1", "--steps", "6",
                  "--workers", "1", "--out", str(out)])
     assert code == EXIT_OK
-    cols = read_csv_columns(out)
+    cols = _columns(out)
     assert set(cols["valid_runs"]) == {1.0}
 
 
@@ -138,7 +163,7 @@ def test_benchmark_retraction_subset(tmp_path):
                  "--retractions", "se23_right,so3xr6", "--workers", "1",
                  "--out", str(out)])
     assert code == EXIT_OK
-    cols = read_csv_columns(out)
+    cols = _columns(out)
     assert set(cols["retraction"]) == {"se23_right", "so3xr6"}
 
 
@@ -163,9 +188,14 @@ def out_count(text, needle):
     return text.count(needle)
 
 
-def test_check_retraction_bad_epsilons():
-    assert main(["check-retraction", "attitude3d", "--epsilons", "abc"]) \
-        == EXIT_CONFIG
+def test_check_retraction_bad_epsilons(capsys):
+    # past eps = 1 a rotation can wrap past pi and its residual still pass
+    for eps in ("abc", "nan", "inf", "0", "3.2"):
+        code = main(["check-retraction", "attitude3d", "--epsilons", eps])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG, eps
+        assert captured.err.startswith("error:"), eps
+        assert len(captured.err.splitlines()) == 1 and not captured.out, eps
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +209,7 @@ def test_config_supplies_defaults(tmp_path):
     code = main(["run", "localization2d", "--config", str(cfg),
                  "--out", str(out)])
     assert code == EXIT_OK
-    assert read_csv_columns(out)["step"].shape == (9,)
+    assert _columns(out)["step"].shape == (9,)
 
 
 def test_cli_flag_beats_config(tmp_path):
@@ -189,7 +219,7 @@ def test_cli_flag_beats_config(tmp_path):
     code = main(["run", "localization2d", "--config", str(cfg),
                  "--steps", "4", "--out", str(out)])
     assert code == EXIT_OK
-    assert read_csv_columns(out)["step"].shape == (4,)
+    assert _columns(out)["step"].shape == (4,)
 
 
 def test_config_model_params(tmp_path):
@@ -200,7 +230,7 @@ def test_config_model_params(tmp_path):
     code = main(["run", "localization2d", "--config", str(cfg),
                  "--out", str(out)])
     assert code == EXIT_OK
-    cols = read_csv_columns(out)
+    cols = _columns(out)
     assert np.abs(cols["x"]).max() < 0.5  # stays near the origin
 
 
@@ -297,7 +327,7 @@ def test_run_from_imu_log(tmp_path):
     out = tmp_path / "est.csv"
     code = main(["run", "imu_gnss", "--imu-log", str(log), "--out", str(out)])
     assert code == EXIT_OK
-    cols = read_csv_columns(out)
+    cols = _columns(out)
     assert cols["step"].shape == (10,)
     assert np.isnan(cols["nees"]).all()  # no ground truth in a log replay
 
@@ -414,12 +444,20 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, monkeypatch,
 
 
 def test_run_numerical_failure_exits_2(tmp_path, capsys):
+    """A run that fails part-way leaves no CSV and no .partial file, and a
+    file already at --out byte-identical."""
+    out = tmp_path / "x.csv"
     # alpha this small collapses the sigma spread and the weight cancellation
     # drives the innovation covariance indefinite
-    code = main(["run", "attitude3d", "--steps", "40", "--alpha", "1e-8",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == EXIT_DIVERGED
+    args = ["run", "attitude3d", "--steps", "40", "--alpha", "1e-8",
+            "--out", str(out)]
+    assert main(args) == EXIT_DIVERGED
     assert "filter run failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"step,t\n1,0.1\n")
+    assert main(args) == EXIT_DIVERGED
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"step,t\n1,0.1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +477,9 @@ def test_csv_floats_roundtrip(tmp_path):
     out = tmp_path / "est.csv"
     assert main(["run", "pendulum_s2", "--steps", "7", "--seed", "9",
                  "--out", str(out)]) == EXIT_OK
-    first = read_csv_columns(out)
+    first = _columns(out)
     assert main(["run", "pendulum_s2", "--steps", "7", "--seed", "9",
                  "--out", str(out)]) == EXIT_OK
-    again = read_csv_columns(out)
-    for k in first:
+    again = _columns(out)
+    for k in first.dtype.names:
         assert np.array_equal(first[k], again[k], equal_nan=True)

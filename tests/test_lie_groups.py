@@ -5,7 +5,6 @@ power-series exponential in oracles.py and frozen here as literals.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from manifold_ukf.errors import (
     DimensionMismatch,
     MalformedEmbedding,
     NearPiRotation,
-    NonSkewInput,
     NotARotation,
 )
 
@@ -52,51 +50,9 @@ def test_wedge_matches_cross_product():
         assert np.allclose(lie.wedge_so3(w) @ v, np.cross(w, v), atol=1e-14)
 
 
-def test_vee_wedge_bit_exact():
-    w = np.array([0.3, -0.7, 1.1])
-    assert np.array_equal(lie.vee_so3(lie.wedge_so3(w)), w)
-    M = lie.wedge_so3(w)
-    assert np.array_equal(lie.wedge_so3(lie.vee_so3(M)), M)
-
-
-def test_vee_so3_reference():
-    M = np.array([[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
-    assert np.array_equal(lie.vee_so3(M), np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(lie.vee_so3(np.zeros((3, 3))), np.zeros(3))
-
-
-def _skew_inf(d):
-    """Skew-looking with +-inf entries: M + M^T is NaN off the diagonal."""
-    M = np.zeros((d, d))
-    M[0, 1], M[1, 0] = np.inf, -np.inf
-    return M
-
-
-def test_vee_so3_rejects_symmetric():
-    for M in (np.eye(3), np.full((3, 3), np.nan), _skew_inf(3)):
-        with pytest.raises(NonSkewInput):
-            lie.vee_so3(M)
-
-
-def test_vee_so2_roundtrip_and_error():
-    assert lie.vee_so2(lie.wedge_so2(0.37)) == 0.37
-    for M in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.full((2, 2), np.nan),
-              _skew_inf(2)):
-        with pytest.raises(NonSkewInput):
-            lie.vee_so2(M)
-
-
-@pytest.mark.parametrize("vee,d", [(lie.vee_so2, 2), (lie.vee_so3, 3)])
-def test_vee_rejects_infinite_input_without_a_warning(vee, d):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonSkewInput):
-            vee(_skew_inf(d))
-
-
 def test_wedge_so3_shape_check():
-    with pytest.raises((DimensionMismatch, ValueError)):
-        lie.vee_so3(np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        lie.wedge_so3(np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +260,6 @@ def test_exp_sek_matches_series():
             got = lie.exp_sek(xi, d, k)
             oracle = matrix_exp_series(lie.wedge_sek(xi, d, k))
             assert np.abs(got - oracle).max() < 1e-10
-
-
-def test_wedge_vee_sek_roundtrip():
-    for d, k in ((2, 1), (3, 1), (3, 2)):
-        xi = RNG.standard_normal(lie.tangent_dim(d, k))
-        assert np.array_equal(lie.vee_sek(lie.wedge_sek(xi, d, k), d, k), xi)
 
 
 def test_log_sek_identity_and_translation():

@@ -8,13 +8,8 @@ import pytest
 
 from manifold_ukf import lie_groups as lie
 from manifold_ukf import models
-from manifold_ukf.errors import DimensionMismatch, UnknownLandmarkId
-from manifold_ukf.models import (
-    LandmarkSet,
-    augment_landmark,
-    landmark_observation,
-    make,
-)
+from manifold_ukf.errors import DimensionMismatch
+from manifold_ukf.models import LandmarkSet, augment_landmark, make
 from manifold_ukf.retraction import _mixed_parts, mixed_state
 from manifold_ukf.sigma_core import Belief, propagate, update
 
@@ -176,8 +171,8 @@ def test_slam2d_augment_forward_observation_roundtrip():
     for side in ("mixed_left", "mixed_right"):
         out = augment_landmark(belief, y, model.retraction(side),
                                0.01 * np.eye(2))
-        n_new = _mixed_parts(3, out.mean)[1].shape[0] // 2 - 1
-        back = landmark_observation(out.mean, [n_new])
+        # h observes every landmark in the state, the new one last
+        back = model.h(out.mean)[-2:]
         assert np.abs(back - y).max() < 1e-10
 
 
@@ -220,13 +215,13 @@ def test_slam2d_augmented_belief_keeps_filtering():
 
 
 def test_slam2d_observation_consistency():
+    """h stacks C^T (l_i - p), every landmark in the body frame."""
     model = make("slam2d")
     truth = model.initial_truth
-    y = model.h(truth)
-    ids = list(range(len(_mixed_parts(3, truth)[1]) // 2))
-    assert np.abs(landmark_observation(truth, ids) - y).max() < 1e-14
-    with pytest.raises(UnknownLandmarkId):
-        landmark_observation(truth, [99])
+    pose, landmarks = _mixed_parts(3, truth)
+    C, p = pose[:2, :2], pose[:2, 2]
+    bodies = [C.T @ (lm - p) for lm in landmarks.reshape(-1, 2)]
+    assert np.abs(model.h(truth) - np.concatenate(bodies)).max() < 1e-14
 
 
 def test_slam2d_rejects_3d_landmarks():

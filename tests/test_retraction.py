@@ -261,6 +261,15 @@ def test_check_retraction_flags_broken_inverse():
     assert not result.jacobian_passed
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-2, 3.2])
+def test_check_retraction_rejects_eps_outside_unit_interval(eps):
+    # at eps = 3.2 some direction wraps past pi, yet the 10 eps^2 bound
+    # would pass its residual
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        check_retraction(group_retraction(3, 0, "left"), np.eye(3),
+                         epsilons=(1e-2, eps))
+
+
 # ---------------------------------------------------------------------------
 # Covariance retrieval for sphere points lifted to rotations
 
