@@ -1,7 +1,9 @@
 """Command-line interface: run one filter, benchmark variants, check retractions.
 
-Exit codes: 0 on success, 1 for usage or configuration problems, 2 when a
-filter run fails numerically (divergence).
+Exit codes: 0 on success, 1 for usage or configuration problems (a
+missing input file or an unwritable output included), 2 when a filter run
+fails numerically (divergence).  main() alone turns an exception into one
+stderr line and an exit code.
 
 CSV conventions: floats are written with repr(), which round-trips exactly
 through float(); every output is therefore byte-reproducible from the same
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FilterStepError, ManifoldUkfError
+from .errors import ManifoldUkfError
 from .models import LandmarkSet, example_names, make
 from .montecarlo import _scored, benchmark, simulate
 from .retraction import check_retraction
@@ -59,11 +61,13 @@ def _estimate_lines(model, retraction, chunks, times):
 
 
 def _csv_lines(path):
-    """(line number, cells) of each non-blank line of a comma-separated file
-    whose rows all have as many cells as its header; UsageError otherwise."""
+    """(line number, cells) of each line of a comma-separated file that is
+    neither blank nor a # comment; every row must have as many cells as the
+    first, else UsageError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, line.rstrip("\n").split(","))
-                 for n, line in enumerate(fh, start=1) if line.strip()]
+                 for n, line in enumerate(fh, start=1)
+                 if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
         raise UsageError(f"{path} is empty")
     width = len(lines[0][1])
@@ -134,19 +138,8 @@ def read_imu_log(path):
 
 def read_landmarks(path) -> LandmarkSet:
     """One landmark per line, comma-separated coordinates."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = []
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(_floats(path, n, line.split(",")))
-    if not rows:
-        raise UsageError(f"no landmarks found in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise UsageError("landmark rows must all have the same dimension")
-    return LandmarkSet(np.array(rows))
+    return LandmarkSet(np.array([_floats(path, n, cells)
+                                 for n, cells in _csv_lines(path)]))
 
 
 def _write_text(path, lines) -> None:
@@ -259,11 +252,6 @@ def _effective(args, key, default=None):
 
 def _build_model(args):
     name = args.example
-    if name not in example_names():
-        raise UsageError(
-            f"unknown example {name!r}; registered examples: "
-            + ", ".join(example_names())
-        )
     params = dict(_effective(args, "model_params", {}) or {})
     dt = _effective(args, "dt")
     if dt is not None:
@@ -278,7 +266,7 @@ def _build_model(args):
         model = make(name, **params)
     except (TypeError, AttributeError, ArithmeticError) as exc:
         raise UsageError(f"bad parameters for {name}: {exc}") from exc
-    except (ValueError, ManifoldUkfError) as exc:
+    except ManifoldUkfError as exc:
         raise UsageError(str(exc)) from exc
     return model
 
@@ -286,25 +274,15 @@ def _build_model(args):
 def _retraction_names(args, model, many: bool):
     text = _effective(args, "retractions")
     if text is None:
-        names = list(model.retractions)
-    else:
-        if isinstance(text, str):
-            names = [t.strip() for t in text.split(",") if t.strip()]
-        else:
-            names = [str(n) for n in text]
-        for n in names:
-            if n not in model.retractions:
-                raise UsageError(
-                    f"unknown retraction {n!r} for {model.name}; choose from: "
-                    + ", ".join(model.retractions)
-                )
+        return list(model.retractions) if many else [model.default_retraction]
+    parts = text.split(",") if isinstance(text, str) else map(str, text)
+    names = [n.strip() for n in parts if n.strip()]
+    for n in names:
+        model.retraction(n)  # ValueError listing the known ones
     if not names:
         raise UsageError("no retractions selected")
-    if not many:
-        if text is None:
-            return [model.default_retraction]
-        if len(names) > 1:
-            raise UsageError("run takes a single retraction")
+    if not many and len(names) > 1:
+        raise UsageError("run takes a single retraction")
     return names
 
 
@@ -328,20 +306,13 @@ def cmd_run(args) -> int:
         sim = (None, inputs, measurements)
     else:
         steps = int(_effective(args, "steps", 100))
-        try:
-            sim = simulate(model, steps, seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        sim = simulate(model, steps, seed)
         times = model.dt * np.arange(1, steps + 1)
 
     out = _effective(args, "out", f"{model.name}_{retr_name}_estimates.csv")
     chunks = _scored(model, retr, sim,
                      Belief(model.initial_mean, model.initial_cov))
-    try:
-        _write_text(out, _estimate_lines(model, retr, chunks, times))
-    except ManifoldUkfError as exc:
-        print(f"filter run failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    _write_text(out, _estimate_lines(model, retr, chunks, times))
     print(f"wrote {len(times)} estimates to {out}")
     return EXIT_OK
 
@@ -353,14 +324,7 @@ def cmd_benchmark(args) -> int:
     steps = int(_effective(args, "steps", 100))
     runs = int(_effective(args, "runs", 50))
 
-    try:
-        report = benchmark(model, names, runs=runs, seed=seed, steps=steps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    except ManifoldUkfError as exc:
-        print(f"benchmark failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-
+    report = benchmark(model, names, runs=runs, seed=seed, steps=steps)
     out = _effective(args, "out", f"{model.name}_benchmark.csv")
     write_benchmark_csv(out, report)
 
@@ -388,21 +352,14 @@ def cmd_check_retraction(args) -> int:
     model = _build_model(args)
     names = _retraction_names(args, model, many=True)
     eps_text = str(_effective(args, "epsilons", "1e-1,1e-2,1e-3"))
-    try:
-        epsilons = tuple(float(t) for t in eps_text.split(",") if t.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad --epsilons value: {eps_text!r}") from exc
+    epsilons = tuple(float(t) for t in eps_text.split(",") if t.strip())
     if not epsilons:
         raise UsageError("no epsilons given")
 
     all_ok = True
     for name in names:
-        retr = model.retraction(name)
-        try:
-            result = check_retraction(retr, model.initial_mean,
-                                      epsilons=epsilons)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        result = check_retraction(model.retraction(name), model.initial_mean,
+                                  epsilons=epsilons)
         print(f"{model.name} / {name}:")
         for eps, residual, ok in result.residuals:
             print(f"  eps={eps:<8.1e} residual={residual:.3e}  "
@@ -413,22 +370,22 @@ def cmd_check_retraction(args) -> int:
     return EXIT_OK if all_ok else EXIT_CONFIG
 
 
+_COMMANDS = {"run": cmd_run, "benchmark": cmd_benchmark,
+             "check-retraction": cmd_check_retraction}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command; the only place an exception becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
-        cfg_path = getattr(args, "config", None)
-        args._config = _load_config(cfg_path) if cfg_path else {}
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
-        return cmd_check_retraction(args)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        args._config = _load_config(args.config) if args.config else {}
+        return _COMMANDS[args.command](args)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FilterStepError as exc:
-        print(f"filter run failed: {exc}", file=sys.stderr)
+    except ManifoldUkfError as exc:  # only raised once args are parsed
+        what = "filter run" if args.command == "run" else args.command
+        print(f"{what} failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

@@ -79,10 +79,6 @@ def tangent_dim(d: int, k: int) -> int:
 # so(2) / so(3)
 
 
-def wedge_so2(theta: float) -> np.ndarray:
-    return np.array([[0.0, -theta], [theta, 0.0]])
-
-
 def wedge_so3(omega) -> np.ndarray:
     """Skew matrices of (..., 3) vectors: wedge(omega) @ v == cross(omega, v)."""
     omega = np.asarray(omega, dtype=float)
@@ -293,18 +289,6 @@ def _split_dims(d: int, k: int, xi_len: int):
             f"tangent vector of length {xi_len} does not match SE_{k}({d})"
         )
     return rd
-
-
-def wedge_sek(xi, d: int, k: int) -> np.ndarray:
-    """Tangent vector to its matrix embedding [[wedge(rot), p_i], [0, 0]]."""
-    xi = np.asarray(xi, dtype=float)
-    _check_d(d)
-    rd = _split_dims(d, k, xi.shape[0])
-    M = np.zeros((d + k, d + k))
-    M[:d, :d] = wedge_so3(xi[:3]) if d == 3 else wedge_so2(float(xi[0]))
-    for i in range(k):
-        M[:d, d + i] = xi[rd + i * d : rd + (i + 1) * d]
-    return M
 
 
 def _check_d(d):

@@ -197,10 +197,9 @@ def _scored(model, retr, sim, initial):
     emptied when the next chunk is asked for, so the pass holds one chunk.
     """
     truth, inputs, measurements = sim
-    stream = _filter_steps(model, inputs, measurements, retr, model.alpha,
-                           initial)
+    stream = _filter_steps(model, inputs, measurements, retr, initial)
     first = 1
-    while beliefs := [b for _, b in itertools.islice(stream, _CHUNK)]:
+    while beliefs := list(itertools.islice(stream, _CHUNK)):
         end = first + len(beliefs)
         if truth is None:
             errors = np.full((len(beliefs),) + beliefs[0].cov.shape[:-1],

@@ -286,25 +286,25 @@ def filter_run(model, inputs, measurements: Optional[Mapping[int, Any]] = None,
     it is made; benchmark() and the run command consume that stream in
     chunks (montecarlo._scored) and keep no belief past its chunk.
     """
-    return [belief for _, belief in _filter_steps(
-        model, inputs, measurements, model.retraction(retraction), model.alpha,
-        Belief(model.initial_mean, model.initial_cov))]
+    return list(_filter_steps(model, inputs, measurements,
+                              model.retraction(retraction),
+                              Belief(model.initial_mean, model.initial_cov)))
 
 
 def _filter_steps(model, inputs, measurements: Optional[Mapping[int, Any]],
-                  retr: Retraction, alpha: float, belief: Belief):
-    """Yield (step, belief) after each step of filter_run's recursion from
-    the initial belief, with its FilterStepError step attribution."""
+                  retr: Retraction, belief: Belief):
+    """Yield the belief after each step of filter_run's recursion from the
+    initial belief, with its FilterStepError step attribution."""
     schedule = measurements or {}
     step = 0
     try:
         for step, omega in enumerate(inputs, start=1):
-            belief = propagate(belief, omega, model.f, model.Q, retr, alpha)
+            belief = propagate(belief, omega, model.f, model.Q, retr, model.alpha)
             if step in schedule:
                 belief = update(belief, schedule[step], model.h, model.R,
-                                retr, alpha)
+                                retr, model.alpha)
             if step % _RENORM_EVERY == 0:
                 belief = Belief(model.renormalize(belief.mean), belief.cov)
-            yield step, belief
+            yield belief
     except (ManifoldUkfError, np.linalg.LinAlgError) as exc:
         raise FilterStepError(step, exc) from exc

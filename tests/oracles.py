@@ -20,6 +20,26 @@ def matrix_exp_series(A, terms: int = 30) -> np.ndarray:
     return out
 
 
+def wedge_so2(theta) -> np.ndarray:
+    """The 2x2 skew matrix of an angle."""
+    return np.array([[0.0, -theta], [theta, 0.0]])
+
+
+def wedge_sek(xi, d: int, k: int) -> np.ndarray:
+    """Tangent vector (rotation part, p_1, ..., p_k) of SE_k(d) to its matrix
+    embedding [[skew(rotation part), p_1 ... p_k], [0, 0]]."""
+    xi = np.asarray(xi, dtype=float)
+    M = np.zeros((d + k, d + k))
+    if d == 3:
+        x, y, z = xi[:3]
+        M[:3, :3] = [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
+        M[:3, 3:] = xi[3:].reshape(k, 3).T
+    else:
+        M[:2, :2] = wedge_so2(xi[0])
+        M[:2, 2:] = xi[1:].reshape(k, 2).T
+    return M
+
+
 def kf_predict(x, P, F, Q, u=None):
     x = F @ x if u is None else F @ x + u
     return x, F @ P @ F.T + Q

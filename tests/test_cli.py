@@ -309,14 +309,19 @@ def test_imu_log_roundtrip(tmp_path):
     times = model.dt * np.arange(1, 15)
     log = tmp_path / "imu.csv"
     write_imu_log(log, times, inputs, measurements)
-    assert _read(log).splitlines()[0] == IMU_LOG_HEADER
-    t2, u2, m2 = read_imu_log(log)
-    assert np.array_equal(t2, times)
-    for a, b in zip(u2, inputs):
-        assert np.array_equal(a, b)
-    assert m2.keys() == measurements.keys()
-    for k in m2:
-        assert np.array_equal(m2[k], measurements[k])
+    header, rows = _read(log).split("\n", 1)
+    assert header == IMU_LOG_HEADER
+    commented = tmp_path / "commented.csv"  # blank and # lines are skipped
+    commented.write_text(f"# logged at 20 Hz\n{header}\n\n# rows\n{rows}",
+                         encoding="utf-8")
+    for path in (log, commented):
+        t2, u2, m2 = read_imu_log(path)
+        assert np.array_equal(t2, times)
+        for a, b in zip(u2, inputs):
+            assert np.array_equal(a, b)
+        assert m2.keys() == measurements.keys()
+        for k in m2:
+            assert np.array_equal(m2[k], measurements[k])
 
 
 def test_run_from_imu_log(tmp_path):
@@ -437,6 +442,28 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert len(err.splitlines()) == 1 and expect in err
     if flag != "--config":
         assert str(path) in err
+
+
+@pytest.mark.parametrize("args,path", [
+    pytest.param(["run", "attitude3d", "--steps", "3", "--out"], "out_dir",
+                 id="run-out-is-directory"),
+    pytest.param(["benchmark", "attitude3d", "--runs", "1", "--steps", "3",
+                  "--out"], "out_dir", id="benchmark-out-is-directory"),
+    pytest.param(["run", "imu_gnss", "--imu-log"], "missing.csv",
+                 id="missing-imu-log"),
+    pytest.param(["run", "slam2d", "--landmarks"], "missing.csv",
+                 id="missing-landmarks"),
+])
+def test_file_error_is_one_error_line(tmp_path, capsys, monkeypatch, args, path):
+    monkeypatch.chdir(tmp_path)  # where run's default --out would go
+    (tmp_path / "out_dir").mkdir()
+    code = main(args + [str(tmp_path / path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and str(tmp_path / path) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["out_dir"]
+    assert not any((tmp_path / "out_dir").iterdir())
 
 
 # ---------------------------------------------------------------------------
