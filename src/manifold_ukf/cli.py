@@ -100,31 +100,6 @@ def write_benchmark_csv(path, report) -> None:
     _write_text(path, lines)
 
 
-def strip_runtime_column(text: str) -> str:
-    """Benchmark CSV minus its wall-clock column, for byte comparisons."""
-    out = []
-    drop = None
-    for line in text.splitlines():
-        cells = line.split(",")
-        if drop is None:
-            drop = cells.index("wall_clock_s")
-        out.append(",".join(cells[:drop] + cells[drop + 1:]))
-    return "\n".join(out) + "\n"
-
-
-def write_imu_log(path, times, inputs, measurements) -> None:
-    """measurements maps 1-based step index to a 3-vector position fix."""
-    lines = [IMU_LOG_HEADER]
-    for i, (t, u) in enumerate(zip(times, inputs)):
-        step = i + 1
-        y = measurements.get(step)
-        valid = 1 if y is not None else 0
-        y = y if y is not None else np.zeros(3)
-        cells = [_fmt(t)] + [_fmt(v) for v in u] + [_fmt(v) for v in y] + [str(valid)]
-        lines.append(",".join(cells))
-    _write_text(path, lines)
-
-
 def read_imu_log(path):
     """Returns (times, inputs, measurements) in filter_run's conventions;
     every row must be full and numeric."""
@@ -133,7 +108,7 @@ def read_imu_log(path):
         raise UsageError(f"IMU log must have header {IMU_LOG_HEADER!r}, got {header}")
     rows = np.reshape([_floats(path, n, cells) for n, cells in body], (-1, 11))
     measurements = {i + 1: row[7:10] for i, row in enumerate(rows) if row[10] != 0}
-    return rows[:, 0], list(rows[:, 1:7]), measurements
+    return rows[:, 0], rows[:, 1:7], measurements
 
 
 def read_landmarks(path) -> LandmarkSet:

@@ -31,6 +31,7 @@ from .retraction import (
     _mixed_parts,
     _pose_join,
     _pose_parts,
+    _psd_sqrt,
     componentwise_so3_r6,
     group_retraction,
     mixed_retraction,
@@ -62,6 +63,11 @@ class ModelSpec:
     (runs, ...) stack of states.  inputs(steps) returns the (steps, m)
     input sequence, row n - 1 driving step n; every run shares it.
     state_to_vector maps a single state.
+
+    A ModelSpec checks itself when it is made: dt must be a finite number
+    > 0 and alpha lie in (0, 1] (ValueError, InvalidAlpha), measure_every
+    be an int >= 1 (ValueError), and Q, R and initial_cov be finite,
+    square, symmetric positive semidefinite matrices (NonPSDCovariance).
     """
 
     name: str
@@ -84,6 +90,11 @@ class ModelSpec:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"{self.name}: dt must be a finite number > 0, "
+                             f"got {self.dt!r}")
+        for what in ("Q", "R", "initial_cov"):
+            _psd_sqrt(getattr(self, what), f"{self.name} {what}")
         every = self.measure_every
         if not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError(f"measure_every must be an int >= 1, got {every!r}")

@@ -8,16 +8,18 @@ random numbers), then aggregates RMSE per tangent block, mean NEES and
 divergence counts.
 
 All runs step in lockstep.  Every state is one ndarray, so a stack of runs
-is np.stack of their states and run r is index r.  simulate() steps every
-run's truth through one f, one h and one renormalize call per step.  Each
-variant then filters all runs in one pass: the belief carries a run axis,
-so each sigma-point call serves every run at once.  The pass is a stream of
-beliefs, reduced every _CHUNK steps to errors and NEES and then dropped
-(_scored, which `cli run` consumes too), so memory grows with runs x steps
-x state size, plus one chunk of beliefs.
+is one array and run r is index r, and every simulated or reduced quantity
+is one array: the truth is (steps + 1, runs, ...), the inputs (steps, m),
+the errors (steps, runs, dim) and the NEES (steps, runs).  simulate() steps
+every run's truth through one f, one h and one renormalize call per step.
+Each variant then filters all runs in one pass: the belief carries a run
+axis, so each sigma-point call serves every run at once.  The pass is a
+stream of beliefs, reduced every _CHUNK steps to errors and NEES and then
+dropped (_scored, which `cli run` consumes too), so memory grows with runs
+x steps x state size, plus one chunk of beliefs.
 Each run's numbers are bit-identical to a pass of that run alone.  If the
 lockstep pass raises, the variant is run again one run at a time, on that
-run's slice of the simulation, so that only the failing runs count as
+run's column of the simulation, so that only the failing runs count as
 diverged.  Wall-clock times are the only nondeterministic outputs and are
 reported separately.
 """
@@ -33,42 +35,30 @@ import numpy as np
 import scipy.special
 
 from .errors import ManifoldUkfError, SingularCovariance
-from .retraction import Retraction
+from .retraction import Retraction, _psd_sqrt
 from .sigma_core import _RENORM_EVERY, Belief, _filter_steps, filter_run
 
 DIVERGENCE_NEES = 1e6
 _CHUNK = 128  # steps of beliefs a lockstep pass buffers per reduction
 
 
-def _psd_sqrt(M) -> np.ndarray:
-    """Symmetric square-root factor; tolerates semidefinite inputs."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return M.reshape(0, 0)
-    if not M.any():
-        return np.zeros_like(M)
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if float(vals.min()) < -1e-9:
-        raise ValueError("noise covariance has an eigenvalue below -1e-9")
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def simulate(model, steps: int, seed):
     """Sample one trajectory of the model per seed, all runs stepping together.
 
-    With one int seed, returns (truth, inputs, measurements): truth has
-    steps + 1 states starting at the initial one, inputs lists the rows of
-    model.inputs(steps), one per step, and measurements maps 1-based step
-    indices to noisy observations on the model's schedule.  Identical
-    arguments give identical output, whatever the platform's default RNG
-    does.
+    With one int seed, returns (truth, inputs, measurements): truth is one
+    (steps + 1, ...) array of states, row 0 the initial one, inputs is
+    model.inputs(steps) as returned, the (steps, m) array whose row n - 1
+    drives step n, and measurements maps 1-based step indices to noisy
+    observations on the model's schedule.  Identical arguments give
+    identical output, whatever the platform's default RNG does.
 
-    With a sequence of seeds, every truth is a (runs, ...) stack of states
-    and every measurement a (runs, p) array, and all runs share one f, one h
-    and one renormalize call per step.  Each run draws all its noise in one
-    standard_normal call from its own Philox generator and slices it in step
-    order: step n's process noise, then its measurement noise when one is
-    due.  Run r is bit-identical to simulate(model, steps, seed[r]).
+    With a sequence of seeds, truth is (steps + 1, runs, ...), row n the
+    stack of every run's state after step n, every measurement is a (runs,
+    p) array, and all runs share one f, one h and one renormalize call per
+    step.  Each run draws all its noise in one standard_normal call from its
+    own Philox generator and slices it in step order: step n's process
+    noise, then its measurement noise when one is due.  Run r is
+    bit-identical to simulate(model, steps, seed[r]).
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -93,14 +83,15 @@ def simulate(model, steps: int, seed):
 
     state = model.initial_truth if not lead else np.stack(
         [model.initial_truth] * lead[0])
-    truth = [state]
-    inputs = list(model.inputs(steps))
+    truth = np.empty((steps + 1,) + np.shape(state))
+    truth[0] = state
+    inputs = model.inputs(steps)
     measurements: Dict[int, np.ndarray] = {}
     for n, u in enumerate(inputs, start=1):
         state = model.f(state, u, noise(Lq))
         if n % _RENORM_EVERY == 0:
             state = model.renormalize(state)
-        truth.append(state)
+        truth[n] = state
         if n % model.measure_every == 0:
             measurements[n] = model.h(state) + noise(Lr)
     return truth, inputs, measurements
@@ -122,7 +113,7 @@ def run_record(model, retraction, truth, inputs, measurements) -> RunRecord:
     """Filter one simulation; every step's error comes from one phi_inv call."""
     retr = model.retraction(retraction)
     beliefs = filter_run(model, inputs, measurements, retraction=retr)
-    errors = retr.phi_inv(np.stack([b.mean for b in beliefs]), np.stack(truth[1:]))
+    errors = retr.phi_inv(np.stack([b.mean for b in beliefs]), truth[1:])
     return RunRecord(beliefs, np.ascontiguousarray(errors, dtype=float))
 
 
@@ -207,8 +198,8 @@ def _scored(model, retr, sim, initial):
             values = np.full(errors.shape[:-1], np.nan)
         else:  # C-contiguous, as NEES needs
             errors = np.ascontiguousarray(retr.phi_inv(
-                np.stack([b.mean for b in beliefs]),
-                np.stack(truth[first:end])), dtype=float)
+                np.stack([b.mean for b in beliefs]), truth[first:end]),
+                dtype=float)
             values = _nees(np.array([b.cov for b in beliefs]), errors, first)
         yield first, beliefs, errors, values
         beliefs.clear()
@@ -217,11 +208,11 @@ def _scored(model, retr, sim, initial):
 
 def _lockstep(model, retr, sim):
     """Filter the lockstep simulation `sim` (from simulate with a sequence
-    of seeds) in one pass of _scored; per run its (errors, nees), or None
-    if it diverged.  Raises what the pass raises.
+    of seeds) in one pass of _scored: its (steps, runs, dim) errors and
+    (steps, runs) NEES.  Raises what the pass raises.
     """
     truth, inputs, _ = sim
-    runs = len(truth[0])
+    runs = truth.shape[1]
     cov = np.asarray(model.initial_cov, dtype=float)
     initial = Belief(np.stack([model.initial_mean] * runs),
                      np.broadcast_to(cov, (runs,) + cov.shape))
@@ -230,34 +221,30 @@ def _lockstep(model, retr, sim):
     for first, beliefs, e, v in _scored(model, retr, sim, initial):
         rows = slice(first - 1, first - 1 + len(beliefs))
         errors[rows], values[rows] = e, v
-    out = []
-    for r in range(runs):
-        e, v = errors[:, r], values[:, r]
-        bad = (not np.isfinite(e).all() or not np.isfinite(v).all()
-               or float(v.max()) > DIVERGENCE_NEES)
-        out.append(None if bad else (e, v))
-    return out
+    return errors, values
 
 
 def _outcomes(model, retr, sim):
-    """Per run (errors, nees) or None: all runs in lockstep, or, if that
-    pass raises, one run at a time on its slice of the simulation, so that
-    only the failing runs diverge."""
+    """_lockstep's (errors, nees) of all runs, or, if that pass raises, the
+    same arrays filled one run at a time from its column of the simulation,
+    a run that raises on its own reading NaN."""
     try:
         return _lockstep(model, retr, sim)
     except ManifoldUkfError:
         pass
     truth, inputs, measurements = sim
-    out = []
-    for r in range(len(truth[0])):
+    runs = truth.shape[1]
+    errors = np.full((len(inputs), runs, retr.dim), np.nan)
+    values = np.full((len(inputs), runs), np.nan)
+    for r in range(runs):
         one = np.s_[r:r + 1]
         try:
-            out += _lockstep(model, retr, (
-                [s[one] for s in truth], inputs,
+            errors[:, one], values[:, one] = _lockstep(model, retr, (
+                truth[:, one], inputs,
                 {n: y[one] for n, y in measurements.items()}))
         except ManifoldUkfError:
-            out.append(None)
-    return out
+            pass
+    return errors, values
 
 
 def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
@@ -291,13 +278,16 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
     filters = []
     for retr in retrs:
         t0 = time.perf_counter()
-        good = [o for o in _outcomes(model, retr, sim) if o is not None]
+        errors, values = _outcomes(model, retr, sim)
         wall = time.perf_counter() - t0
-        diverged = runs - len(good)
+        good = (np.isfinite(errors).all(axis=(0, 2))
+                & np.isfinite(values).all(axis=0)
+                & (values.max(axis=0) <= DIVERGENCE_NEES))
+        diverged = runs - int(good.sum())
         slices = retr.block_slices()
-        if good:
-            E = np.array([e for e, _ in good])  # (valid, steps, dim)
-            N = np.array([v for _, v in good])  # (valid, steps)
+        if good.any():
+            E = errors.transpose(1, 0, 2)[good]  # (valid, steps, dim)
+            N = values.T[good]                    # (valid, steps)
             rmse = {
                 lbl: np.sqrt(np.mean(np.sum(E[:, :, slices[lbl]] ** 2, axis=2),
                                      axis=0))

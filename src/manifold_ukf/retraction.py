@@ -241,20 +241,27 @@ def covariance_retrieval(R_hat, L, P):
     Returns (x, A P A^T) with A = -wedge(x); the result is rank deficient
     along x because rotating about x does not move it.
     """
-    P = np.asarray(P, dtype=float)
-    _require_psd(P)
+    _psd_sqrt(P)
     x = np.asarray(R_hat, dtype=float) @ np.asarray(L, dtype=float)
     A = -lie.wedge_so3(x)
     return x, A @ P @ A.T
 
 
-def _require_psd(P):
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise NonPSDCovariance(f"covariance must be square, got {P.shape}")
-    if np.abs(P - P.T).max(initial=0.0) > 1e-9:
-        raise NonPSDCovariance("covariance is not symmetric within 1e-9")
-    if P.shape[0] and float(np.linalg.eigvalsh(P).min()) < -1e-9:
-        raise NonPSDCovariance("covariance has an eigenvalue below -1e-9")
+def _psd_sqrt(M, what: str = "covariance") -> np.ndarray:
+    """A factor L with L @ L.T == M of a symmetric positive semidefinite M.
+    NonPSDCovariance, naming M as `what`, if M is not square, holds NaN or
+    inf, is asymmetric beyond 1e-9 or has an eigenvalue below -1e-9."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NonPSDCovariance(f"{what} must be square, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonPSDCovariance(f"{what} holds NaN or inf")
+    if np.abs(M - M.T).max(initial=0.0) > 1e-9:
+        raise NonPSDCovariance(f"{what} is not symmetric within 1e-9")
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    if (vals < -1e-9).any():
+        raise NonPSDCovariance(f"{what} has an eigenvalue below -1e-9")
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from manifold_ukf import lie_groups as lie
-from manifold_ukf.cli import main, strip_runtime_column
+from manifold_ukf.cli import main
 from manifold_ukf.models import (
     ModelSpec,
     augment_landmark,
@@ -26,6 +26,7 @@ from manifold_ukf.retraction import (
 )
 from manifold_ukf.sigma_core import Belief, filter_run
 
+from fileformats import strip_runtime_column
 from oracles import kf_run, matrix_exp_series, wedge_sek
 
 

@@ -16,11 +16,11 @@ from manifold_ukf.cli import (
     main,
     read_imu_log,
     read_landmarks,
-    strip_runtime_column,
-    write_imu_log,
 )
 from manifold_ukf.models import example_names, make
 from manifold_ukf.montecarlo import nees, run_record, simulate
+
+from fileformats import strip_runtime_column, write_imu_log
 
 
 def _read(path):
@@ -196,6 +196,14 @@ def test_check_retraction_bad_epsilons(capsys):
         assert code == EXIT_CONFIG, eps
         assert captured.err.startswith("error:"), eps
         assert len(captured.err.splitlines()) == 1 and not captured.out, eps
+
+
+def test_check_retraction_rejects_bad_dt(capsys):
+    code = main(["check-retraction", "attitude3d", "--dt", "nan"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("error:") and "dt must be" in captured.err
+    assert len(captured.err.splitlines()) == 1 and not captured.out
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +434,15 @@ _IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"
     pytest.param("attitude3d", "--config", '{"out": 5}', "out", id="config-out"),
     pytest.param("attitude3d", "--config", '{"dt": 0}', "attitude3d",
                  id="config-dt-zero"),
+    pytest.param("attitude3d", "--config", '{"dt": NaN}', "dt must be",
+                 id="config-dt-nan"),
+    pytest.param("attitude3d", "--config", '{"dt": Infinity}', "dt must be",
+                 id="config-dt-inf"),
+    pytest.param("attitude3d", "--config", '{"dt": -0.01}', "dt must be",
+                 id="config-dt-negative"),
+    pytest.param("imu_gnss", "--config",
+                 '{"model_params": {"gyro_std": Infinity}}', "imu_gnss Q",
+                 id="config-gyro-std-inf"),
     pytest.param("inertial_nav", "--config",
                  '{"model_params": {"landmarks": [1, 2]}}', "inertial_nav",
                  id="config-landmarks-list"),

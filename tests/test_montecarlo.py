@@ -74,8 +74,8 @@ def test_simulate_is_a_prefix_of_a_longer_simulate(name):
     model = make(name)
     truth, inputs, measurements = simulate(model, 30, 5)
     long_truth, long_inputs, long_measurements = simulate(model, 60, 5)
-    for a, b in zip(truth + inputs, long_truth[:31] + long_inputs[:30]):
-        assert np.array_equal(a, b)
+    assert np.array_equal(truth, long_truth[:31])
+    assert np.array_equal(inputs, long_inputs[:30])
     assert measurements.keys() == {n for n in long_measurements if n <= 30}
     for n, y in measurements.items():
         assert np.array_equal(y, long_measurements[n])
@@ -304,12 +304,11 @@ def test_lockstep_runs_equal_single_runs(name, retr):
     model = make(name)
     sims = [simulate(model, 30, s) for s in _run_seeds(7, 3)]
     records = [run_record(model, retr, *sim) for sim in sims]
-    outcomes = _lockstep(model, model.retraction(retr),
-                         simulate(model, 30, _run_seeds(7, 3)))
-    for out, rec in zip(outcomes, records):
-        assert out is not None
-        assert np.array_equal(out[0], rec.errors)
-        assert np.array_equal(out[1], nees(rec))
+    errors, values = _lockstep(model, model.retraction(retr),
+                               simulate(model, 30, _run_seeds(7, 3)))
+    for r, rec in enumerate(records):
+        assert np.array_equal(errors[:, r], rec.errors)
+        assert np.array_equal(values[:, r], nees(rec))
     report = benchmark(model, [retr], runs=3, seed=7, steps=30)
     assert report.filters[0].diverged == 0
     _assert_report_matches(report.filters[0], *_aggregate(model, retr, records))
@@ -458,13 +457,12 @@ def test_lockstep_chunks_equal_single_runs(monkeypatch, name, retr):
     monkeypatch.setattr(montecarlo, "_CHUNK", 7)
     model = make(name)
     seeds = _run_seeds(3, 2)
-    outcomes = _lockstep(model, model.retraction(retr),
-                         simulate(model, 30, seeds))
-    for out, seed in zip(outcomes, seeds):
+    errors, values = _lockstep(model, model.retraction(retr),
+                               simulate(model, 30, seeds))
+    for r, seed in enumerate(seeds):
         rec = run_record(model, retr, *simulate(model, 30, seed))
-        assert out is not None
-        assert np.array_equal(out[0], rec.errors)
-        assert np.array_equal(out[1], nees(rec))
+        assert np.array_equal(errors[:, r], rec.errors)
+        assert np.array_equal(values[:, r], nees(rec))
 
 
 def test_run_failing_in_second_chunk_diverges_alone(monkeypatch):
@@ -503,6 +501,22 @@ def test_benchmark_memory_does_not_grow_with_beliefs():
     assert peak < 16 * 2 ** 20
 
 
+def test_simulate_holds_one_array_per_quantity():
+    """A 2,000-step imu_gnss simulation holds its truth (31 floats a step),
+    inputs (6 a step) and one fix every 20 steps as arrays: under 350 B
+    per step, of which 296 are the truth and input data."""
+    model = make("imu_gnss")
+    steps = 2000
+    tracemalloc.start()
+    try:
+        sim = simulate(model, steps, 0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sim[0]) == steps + 1
+    assert held <= 350 * steps
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -514,6 +528,9 @@ def test_psd_sqrt_reconstructs():
     L = _psd_sqrt(M)
     assert np.abs(L @ L.T - M).max() < 1e-12
     assert np.array_equal(_psd_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        _psd_sqrt(np.diag([1.0, -1.0]))
+    assert _psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
+    for bad in (np.diag([1.0, -1.0]), np.ones((2, 3)), np.diag([1.0, np.nan]),
+                np.diag([np.inf, 1.0]), np.array([[1.0, 0.1], [0.0, 1.0]])):
+        with pytest.raises(NonPSDCovariance):
+            _psd_sqrt(bad)
 

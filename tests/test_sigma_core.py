@@ -438,6 +438,7 @@ def test_filter_run_rejects_bad_state_from_f_at_its_step(name, d, kind):
     else:
         model = make(name, measure_every=2)
     _, inputs, meas = simulate(model, 10, 3)
+    inputs = list(inputs)  # one object per row, for the identity test in f
     corrupt = _corrupt(kind, d)
 
     def f(state, omega, w):
