@@ -17,6 +17,7 @@ from manifold_ukf.errors import (
 )
 from manifold_ukf.models import ModelSpec, example_names, make
 from manifold_ukf.montecarlo import (
+    DIVERGENCE_NEES,
     RunRecord,
     _lockstep,
     _psd_sqrt,
@@ -459,6 +460,7 @@ def test_lockstep_chunks_equal_single_runs(monkeypatch, name, retr):
     seeds = _run_seeds(3, 2)
     errors, values = _lockstep(model, model.retraction(retr),
                                simulate(model, 30, seeds))
+    assert np.isfinite(errors).all() and (values <= DIVERGENCE_NEES).all()
     for r, seed in enumerate(seeds):
         rec = run_record(model, retr, *simulate(model, 30, seed))
         assert np.array_equal(errors[:, r], rec.errors)
