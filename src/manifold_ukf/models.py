@@ -57,10 +57,14 @@ class ModelSpec:
     f = state @ F.T + w and h = state @ H.T, because the filter passes all
     its sigma points in one call: f gets a stack of N states together with a
     stack of N noise vectors and pairs them row by row (a single state or
-    noise vector broadcasts against a stack).  benchmark() steps all its runs
-    in lockstep, so there f and h see (2(d + q), runs, ...) stacks in the
-    filter and (runs, ...) stacks in the simulation, and renormalize a
-    (runs, ...) stack of states.  inputs(steps) returns the (steps, m)
+    noise vector broadcasts against a stack).  Per step f sees the paper's
+    N = 1 + 2(d + q) points (the mean, the 2d retracted state points, then
+    the mean with each of the 2q noise points) and h the 1 + 2d points of
+    the mean and its retracted points.  benchmark() steps all its runs in
+    lockstep, so there f sees a (1 + 2(d + q), runs, ...) stack with the
+    noise as (1 + 2(d + q), 1, q) and h a (1 + 2d, runs, ...) stack in the
+    filter, both see (runs, ...) stacks in the simulation, and renormalize
+    a (runs, ...) stack of states.  inputs(steps) returns the (steps, m)
     input sequence, row n - 1 driving step n; every run shares it.
     state_to_vector maps a single state.
 
@@ -264,12 +268,14 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
 # 3D inertial navigation: extended pose from IMU and body-frame landmarks
 
 
-def _strapdown(pose, gyro, acc, dt, gravity):
+def _strapdown(pose, gyro, acc, dt, gravity, out=None):
     """Strapdown step of an extended pose (rotation, velocity, position)
-    under body-frame gyro rates and specific force."""
+    under body-frame gyro rates and specific force, written into out if
+    given (see retraction._pose_join)."""
     C, v, p = _pose_parts(pose)
     return _pose_join(C @ lie.exp_so3(gyro * dt),
-                      v + ((C @ acc[..., None])[..., 0] + gravity) * dt, p + v * dt)
+                      v + ((C @ acc[..., None])[..., 0] + gravity) * dt, p + v * dt,
+                      out)
 
 
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
@@ -480,8 +486,11 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
     pose, bias = _mixed_parts(5, state)
     gyro = omega[:3] - bias[..., :3] + w[..., :3]
     acc = omega[3:6] - bias[..., 3:6] + w[..., 3:6]
-    return mixed_state(_strapdown(pose, gyro, acc, dt, gravity),
-                       bias + w[..., 6:12])
+    # the new pose goes straight into the pose view of the flat output
+    out = np.empty(gyro.shape[:-1] + state.shape[-1:])
+    _strapdown(pose, gyro, acc, dt, gravity, _mixed_parts(5, out)[0])
+    out[..., 25:] = bias + w[..., 6:12]
+    return out
 
 
 def _mixed_position(state):

@@ -214,13 +214,16 @@ def _pose_parts(X):
     return X[..., :3, :3], X[..., :3, 3], X[..., :3, 4]
 
 
-def _pose_join(C, v, p):
-    out = np.zeros(np.broadcast_shapes(C.shape[:-2], v.shape[:-1], p.shape[:-1])
-                   + (5, 5))
+def _pose_join(C, v, p, out=None):
+    """Extended poses from their blocks, written into out, a (..., 5, 5)
+    array or view, or into a new array."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(C.shape[:-2], v.shape[:-1],
+                                           p.shape[:-1]) + (5, 5))
     out[..., :3, :3] = C
     out[..., :3, 3] = v
     out[..., :3, 4] = p
-    out[..., 3:, 3:] = lie._eye(2)
+    out[..., 3:, :] = lie._eye(5)[3:]  # [0 I]
     return out
 
 

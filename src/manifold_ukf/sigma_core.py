@@ -9,17 +9,20 @@ standard unscented correction to the measurement moments and retracts the
 correction vector onto the state.
 
 All sigma points of a step go through each of phi, f, phi_inv and h in one
-call: propagate stacks the 2d state points and the 2q noise points into one
-(2d + 2q)-row batch, so per step f runs twice (once at the mean) and phi
-and phi_inv once each.  The callables must broadcast over a leading batch
+call, and phi only where it moves a point.  propagate pushes the paper's
+1 + 2(d + q) points through f as one stack: the mean, the 2d retracted
+state points phi(mean, xi_j), then 2q copies of the mean paired with the
+noise points; phi maps the 2d offsets and phi_inv the 2(d + q) images.
+update pushes the mean and its 2d retracted points through h as one
+(1 + 2d)-row stack.  The callables must broadcast over a leading batch
 axis, f over a state stack and a noise stack together (see ModelSpec and
 Retraction); an output that is constant over the batch is broadcast to it.
 
 A belief may also carry leading run axes: cov (..., d, d) holds the
 covariances of independent runs and the mean broadcasts to them (one shared
 state, or one per run).  The sigma axis then comes first, so the callables
-see (2(d + q), ..., ·) stacks and every run of a Monte-Carlo batch shares
-each call.  Each run's numbers are bit-identical to its run alone.
+see (1 + 2(d + q), ..., ·) stacks and every run of a Monte-Carlo batch
+shares each call.  Each run's numbers are bit-identical to its run alone.
 
 Weights follow the scaled unscented transform with kappa = 0 and beta = 2;
 the spread alpha in (0, 1] is the only knob, set on the model (ModelSpec.alpha)
@@ -137,12 +140,18 @@ def _jittered_cholesky(P, scale):
 
 
 @lru_cache(maxsize=64)
-def _noise_points(Q_bytes: bytes, shape: tuple, lam: float) -> np.ndarray:
-    """Read-only sigma_points(Q, lam) of the noise covariance Q with these
-    bytes and shape: propagate reuses them while Q keeps its values."""
-    points = sigma_points(np.frombuffer(Q_bytes).reshape(shape), lam)
-    points.flags.writeable = False
-    return points
+def _noise_points(Q_bytes: bytes, shape: tuple, lam: float, head: int = 0,
+                  run_axes: int = 0) -> np.ndarray:
+    """Read-only noise stack of the noise covariance Q with these bytes and
+    shape: `head` zero rows, then sigma_points(Q, lam) unless Q is all zero
+    (lam is then unused), each row shaped (1,) * run_axes + (q,) so that
+    every run shares it.  propagate reuses it while Q keeps its values."""
+    Q = np.frombuffer(Q_bytes).reshape(shape)
+    points = sigma_points(Q, lam) if Q.any() else np.empty((0, shape[0]))
+    stack = np.zeros((head + len(points),) + (1,) * run_axes + shape[:1])
+    stack.reshape(len(stack), -1)[head:] = points
+    stack.flags.writeable = False
+    return stack
 
 
 def _gram(a, b) -> np.ndarray:
@@ -171,16 +180,17 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
               alpha: float) -> Belief:
     """One prediction step.
 
-    The new mean is the unnoisy image of the old mean.  State uncertainty is
-    re-expressed at the new mean by pushing the 2d state sigma points through
-    f with zero noise; process noise contributes through its own 2q sigma
-    points drawn from Q and pushed through f at the old mean.  Both sets go
-    through one phi, one f and one phi_inv call as a single stack: states
-    phi(mean, [xis; 0]) with noise [0; ws], so the noise rows see the mean
-    itself (phi(mean, 0) == mean).  With Q all zero the stack has only the
-    2d state rows.  The mean sigma point maps to zero by construction and
-    drops out of both sums.  On a belief with run axes the stack is
-    (2d + 2q, ..., ·) and the noise points (2d + 2q, 1, ..., q).
+    f sees the paper's 1 + 2(d + q) points in one call: the mean with zero
+    noise, whose image is the new mean; the 2d state sigma points
+    phi(mean, xi_j) with zero noise, which re-express the state uncertainty
+    at the new mean; and the mean itself with each of the 2q noise sigma
+    points drawn from Q.  So phi runs on the 2d offsets only and phi_inv on
+    the 2d + 2q images; the mean's own image maps to zero by construction
+    and drops out of both sums.  With Q all zero the stack has only the
+    1 + 2d zero-noise rows.  On a belief with run axes the state stack is
+    (1 + 2(d + q), ..., ·), the noise stack (1 + 2(d + q), 1, ..., q), and
+    the new mean one state per run.  The new mean is a copy, so a belief
+    does not keep f's whole output alive.
 
     d is the belief's dimension, not the retraction's, so a state grown at
     runtime (augment_landmark) keeps filtering; a width the retraction's
@@ -188,23 +198,22 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     """
     Q = np.asarray(Q, dtype=float)
     d = belief.dim
-    q = Q.shape[0]
-    mean_new = f(belief.mean, omega, np.zeros(q))
-
     w_d = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w_d.lam)
     lead = xis.shape[1:-1]
-    ones = (1,) * len(lead)  # noise is the same for every run
-    noise = np.zeros((2 * d,) + ones + (q,))
     noisy = Q.any()
-    if noisy:
-        w_q = set_weights(q, alpha)
-        xis = np.concatenate([xis, np.zeros((2 * q,) + lead + (d,))])
-        noise = np.concatenate([noise, _noise_points(
-            Q.tobytes(), Q.shape, w_q.lam).reshape((2 * q,) + ones + (q,))])
-    imgs = _rows(retraction.phi_inv(
-        mean_new, f(retraction.phi(belief.mean, xis), omega, noise)),
-        xis.shape[:-1], d)
+    w_q = set_weights(Q.shape[0], alpha) if noisy else None
+    noise = _noise_points(Q.tobytes(), Q.shape, w_q.lam if noisy else 0.0,
+                          1 + 2 * d, len(lead))
+    offsets = retraction.phi(belief.mean, xis)
+    states = np.empty((len(noise),) + offsets.shape[1:])
+    states[0] = belief.mean
+    states[1:1 + 2 * d] = offsets
+    states[1 + 2 * d:] = belief.mean
+    images = _rows(f(states, omega, noise), states.shape[:-1], states.shape[-1])
+    mean_new = images[0].copy()
+    imgs = _rows(retraction.phi_inv(mean_new, images[1:]),
+                 (len(images) - 1,) + lead, d)
     state_imgs, noise_imgs = imgs[:2 * d], imgs[2 * d:]
     cov = w_d.w_j * _gram(state_imgs, state_imgs)
     if noisy:
@@ -217,12 +226,15 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
            alpha: float) -> Belief:
     """One measurement update.
 
-    Sigma points live in the tangent space at the current mean; the Kalman
-    gain maps innovation to a tangent correction which is retracted onto the
-    state.  The covariance update P - K S K^T keeps the existing tangent
-    coordinates.  On a belief with run axes, y holds one measurement per
-    run, (..., p).  As in propagate, the sigma points take the belief's
-    dimension.
+    Sigma points live in the tangent space at the current mean; h sees the
+    paper's 1 + 2d points in one call, the mean itself in row 0 and then
+    phi(mean, xi_j), so phi runs on the 2d offsets only (and once more on
+    the correction).  The Kalman gain maps innovation to a tangent
+    correction which is retracted onto the state.  The covariance update
+    P - K S K^T keeps the existing tangent coordinates.  On a belief with
+    run axes, y holds one measurement per run, (..., p), and h sees a
+    (1 + 2d, ..., ·) stack.  As in propagate, the sigma points take the
+    belief's dimension.
     """
     y = np.asarray(y, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -234,9 +246,10 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     xis = sigma_points(belief.cov, w.lam)
     lead = xis.shape[1:-1]
 
-    # row 0 is the mean itself: phi(mean, 0) == mean
-    points = retraction.phi(
-        belief.mean, np.concatenate([np.zeros((1,) + lead + (d,)), xis]))
+    offsets = retraction.phi(belief.mean, xis)
+    points = np.empty((1 + 2 * d,) + offsets.shape[1:])
+    points[0] = belief.mean
+    points[1:] = offsets
     y_all = _rows(h(points), (2 * d + 1,) + lead, R.shape[0])
     y0, ys = y_all[0], y_all[1:]
 

@@ -266,14 +266,14 @@ def test_propagate_and_update_call_counts(with_noise, monkeypatch):
 
     belief = propagate(belief, model.inputs(1)[0], f, Q, retr, model.alpha)
     rows = 2 * d + 2 * q if with_noise else 2 * d
-    assert f.shapes == [(5, 5), (rows, 5, 5)]  # the mean, then one stack
-    assert phi.shapes == [(rows, d)]
+    assert f.shapes == [(1 + rows, 5, 5)]  # the mean, then the sigma points
+    assert phi.shapes == [(2 * d, d)]  # the state offsets only
     assert phi_inv.shapes == [(rows, 5, 5)]
 
     phi.shapes.clear()
     update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
     assert h.shapes == [(2 * d + 1, 5, 5)]
-    assert phi.shapes == [(2 * d + 1, d), (d,)]  # sigma points, then the correction
+    assert phi.shapes == [(2 * d, d), (d,)]  # sigma points, then the correction
 
     # after that step, constants and the noise points are cached: no identity
     # is rebuilt, no determinant goes through LAPACK, and only the belief's
@@ -321,8 +321,8 @@ def test_propagate_and_update_on_a_run_stack(name):
     u = model.inputs(1)[0]
 
     stacked = propagate(Belief(means, covs), u, f, model.Q, retr, model.alpha)
-    assert phi.shapes == [(2 * (d + q), runs, d)]
-    assert f.shapes[1][:2] == (2 * (d + q), runs)
+    assert phi.shapes == [(2 * d, runs, d)]
+    assert [shape[:2] for shape in f.shapes] == [(1 + 2 * (d + q), runs)]
     ys = np.array([model.h(b.mean) for b in singles]) + 0.05
     stacked = update(stacked, ys, h, model.R, retr, model.alpha)
     assert h.shapes[0][:2] == (2 * d + 1, runs)
@@ -332,6 +332,31 @@ def test_propagate_and_update_on_a_run_stack(name):
         one = update(one, ys[r], model.h, model.R, retr, model.alpha)
         assert np.array_equal(stacked.cov[r], one.cov)
         assert np.array_equal(stacked.mean[r], one.mean)
+
+
+@pytest.mark.parametrize("name,retraction", [
+    (name, retraction) for name in example_names()
+    for retraction in sorted(make(name).retractions)])
+def test_propagated_mean_is_the_owned_zero_noise_image(name, retraction):
+    """propagate's new mean, row 0 of its one stacked f call, is f at the
+    mean with zero noise bit for bit, for one belief and for a 3-run stack.
+    The means propagate and update return own their memory, so a belief
+    keeps no stacked output alive."""
+    model = make(name)
+    retr = model.retraction(retraction)
+    d, q, runs = retr.dim, model.Q.shape[0], 3
+    u = model.inputs(1)[0]
+    means = retr.phi(model.initial_mean, 0.1 * RNG.standard_normal((runs, d)))
+    covs = model.initial_cov * RNG.uniform(0.5, 2.0, (runs, 1, 1))
+    for belief in (Belief(means[0], covs[0]), Belief(means, covs)):
+        out = propagate(belief, u, model.f, model.Q, retr, model.alpha)
+        image = np.asarray(model.f(belief.mean, u, np.zeros(q)))
+        assert out.mean.shape == image.shape
+        assert out.mean.tobytes() == np.ascontiguousarray(image).tobytes()
+        assert out.mean.base is None
+        out = update(out, model.h(out.mean) + 0.05, model.h, model.R, retr,
+                     model.alpha)
+        assert out.mean.base is None
 
 
 def test_renormalize_batch_equals_elements():

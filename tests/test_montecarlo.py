@@ -350,16 +350,16 @@ def test_bad_state_from_f_diverges_its_run_alone(name, d, kind):
     marker = filter_run(model, *sims[1][1:])[5].mean  # run 1 entering step 7
 
     def f(state, omega, w):
-        out = model.f(state, omega, w)
-        if np.ndim(w) == 1:  # the zero-noise call that makes the new means
-            hit = np.all(np.asarray(state) == marker, axis=(-2, -1))
-            out = np.array(out)
-            if kind == "scaled":
-                out[hit, :d, :d] *= 1.01
-            elif kind == "reflected":
-                out[hit, d - 1, :] *= -1.0
-            else:
-                out[hit, :d, :d] = np.nan
+        out = np.array(model.f(state, omega, w))
+        # the zero-noise image of run 1's mean makes its new mean
+        hit = (np.all(np.asarray(state) == marker, axis=(-2, -1))
+               & ~np.any(w, axis=-1))
+        if kind == "scaled":
+            out[hit, :d, :d] *= 1.01
+        elif kind == "reflected":
+            out[hit, d - 1, :] *= -1.0
+        else:
+            out[hit, :d, :d] = np.nan
         return out
 
     bad = dataclasses.replace(model, f=f)

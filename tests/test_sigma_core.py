@@ -440,12 +440,20 @@ def test_filter_run_rejects_bad_state_from_f_at_its_step(name, d, kind):
     _, inputs, meas = simulate(model, 10, 3)
     inputs = list(inputs)  # one object per row, for the identity test in f
     corrupt = _corrupt(kind, d)
+    mean = filter_run(model, inputs[:6], meas)[-1].mean  # entering step 7
 
     def f(state, omega, w):
         out = model.f(state, omega, w)
-        # the zero-noise call at the mean makes the new mean
-        hit = omega is inputs[6] and (np.ndim(w) == 1 or kind not in _MEAN_ONLY)
-        return corrupt(out) if hit else out
+        if omega is not inputs[6]:
+            return out
+        if kind not in _MEAN_ONLY:
+            return corrupt(out)
+        # the zero-noise image of the mean, inside the one stacked call, is
+        # the new mean
+        hit = np.all(state == mean, axis=(-2, -1)) & ~np.any(w, axis=-1)
+        out = np.array(out)
+        out[hit] = corrupt(out[hit])
+        return out
 
     with pytest.raises(FilterStepError) as exc_info:
         filter_run(dataclasses.replace(model, f=f), inputs, meas)
