@@ -185,12 +185,12 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     phi(mean, xi_j) with zero noise, which re-express the state uncertainty
     at the new mean; and the mean itself with each of the 2q noise sigma
     points drawn from Q.  So phi runs on the 2d offsets only and phi_inv on
-    the 2d + 2q images; the mean's own image maps to zero by construction
-    and drops out of both sums.  With Q all zero the stack has only the
-    1 + 2d zero-noise rows.  On a belief with run axes the state stack is
-    (1 + 2(d + q), ..., ·), the noise stack (1 + 2(d + q), 1, ..., q), and
-    the new mean one state per run.  The new mean is a copy, so a belief
-    does not keep f's whole output alive.
+    the other 2d + 2q images; the mean's own image would map to zero, so it
+    is left out of phi_inv and of both sums.  With Q all zero the stack has
+    only the 1 + 2d zero-noise rows.  On a belief with run axes the state
+    stack is (1 + 2(d + q), ..., ·), the noise stack (1 + 2(d + q), 1, ...,
+    q), and the new mean one state per run.  The new mean is a copy, so a
+    belief does not keep f's whole output alive.
 
     d is the belief's dimension, not the retraction's, so a state grown at
     runtime (augment_landmark) keeps filtering; a width the retraction's
@@ -210,10 +210,10 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     states[0] = belief.mean
     states[1:1 + 2 * d] = offsets
     states[1 + 2 * d:] = belief.mean
-    images = _rows(f(states, omega, noise), states.shape[:-1], states.shape[-1])
-    mean_new = images[0].copy()
-    imgs = _rows(retraction.phi_inv(mean_new, images[1:]),
-                 (len(images) - 1,) + lead, d)
+    out = _rows(f(states, omega, noise), states.shape[:-1], states.shape[-1])
+    mean_new = out[0].copy()
+    imgs = _rows(retraction.phi_inv(mean_new, out[1:]),
+                 (len(out) - 1,) + lead, d)
     state_imgs, noise_imgs = imgs[:2 * d], imgs[2 * d:]
     cov = w_d.w_j * _gram(state_imgs, state_imgs)
     if noisy:
