@@ -78,11 +78,14 @@ def _csv_lines(path):
 
 
 def _floats(path, n, cells):
-    """The cells of line n as floats, or UsageError naming the line."""
+    """The cells of line n as finite floats, or UsageError naming the line."""
     try:
-        return [float(c) for c in cells]
+        values = [float(c) for c in cells]
     except ValueError as exc:
         raise UsageError(f"{path}, line {n}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{path}, line {n}: cells must be finite numbers")
+    return values
 
 
 def write_benchmark_csv(path, report) -> None:

@@ -21,6 +21,13 @@ rotation axis from the symmetric part of the matrix.
 exp, log, inverse, wedge_so3 and the left Jacobians broadcast over leading
 axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
 are chosen per element, and one bad element of a stack fails the call.
+
+The public inverse, log_sek, log_so3 and log_so2 validate their input (the
+[0 I] embedding rows, then the rotation block), then call one private
+unchecked core each (_inverse, _log_sek, _log_so3, _log_so2) that holds the
+math.  A caller that has checked its input already, such as the group
+phi_inv in retraction, calls the cores directly.  The near-pi check of the
+logs needs the angles, so it stays in the cores.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ _ROT_TOL = 1e-9
 # wedge_so3(omega) == omega[..., _WEDGE_IDX] * _WEDGE_SIGN
 _WEDGE_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
 _WEDGE_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+# vee(C - C^T) == C[..., _VEE_ROWS, _VEE_COLS] - C[..., _VEE_COLS, _VEE_ROWS]
+_VEE_ROWS = np.array([2, 0, 1])
+_VEE_COLS = np.array([1, 2, 0])
 
 
 @cache
@@ -89,11 +99,17 @@ def wedge_so3(omega) -> np.ndarray:
 
 def _rot2(c, s) -> np.ndarray:
     """Stack of 2x2 matrices [[c, -s], [s, c]]."""
-    return np.stack([c, -s, s, c], axis=-1).reshape(np.shape(c) + (2, 2))
+    out = np.empty(np.shape(c) + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
 
 
-def _require_below_pi(theta):
-    worst = float(np.max(np.abs(theta), initial=0.0))
+def _require_below_pi(abs_theta):
+    """NearPiRotation if an angle of magnitudes abs_theta is within 1e-6 of pi."""
+    worst = float(np.max(abs_theta, initial=0.0))
     if worst >= math.pi - _PI_MARGIN:
         raise NearPiRotation(f"rotation angle {worst:.9f} is within 1e-6 of pi")
 
@@ -105,8 +121,13 @@ def exp_so2(theta) -> np.ndarray:
 def log_so2(C):
     C = np.asarray(C, dtype=float)
     _require_rotation(C, 2)
+    return _log_so2(C)
+
+
+def _log_so2(C):
+    """log_so2 of rotations that were checked already."""
     theta = np.arctan2(C[..., 1, 0], C[..., 0, 0])
-    _require_below_pi(theta)
+    _require_below_pi(np.abs(theta))
     return theta
 
 
@@ -173,14 +194,13 @@ def exp_so3(omega) -> np.ndarray:
 
 
 def _log_so3(C):
-    """Rotation vectors of a stack of rotations, and their angles."""
-    C = np.asarray(C, dtype=float)
-    _require_rotation(C, 3)
+    """Rotation vectors of a stack of rotations that were checked already,
+    and their angles."""
     # 0.5 * vee(C - C^T) has norm sin(theta); the trace gives cos(theta).
-    s_vec = 0.5 * (C[..., [2, 0, 1], [1, 2, 0]] - C[..., [1, 2, 0], [2, 0, 1]])
+    s_vec = 0.5 * (C[..., _VEE_ROWS, _VEE_COLS] - C[..., _VEE_COLS, _VEE_ROWS])
     s = np.sqrt((s_vec * s_vec).sum(axis=-1))
     c = 0.5 * (C.trace(axis1=-2, axis2=-1) - 1.0)
-    theta = np.arctan2(s, c)
+    theta = np.arctan2(s, c)  # in [0, pi], since s >= 0
     _require_below_pi(theta)
     small = theta < _SMALL_ANGLE  # scale is theta / sin(theta)
     if small.any():
@@ -211,6 +231,8 @@ def _axis_near_pi(C, c, s_vec):
 
 
 def log_so3(C) -> np.ndarray:
+    C = np.asarray(C, dtype=float)
+    _require_rotation(C, 3)
     return _log_so3(C)[0]
 
 
@@ -338,16 +360,23 @@ def log_sek(X, d: int) -> np.ndarray:
     For d = 3 the inverse left Jacobian reuses the angles of the rotation log.
     """
     X = _square(X, d)
+    _require_embedding(X, d, X.shape[-1] - d)
+    _require_rotation(X[..., :d, :d], d)
+    return _log_sek(X, d)
+
+
+def _log_sek(X, d):
+    """log_sek of square arrays whose embedding and rotation block were
+    checked already."""
     k = X.shape[-1] - d
-    _require_embedding(X, d, k)
     if d == 3:
         if k == 0:
-            return log_so3(X)
+            return _log_so3(X)[0]
         omega, theta = _log_so3(X[..., :3, :3])
         W = wedge_so3(omega)
         Jinv = _quadratic(W, W @ W, -0.5, *_so3_coeffs(theta * theta, "cotc"))
     else:
-        theta = log_so2(X[..., :2, :2])
+        theta = _log_so2(X[..., :2, :2])
         omega = np.expand_dims(theta, -1)
         if k == 0:
             return omega
@@ -367,13 +396,19 @@ def inverse(X, d: int) -> np.ndarray:
     """Closed-form inverse [[C^T, -C^T p_i], [0, I]]; no linear solve.  The
     rotation block C must be a rotation."""
     X = _square(X, d)
-    k = X.shape[-1] - d
-    _require_embedding(X, d, k)
+    _require_embedding(X, d, X.shape[-1] - d)
     _require_rotation(X[..., :d, :d], d)
+    return _inverse(X, d)
+
+
+def _inverse(X, d):
+    """inverse of square arrays whose embedding and rotation block were
+    checked already."""
+    k = X.shape[-1] - d
     Rt = np.swapaxes(X[..., :d, :d], -1, -2)
     if k == 0:
         return Rt.copy()
-    out = X.copy()  # keeps the bottom rows [0 I] checked above
+    out = X.copy()  # keeps the bottom rows [0 I]
     out[..., :d, :d] = Rt
     out[..., :d, d:] = -(Rt @ X[..., :d, d:])
     return out

@@ -267,15 +267,21 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
 
 def _gain(S, P_xy) -> np.ndarray:
     """Kalman gain P_xy S^-1 through the Cholesky factor of S, per element
-    of a stack."""
+    of a stack; a C-contiguous array."""
+    if S.ndim == 2:
+        return np.ascontiguousarray(_gain_one(S, P_xy))
     K = np.empty(P_xy.shape)
     for i in np.ndindex(S.shape[:-2]):
-        factor, info = _POTRF(S[i])
-        if info != 0:
-            raise SingularInnovationCovariance(
-                "innovation covariance is not positive definite")
-        K[i] = _POTRS(factor, P_xy[i].T)[0].T
+        K[i] = _gain_one(S[i], P_xy[i])
     return K
+
+
+def _gain_one(S, P_xy) -> np.ndarray:
+    factor, info = _POTRF(S)
+    if info != 0:
+        raise SingularInnovationCovariance(
+            "innovation covariance is not positive definite")
+    return _POTRS(factor, P_xy.T)[0].T
 
 
 def filter_run(model, inputs, measurements: Optional[Mapping[int, Any]] = None,

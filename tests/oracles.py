@@ -79,3 +79,19 @@ def numerical_jacobian(fun, x, eps: float = 1e-6) -> np.ndarray:
         dx[j] = eps
         J[:, j] = (np.asarray(fun(x + dx)) - np.asarray(fun(x - dx))) / (2 * eps)
     return J
+
+
+def ekf_transport(f, retraction, mean, P, u, Q, eps: float = 1e-6):
+    """First-order (EKF) covariance transport through the dynamics in the
+    retraction's own coordinates: the new mean f(mean, u, 0) and
+    F P F^T + G Q G^T, with F and G the central-difference Jacobians of
+    xi -> phi_inv(new mean, f(phi(mean, xi), u, 0)) and of
+    w -> phi_inv(new mean, f(mean, u, w)) at zero."""
+    q = Q.shape[0]
+    new_mean = f(mean, u, np.zeros(q))
+    F = numerical_jacobian(
+        lambda xi: retraction.phi_inv(new_mean, f(retraction.phi(mean, xi), u, np.zeros(q))),
+        np.zeros(P.shape[0]), eps)
+    G = numerical_jacobian(lambda w: retraction.phi_inv(new_mean, f(mean, u, w)),
+                           np.zeros(q), eps)
+    return new_mean, F @ P @ F.T + G @ Q @ G.T

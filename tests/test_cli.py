@@ -409,8 +409,14 @@ _IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"
                  f"{IMU_LOG_HEADER}\n{_IMU_ROW.replace('0.3', 'abc')}\n",
                  "line 2", id="imu-log-text-cell"),
     pytest.param("imu_gnss", "--imu-log", "", "empty", id="imu-log-empty"),
+    pytest.param("imu_gnss", "--imu-log",
+                 f"{IMU_LOG_HEADER}\n{_IMU_ROW}\n{_IMU_ROW[:-1]}1\n"
+                 f"{_IMU_ROW.replace('9.81,0.0', '9.81,nan')[:-1]}1\n",
+                 "line 4", id="imu-log-nan-cell"),
     pytest.param("inertial_nav", "--landmarks", "1.0,2.0,3.0\n1.0,abc,2.0\n",
                  "line 2", id="landmarks-text-cell"),
+    pytest.param("slam2d", "--landmarks", "1.0,2.0\n# far\ninf,2.0\n",
+                 "line 3", id="landmarks-inf-cell"),
     pytest.param("attitude3d", "--config", '{"steps": "abc"}', "steps",
                  id="config-steps"),
     pytest.param("attitude3d", "--config", '{"seed": [1]}', "seed",

@@ -6,7 +6,7 @@ import pytest
 
 from manifold_ukf import lie_groups as lie
 from manifold_ukf import models
-from manifold_ukf.errors import DimensionMismatch, NonPSDCovariance
+from manifold_ukf.errors import DimensionMismatch, ManifoldUkfError, NonPSDCovariance
 from manifold_ukf.retraction import (
     Retraction,
     _mixed_parts,
@@ -376,3 +376,128 @@ def test_mixed_last_factor_takes_the_rest():
     assert np.abs(retr.phi_inv(state, out) - xis).max() < 1e-10
     with pytest.raises(DimensionMismatch):
         retr.phi(state, np.zeros(8))
+
+
+# ---------------------------------------------------------------------------
+# The group phi_inv validates the ref and the relative stack in one pass
+
+
+def _group_pairs():
+    """One (label, retraction, state) per group family: so3, se2, se23,
+    mixed over SE(2) and over SE_2(3), and so3xr6."""
+    seen = {}
+    for label, retr, state in all_model_retractions():
+        if retr.name != "additive":
+            seen.setdefault((retr.name, np.shape(state)), (label, retr, state))
+    return list(seen.values())
+
+
+def _group_factor(retr):
+    """(the group part of a state, d, side) of a retraction's SE_k(d) factor,
+    which is the first factor of a product."""
+    kw = retr.phi_inv.keywords
+    if "phi_invs" not in kw:
+        return (lambda X: X), kw["d"], kw["side"]
+    group = kw["phi_invs"][0].keywords
+    return (lambda X: kw["split"](X)[0]), group["d"], group["side"]
+
+
+def _unchecked_error(retr, ref, states):
+    """The class that lie.inverse(ref) then lie.log_sek on the relative
+    stack raise on the group parts, or None, with the log itself."""
+    group, d, side = _group_factor(retr)
+    try:
+        inv = lie.inverse(group(ref), d)
+        rel = inv @ group(states) if side == "left" else group(states) @ inv
+        return None, lie.log_sek(rel, d)
+    except ManifoldUkfError as exc:
+        return type(exc), None
+
+
+def _corrupt(kind, retr, ref, states, stacked):
+    """Corrupt the group part of the ref or of one state in place (the
+    near-pi case replaces state 1)."""
+    group, d, _ = _group_factor(retr)
+    g_ref = group(ref)[1] if stacked else group(ref)
+    g_state = group(states)[(1, 1) if stacked else 1]
+    if kind == "nan_ref":
+        g_ref[0, 0] = np.nan
+    elif kind == "reflected_ref":
+        g_ref[:d, 0] *= -1.0
+    elif kind == "bad_row_ref":
+        g_ref[-1, 0] = 1e-3
+    elif kind == "bad_row_and_rotation_ref":
+        g_ref[-1, 0] = 1e-3
+        g_ref[:d, :d] *= 1.1
+    elif kind == "bad_rotation_ref_bad_row_state":
+        g_ref[:d, :d] *= 1.1
+        g_state[-1, 0] = 1e-3
+    elif kind == "bad_row_and_rotation_state":
+        g_state[-1, 0] = 1e-3
+        g_state[:d, :d] *= 1.1
+    elif kind == "nan_state":
+        g_state[1, 0] = np.nan
+    elif kind == "near_pi_state":
+        xi = np.zeros(retr.dim)
+        xi[:lie.rot_dim(d)] = (np.pi - 1e-8) * (np.array([1.0, 2.0, 2.0]) / 3.0
+                                                if d == 3 else 1.0)
+        states[1] = retr.phi(ref, xi)
+    else:
+        raise AssertionError(kind)
+
+
+_CORRUPTIONS = ("nan_ref", "reflected_ref", "bad_row_ref",
+                "bad_row_and_rotation_ref", "bad_rotation_ref_bad_row_state",
+                "bad_row_and_rotation_state", "nan_state", "near_pi_state")
+
+
+def _ref_and_states(retr, state, stacked):
+    """A ref away from the identity (3 runs of them if stacked) and 6
+    retracted states around it, (6, ...) or (6, 3, ...)."""
+    rng = np.random.Generator(np.random.Philox(key=35))
+    rd = lie.rot_dim(_group_factor(retr)[1])
+    runs = (3,) if stacked else ()
+    xi0 = 0.5 * rng.standard_normal(runs + (retr.dim,))
+    ref = retr.phi(state, xi0)
+    xis = np.clip(0.5 * rng.standard_normal((6,) + runs + (retr.dim,)), -0.5, 0.5)
+    xis[..., :rd] = np.clip(xis[..., :rd], -0.4, 0.4)
+    return ref, retr.phi(ref, xis)
+
+
+def _has_rows(retr, state):
+    group, d, _ = _group_factor(retr)
+    return group(np.asarray(state)).shape[-1] > d
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one_ref", "three_runs"])
+@pytest.mark.parametrize("label, retr, state, kind", [
+    pytest.param(*r, kind, id=f"{r[0]}-{kind}") for r in _group_pairs()
+    for kind in ("none",) + _CORRUPTIONS
+    if "row" not in kind or _has_rows(*r[1:])])  # SO(d) has no [0 I] rows
+def test_group_phi_inv_raises_what_inverse_then_log_raise(label, retr, state,
+                                                          kind, stacked):
+    ref, states = _ref_and_states(retr, state, stacked)
+    if kind != "none":
+        _corrupt(kind, retr, ref, states, stacked)
+    expected, log = _unchecked_error(retr, ref, states)
+    if kind == "none":
+        assert expected is None
+        assert np.array_equal(retr.phi_inv(ref, states)[..., :log.shape[-1]], log)
+        return
+    assert expected is not None, "the corruption must fail the checks"
+    with pytest.raises(ManifoldUkfError) as info:
+        retr.phi_inv(ref, states)
+    assert type(info.value) is expected
+
+
+@pytest.mark.parametrize("label, retr, state",
+                         [pytest.param(*r, id=r[0]) for r in _group_pairs()])
+def test_group_phi_inv_of_the_ref_itself_is_exact_zeros(label, retr, state):
+    for stacked in (False, True):
+        ref, states = _ref_and_states(retr, state, stacked)
+        runs = (3,) if stacked else ()
+        assert np.array_equal(retr.phi_inv(ref, ref), np.zeros(runs + (retr.dim,)))
+        states[2] = ref
+        out = retr.phi_inv(ref, states)
+        assert np.array_equal(out[2], np.zeros_like(out[2]))
+        assert (out[[0, 1, 3]] != 0.0).any(axis=-1).all()

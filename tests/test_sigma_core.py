@@ -34,7 +34,7 @@ from manifold_ukf.sigma_core import (
     update,
 )
 
-from oracles import kf_run, kf_update
+from oracles import ekf_transport, kf_run, kf_update
 
 RNG = np.random.Generator(np.random.Philox(key=99))
 
@@ -324,6 +324,49 @@ def test_propagate_linear_matches_oracle():
                         additive_retraction(2), 0.6)
         assert np.abs(out.mean - F @ x).max() < 1e-12
         assert np.abs(out.cov - (F @ P @ F.T + Q)).max() < 1e-8
+
+
+def _ekf_errors(name, retraction, alpha, steps=5):
+    """Per step, the worst entry of propagate's covariance minus the EKF
+    transport's from the same belief, relative to the largest entry of the
+    latter; the chain itself propagates at alpha = 0.1."""
+    model = make(name)
+    retr = model.retraction(retraction)
+    belief = Belief(model.initial_mean, model.initial_cov)
+    errors = []
+    for u in model.inputs(steps):
+        mean, P = ekf_transport(model.f, retr, belief.mean, belief.cov, u, model.Q)
+        out = propagate(belief, u, model.f, model.Q, retr, alpha)
+        assert np.array_equal(out.mean, mean)
+        errors.append(np.abs(out.cov - P).max() / np.abs(P).max())
+        belief = propagate(belief, u, model.f, model.Q, retr, 0.1)
+    return np.array(errors)
+
+
+# Group-affine dynamics have exactly linear error propagation in group
+# coordinates (Barrau & Bonnabel, IEEE TAC 2017), so the sigma-point
+# transport equals the first-order one; imu_gnss is left out because its
+# bias states break that property once P correlates them with the pose.
+_GROUP_AFFINE = [(name, r) for name in ("attitude3d", "inertial_nav",
+                                        "localization2d", "pendulum_s2", "slam2d")
+                 for r in make(name).retractions if r != "so3xr6"]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.1])
+@pytest.mark.parametrize("name,retraction", _GROUP_AFFINE)
+def test_propagate_equals_ekf_transport_on_group_affine_dynamics(name, retraction,
+                                                                 alpha):
+    assert _ekf_errors(name, retraction, alpha).max() <= 1e-8
+
+
+@pytest.mark.parametrize("name,retraction", [
+    ("inertial_nav", "so3xr6"), ("imu_gnss", "mixed_left"), ("imu_gnss", "mixed_right")])
+def test_propagate_converges_to_ekf_transport_as_alpha_squared(name, retraction):
+    """Elsewhere the transports differ at second order in the sigma spread,
+    so dividing alpha by sqrt(10) divides the gap by about 10."""
+    ratio = (_ekf_errors(name, retraction, 0.1)[-1]
+             / _ekf_errors(name, retraction, 0.1 / np.sqrt(10.0))[-1])
+    assert 8.0 < ratio < 12.0
 
 
 def test_propagate_and_update_reject_width_the_retraction_cannot_take():
