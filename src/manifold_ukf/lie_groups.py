@@ -239,8 +239,11 @@ def log_so3(C) -> np.ndarray:
 def _require_rotation(C, d):
     if C.shape[-2:] != (d, d):
         raise DimensionMismatch(f"expected (..., {d}, {d}) matrices, got {C.shape}")
-    # "not <=" so that NaN and inf entries fail too
-    if not np.abs(C.swapaxes(-1, -2) @ C - _eye(d)).max(initial=0.0) <= _ROT_TOL:
+    # "not <=" so that NaN and inf entries fail too, and fail here rather
+    # than as a numpy warning from the product
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = C.swapaxes(-1, -2) @ C - _eye(d)
+    if not np.abs(gap).max(initial=0.0) <= _ROT_TOL:
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
     rows, perms, signs = _det_terms(d)
     det = C[..., rows, perms].prod(axis=-1) @ signs

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.special
 
 from .errors import ManifoldUkfError, SingularCovariance
 from .retraction import Retraction, _psd_sqrt
@@ -139,16 +138,6 @@ def _nees(covs, errors, first: int) -> np.ndarray:
                     f"singular covariance at step {first + i}") from exc
         raise
     return np.einsum("...j,...j->...", errors, sol)
-
-
-def nees_band(dim: int, runs: int) -> Tuple[float, float]:
-    """95% interval for the mean NEES of `runs` independent runs: the 2.5%
-    and 97.5% quantiles of chi-square with dim * runs degrees of freedom,
-    over runs.  The quantile is 2 gammaincinv(dof / 2, p), as scipy.stats
-    computes it, without importing scipy.stats."""
-    half_dof = dim * runs / 2
-    return tuple(2 * float(scipy.special.gammaincinv(half_dof, p)) / runs
-                 for p in (0.025, 0.975))
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,9 @@ def _phi_inv_group(ref, state, d, side):
     k = ref.shape[-1] - d
     lie._require_embedding(ref, d, k)
     try:
-        inv_ref = lie._inverse(ref, d)
-        rel = inv_ref @ state if side == "left" else state @ inv_ref
+        with np.errstate(invalid="ignore", over="ignore"):  # inf fails below
+            inv_ref = lie._inverse(ref, d)
+            rel = inv_ref @ state if side == "left" else state @ inv_ref
         if rel.shape[-2:] != ref.shape[-2:]:
             lie._square(rel, d)  # raises DimensionMismatch
         lie._require_embedding(rel, d, k)

@@ -6,7 +6,10 @@ back through phi_inv at the new mean; process noise gets its own set of
 sigma points, weighted apart from the state's, so the state and noise
 dimensions are never augmented into one covariance.  The update applies a
 standard unscented correction to the measurement moments and retracts the
-correction vector onto the state.
+correction vector onto the state.  The gain factors the innovation
+covariance by Cholesky only to check that it is positive definite, and
+takes the gain from one LU solve.  All of the package's linear algebra is
+numpy's, so a filter process loads one BLAS library.
 
 All sigma points of a step go through each of phi, f, phi_inv and h in one
 call, and phi only where it moves a point.  propagate pushes the paper's
@@ -37,7 +40,6 @@ from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CholeskyFailure,
@@ -52,10 +54,6 @@ from .retraction import Retraction, _rows
 _JITTER_REL = 1e-9
 _JITTER_ABS = 1e-12
 _RENORM_EVERY = 1000
-# LAPACK's Cholesky factor and solve, as scipy.linalg.cho_factor / cho_solve
-# call them, without their per-call checks
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
-                                               (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -266,22 +264,17 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
 
 
 def _gain(S, P_xy) -> np.ndarray:
-    """Kalman gain P_xy S^-1 through the Cholesky factor of S, per element
-    of a stack; a C-contiguous array."""
-    if S.ndim == 2:
-        return np.ascontiguousarray(_gain_one(S, P_xy))
-    K = np.empty(P_xy.shape)
-    for i in np.ndindex(S.shape[:-2]):
-        K[i] = _gain_one(S[i], P_xy[i])
-    return K
-
-
-def _gain_one(S, P_xy) -> np.ndarray:
-    factor, info = _POTRF(S)
-    if info != 0:
+    """Kalman gain P_xy S^-1, for one S or per element of a stack, as a
+    C-contiguous array.  The Cholesky factorization of S is only the
+    positive-definiteness check: numpy has no Cholesky solve, and one LU
+    solve on S costs less than two solves on the factor."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
         raise SingularInnovationCovariance(
-            "innovation covariance is not positive definite")
-    return _POTRS(factor, P_xy.T)[0].T
+            "innovation covariance is not positive definite") from exc
+    K = np.linalg.solve(S, P_xy.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.ascontiguousarray(K)
 
 
 def filter_run(model, inputs, measurements: Optional[Mapping[int, Any]] = None,

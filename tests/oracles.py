@@ -7,6 +7,7 @@ and frozen as a literal.
 """
 
 import numpy as np
+import scipy.special
 
 
 def matrix_exp_series(A, terms: int = 30) -> np.ndarray:
@@ -95,3 +96,34 @@ def ekf_transport(f, retraction, mean, P, u, Q, eps: float = 1e-6):
     G = numerical_jacobian(lambda w: retraction.phi_inv(new_mean, f(mean, u, w)),
                            np.zeros(q), eps)
     return new_mean, F @ P @ F.T + G @ Q @ G.T
+
+
+def update_limit(h, retraction, mean, P, R, eps: float = 1e-4):
+    """The alpha -> 0 limit of the scaled unscented update's covariance
+    with beta = 2: P - K S K^T, with K = P H^T S^-1 and
+    S = H P H^T + R + 2 m m^T, where m = 1/2 sum_i D^2 g[L_i, L_i] over the
+    columns L_i of chol(P).  g is xi -> h(phi(mean, xi)); H is its
+    central-difference Jacobian at zero and D^2 g[L, L] its central second
+    difference along L.  The m m^T term is what beta = 2 leaves in the limit
+    of the mean point's covariance weight."""
+    def g(xi):
+        return np.asarray(h(retraction.phi(mean, xi)), dtype=float)
+
+    zero = np.zeros(P.shape[0])
+    H = numerical_jacobian(g, zero, eps)
+    g0 = g(zero)
+    m = 0.5 * sum((g(eps * col) - 2.0 * g0 + g(-eps * col)) / eps ** 2
+                  for col in np.linalg.cholesky(P).T)
+    S = H @ P @ H.T + R + 2.0 * np.outer(m, m)
+    K = P @ H.T @ np.linalg.inv(S)
+    return P - K @ S @ K.T
+
+
+def nees_band(dim: int, runs: int):
+    """95% interval for the mean NEES of `runs` independent runs: the 2.5%
+    and 97.5% quantiles of chi-square with dim * runs degrees of freedom,
+    over runs.  The quantile is 2 gammaincinv(dof / 2, p), as scipy.stats
+    computes it, without importing scipy.stats."""
+    half_dof = dim * runs / 2
+    return tuple(2 * float(scipy.special.gammaincinv(half_dof, p)) / runs
+                 for p in (0.025, 0.975))

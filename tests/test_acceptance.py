@@ -17,7 +17,7 @@ from manifold_ukf.models import (
     example_names,
     make,
 )
-from manifold_ukf.montecarlo import benchmark, nees_band, simulate
+from manifold_ukf.montecarlo import benchmark, simulate
 from manifold_ukf.retraction import (
     _mixed_parts,
     additive_retraction,
@@ -27,7 +27,7 @@ from manifold_ukf.retraction import (
 from manifold_ukf.sigma_core import Belief, filter_run
 
 from fileformats import strip_runtime_column
-from oracles import kf_run, matrix_exp_series, wedge_sek
+from oracles import kf_run, matrix_exp_series, nees_band, wedge_sek
 
 
 def _verdict(ok: bool, label: str) -> None:

@@ -164,6 +164,18 @@ def test_non_finite_matrices_are_not_rotations(bad):
             log(stack)
 
 
+@pytest.mark.parametrize("d, k", [(3, 0), (3, 2), (2, 1)])
+def test_inf_in_a_rotation_block_raises_no_warning_first(d, k):
+    """inf meets the zeros of an identity block in C^T C, where numpy would
+    warn (an error under the test settings) before the check could raise."""
+    X = np.eye(d + k)
+    X[0, 0] = np.inf
+    with pytest.raises(NotARotation):
+        lie.inverse(X, d)
+    with pytest.raises(NotARotation):
+        lie.log_sek(np.stack([np.eye(d + k), X, np.eye(d + k)]), d)
+
+
 def test_reflections_are_not_rotations_in_2d_and_3d():
     """The determinant check on a stack with one reflection (det -1, columns
     still orthonormal), for both rotation sizes."""

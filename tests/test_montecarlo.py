@@ -23,12 +23,13 @@ from manifold_ukf.montecarlo import (
     _psd_sqrt,
     benchmark,
     nees,
-    nees_band,
     run_record,
     simulate,
 )
 from manifold_ukf.retraction import Retraction, additive_retraction
 from manifold_ukf.sigma_core import Belief, filter_run
+
+from oracles import nees_band
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +149,21 @@ def test_nees_band_is_the_chi_square_quantiles():
 
 
 def test_import_does_not_load_scipy_stats():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, manifold_ukf; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    """Nor any other part of scipy, at import or later: a fresh process
+    that filters with an update every step and runs a benchmark ends with
+    no scipy module loaded, so a lazy import would fail this too."""
+    code = """
+import sys
+import manifold_ukf as mu
+model = mu.make("attitude3d", measure_every=1)
+truth, inputs, measurements = mu.simulate(model, 20, 0)
+mu.filter_run(model, inputs, measurements)
+mu.benchmark(model, ["so3_left"], runs=2, seed=0, steps=20)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,8 @@ def _unchecked_error(retr, ref, states):
     group, d, side = _group_factor(retr)
     try:
         inv = lie.inverse(group(ref), d)
-        rel = inv @ group(states) if side == "left" else group(states) @ inv
+        with np.errstate(invalid="ignore"):  # an inf state: log_sek raises below
+            rel = inv @ group(states) if side == "left" else group(states) @ inv
         return None, lie.log_sek(rel, d)
     except ManifoldUkfError as exc:
         return type(exc), None
@@ -422,6 +423,8 @@ def _corrupt(kind, retr, ref, states, stacked):
     g_state = group(states)[(1, 1) if stacked else 1]
     if kind == "nan_ref":
         g_ref[0, 0] = np.nan
+    elif kind == "inf_ref":
+        g_ref[:d, 0] = np.inf  # meets -inf in the product: inf - inf
     elif kind == "reflected_ref":
         g_ref[:d, 0] *= -1.0
     elif kind == "bad_row_ref":
@@ -437,6 +440,8 @@ def _corrupt(kind, retr, ref, states, stacked):
         g_state[:d, :d] *= 1.1
     elif kind == "nan_state":
         g_state[1, 0] = np.nan
+    elif kind == "inf_state":
+        g_state[1, 0] = np.inf
     elif kind == "near_pi_state":
         xi = np.zeros(retr.dim)
         xi[:lie.rot_dim(d)] = (np.pi - 1e-8) * (np.array([1.0, 2.0, 2.0]) / 3.0
@@ -446,9 +451,10 @@ def _corrupt(kind, retr, ref, states, stacked):
         raise AssertionError(kind)
 
 
-_CORRUPTIONS = ("nan_ref", "reflected_ref", "bad_row_ref",
+_CORRUPTIONS = ("nan_ref", "inf_ref", "reflected_ref", "bad_row_ref",
                 "bad_row_and_rotation_ref", "bad_rotation_ref_bad_row_state",
-                "bad_row_and_rotation_state", "nan_state", "near_pi_state")
+                "bad_row_and_rotation_state", "nan_state", "inf_state",
+                "near_pi_state")
 
 
 def _ref_and_states(retr, state, stacked):

@@ -22,7 +22,7 @@ from manifold_ukf.errors import (
     NotARotation,
     SingularInnovationCovariance,
 )
-from manifold_ukf.models import ModelSpec, make
+from manifold_ukf.models import ModelSpec, example_names, make
 from manifold_ukf.montecarlo import simulate
 from manifold_ukf.retraction import additive_retraction, group_retraction
 from manifold_ukf.sigma_core import (
@@ -34,7 +34,7 @@ from manifold_ukf.sigma_core import (
     update,
 )
 
-from oracles import ekf_transport, kf_run, kf_update
+from oracles import ekf_transport, kf_run, kf_update, update_limit
 
 RNG = np.random.Generator(np.random.Philox(key=99))
 
@@ -262,6 +262,37 @@ def test_update_singular_innovation():
                retr, 1.0)
 
 
+def test_update_rejects_an_indefinite_innovation_covariance():
+    """S = P + R = diag(2, -1) is invertible, so only the positive-definiteness
+    check can refuse it."""
+    with pytest.raises(SingularInnovationCovariance,
+                       match="innovation covariance is not positive definite"):
+        update(Belief(np.zeros(2), np.eye(2)), np.zeros(2), lambda s: s,
+               np.diag([1.0, -2.0]), additive_retraction(2), 1.0)
+
+
+def test_update_rejects_a_run_stack_with_one_indefinite_innovation():
+    """S = P + R per run: 0.5 I, -0.4 I, 0.5 I.  Runs 0 and 2 update alone."""
+    P = np.array([1.0, 0.1, 1.0])[:, None, None] * np.eye(2)
+    args = (lambda s: s, -0.5 * np.eye(2), additive_retraction(2), 1.0)
+    with pytest.raises(SingularInnovationCovariance):
+        update(Belief(np.zeros((3, 2)), P), np.zeros((3, 2)), *args)
+    out = update(Belief(np.zeros((2, 2)), P[[0, 2]]), np.zeros((2, 2)), *args)
+    assert out.cov.shape == (2, 2, 2)
+
+
+def test_gain_on_a_run_stack_equals_its_per_run_calls():
+    S = RNG.standard_normal((4, 3, 3))
+    S = S @ S.swapaxes(-1, -2) + 0.1 * np.eye(3)
+    P_xy = RNG.standard_normal((4, 5, 3))
+    K = sigma_core._gain(S, P_xy)
+    assert K.flags.c_contiguous
+    for r in range(4):
+        one = sigma_core._gain(S[r], P_xy[r])
+        assert one.flags.c_contiguous
+        assert np.array_equal(K[r], one)
+
+
 def test_update_on_group_state():
     # correction vector retracts onto the group; mean stays a valid element
     retr = group_retraction(3, 0, "left")
@@ -366,6 +397,32 @@ def test_propagate_converges_to_ekf_transport_as_alpha_squared(name, retraction)
     so dividing alpha by sqrt(10) divides the gap by about 10."""
     ratio = (_ekf_errors(name, retraction, 0.1)[-1]
              / _ekf_errors(name, retraction, 0.1 / np.sqrt(10.0))[-1])
+    assert 8.0 < ratio < 12.0
+
+
+def _update_limit_error(name, retraction, alpha, steps=3):
+    """The worst entry of update's covariance minus its alpha -> 0 limit,
+    relative to the largest entry of the latter, at the belief after
+    `steps` propagations at alpha = 0.1 (from the initial belief, h is
+    linear in the tangent coordinates on some examples)."""
+    model = make(name)
+    retr = model.retraction(retraction)
+    belief = Belief(model.initial_mean, model.initial_cov)
+    for u in model.inputs(steps):
+        belief = propagate(belief, u, model.f, model.Q, retr, 0.1)
+    P = update_limit(model.h, retr, belief.mean, belief.cov, model.R)
+    out = update(belief, model.h(belief.mean), model.h, model.R, retr, alpha)
+    return np.abs(out.cov - P).max() / np.abs(P).max()
+
+
+@pytest.mark.parametrize("name,retraction", [
+    (name, r) for name in example_names() for r in make(name).retractions])
+def test_update_converges_to_its_first_order_limit_as_alpha_squared(name, retraction):
+    """The sigma-point update differs from its limit at second order in
+    the sigma spread, so dividing alpha by sqrt(10) divides the gap by
+    about 10; a wrong gain or weight leaves a gap that does not shrink."""
+    ratio = (_update_limit_error(name, retraction, 0.1)
+             / _update_limit_error(name, retraction, 0.1 / np.sqrt(10.0)))
     assert 8.0 < ratio < 12.0
 
 
