@@ -47,17 +47,16 @@ def _fmt(x) -> str:
 # File formats
 
 
-def _estimate_lines(model, retraction, chunks, times):
-    """The estimates CSV, one line per belief of _scored's chunks."""
+def _estimate_lines(model, retraction, steps, times):
+    """The estimates CSV, one line per (belief, error, nees) step of _scored."""
     yield ",".join(["step", "t"] + list(model.state_labels)
                    + [f"P{i}" for i in range(retraction.dim)] + ["nees"])
-    for first, beliefs, _, values in chunks:
-        for step, (belief, value) in enumerate(zip(beliefs, values), first):
-            row = [str(step), _fmt(times[step - 1])]
-            row += [_fmt(v) for v in model.state_to_vector(belief.mean)]
-            row += [_fmt(v) for v in np.diag(belief.cov)]
-            row.append(_fmt(value))
-            yield ",".join(row)
+    for step, (belief, _, value) in enumerate(steps, 1):
+        row = [str(step), _fmt(times[step - 1])]
+        row += [_fmt(v) for v in model.state_to_vector(belief.mean)]
+        row += [_fmt(v) for v in np.diag(belief.cov)]
+        row.append(_fmt(value))
+        yield ",".join(row)
 
 
 def _csv_lines(path):
@@ -288,9 +287,8 @@ def cmd_run(args) -> int:
         times = model.dt * np.arange(1, steps + 1)
 
     out = _effective(args, "out", f"{model.name}_{retr_name}_estimates.csv")
-    chunks = _scored(model, retr, sim,
-                     Belief(model.initial_mean, model.initial_cov))
-    _write_text(out, _estimate_lines(model, retr, chunks, times))
+    steps = _scored(model, retr, sim, Belief(model.initial_mean, model.initial_cov))
+    _write_text(out, _estimate_lines(model, retr, steps, times))
     print(f"wrote {len(times)} estimates to {out}")
     return EXIT_OK
 

@@ -13,21 +13,21 @@ rotation part is a scalar for d = 2 and a 3-vector for d = 3.
 
 Closed forms are used throughout: Rodrigues for exp, atan2-based log, and
 the SO(d) left Jacobian for the translational columns of exp/log on
-SE_k(d).  Trigonometric factors switch to Taylor expansions below
-_SMALL_ANGLE to stay accurate near zero, and one coefficient routine
-(_so3_coeffs) holds every SO(3) series.  Near pi the SO(3) log takes the
-rotation axis from the symmetric part of the matrix.
+SE_k(d).  Below _SMALL_ANGLE every coefficient switches from its closed form
+to its Taylor series by one rule (_small_angle).  Near pi the SO(3) log
+takes the rotation axis from the symmetric part of the matrix.
 
 exp, log, inverse, wedge_so3 and the left Jacobians broadcast over leading
 axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
 are chosen per element, and one bad element of a stack fails the call.
 
-The public inverse, log_sek, log_so3 and log_so2 validate their input (the
-[0 I] embedding rows, then the rotation block), then call one private
-unchecked core each (_inverse, _log_sek, _log_so3, _log_so2) that holds the
-math.  A caller that has checked its input already, such as the group
-phi_inv in retraction, calls the cores directly.  The near-pi check of the
-logs needs the angles, so it stays in the cores.
+inverse and log_sek check their input with _require_group before any
+arithmetic, log_so3 and log_so2 check the rotation, and each then calls one
+private unchecked core (_inverse, _log_sek, _log_so3, _log_so2).  The group
+phi_inv in retraction checks its ref and states with _require_pair, which
+reports what _require_group(ref) and then _require_group(state) would, and
+then calls the cores.  The near-pi check of the logs needs the angles, so it
+stays in the cores.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MalformedEmbedding,
+    ManifoldUkfError,
     NearPiRotation,
+    NonFiniteState,
     NotARotation,
 )
 
@@ -131,46 +133,50 @@ def _log_so2(C):
     return theta
 
 
-# Coefficients of the SO(3) closed forms I + a W + b W^2, W = wedge(omega):
-#   exp          a = sinc,        b = cosc
-#   left Jac.    a = cosc,        b = sinc3
-#   inverse      a = -1/2,        b = cotc
-# as closed forms in theta and, below _SMALL_ANGLE, Taylor series in theta^2.
-_TAYLOR = {
-    "sinc": lambda t2: 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0),          # sin(t) / t
-    "cosc": lambda t2: 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0)),  # (1 - cos t) / t^2
-    "sinc3": lambda t2: (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0,  # (t - sin t) / t^3
-    "cotc": lambda t2: (1.0 + t2 / 60.0) / 12.0,  # (1 - (t/2) cot(t/2)) / t^2
-}
+def _small_angle(x, small, coeffs):
+    """coeffs(x), a tuple of coefficient arrays in closed form, under the one
+    small-angle rule: where the mask small is set, their Taylor series
+    coeffs(x, series=True) take over, and the closed forms see x = 1 there,
+    so they never divide by zero.  The series run only if some element is
+    small."""
+    if not small.any():
+        return coeffs(x)
+    return [np.where(small, s, c) for c, s in
+            zip(coeffs(np.where(small, 1.0, x)), coeffs(x, series=True))]
 
 
-def _so3_coeffs(theta2, *kinds):
-    """The named coefficients at squared angles theta2, one array each.
+# The SO(3) closed forms are I + a W + b W^2 with W = wedge(omega):
+#   exp          a = sinc = sin(t) / t,   b = cosc = (1 - cos t) / t^2
+#   left Jac.    a = cosc,                b = sinc3 = (t - sin t) / t^3
+#   inverse      a = -1/2,                b = cotc = (1 - (t/2) cot(t/2)) / t^2
+# Their coefficient functions take t2 = t^2 and expand their series in t2.
 
-    The Taylor series are evaluated only on elements below the small-angle
-    cutoff, if any; the closed forms then see theta = 1 there, so they
-    never divide by zero.  The inverse Jacobian's cotc needs half-angle trig
-    and is never asked for together with the others.
-    """
-    small = theta2 < _SMALL_ANGLE * _SMALL_ANGLE
-    any_small = bool(small.any())
-    t2 = np.where(small, 1.0, theta2) if any_small else theta2
+
+def _sinc_cosc(t2, series=False):
+    if series:
+        return 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0))
     t = np.sqrt(t2)
-    if kinds == ("cotc",):
-        half = 0.5 * t
-        closed = {"cotc": (1.0 - half * np.cos(half) / np.sin(half)) / t2}
-    else:
-        sin = np.sin(t)
-        closed = {"sinc": sin / t, "cosc": (1.0 - np.cos(t)) / t2}
-        if "sinc3" in kinds:
-            closed["sinc3"] = (t - sin) / (t2 * t)
-    if not any_small:
-        return [closed[kind] for kind in kinds]
-    if np.ndim(theta2) == 0:
-        return [np.where(small, _TAYLOR[kind](theta2), closed[kind]) for kind in kinds]
-    for kind in kinds:
-        closed[kind][small] = _TAYLOR[kind](theta2[small])
-    return [closed[kind] for kind in kinds]
+    return np.sin(t) / t, (1.0 - np.cos(t)) / t2
+
+
+def _sinc_cosc_sinc3(t2, series=False):
+    if series:
+        return _sinc_cosc(t2, True) + ((1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)) / 6.0,)
+    t = np.sqrt(t2)
+    sin = np.sin(t)  # shared by sinc and sinc3
+    return sin / t, (1.0 - np.cos(t)) / t2, (t - sin) / (t2 * t)
+
+
+def _cotc(t2, series=False):
+    if series:
+        return ((1.0 + t2 / 60.0) / 12.0,)
+    half = 0.5 * np.sqrt(t2)
+    return ((1.0 - half * np.cos(half) / np.sin(half)) / t2,)
+
+
+def _so3_coeffs(theta2, coeffs):
+    """coeffs, one of the three functions above, at squared angles theta2."""
+    return _small_angle(theta2, theta2 < _SMALL_ANGLE * _SMALL_ANGLE, coeffs)
 
 
 def _so3_parts(omega):
@@ -190,7 +196,7 @@ def _quadratic(W, WW, a, b) -> np.ndarray:
 def exp_so3(omega) -> np.ndarray:
     """Rodrigues formula with a Taylor branch below the small-angle cutoff."""
     W, WW, theta2 = _so3_parts(omega)
-    return _quadratic(W, WW, *_so3_coeffs(theta2, "sinc", "cosc"))
+    return _quadratic(W, WW, *_so3_coeffs(theta2, _sinc_cosc))
 
 
 def _log_so3(C):
@@ -202,12 +208,8 @@ def _log_so3(C):
     c = 0.5 * (C.trace(axis1=-2, axis2=-1) - 1.0)
     theta = np.arctan2(s, c)  # in [0, pi], since s >= 0
     _require_below_pi(theta)
-    small = theta < _SMALL_ANGLE  # scale is theta / sin(theta)
-    if small.any():
-        scale = np.where(small, 1.0 + theta * theta / 6.0,
-                         theta / np.where(small, 1.0, s))
-    else:
-        scale = theta / s
+    scale, = _small_angle(s, theta < _SMALL_ANGLE, lambda sin, series=False: (
+        (1.0 + theta * theta / 6.0,) if series else (theta / sin,)))
     omega = scale[..., None] * s_vec
     near_pi = theta > math.pi - _PI_BRANCH
     if near_pi.any():
@@ -269,27 +271,21 @@ def polar_project(R) -> np.ndarray:
 
 def left_jacobian_so3(omega) -> np.ndarray:
     W, WW, theta2 = _so3_parts(omega)
-    return _quadratic(W, WW, *_so3_coeffs(theta2, "cosc", "sinc3"))
+    return _quadratic(W, WW, *_so3_coeffs(theta2, _sinc_cosc_sinc3)[1:])
 
 
 def inv_left_jacobian_so3(omega) -> np.ndarray:
     # Valid for angles below pi; the log never produces larger ones.
     W, WW, theta2 = _so3_parts(omega)
-    return _quadratic(W, WW, -0.5, *_so3_coeffs(theta2, "cotc"))
+    return _quadratic(W, WW, -0.5, *_so3_coeffs(theta2, _cotc))
 
 
 def _so2_coeffs(theta, c, s):
     """Entries a = sin(t) / t and b = (1 - cos t) / t of the SO(2) left
-    Jacobian [[a, -b], [b, a]] from c = cos(theta) and s = sin(theta);
-    Taylor series below the small-angle cutoff, evaluated only if some
-    element is there."""
-    small = np.abs(theta) < _SMALL_ANGLE
-    if not small.any():
-        return s / theta, (1.0 - c) / theta
-    safe = np.where(small, 1.0, theta)
-    theta2 = theta * theta
-    return (np.where(small, 1.0 - theta2 / 6.0, s / safe),
-            np.where(small, 0.5 * theta * (1.0 - theta2 / 12.0), (1.0 - c) / safe))
+    Jacobian [[a, -b], [b, a]] from c = cos(theta) and s = sin(theta)."""
+    return _small_angle(theta, np.abs(theta) < _SMALL_ANGLE, lambda t, series=False: (
+        (1.0 - t * t / 6.0, 0.5 * t * (1.0 - t * t / 12.0)) if series
+        else (s / t, (1.0 - c) / t)))
 
 
 def left_jacobian_so2(theta) -> np.ndarray:
@@ -307,15 +303,6 @@ def inv_left_jacobian_so2(theta) -> np.ndarray:
 # SE_k(d)
 
 
-def _split_dims(d: int, k: int, xi_len: int):
-    rd = rot_dim(d)
-    if xi_len != rd + k * d:
-        raise DimensionMismatch(
-            f"tangent vector of length {xi_len} does not match SE_{k}({d})"
-        )
-    return rd
-
-
 def _check_d(d):
     if d not in (2, 3):
         raise DimensionMismatch(f"rotation block dimension must be 2 or 3, got {d}")
@@ -330,19 +317,62 @@ def _square(X, d) -> np.ndarray:
     return X
 
 
+def _require_embedding(X, d, k):
+    # The bottom block rows are [0 I] exactly; group operations preserve this
+    # bit-for-bit, so any deviation means the matrix was built by hand wrong.
+    if k and not (X[..., d:, :] == _eye(d + k)[d:]).all():
+        raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
+
+
+def _require_group(X, d) -> np.ndarray:
+    """X as a float array of SE_k(d) elements, k = X.shape[-1] - d, checked
+    before any arithmetic on it, in this order: square of size >= d
+    (DimensionMismatch), bottom rows exactly [0 I] (MalformedEmbedding), the
+    rotation block (NotARotation, NaN and inf included), finite translation
+    columns (NonFiniteState)."""
+    X = _square(X, d)
+    k = X.shape[-1] - d
+    _require_embedding(X, d, k)
+    _require_rotation(X[..., :d, :d], d)
+    if k and not np.isfinite(X).all():  # by now only in a translation column
+        raise NonFiniteState("translation columns hold NaN or inf")
+    return X
+
+
+def _require_pair(ref, state, d):
+    """ref and state as float arrays, checked as _require_group(ref, d) and
+    then _require_group(state, d) would check them, and DimensionMismatch
+    unless they are of one size; one pass of each check covers both."""
+    ref = _square(ref, d)
+    n = ref.shape[-1]
+    try:
+        state = _square(state, d)
+        if state.shape[-1] != n:
+            raise DimensionMismatch(
+                f"states of shape {state.shape} against a ref of shape {ref.shape}")
+        _require_group(np.concatenate([ref.reshape(-1, n, n), state.reshape(-1, n, n)]), d)
+    except ManifoldUkfError:
+        _require_group(ref, d)  # whatever failed, a fault of the ref comes first
+        raise
+    return ref, state
+
+
 def exp_sek(xi, d: int, k: int) -> np.ndarray:
     """Group exponential: rotation by Rodrigues, translations via the left
     Jacobian; both come from one set of trig terms (and for d = 3 one
     wedge)."""
     xi = np.asarray(xi, dtype=float)
     _check_d(d)
-    rd = _split_dims(d, k, xi.shape[-1])
+    if xi.shape[-1] != tangent_dim(d, k):
+        raise DimensionMismatch(
+            f"tangent vector of length {xi.shape[-1]} does not match SE_{k}({d})")
+    rd = rot_dim(d)
     rot = xi[..., :3] if d == 3 else xi[..., 0]
     if k == 0:
         return exp_so3(rot) if d == 3 else exp_so2(rot)
     if d == 3:
         W, WW, theta2 = _so3_parts(rot)
-        sinc, cosc, sinc3 = _so3_coeffs(theta2, "sinc", "cosc", "sinc3")
+        sinc, cosc, sinc3 = _so3_coeffs(theta2, _sinc_cosc_sinc3)
         R = _quadratic(W, WW, sinc, cosc)
         J = _quadratic(W, WW, cosc, sinc3)
     else:
@@ -362,22 +392,18 @@ def log_sek(X, d: int) -> np.ndarray:
 
     For d = 3 the inverse left Jacobian reuses the angles of the rotation log.
     """
-    X = _square(X, d)
-    _require_embedding(X, d, X.shape[-1] - d)
-    _require_rotation(X[..., :d, :d], d)
-    return _log_sek(X, d)
+    return _log_sek(_require_group(X, d), d)
 
 
 def _log_sek(X, d):
-    """log_sek of square arrays whose embedding and rotation block were
-    checked already."""
+    """log_sek of arrays that passed _require_group already."""
     k = X.shape[-1] - d
     if d == 3:
         if k == 0:
             return _log_so3(X)[0]
         omega, theta = _log_so3(X[..., :3, :3])
         W = wedge_so3(omega)
-        Jinv = _quadratic(W, W @ W, -0.5, *_so3_coeffs(theta * theta, "cotc"))
+        Jinv = _quadratic(W, W @ W, -0.5, *_so3_coeffs(theta * theta, _cotc))
     else:
         theta = _log_so2(X[..., :2, :2])
         omega = np.expand_dims(theta, -1)
@@ -388,25 +414,14 @@ def _log_sek(X, d):
     return np.concatenate([omega, trans.reshape(X.shape[:-2] + (k * d,))], axis=-1)
 
 
-def _require_embedding(X, d, k):
-    # The bottom block rows are [0 I] exactly; group operations preserve this
-    # bit-for-bit, so any deviation means the matrix was built by hand wrong.
-    if k and not (X[..., d:, :] == _eye(d + k)[d:]).all():
-        raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
-
-
 def inverse(X, d: int) -> np.ndarray:
     """Closed-form inverse [[C^T, -C^T p_i], [0, I]]; no linear solve.  The
     rotation block C must be a rotation."""
-    X = _square(X, d)
-    _require_embedding(X, d, X.shape[-1] - d)
-    _require_rotation(X[..., :d, :d], d)
-    return _inverse(X, d)
+    return _inverse(_require_group(X, d), d)
 
 
 def _inverse(X, d):
-    """inverse of square arrays whose embedding and rotation block were
-    checked already."""
+    """inverse of arrays that passed _require_group already."""
     k = X.shape[-1] - d
     Rt = np.swapaxes(X[..., :d, :d], -1, -2)
     if k == 0:

@@ -15,8 +15,8 @@ every run's truth through one f, one h and one renormalize call per step.
 Each variant then filters all runs in one pass: the belief carries a run
 axis, so each sigma-point call serves every run at once.  The pass is a
 stream of beliefs, reduced every _CHUNK steps to errors and NEES and then
-dropped (_scored, which `cli run` consumes too), so memory grows with runs
-x steps x state size, plus one chunk of beliefs.
+dropped (_scored, whose per-step stream `cli run` consumes too), so memory
+grows with runs x steps x state size, plus one chunk of beliefs.
 Each run's numbers are bit-identical to a pass of that run alone.  If the
 lockstep pass raises, the variant is run again one run at a time, on that
 run's column of the simulation, so that only the failing runs count as
@@ -170,11 +170,12 @@ class BenchmarkReport:
 
 def _scored(model, retr, sim, initial):
     """The filter pass from `initial` over sim = (truth, inputs,
-    measurements), one chunk of up to _CHUNK steps at a time: yields (first
-    step, beliefs, errors, nees).  A chunk's means go through one phi_inv
-    call against the truth and their NEES through one batched solve; with
-    truth None (a recorded log) both are NaN.  A chunk's beliefs list is
-    emptied when the next chunk is asked for, so the pass holds one chunk.
+    measurements): yields (belief, errors, nees) per step.  The steps are
+    reduced one chunk of up to _CHUNK at a time: a chunk's means go through
+    one phi_inv call against the truth and their NEES through one batched
+    solve; with truth None (a recorded log) both are NaN.  A chunk's list of
+    beliefs is released before its steps are yielded, so the pass holds one
+    chunk.
     """
     truth, inputs, measurements = sim
     stream = _filter_steps(model, inputs, measurements, retr, initial)
@@ -190,49 +191,35 @@ def _scored(model, retr, sim, initial):
                 np.stack([b.mean for b in beliefs]), truth[first:end]),
                 dtype=float)
             values = _nees(np.array([b.cov for b in beliefs]), errors, first)
-        yield first, beliefs, errors, values
-        beliefs.clear()
+        steps = zip(beliefs, errors, values)
+        del beliefs  # the zip drops the list once it has run through it
+        yield from steps
         first = end
 
 
-def _lockstep(model, retr, sim):
-    """Filter the lockstep simulation `sim` (from simulate with a sequence
-    of seeds) in one pass of _scored: its (steps, runs, dim) errors and
-    (steps, runs) NEES.  Raises what the pass raises.
-    """
-    truth, inputs, _ = sim
-    runs = truth.shape[1]
-    cov = np.asarray(model.initial_cov, dtype=float)
-    initial = Belief(np.stack([model.initial_mean] * runs),
-                     np.broadcast_to(cov, (runs,) + cov.shape))
-    errors = np.empty((len(inputs), runs, retr.dim))
-    values = np.empty((len(inputs), runs))
-    for first, beliefs, e, v in _scored(model, retr, sim, initial):
-        rows = slice(first - 1, first - 1 + len(beliefs))
-        errors[rows], values[rows] = e, v
-    return errors, values
-
-
 def _outcomes(model, retr, sim):
-    """_lockstep's (errors, nees) of all runs, or, if that pass raises, the
-    same arrays filled one run at a time from its column of the simulation,
-    a run that raises on its own reading NaN."""
-    try:
-        return _lockstep(model, retr, sim)
-    except ManifoldUkfError:
-        pass
+    """The (steps, runs, dim) errors and (steps, runs) NEES of the lockstep
+    simulation `sim` (from simulate with a sequence of seeds), from one pass
+    of _scored over all runs or, if that pass raises, from one pass per run
+    on its column of the simulation, a run that raises on its own reading
+    NaN."""
     truth, inputs, measurements = sim
     runs = truth.shape[1]
-    errors = np.full((len(inputs), runs, retr.dim), np.nan)
-    values = np.full((len(inputs), runs), np.nan)
-    for r in range(runs):
-        one = np.s_[r:r + 1]
+    cov = np.asarray(model.initial_cov, dtype=float)
+    errors = np.empty((len(inputs), runs, retr.dim))
+    values = np.empty((len(inputs), runs))
+    for cols in [np.s_[:]] + [np.s_[r:r + 1] for r in range(runs)]:
+        part = (truth[:, cols], inputs, {k: y[cols] for k, y in measurements.items()})
+        n = part[0].shape[1]
+        initial = Belief(np.stack([model.initial_mean] * n),
+                         np.broadcast_to(cov, (n,) + cov.shape))
         try:
-            errors[:, one], values[:, one] = _lockstep(model, retr, (
-                truth[:, one], inputs,
-                {n: y[one] for n, y in measurements.items()}))
+            for i, (_, e, v) in enumerate(_scored(model, retr, part, initial)):
+                errors[i, cols], values[i, cols] = e, v
+            if cols == np.s_[:]:
+                break  # the lockstep pass went through: no reruns
         except ManifoldUkfError:
-            pass
+            errors[:, cols] = values[:, cols] = np.nan
     return errors, values
 
 

@@ -13,9 +13,9 @@ is itself a Retraction of one of two kinds:
 
 * SE_k(d), multiplying on the left (state @ exp(xi)) or on the right
   (exp(xi) @ state), with blocks rot, then pos (k = 1) or vel, pos (k = 2);
-  its phi_inv makes the checks of lie_groups.inverse(ref) and of log_sek
-  on the relative stack, with one rotation check over the ref and that
-  stack together, and then calls the unchecked cores of both;
+  its phi_inv checks the ref and then the states as lie_groups.inverse
+  checks its input, before any arithmetic (lie_groups._require_pair), and
+  then calls the unchecked cores of inverse and log_sek;
 * R^n, plain addition, with one block named by the caller; it checks the
   tangent width against the state (exp_sek checks it for SE_k(d)) and
   raises NonFiniteState when phi_inv meets a NaN or inf.
@@ -107,28 +107,11 @@ def _phi_group(state, xi, d, side):
 
 
 def _phi_inv_group(ref, state, d, side):
-    """lie.log_sek of the relative states, validated as lie.inverse(ref)
-    followed by lie.log_sek would validate them, with one rotation check
-    over the ref and the relative stack together."""
-    ref = lie._square(ref, d)
-    k = ref.shape[-1] - d
-    lie._require_embedding(ref, d, k)
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):  # inf fails below
-            inv_ref = lie._inverse(ref, d)
-            rel = inv_ref @ state if side == "left" else state @ inv_ref
-        if rel.shape[-2:] != ref.shape[-2:]:
-            lie._square(rel, d)  # raises DimensionMismatch
-        lie._require_embedding(rel, d, k)
-        rotations = np.concatenate([ref[..., :d, :d].reshape(-1, d, d),
-                                    rel[..., :d, :d].reshape(-1, d, d)])
-        lie._require_rotation(rotations, d)
-    except Exception:
-        # whatever failed, a bad ref rotation is reported first, as
-        # lie.inverse(ref) would have raised before anything else ran
-        lie._require_rotation(ref[..., :d, :d], d)
-        raise
-    xi = lie._log_sek(rel, d)
+    """lie.log_sek of the relative states, with ref and state checked first
+    as lie.inverse would check each of them."""
+    ref, state = lie._require_pair(ref, state, d)
+    inv_ref = lie._inverse(ref, d)
+    xi = lie._log_sek(inv_ref @ state if side == "left" else state @ inv_ref, d)
     same = (ref == state).all(axis=(-2, -1))  # these map to exact zeros
     return np.where(same[..., None], 0.0, xi) if same.any() else xi
 

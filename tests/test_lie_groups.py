@@ -16,6 +16,7 @@ from manifold_ukf.errors import (
     DimensionMismatch,
     MalformedEmbedding,
     NearPiRotation,
+    NonFiniteState,
     NotARotation,
 )
 
@@ -143,12 +144,16 @@ def test_log_so3_rejects_non_rotation():
         lie.log_so3(1.1 * np.eye(3))
     with pytest.raises(NotARotation):
         lie.log_so3(np.diag([1.0, 1.0, -1.0]))  # det = -1
+    with pytest.raises(DimensionMismatch):
+        lie.log_so3(np.eye(4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_matrices_are_not_rotations(bad):
     """NaN compares false against any tolerance, so the checks must not pass
-    it; one bad entry in one element of a stack fails the call."""
+    it; one bad entry in one element of a stack fails the call.  In a
+    translation column of SE_k(d) it raises NonFiniteState, before inverse
+    or log_sek multiply it by anything."""
     X = lie.exp_sek(np.array([0.3, -0.2, 0.1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), 3, 2)
     for log, C, d in ((lie.log_so3, lie.exp_so3(np.array([0.1, 0.2, 0.3])), 3),
                       (lie.log_so2, lie.exp_so2(0.4), 2),
@@ -162,6 +167,12 @@ def test_non_finite_matrices_are_not_rotations(bad):
         stack[1, 0, 1] = bad
         with pytest.raises(NotARotation):
             log(stack)
+    for d, C in ((3, X), (2, lie.exp_sek(np.ones(3), 2, 1))):
+        stack = np.array([C, C, C])
+        stack[1, 0, -1] = bad
+        for fn in (lie.log_sek, lie.inverse):
+            with pytest.raises(NonFiniteState):
+                fn(stack, d)
 
 
 @pytest.mark.parametrize("d, k", [(3, 0), (3, 2), (2, 1)])
@@ -348,6 +359,8 @@ def test_inverse_closed_form():
     Xi = lie.inverse(X, 3)
     assert np.array_equal(Xi[:3, :3], X[:3, :3].T)
     assert np.allclose(Xi[:3, 3:], -(X[:3, :3].T @ X[:3, 3:]), atol=1e-15)
+    with pytest.raises(DimensionMismatch):
+        lie.inverse(np.eye(3)[:2], 2)  # not square
 
 
 def test_group_preserves_embedding():

@@ -19,8 +19,8 @@ from manifold_ukf.models import ModelSpec, example_names, make
 from manifold_ukf.montecarlo import (
     DIVERGENCE_NEES,
     RunRecord,
-    _lockstep,
     _psd_sqrt,
+    _scored,
     benchmark,
     nees,
     run_record,
@@ -95,6 +95,7 @@ def _toy_record(errors, covs):
 def test_nees_identity_covariance():
     rec = _toy_record([[1.0, 0.0], [3.0, 4.0]], [np.eye(2), np.eye(2)])
     assert np.allclose(nees(rec), [1.0, 25.0], atol=1e-14)
+    assert nees(_toy_record(np.empty((0, 2)), [])).shape == (0,)  # no steps
 
 
 def test_nees_scales_with_covariance():
@@ -291,6 +292,18 @@ def _run_seeds(seed, runs):
             for s in np.random.SeedSequence(seed).spawn(runs)]
 
 
+def _lockstep(model, retr, sim):
+    """The (steps, runs, dim) errors and (steps, runs) NEES of one pass of
+    _scored over every run of the lockstep simulation `sim`; raises what the
+    pass raises."""
+    runs = sim[0].shape[1]
+    cov = np.asarray(model.initial_cov, dtype=float)
+    initial = Belief(np.stack([model.initial_mean] * runs),
+                     np.broadcast_to(cov, (runs,) + cov.shape))
+    _, errors, values = zip(*_scored(model, retr, sim, initial))
+    return np.array(errors), np.array(values)
+
+
 def _aggregate(model, retr, records):
     """benchmark()'s RMSE and mean NEES over one-run records."""
     E = np.array([rec.errors for rec in records])
@@ -352,8 +365,8 @@ def test_benchmark_one_failing_run_diverges_alone():
 @pytest.mark.parametrize("name,d", [("attitude3d", 3), ("localization2d", 2)])
 def test_bad_state_from_f_diverges_its_run_alone(name, d, kind):
     """f turns run 1's new mean at step 7 into a non-rotation: the lockstep
-    pass fails at step 7 with NotARotation, and benchmark() counts run 1
-    alone as diverged."""
+    pass of _scored fails at step 7 with NotARotation, and benchmark()
+    counts run 1 alone as diverged."""
     model = make(name, measure_every=2)
     retr = model.retraction()
     seeds = _run_seeds(5, 3)

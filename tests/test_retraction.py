@@ -6,7 +6,12 @@ import pytest
 
 from manifold_ukf import lie_groups as lie
 from manifold_ukf import models
-from manifold_ukf.errors import DimensionMismatch, ManifoldUkfError, NonPSDCovariance
+from manifold_ukf.errors import (
+    DimensionMismatch,
+    ManifoldUkfError,
+    NonFiniteState,
+    NonPSDCovariance,
+)
 from manifold_ukf.retraction import (
     Retraction,
     _mixed_parts,
@@ -99,6 +104,8 @@ def test_left_right_sides_differ_away_from_identity():
     L = group_retraction(3, 1, "left").phi(X, xi)
     R = group_retraction(3, 1, "right").phi(X, xi)
     assert np.abs(L - R).max() > 1e-3
+    with pytest.raises(ValueError, match="side"):
+        group_retraction(3, 1, "up")
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +410,17 @@ def _group_factor(retr):
 
 
 def _unchecked_error(retr, ref, states):
-    """The class that lie.inverse(ref) then lie.log_sek on the relative
-    stack raise on the group parts, or None, with the log itself."""
+    """The class that lie.inverse(ref), then the states' own checks (as
+    lie.inverse makes them, and one size with the ref), then lie.log_sek on
+    the relative stack raise on the group parts, or None, with the log
+    itself."""
     group, d, side = _group_factor(retr)
     try:
         inv = lie.inverse(group(ref), d)
-        with np.errstate(invalid="ignore"):  # an inf state: log_sek raises below
-            rel = inv @ group(states) if side == "left" else group(states) @ inv
+        lie.inverse(group(states), d)
+        if group(states).shape[-1] != inv.shape[-1]:
+            raise DimensionMismatch("states and ref differ in size")
+        rel = inv @ group(states) if side == "left" else group(states) @ inv
         return None, lie.log_sek(rel, d)
     except ManifoldUkfError as exc:
         return type(exc), None
@@ -417,8 +428,13 @@ def _unchecked_error(retr, ref, states):
 
 def _corrupt(kind, retr, ref, states, stacked):
     """Corrupt the group part of the ref or of one state in place (the
-    near-pi case replaces state 1)."""
+    near-pi case replaces state 1) and return the states; the kinds ending
+    in _states return every state cut to a smaller, valid group element."""
     group, d, _ = _group_factor(retr)
+    if kind == "rotation_block_states":  # SO(d) against an SE_k(d) ref
+        return states[..., :d, :d].copy()
+    if kind == "one_column_less_states":  # SE_{k-1}(d) against SE_k(d)
+        return states[..., :-1, :-1].copy()
     g_ref = group(ref)[1] if stacked else group(ref)
     g_state = group(states)[(1, 1) if stacked else 1]
     if kind == "nan_ref":
@@ -442,6 +458,15 @@ def _corrupt(kind, retr, ref, states, stacked):
         g_state[1, 0] = np.nan
     elif kind == "inf_state":
         g_state[1, 0] = np.inf
+    elif kind == "nan_position_ref":
+        g_ref[0, -1] = np.nan
+    elif kind == "inf_position_ref_bad_rotation_state":
+        g_ref[0, -1] = np.inf
+        g_state[:d, :d] *= 1.1
+    elif kind == "inf_position_state":
+        g_state[0, -1] = np.inf
+    elif kind == "nan_position_state":
+        g_state[0, -1] = np.nan
     elif kind == "near_pi_state":
         xi = np.zeros(retr.dim)
         xi[:lie.rot_dim(d)] = (np.pi - 1e-8) * (np.array([1.0, 2.0, 2.0]) / 3.0
@@ -449,12 +474,16 @@ def _corrupt(kind, retr, ref, states, stacked):
         states[1] = retr.phi(ref, xi)
     else:
         raise AssertionError(kind)
+    return states
 
 
 _CORRUPTIONS = ("nan_ref", "inf_ref", "reflected_ref", "bad_row_ref",
                 "bad_row_and_rotation_ref", "bad_rotation_ref_bad_row_state",
                 "bad_row_and_rotation_state", "nan_state", "inf_state",
-                "near_pi_state")
+                "near_pi_state", "nan_position_ref",
+                "inf_position_ref_bad_rotation_state", "inf_position_state",
+                "nan_position_state", "rotation_block_states",
+                "one_column_less_states")
 
 
 def _ref_and_states(retr, state, stacked):
@@ -470,27 +499,35 @@ def _ref_and_states(retr, state, stacked):
     return ref, retr.phi(ref, xis)
 
 
-def _has_rows(retr, state):
+def _applies(kind, retr, state):
+    """SO(d) has no [0 I] rows and no position column; only a single group
+    factor takes states of another size than its ref, and a smaller SE_k(d)
+    element needs k >= 2."""
     group, d, _ = _group_factor(retr)
-    return group(np.asarray(state)).shape[-1] > d
+    k = group(np.asarray(state)).shape[-1] - d
+    if kind.endswith("_states"):
+        return "phi_invs" not in retr.phi_inv.keywords and k >= (
+            2 if kind == "one_column_less_states" else 1)
+    return k > 0 or ("row" not in kind and "position" not in kind)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one_ref", "three_runs"])
 @pytest.mark.parametrize("label, retr, state, kind", [
     pytest.param(*r, kind, id=f"{r[0]}-{kind}") for r in _group_pairs()
-    for kind in ("none",) + _CORRUPTIONS
-    if "row" not in kind or _has_rows(*r[1:])])  # SO(d) has no [0 I] rows
+    for kind in ("none",) + _CORRUPTIONS if _applies(kind, *r[1:])])
 def test_group_phi_inv_raises_what_inverse_then_log_raise(label, retr, state,
                                                           kind, stacked):
     ref, states = _ref_and_states(retr, state, stacked)
     if kind != "none":
-        _corrupt(kind, retr, ref, states, stacked)
+        states = _corrupt(kind, retr, ref, states, stacked)
     expected, log = _unchecked_error(retr, ref, states)
     if kind == "none":
         assert expected is None
         assert np.array_equal(retr.phi_inv(ref, states)[..., :log.shape[-1]], log)
         return
     assert expected is not None, "the corruption must fail the checks"
+    if "position" in kind or kind.endswith("_states"):
+        assert expected is (NonFiniteState if "position" in kind else DimensionMismatch)
     with pytest.raises(ManifoldUkfError) as info:
         retr.phi_inv(ref, states)
     assert type(info.value) is expected

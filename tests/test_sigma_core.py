@@ -500,8 +500,9 @@ def test_filter_run_reports_failing_step():
 
 def _corrupt(kind, d):
     """Corrupts states: the d x d rotation block scaled by 1.01, reflected
-    (det -1, still orthonormal) or NaN, or the last d entries, a Euclidean
-    block, NaN."""
+    (det -1, still orthonormal) or NaN, the x of the last column, a group
+    element's position, inf, or the last d entries, a Euclidean block,
+    NaN."""
     def corrupt(X):
         X = np.array(X)
         if kind == "scaled":
@@ -510,6 +511,8 @@ def _corrupt(kind, d):
             X[..., d - 1, :] *= -1.0
         elif kind == "nan":
             X[..., :d, :d] = np.nan
+        elif kind == "inf_position":
+            X[..., 0, -1] = np.inf
         else:
             X[..., -d:] = np.nan
         return X
@@ -524,13 +527,13 @@ _MEAN_ONLY = ("scaled", "reflected", "nan")  # the other kinds hit every state
     for name, d in (("attitude3d", 3), ("inertial_nav", 3), ("localization2d", 2))
     for kind in _MEAN_ONLY
 ] + [("attitude3d", 3, "reflected_all"), ("linear", 2, "nan_tail"),
-     ("imu_gnss", 6, "nan_tail")])
+     ("imu_gnss", 6, "nan_tail"), ("inertial_nav", 3, "inf_position")])
 def test_filter_run_rejects_bad_state_from_f_at_its_step(name, d, kind):
     """A user f whose new mean at step 7 is not a rotation fails that step
     with NotARotation; d = 2 goes through log_so2.  inverse(mean) checks the
     mean itself, so NaN and an f that reflects every state of the step
     alike (its relative products stay rotations) fail there.  NaN in a
-    Euclidean block fails as NonFiniteState."""
+    Euclidean block, or inf in a position column, fails as NonFiniteState."""
     if name == "linear":
         model = dataclasses.replace(linear_model(
             np.eye(2), 0.01 * np.eye(2), np.eye(2), 0.1 * np.eye(2),
@@ -558,8 +561,8 @@ def test_filter_run_rejects_bad_state_from_f_at_its_step(name, d, kind):
     with pytest.raises(FilterStepError) as exc_info:
         filter_run(dataclasses.replace(model, f=f), inputs, meas)
     assert exc_info.value.step == 7
-    assert isinstance(exc_info.value.cause,
-                      NonFiniteState if kind == "nan_tail" else NotARotation)
+    assert isinstance(exc_info.value.cause, NonFiniteState
+                      if kind in ("nan_tail", "inf_position") else NotARotation)
 
 
 def test_filter_run_wraps_linalg_error():
