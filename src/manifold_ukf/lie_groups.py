@@ -27,7 +27,10 @@ private unchecked core (_inverse, _log_sek, _log_so3, _log_so2).  The group
 phi_inv in retraction checks its ref and states with _require_pair, which
 reports what _require_group(ref) and then _require_group(state) would, and
 then calls the cores.  The near-pi check of the logs needs the angles, so it
-stays in the cores.
+stays in the cores.  _require_rotation forms C^T C from a contiguous copy of
+C^T, since numpy's matmul of a matrix with a transposed view of its own
+buffer takes a slower path; the product has the same bits.  Boolean tests on
+the hot paths count with np.count_nonzero, a third of the cost of .any().
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ _ROT_TOL = 1e-9
 # wedge_so3(omega) == omega[..., _WEDGE_IDX] * _WEDGE_SIGN
 _WEDGE_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
 _WEDGE_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
-# vee(C - C^T) == C[..., _VEE_ROWS, _VEE_COLS] - C[..., _VEE_COLS, _VEE_ROWS]
+# vee(D) == D[..., _VEE_ROWS, _VEE_COLS] for skew matrices D
 _VEE_ROWS = np.array([2, 0, 1])
 _VEE_COLS = np.array([1, 2, 0])
 
@@ -101,7 +104,7 @@ def wedge_so3(omega) -> np.ndarray:
 
 def _rot2(c, s) -> np.ndarray:
     """Stack of 2x2 matrices [[c, -s], [s, c]]."""
-    out = np.empty(np.shape(c) + (2, 2))
+    out = np.empty(c.shape + (2, 2))
     out[..., 0, 0] = c
     out[..., 0, 1] = -s
     out[..., 1, 0] = s
@@ -109,11 +112,12 @@ def _rot2(c, s) -> np.ndarray:
     return out
 
 
-def _require_below_pi(abs_theta):
-    """NearPiRotation if an angle of magnitudes abs_theta is within 1e-6 of pi."""
-    worst = float(np.max(abs_theta, initial=0.0))
+def _require_below_pi(abs_theta) -> float:
+    """max(abs_theta, 0), or NearPiRotation if that is within 1e-6 of pi."""
+    worst = float(abs_theta.max(initial=0.0))
     if worst >= math.pi - _PI_MARGIN:
         raise NearPiRotation(f"rotation angle {worst:.9f} is within 1e-6 of pi")
+    return worst
 
 
 def exp_so2(theta) -> np.ndarray:
@@ -139,7 +143,7 @@ def _small_angle(x, small, coeffs):
     coeffs(x, series=True) take over, and the closed forms see x = 1 there,
     so they never divide by zero.  The series run only if some element is
     small."""
-    if not small.any():
+    if not np.count_nonzero(small):
         return coeffs(x)
     return [np.where(small, s, c) for c, s in
             zip(coeffs(np.where(small, 1.0, x)), coeffs(x, series=True))]
@@ -180,16 +184,15 @@ def _so3_coeffs(theta2, coeffs):
 
 
 def _so3_parts(omega):
-    """wedge(omega), its square and theta^2 = |omega|^2."""
+    """wedge(omega), its square and theta^2 = |omega|^2 as (..., 1, 1)."""
     omega = np.asarray(omega, dtype=float)
     W = wedge_so3(omega)
-    return W, W @ W, (omega * omega).sum(axis=-1)
+    return W, W @ W, (omega * omega).sum(axis=-1)[..., None, None]
 
 
 def _quadratic(W, WW, a, b) -> np.ndarray:
-    """I + a W + b W^2 per element of a stack of so(3) matrices."""
-    a = np.asarray(a)[..., None, None]
-    b = np.asarray(b)[..., None, None]
+    """I + a W + b W^2 per element of a stack of so(3) matrices, with a and b
+    scalars or (..., 1, 1) arrays."""
     return _eye(3) + a * W + b * WW
 
 
@@ -203,16 +206,16 @@ def _log_so3(C):
     """Rotation vectors of a stack of rotations that were checked already,
     and their angles."""
     # 0.5 * vee(C - C^T) has norm sin(theta); the trace gives cos(theta).
-    s_vec = 0.5 * (C[..., _VEE_ROWS, _VEE_COLS] - C[..., _VEE_COLS, _VEE_ROWS])
+    s_vec = 0.5 * (C - C.swapaxes(-1, -2))[..., _VEE_ROWS, _VEE_COLS]
     s = np.sqrt((s_vec * s_vec).sum(axis=-1))
     c = 0.5 * (C.trace(axis1=-2, axis2=-1) - 1.0)
     theta = np.arctan2(s, c)  # in [0, pi], since s >= 0
-    _require_below_pi(theta)
+    worst = _require_below_pi(theta)
     scale, = _small_angle(s, theta < _SMALL_ANGLE, lambda sin, series=False: (
         (1.0 + theta * theta / 6.0,) if series else (theta / sin,)))
     omega = scale[..., None] * s_vec
-    near_pi = theta > math.pi - _PI_BRANCH
-    if near_pi.any():
+    if worst > math.pi - _PI_BRANCH:
+        near_pi = theta > math.pi - _PI_BRANCH
         omega[near_pi] = theta[near_pi, None] * _axis_near_pi(
             C[near_pi], c[near_pi], s_vec[near_pi])
     return omega, theta
@@ -225,7 +228,7 @@ def _axis_near_pi(C, c, s_vec):
     precision as theta nears pi, where s_vec = sin(theta) u does not; s_vec
     still fixes the sign of u.
     """
-    B = 0.5 * (C + np.swapaxes(C, -1, -2)) - c[..., None, None] * _eye(3)
+    B = 0.5 * (C + C.swapaxes(-1, -2)) - c[..., None, None] * _eye(3)
     j = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
     u = np.take_along_axis(B, j[..., None, None], axis=-1)[..., 0]  # u * u_j (1 - c)
     u = u / np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
@@ -241,14 +244,15 @@ def log_so3(C) -> np.ndarray:
 def _require_rotation(C, d):
     if C.shape[-2:] != (d, d):
         raise DimensionMismatch(f"expected (..., {d}, {d}) matrices, got {C.shape}")
-    # "not <=" so that NaN and inf entries fail too, and fail here rather
-    # than as a numpy warning from the product
+    # Ct: see the module docstring.  "not <=" and the errstate: NaN and inf
+    # entries fail too, and here, not as a numpy warning from the product
+    Ct = np.ascontiguousarray(C.swapaxes(-1, -2))
     with np.errstate(invalid="ignore", over="ignore"):
-        gap = C.swapaxes(-1, -2) @ C - _eye(d)
+        gap = Ct @ C - _eye(d)
     if not np.abs(gap).max(initial=0.0) <= _ROT_TOL:
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
     rows, perms, signs = _det_terms(d)
-    det = C[..., rows, perms].prod(axis=-1) @ signs
+    det = Ct[..., rows, perms].prod(axis=-1) @ signs
     if not np.abs(det - 1.0).max(initial=0.0) <= _ROT_TOL:
         raise NotARotation("matrix determinant is not +1 within 1e-9")
 
@@ -317,11 +321,9 @@ def _square(X, d) -> np.ndarray:
     return X
 
 
-def _require_embedding(X, d, k):
-    # The bottom block rows are [0 I] exactly; group operations preserve this
-    # bit-for-bit, so any deviation means the matrix was built by hand wrong.
-    if k and not (X[..., d:, :] == _eye(d + k)[d:]).all():
-        raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
+def _flat(X) -> np.ndarray:
+    """(..., n, n) matrices as (..., n * n) rows, a view if X allows it."""
+    return X.reshape(X.shape[:-2] + (X.shape[-1] * X.shape[-2],))
 
 
 def _require_group(X, d) -> np.ndarray:
@@ -331,10 +333,13 @@ def _require_group(X, d) -> np.ndarray:
     rotation block (NotARotation, NaN and inf included), finite translation
     columns (NonFiniteState)."""
     X = _square(X, d)
-    k = X.shape[-1] - d
-    _require_embedding(X, d, k)
+    n = X.shape[-1]
+    # The bottom rows, from flat entry d n on, are [0 I] exactly: group
+    # operations keep them bit for bit, so a deviation means a wrongly built X.
+    if n > d and np.count_nonzero(_flat(X)[..., d * n:] != _eye(n).ravel()[d * n:]):
+        raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
     _require_rotation(X[..., :d, :d], d)
-    if k and not np.isfinite(X).all():  # by now only in a translation column
+    if n > d and np.count_nonzero(np.isfinite(X)) != X.size:  # only translations left
         raise NonFiniteState("translation columns hold NaN or inf")
     return X
 
@@ -342,7 +347,8 @@ def _require_group(X, d) -> np.ndarray:
 def _require_pair(ref, state, d):
     """ref and state as float arrays, checked as _require_group(ref, d) and
     then _require_group(state, d) would check them, and DimensionMismatch
-    unless they are of one size; one pass of each check covers both."""
+    unless they are of one size and their leading axes broadcast; one pass
+    of each check covers both."""
     ref = _square(ref, d)
     n = ref.shape[-1]
     try:
@@ -354,6 +360,12 @@ def _require_pair(ref, state, d):
     except ManifoldUkfError:
         _require_group(ref, d)  # whatever failed, a fault of the ref comes first
         raise
+    if ref.ndim > 2:  # a single ref broadcasts against any stack
+        try:
+            np.broadcast_shapes(ref.shape, state.shape)
+        except ValueError:
+            raise DimensionMismatch(f"states of shape {state.shape} do not broadcast "
+                                    f"against a ref of shape {ref.shape}") from None
     return ref, state
 
 
@@ -366,15 +378,14 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
     if xi.shape[-1] != tangent_dim(d, k):
         raise DimensionMismatch(
             f"tangent vector of length {xi.shape[-1]} does not match SE_{k}({d})")
-    rd = rot_dim(d)
     rot = xi[..., :3] if d == 3 else xi[..., 0]
     if k == 0:
         return exp_so3(rot) if d == 3 else exp_so2(rot)
-    if d == 3:
-        W, WW, theta2 = _so3_parts(rot)
-        sinc, cosc, sinc3 = _so3_coeffs(theta2, _sinc_cosc_sinc3)
-        R = _quadratic(W, WW, sinc, cosc)
-        J = _quadratic(W, WW, cosc, sinc3)
+    if d == 3:  # R and J in one pass: (sinc, cosc) and (cosc, sinc3)
+        W = rot[..., _WEDGE_IDX] * _WEDGE_SIGN
+        theta2 = (rot * rot).sum(axis=-1)[..., None, None]
+        S = np.array(_so3_coeffs(theta2, _sinc_cosc_sinc3))
+        R, J = _quadratic(W, W @ W, S[:2], S[1:])
     else:
         c, s = np.cos(rot), np.sin(rot)
         R = _rot2(c, s)
@@ -382,7 +393,7 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
     lead = xi.shape[:-1]
     X = np.zeros(lead + (d + k, d + k))
     X[..., :d, :d] = R
-    X[..., :d, d:] = J @ np.swapaxes(xi[..., rd:].reshape(lead + (k, d)), -1, -2)
+    X[..., :d, d:] = J @ xi[..., rot_dim(d):].reshape(lead + (k, d)).swapaxes(-1, -2)
     X[..., d:, d:] = _eye(k)
     return X
 
@@ -402,15 +413,16 @@ def _log_sek(X, d):
         if k == 0:
             return _log_so3(X)[0]
         omega, theta = _log_so3(X[..., :3, :3])
-        W = wedge_so3(omega)
-        Jinv = _quadratic(W, W @ W, -0.5, *_so3_coeffs(theta * theta, _cotc))
+        W = omega[..., _WEDGE_IDX] * _WEDGE_SIGN
+        theta2 = (theta * theta)[..., None, None]
+        Jinv = _quadratic(W, W @ W, -0.5, *_so3_coeffs(theta2, _cotc))
     else:
         theta = _log_so2(X[..., :2, :2])
-        omega = np.expand_dims(theta, -1)
+        omega = theta[..., None]
         if k == 0:
             return omega
         Jinv = inv_left_jacobian_so2(theta)
-    trans = np.swapaxes(Jinv @ X[..., :d, d:], -1, -2)
+    trans = (Jinv @ X[..., :d, d:]).swapaxes(-1, -2)
     return np.concatenate([omega, trans.reshape(X.shape[:-2] + (k * d,))], axis=-1)
 
 
@@ -423,7 +435,7 @@ def inverse(X, d: int) -> np.ndarray:
 def _inverse(X, d):
     """inverse of arrays that passed _require_group already."""
     k = X.shape[-1] - d
-    Rt = np.swapaxes(X[..., :d, :d], -1, -2)
+    Rt = X[..., :d, :d].swapaxes(-1, -2)
     if k == 0:
         return Rt.copy()
     out = X.copy()  # keeps the bottom rows [0 I]

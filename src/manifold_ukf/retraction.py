@@ -17,20 +17,20 @@ is itself a Retraction of one of two kinds:
   checks its input, before any arithmetic (lie_groups._require_pair), and
   then calls the unchecked cores of inverse and log_sek;
 * R^n, plain addition, with one block named by the caller; it checks the
-  tangent width against the state (exp_sek checks it for SE_k(d)) and
-  raises NonFiniteState when phi_inv meets a NaN or inf.
+  tangent width (exp_sek checks it for SE_k(d)) and the ref's against the
+  state, and raises NonFiniteState when phi_inv meets a NaN or inf.
 
 A product splits states into parts through a layout, split(state) -> parts
 and join(*parts) -> state.  A mixed state is one flat (..., n*n + m) array,
 the n x n group element in row-major order and then the Euclidean block,
 split into a (..., n, n) view and the tail and joined by mixed_state; a
 5x5 extended pose splits into (rotation block, velocity column, position
-column).  Each factor takes the next span of the tangent vector and the
-last one takes the rest, so a growing state (augment_landmark's landmark
-tail) keeps working.  Each factor maps equal parts to exact zeros.
-group_retraction and additive_retraction are single factors,
-mixed_retraction is SE_k(d) x R^n and componentwise_so3_r6 is
-SO(3) x R^3 x R^3.
+column); a split raises DimensionMismatch on a state too small for it.
+Each factor takes the next span of the tangent vector and the last one
+takes the rest, so a growing state (augment_landmark's landmark tail) keeps
+working.  Each factor maps equal parts to exact zeros.  group_retraction
+and additive_retraction are single factors, mixed_retraction is
+SE_k(d) x R^n and componentwise_so3_r6 is SO(3) x R^3 x R^3.
 
 All callables are module-level functions, bound with functools.partial.
 """
@@ -112,8 +112,8 @@ def _phi_inv_group(ref, state, d, side):
     ref, state = lie._require_pair(ref, state, d)
     inv_ref = lie._inverse(ref, d)
     xi = lie._log_sek(inv_ref @ state if side == "left" else state @ inv_ref, d)
-    same = (ref == state).all(axis=(-2, -1))  # these map to exact zeros
-    return np.where(same[..., None], 0.0, xi) if same.any() else xi
+    same = (lie._flat(ref) == lie._flat(state)).all(axis=-1)  # map to exact zeros
+    return np.where(same[..., None], 0.0, xi) if np.count_nonzero(same) else xi
 
 
 # block labels of the k translation-like columns of SE_k(d)
@@ -144,7 +144,10 @@ def _phi_euclid(state, xi):
 
 
 def _phi_inv_euclid(ref, state):
-    out = np.asarray(state, dtype=float) - ref
+    state = np.asarray(state, dtype=float)
+    if state.shape[-1:] != np.shape(ref)[-1:]:
+        raise DimensionMismatch(f"state shape {state.shape} != ref shape {np.shape(ref)}")
+    out = state - ref
     if not np.isfinite(out).all():
         raise NonFiniteState("Euclidean state or reference is not finite")
     return out
@@ -168,13 +171,9 @@ def _phi_product(state, xi, split, join, phis, spans):
                   for phi, part, span in zip(phis, split(state), spans)))
 
 
-def _phi_inv_product(ref, state, split, phi_invs, spans):
-    parts = [f(r, s) for f, r, s in zip(phi_invs, split(ref), split(state))]
-    out = np.empty(np.broadcast_shapes(*(p.shape[:-1] for p in parts))
-                   + (spans[-1].start + parts[-1].shape[-1],))
-    for span, part in zip(spans, parts):
-        out[..., span] = part
-    return out
+def _phi_inv_product(ref, state, split, phi_invs):
+    parts = zip(phi_invs, split(ref), split(state))
+    return np.concatenate([f(r, s) for f, r, s in parts], axis=-1)
 
 
 def _product(name: str, split, join, *factors: Retraction) -> Retraction:
@@ -188,7 +187,7 @@ def _product(name: str, split, join, *factors: Retraction) -> Retraction:
         phi=partial(_phi_product, split=split, join=join,
                     phis=tuple(f.phi for f in factors), spans=spans),
         phi_inv=partial(_phi_inv_product, split=split,
-                        phi_invs=tuple(f.phi_inv for f in factors), spans=spans),
+                        phi_invs=tuple(f.phi_inv for f in factors)),
         blocks=sum((f.blocks for f in factors), ()),
     )
 
@@ -196,6 +195,8 @@ def _product(name: str, split, join, *factors: Retraction) -> Retraction:
 def _mixed_parts(n, state):
     """The (..., n, n) group block, as a view, and the Euclidean tail of flat
     mixed states."""
+    if state.shape[-1] < n * n:
+        raise DimensionMismatch(f"mixed states {state.shape} hold no {n}x{n} block")
     return state[..., :n * n].reshape(state.shape[:-1] + (n, n)), state[..., n * n:]
 
 
@@ -217,6 +218,8 @@ def mixed_retraction(d: int, k: int, n_euclid: int, side: str = "right",
 
 def _pose_parts(X):
     """Rotation block, velocity column and position column of extended poses."""
+    if X.shape[-2:] != (5, 5):
+        raise DimensionMismatch(f"expected (..., 5, 5) extended poses, got {X.shape}")
     return X[..., :3, :3], X[..., :3, 3], X[..., :3, 4]
 
 

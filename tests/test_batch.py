@@ -21,7 +21,6 @@ from manifold_ukf.sigma_core import Belief, propagate, update
 
 RNG = np.random.Generator(np.random.Philox(key=2718))
 N = 9
-TOL = 1e-12
 
 
 KINDS = ("mixed", "large", "small")
@@ -54,10 +53,10 @@ def tangents(n, d, k, kind="mixed"):
 
 
 def assert_stacked(batch, singles):
-    """batch equals the stack of single-element results within TOL."""
+    """batch equals the stack of single-element results bit for bit."""
     rows = np.array(singles)
     assert np.asarray(batch).shape == rows.shape
-    assert np.abs(batch - rows).max() <= TOL
+    assert np.array_equal(batch, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ power-series exponential in oracles.py and frozen here as literals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,42 @@ def test_reflections_are_not_rotations_in_2d_and_3d():
         with pytest.raises(NotARotation, match="determinant"):
             log(stack)
         log(stack[:2])
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_rotation_check_decisions_on_a_stack(layout):
+    """The rotation check forms C^T C and the determinant from a contiguous
+    copy of C^T; its decisions on one element of a stack, for an (N, 3, 3)
+    stack and for the strided rotation blocks of an (N, 5, 5) stack.  A
+    column scaled by 1 + 2e-9 moves C^T C by 4e-9 and fails, one scaled by
+    1 + 2e-10 by 4e-10 and passes; 1 + 5e-10 would sit on the 1e-9 bound."""
+    xi = 0.5 * np.random.Generator(np.random.Philox(key=36)).standard_normal((6, 9))
+    X = lie.exp_sek(xi, 3, 2)
+
+    def check(edit):
+        stack = (X[:, :3, :3] if layout == "contiguous" else X).copy()
+        edit(stack[4, :3, :3])  # element 4's rotation block, in place
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the verdict
+            return lie.log_so3(stack) if layout == "contiguous" else lie.log_sek(stack, 3)
+
+    def entry(i, j, value):
+        def edit(C):
+            C[i, j] = value
+        return edit
+
+    def scaled(j, factor):
+        def edit(C):
+            C[:, j] *= factor
+        return edit
+
+    for j in range(3):
+        check(scaled(j, 1.0 + 2e-10))
+        for edit in (entry(0, j, 1e200), entry(2, j, -1e200), entry(1, j, np.nan),
+                     scaled(j, 1.0 + 2e-9), scaled(j, 1.0 - 2e-9),
+                     scaled(j, -1.0)):  # a reflection: orthonormal, det -1
+            with pytest.raises(NotARotation):
+                check(edit)
 
 
 def test_exp_log_so2():

@@ -193,6 +193,11 @@ def test_additive_retraction():
     assert np.array_equal(retr.phi(x, np.zeros(4)), x)
     assert np.array_equal(retr.phi_inv(x, x), np.zeros(4))
     assert np.allclose(retr.phi_inv(x, retr.phi(x, xi)), xi, atol=1e-15)
+    for short in (x[:1], np.stack([x[:3]] * 2)):  # would broadcast against x
+        with pytest.raises(DimensionMismatch):
+            retr.phi_inv(x, short)
+        with pytest.raises(DimensionMismatch):
+            retr.phi_inv(short, x)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +390,22 @@ def test_mixed_last_factor_takes_the_rest():
         retr.phi(state, np.zeros(8))
 
 
+@pytest.mark.parametrize("label, retr, state", [
+    pytest.param(*r, id=r[0]) for r in all_model_retractions()
+    if "phi_invs" in r[1].phi_inv.keywords])
+def test_product_retractions_check_the_state_size_before_splitting(label, retr, state):
+    """A state cut by its last entry or column, or too small to hold the
+    group block, raises DimensionMismatch from phi and, as the ref or the
+    state, from phi_inv; each factor's own check would come too late."""
+    state = np.asarray(state)
+    for bad in (state[..., :-1], np.eye(4) if state.ndim == 2 else state[:4]):
+        for call in (lambda: retr.phi_inv(state, bad), lambda: retr.phi_inv(bad, state),
+                     lambda: retr.phi_inv(np.stack([state] * 2), np.stack([bad] * 2)),
+                     lambda: retr.phi(bad, np.zeros(retr.dim))):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # The group phi_inv validates the ref and the relative stack in one pass
 
@@ -411,15 +432,19 @@ def _group_factor(retr):
 
 def _unchecked_error(retr, ref, states):
     """The class that lie.inverse(ref), then the states' own checks (as
-    lie.inverse makes them, and one size with the ref), then lie.log_sek on
-    the relative stack raise on the group parts, or None, with the log
-    itself."""
+    lie.inverse makes them, then one size with the ref and leading axes that
+    broadcast against it), then lie.log_sek on the relative stack raise on
+    the group parts, or None, with the log itself."""
     group, d, side = _group_factor(retr)
     try:
         inv = lie.inverse(group(ref), d)
         lie.inverse(group(states), d)
         if group(states).shape[-1] != inv.shape[-1]:
             raise DimensionMismatch("states and ref differ in size")
+        try:
+            np.broadcast_shapes(inv.shape, group(states).shape)
+        except ValueError:
+            raise DimensionMismatch("states and ref runs do not broadcast") from None
         rel = inv @ group(states) if side == "left" else group(states) @ inv
         return None, lie.log_sek(rel, d)
     except ManifoldUkfError as exc:
@@ -429,8 +454,11 @@ def _unchecked_error(retr, ref, states):
 def _corrupt(kind, retr, ref, states, stacked):
     """Corrupt the group part of the ref or of one state in place (the
     near-pi case replaces state 1) and return the states; the kinds ending
-    in _states return every state cut to a smaller, valid group element."""
+    in _states return every state cut to a smaller, valid group element, or
+    (two_runs_states) the states of only two of the three runs."""
     group, d, _ = _group_factor(retr)
+    if kind == "two_runs_states":  # (6, 2, ...) against a (3, ...) ref
+        return states[:, :2].copy()
     if kind == "rotation_block_states":  # SO(d) against an SE_k(d) ref
         return states[..., :d, :d].copy()
     if kind == "one_column_less_states":  # SE_{k-1}(d) against SE_k(d)
@@ -483,7 +511,7 @@ _CORRUPTIONS = ("nan_ref", "inf_ref", "reflected_ref", "bad_row_ref",
                 "near_pi_state", "nan_position_ref",
                 "inf_position_ref_bad_rotation_state", "inf_position_state",
                 "nan_position_state", "rotation_block_states",
-                "one_column_less_states")
+                "one_column_less_states", "two_runs_states")
 
 
 def _ref_and_states(retr, state, stacked):
@@ -499,22 +527,25 @@ def _ref_and_states(retr, state, stacked):
     return ref, retr.phi(ref, xis)
 
 
-def _applies(kind, retr, state):
+def _applies(kind, retr, state, stacked):
     """SO(d) has no [0 I] rows and no position column; only a single group
-    factor takes states of another size than its ref, and a smaller SE_k(d)
-    element needs k >= 2."""
+    factor takes states of another size than its ref, a smaller SE_k(d)
+    element needs k >= 2, and only a stack of refs can fail to broadcast."""
     group, d, _ = _group_factor(retr)
     k = group(np.asarray(state)).shape[-1] - d
+    if kind == "two_runs_states":
+        return stacked
     if kind.endswith("_states"):
         return "phi_invs" not in retr.phi_inv.keywords and k >= (
             2 if kind == "one_column_less_states" else 1)
     return k > 0 or ("row" not in kind and "position" not in kind)
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["one_ref", "three_runs"])
-@pytest.mark.parametrize("label, retr, state, kind", [
-    pytest.param(*r, kind, id=f"{r[0]}-{kind}") for r in _group_pairs()
-    for kind in ("none",) + _CORRUPTIONS if _applies(kind, *r[1:])])
+@pytest.mark.parametrize("label, retr, state, kind, stacked", [
+    pytest.param(*r, kind, stacked, id=f"{r[0]}-{kind}-{sid}") for r in _group_pairs()
+    for kind in ("none",) + _CORRUPTIONS
+    for stacked, sid in ((False, "one_ref"), (True, "three_runs"))
+    if _applies(kind, *r[1:], stacked)])
 def test_group_phi_inv_raises_what_inverse_then_log_raise(label, retr, state,
                                                           kind, stacked):
     ref, states = _ref_and_states(retr, state, stacked)
