@@ -1,6 +1,10 @@
-"""Unscented Kalman filtering on Lie groups and other retractable state spaces."""
+"""Unscented Kalman filtering on Lie groups and other retractable state spaces.
 
-from . import cli, errors, lie_groups, models, montecarlo, retraction, sigma_core
+The imports below are the public surface: every public name they bind is
+exported.  The command line lives in manifold_ukf.cli, loaded on its own.
+"""
+
+from . import errors, lie_groups, models, montecarlo, retraction, sigma_core
 from .errors import (
     CholeskyFailure,
     DimensionMismatch,
@@ -16,18 +20,9 @@ from .errors import (
     SingularInnovationCovariance,
 )
 from .models import LandmarkSet, ModelSpec, augment_landmark, example_names, make
-from .montecarlo import (
-    BenchmarkReport,
-    FilterReport,
-    RunRecord,
-    benchmark,
-    nees,
-    run_record,
-    simulate,
-)
+from .montecarlo import benchmark, nees, run_record, simulate
 from .retraction import (
     Retraction,
-    RetractionCheck,
     additive_retraction,
     check_retraction,
     componentwise_so3_r6,
@@ -36,64 +31,8 @@ from .retraction import (
     mixed_retraction,
     mixed_state,
 )
-from .sigma_core import (
-    Belief,
-    SigmaWeights,
-    filter_run,
-    propagate,
-    set_weights,
-    sigma_points,
-    update,
-)
+from .sigma_core import Belief, filter_run, propagate, set_weights, sigma_points, update
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Belief",
-    "BenchmarkReport",
-    "CholeskyFailure",
-    "DimensionMismatch",
-    "FilterReport",
-    "FilterStepError",
-    "InvalidAlpha",
-    "LandmarkSet",
-    "MalformedEmbedding",
-    "ManifoldUkfError",
-    "ModelSpec",
-    "NearPiRotation",
-    "NonFiniteState",
-    "NonPSDCovariance",
-    "NotARotation",
-    "Retraction",
-    "RetractionCheck",
-    "RunRecord",
-    "SigmaWeights",
-    "SingularCovariance",
-    "SingularInnovationCovariance",
-    "additive_retraction",
-    "augment_landmark",
-    "benchmark",
-    "check_retraction",
-    "cli",
-    "componentwise_so3_r6",
-    "covariance_retrieval",
-    "errors",
-    "example_names",
-    "filter_run",
-    "group_retraction",
-    "lie_groups",
-    "make",
-    "mixed_retraction",
-    "mixed_state",
-    "models",
-    "montecarlo",
-    "nees",
-    "propagate",
-    "retraction",
-    "run_record",
-    "set_weights",
-    "sigma_core",
-    "sigma_points",
-    "simulate",
-    "update",
-]
+__all__ = sorted(name for name in dir() if not name.startswith("_"))

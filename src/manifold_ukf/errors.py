@@ -12,7 +12,8 @@ class ManifoldUkfError(Exception):
 
 
 class DimensionMismatch(ManifoldUkfError):
-    """Array shapes do not agree with the operation's contract."""
+    """Array shapes do not agree with the operation's contract, or an
+    argument is not a numeric array (a string, a ragged nested list)."""
 
 
 class NotARotation(ManifoldUkfError):

@@ -80,6 +80,15 @@ def _det_terms(d: int):
     return np.arange(d), perms, np.sign(perms[:, j] - perms[:, i]).prod(axis=1) * 1.0
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """x as a float array, or DimensionMismatch naming it as `what` if it is
+    not a numeric array (a string, a ragged nested list, ...)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{what} is not a numeric array: {x!r:.60}") from None
+
+
 def rot_dim(d: int) -> int:
     """Tangent dimension of a d x d rotation block."""
     return d * (d - 1) // 2
@@ -96,7 +105,7 @@ def tangent_dim(d: int, k: int) -> int:
 
 def wedge_so3(omega) -> np.ndarray:
     """Skew matrices of (..., 3) vectors: wedge(omega) @ v == cross(omega, v)."""
-    omega = np.asarray(omega, dtype=float)
+    omega = _floats(omega, "omega")
     if omega.shape[-1:] != (3,):
         raise DimensionMismatch(f"expected (..., 3) vectors, got shape {omega.shape}")
     return omega[..., _WEDGE_IDX] * _WEDGE_SIGN
@@ -121,11 +130,12 @@ def _require_below_pi(abs_theta) -> float:
 
 
 def exp_so2(theta) -> np.ndarray:
+    theta = _floats(theta, "theta")
     return _rot2(np.cos(theta), np.sin(theta))
 
 
 def log_so2(C):
-    C = np.asarray(C, dtype=float)
+    C = _floats(C, "C")
     _require_rotation(C, 2)
     return _log_so2(C)
 
@@ -185,7 +195,7 @@ def _so3_coeffs(theta2, coeffs):
 
 def _so3_parts(omega):
     """wedge(omega), its square and theta^2 = |omega|^2 as (..., 1, 1)."""
-    omega = np.asarray(omega, dtype=float)
+    omega = _floats(omega, "omega")
     W = wedge_so3(omega)
     return W, W @ W, (omega * omega).sum(axis=-1)[..., None, None]
 
@@ -236,7 +246,7 @@ def _axis_near_pi(C, c, s_vec):
 
 
 def log_so3(C) -> np.ndarray:
-    C = np.asarray(C, dtype=float)
+    C = _floats(C, "C")
     _require_rotation(C, 3)
     return _log_so3(C)[0]
 
@@ -260,7 +270,7 @@ def _require_rotation(C, d):
 def polar_project(R) -> np.ndarray:
     """Nearest rotation matrix in the Frobenius sense (SVD polar factor),
     per element of a stack (..., d, d)."""
-    U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
+    U, _, Vt = np.linalg.svd(_floats(R, "R"))
     out = U @ Vt
     flip = np.linalg.det(out) < 0.0
     if flip.any():
@@ -293,12 +303,12 @@ def _so2_coeffs(theta, c, s):
 
 
 def left_jacobian_so2(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = _floats(theta, "theta")
     return _rot2(*_so2_coeffs(theta, np.cos(theta), np.sin(theta)))
 
 
 def inv_left_jacobian_so2(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = _floats(theta, "theta")
     a, b = _so2_coeffs(theta, np.cos(theta), np.sin(theta))
     return _rot2(a, -b) / (a * a + b * b)[..., None, None]
 
@@ -312,8 +322,8 @@ def _check_d(d):
         raise DimensionMismatch(f"rotation block dimension must be 2 or 3, got {d}")
 
 
-def _square(X, d) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+def _square(X, d, what: str) -> np.ndarray:
+    X = _floats(X, what)
     _check_d(d)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2] or X.shape[-1] < d:
         raise DimensionMismatch(
@@ -332,7 +342,7 @@ def _require_group(X, d) -> np.ndarray:
     (DimensionMismatch), bottom rows exactly [0 I] (MalformedEmbedding), the
     rotation block (NotARotation, NaN and inf included), finite translation
     columns (NonFiniteState)."""
-    X = _square(X, d)
+    X = _square(X, d, "X")
     n = X.shape[-1]
     # The bottom rows, from flat entry d n on, are [0 I] exactly: group
     # operations keep them bit for bit, so a deviation means a wrongly built X.
@@ -349,10 +359,10 @@ def _require_pair(ref, state, d):
     then _require_group(state, d) would check them, and DimensionMismatch
     unless they are of one size and their leading axes broadcast; one pass
     of each check covers both."""
-    ref = _square(ref, d)
+    ref = _square(ref, d, "ref")
     n = ref.shape[-1]
     try:
-        state = _square(state, d)
+        state = _square(state, d, "state")
         if state.shape[-1] != n:
             raise DimensionMismatch(
                 f"states of shape {state.shape} against a ref of shape {ref.shape}")
@@ -373,7 +383,7 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
     """Group exponential: rotation by Rodrigues, translations via the left
     Jacobian; both come from one set of trig terms (and for d = 3 one
     wedge)."""
-    xi = np.asarray(xi, dtype=float)
+    xi = _floats(xi, "xi")
     _check_d(d)
     if xi.shape[-1] != tangent_dim(d, k):
         raise DimensionMismatch(

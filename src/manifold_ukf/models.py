@@ -488,8 +488,9 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
     acc = omega[3:6] - bias[..., 3:6] + w[..., 3:6]
     # the new pose goes straight into the pose view of the flat output
     out = np.empty(gyro.shape[:-1] + state.shape[-1:])
-    _strapdown(pose, gyro, acc, dt, gravity, _mixed_parts(5, out)[0])
-    out[..., 25:] = bias + w[..., 6:12]
+    out_pose, out_bias = _mixed_parts(5, out)
+    _strapdown(pose, gyro, acc, dt, gravity, out_pose)
+    out_bias[...] = bias + w[..., 6:12]
     return out
 
 

@@ -30,7 +30,9 @@ Each factor takes the next span of the tangent vector and the last one
 takes the rest, so a growing state (augment_landmark's landmark tail) keeps
 working.  Each factor maps equal parts to exact zeros.  group_retraction
 and additive_retraction are single factors, mixed_retraction is
-SE_k(d) x R^n and componentwise_so3_r6 is SO(3) x R^3 x R^3.
+SE_k(d) x R^n and componentwise_so3_r6 is SO(3) x R^3 x R^3.  Each phi
+and phi_inv takes its arguments through lie_groups._floats, so one that
+is not a numeric array raises DimensionMismatch naming it.
 
 All callables are module-level functions, bound with functools.partial.
 """
@@ -102,6 +104,7 @@ def _rows(values, lead: Tuple[int, ...], width: int) -> np.ndarray:
 
 
 def _phi_group(state, xi, d, side):
+    state = lie._floats(state, "state")
     G = lie.exp_sek(xi, d, state.shape[-1] - d)
     return state @ G if side == "left" else G @ state
 
@@ -137,16 +140,16 @@ def group_retraction(d: int, k: int, side: str = "left") -> Retraction:
 
 
 def _phi_euclid(state, xi):
-    xi = np.asarray(xi, dtype=float)
+    state, xi = lie._floats(state, "state"), lie._floats(xi, "xi")
     if xi.shape[-1:] != state.shape[-1:]:
         raise DimensionMismatch(f"tangent shape {xi.shape} != state shape {state.shape}")
     return state + xi
 
 
 def _phi_inv_euclid(ref, state):
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1:] != np.shape(ref)[-1:]:
-        raise DimensionMismatch(f"state shape {state.shape} != ref shape {np.shape(ref)}")
+    ref, state = lie._floats(ref, "ref"), lie._floats(state, "state")
+    if state.shape[-1:] != ref.shape[-1:]:
+        raise DimensionMismatch(f"state shape {state.shape} != ref shape {ref.shape}")
     out = state - ref
     if not np.isfinite(out).all():
         raise NonFiniteState("Euclidean state or reference is not finite")
@@ -166,12 +169,13 @@ def additive_retraction(dim: int) -> Retraction:
 
 
 def _phi_product(state, xi, split, join, phis, spans):
-    xi = np.asarray(xi, dtype=float)
+    state, xi = lie._floats(state, "state"), lie._floats(xi, "xi")
     return join(*(phi(part, xi[..., span])
                   for phi, part, span in zip(phis, split(state), spans)))
 
 
 def _phi_inv_product(ref, state, split, phi_invs):
+    ref, state = lie._floats(ref, "ref"), lie._floats(state, "state")
     parts = zip(phi_invs, split(ref), split(state))
     return np.concatenate([f(r, s) for f, r, s in parts], axis=-1)
 

@@ -138,8 +138,8 @@ def _jittered_cholesky(P, scale):
 
 
 @lru_cache(maxsize=64)
-def _noise_points(Q_bytes: bytes, shape: tuple, lam: float, head: int = 0,
-                  run_axes: int = 0) -> np.ndarray:
+def _noise_points(Q_bytes: bytes, shape: tuple, lam: float, head: int,
+                  run_axes: int) -> np.ndarray:
     """Read-only noise stack of the noise covariance Q with these bytes and
     shape: `head` zero rows, then sigma_points(Q, lam) unless Q is all zero
     (lam is then unused), each row shaped (1,) * run_axes + (q,) so that

@@ -1,8 +1,10 @@
 """Command-line behaviour: outputs, exit codes, config handling, file formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from manifold_ukf.models import example_names, make
 from manifold_ukf.montecarlo import nees, run_record, simulate
 
 from fileformats import strip_runtime_column, write_imu_log
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _read(path):
@@ -204,6 +208,24 @@ def test_check_retraction_rejects_bad_dt(capsys):
     assert code == EXIT_CONFIG
     assert captured.err.startswith("error:") and "dt must be" in captured.err
     assert len(captured.err.splitlines()) == 1 and not captured.out
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["benchmark", "attitude3d", "--retractions", ","], None, "no retractions selected"),
+    (["check-retraction", "attitude3d", "--epsilons", ","], None, "no epsilons given"),
+    (["run", "attitude3d"], [1, 2], "config file must contain a JSON object"),
+], ids=["no-retractions", "no-epsilons", "config-not-an-object"])
+def test_empty_selections_and_a_non_object_config_are_usage_errors(
+        tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    code = main(argv + ["--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"error: {message}\n" and not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if config else [])
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +536,27 @@ def test_run_numerical_failure_exits_2(tmp_path, capsys):
 # module entry point
 
 
+def _module(*argv):
+    """python -m manifold_ukf with src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "manifold_ukf", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_module_invocation_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "manifold_ukf", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = _module("--help")
     assert proc.returncode == 0
     assert "benchmark" in proc.stdout and "check-retraction" in proc.stdout
+
+
+def test_module_invocation_runs_a_command_and_reports_usage_errors():
+    proc = _module("check-retraction", "attitude3d")
+    assert proc.returncode == EXIT_OK and not proc.stderr
+    assert proc.stdout.count("PASS") == 8 and "FAIL" not in proc.stdout
+    proc = _module("--bogus")
+    assert proc.returncode == EXIT_CONFIG and not proc.stdout
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
 
 def test_csv_floats_roundtrip(tmp_path):

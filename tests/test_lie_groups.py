@@ -414,3 +414,18 @@ def test_polar_project():
     fixed = lie.polar_project(noisy)
     assert np.abs(fixed.T @ fixed - np.eye(3)).max() < 1e-14
     assert np.abs(fixed - C).max() < 1e-7
+
+
+# the public functions and the arguments after the array they take
+PUBLIC_AFTER_ARRAY = {
+    "wedge_so3": (), "exp_so3": (), "log_so3": (), "exp_so2": (), "log_so2": (),
+    "left_jacobian_so3": (), "inv_left_jacobian_so3": (), "left_jacobian_so2": (),
+    "inv_left_jacobian_so2": (), "polar_project": (), "exp_sek": (3, 2),
+    "log_sek": (3,), "inverse": (3,)}
+
+
+@pytest.mark.parametrize("bad", ["abc", [[1.0, 2.0], [3.0]]], ids=["string", "ragged"])
+@pytest.mark.parametrize("name", PUBLIC_AFTER_ARRAY)
+def test_public_functions_reject_input_that_is_not_numeric(name, bad):
+    with pytest.raises(DimensionMismatch, match="is not a numeric array"):
+        getattr(lie, name)(bad, *PUBLIC_AFTER_ARRAY[name])

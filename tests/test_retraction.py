@@ -406,6 +406,25 @@ def test_product_retractions_check_the_state_size_before_splitting(label, retr, 
                 call()
 
 
+NOT_NUMERIC = {"string": "abc", "ragged": [[1.0, 2.0], [3.0]]}
+
+
+@pytest.mark.parametrize("bad", NOT_NUMERIC.values(), ids=NOT_NUMERIC)
+@pytest.mark.parametrize("method", ["phi", "phi_inv"])
+@pytest.mark.parametrize("label, retr, state",
+                         [pytest.param(*r, id=r[0]) for r in all_model_retractions()])
+def test_registered_retractions_name_an_argument_that_is_not_numeric(label, retr, state,
+                                                                     method, bad):
+    """Either argument: DimensionMismatch naming it, not numpy's ValueError
+    or an AttributeError from a layout reading .shape."""
+    good = np.zeros(retr.dim) if method == "phi" else state
+    second = "xi" if method == "phi" else "state"
+    first = "state" if method == "phi" else "ref"
+    for args, name in (((state, bad), second), ((bad, good), first)):
+        with pytest.raises(DimensionMismatch, match=f"^{name} is not a numeric array"):
+            getattr(retr, method)(*args)
+
+
 # ---------------------------------------------------------------------------
 # The group phi_inv validates the ref and the relative stack in one pass
 

@@ -182,8 +182,8 @@ def test_sigma_points_scale_check():
 def test_noise_points_are_memoized_read_only():
     Q = make("inertial_nav").Q
     lam = set_weights(Q.shape[0], 0.5).lam
-    pts = sigma_core._noise_points(Q.tobytes(), Q.shape, lam)
-    assert pts is sigma_core._noise_points(Q.tobytes(), Q.shape, lam)
+    pts = sigma_core._noise_points(Q.tobytes(), Q.shape, lam, 0, 0)
+    assert pts is sigma_core._noise_points(Q.tobytes(), Q.shape, lam, 0, 0)
     assert np.array_equal(pts, sigma_points(Q, lam))
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
