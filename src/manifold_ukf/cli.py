@@ -146,7 +146,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(_config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The command-line parser.  The set values of a checked config (see
+    _load_config) become each subcommand's defaults, so a flag given on the
+    command line beats the config, which beats the default declared here."""
     parser = _Parser(prog="manifold-ukf",
                      description="Sigma-point filtering benchmarks on "
                                  "Lie-group state spaces.")
@@ -155,37 +158,38 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("example", help="example name, e.g. one of: "
                                        + ", ".join(example_names()))
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--retractions", default=None,
-                       help="comma-separated retraction names")
-        p.add_argument("--config", default=None, help="JSON settings file")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--landmarks", default=None,
-                       help="CSV file of landmark coordinates")
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--dt", type=float)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--retractions", help="comma-separated retraction names")
+        p.add_argument("--config", help="JSON settings file")
+        p.add_argument("--out", help="output CSV path")
+        p.add_argument("--landmarks", help="CSV file of landmark coordinates")
 
     p_run = sub.add_parser("run", help="run one filter and write estimates")
     common(p_run)
-    p_run.add_argument("--imu-log", default=None,
+    p_run.add_argument("--imu-log",
                        help="CSV of recorded inputs and position fixes "
                             "(imu_gnss example)")
 
     p_bench = sub.add_parser("benchmark",
                              help="Monte-Carlo comparison of retraction variants")
     common(p_bench)
-    p_bench.add_argument("--runs", type=int, default=None)
-    p_bench.add_argument("--workers", type=int, default=None,
+    p_bench.add_argument("--runs", type=int, default=50)
+    p_bench.add_argument("--workers", type=int,
                          help="accepted and ignored: all runs of a variant "
                               "step in lockstep in one process")
 
     p_check = sub.add_parser("check-retraction",
                              help="verify phi / phi_inv consistency")
     common(p_check)
-    p_check.add_argument("--epsilons", default=None,
+    p_check.add_argument("--epsilons", default="1e-1,1e-2,1e-3",
                          help="comma-separated perturbation scales")
 
+    config = {key: value for key, value in (_config or {}).items() if value is not None}
+    for p in (p_run, p_bench, p_check):
+        p.set_defaults(**{"model_params": {}, **config})
     return parser
 
 
@@ -216,29 +220,13 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _effective(args, key, default=None):
-    """Command line beats config file beats default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg and cfg[key] is not None:
-        return cfg[key]
-    return default
-
-
 def _build_model(args):
     name = args.example
-    params = dict(_effective(args, "model_params", {}) or {})
-    dt = _effective(args, "dt")
-    if dt is not None:
-        params["dt"] = dt
-    alpha = _effective(args, "alpha")
-    if alpha is not None:
-        params["alpha"] = alpha
-    lm_path = _effective(args, "landmarks")
-    if lm_path is not None:
-        params["landmarks"] = read_landmarks(lm_path)
+    params = dict(args.model_params)
+    for key in ("dt", "alpha", "landmarks"):
+        value = getattr(args, key)
+        if value is not None:
+            params[key] = read_landmarks(value) if key == "landmarks" else value
     try:
         model = make(name, **params)
     except (TypeError, AttributeError, ArithmeticError) as exc:
@@ -249,7 +237,7 @@ def _build_model(args):
 
 
 def _retraction_names(args, model, many: bool):
-    text = _effective(args, "retractions")
+    text = args.retractions
     if text is None:
         return list(model.retractions) if many else [model.default_retraction]
     parts = text.split(",") if isinstance(text, str) else map(str, text)
@@ -271,22 +259,19 @@ def cmd_run(args) -> int:
     model = _build_model(args)
     retr_name = _retraction_names(args, model, many=False)[0]
     retr = model.retraction(retr_name)
-    seed = int(_effective(args, "seed", 0))
-    imu_log = _effective(args, "imu_log")
 
-    if imu_log is not None:
+    if args.imu_log is not None:
         if model.R.shape != (3, 3):
             raise UsageError(
                 "--imu-log needs a model with 3D position measurements "
                 "(use the imu_gnss example)")
-        times, inputs, measurements = read_imu_log(imu_log)
+        times, inputs, measurements = read_imu_log(args.imu_log)
         sim = (None, inputs, measurements)
     else:
-        steps = int(_effective(args, "steps", 100))
-        sim = simulate(model, steps, seed)
-        times = model.dt * np.arange(1, steps + 1)
+        sim = simulate(model, args.steps, args.seed)
+        times = model.dt * np.arange(1, args.steps + 1)
 
-    out = _effective(args, "out", f"{model.name}_{retr_name}_estimates.csv")
+    out = f"{model.name}_{retr_name}_estimates.csv" if args.out is None else args.out
     steps = _scored(model, retr, sim, Belief(model.initial_mean, model.initial_cov))
     _write_text(out, _estimate_lines(model, retr, steps, times))
     print(f"wrote {len(times)} estimates to {out}")
@@ -296,12 +281,8 @@ def cmd_run(args) -> int:
 def cmd_benchmark(args) -> int:
     model = _build_model(args)
     names = _retraction_names(args, model, many=True)
-    seed = int(_effective(args, "seed", 0))
-    steps = int(_effective(args, "steps", 100))
-    runs = int(_effective(args, "runs", 50))
-
-    report = benchmark(model, names, runs=runs, seed=seed, steps=steps)
-    out = _effective(args, "out", f"{model.name}_benchmark.csv")
+    report = benchmark(model, names, runs=args.runs, seed=args.seed, steps=args.steps)
+    out = f"{model.name}_benchmark.csv" if args.out is None else args.out
     write_benchmark_csv(out, report)
 
     blocks = [lbl for lbl, _ in report.blocks]
@@ -309,7 +290,7 @@ def cmd_benchmark(args) -> int:
     head = ("retraction".ljust(name_w)
             + "".join(f"  rmse_{lbl}[final]" for lbl in blocks)
             + "  mean_nees  diverged")
-    print(f"{model.name}: {runs} runs x {steps} steps, seed {seed}, "
+    print(f"{model.name}: {args.runs} runs x {args.steps} steps, seed {args.seed}, "
           f"alpha {report.alpha}")
     print(head)
     for flt in report.filters:
@@ -327,8 +308,7 @@ def cmd_benchmark(args) -> int:
 def cmd_check_retraction(args) -> int:
     model = _build_model(args)
     names = _retraction_names(args, model, many=True)
-    eps_text = str(_effective(args, "epsilons", "1e-1,1e-2,1e-3"))
-    epsilons = tuple(float(t) for t in eps_text.split(",") if t.strip())
+    epsilons = tuple(float(t) for t in str(args.epsilons).split(",") if t.strip())
     if not epsilons:
         raise UsageError("no epsilons given")
 
@@ -354,7 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; the only place an exception becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
-        args._config = _load_config(args.config) if args.config else {}
+        if args.config is not None:
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,7 +153,7 @@ class LandmarkSet:
 
 def _se2_odometry(state, omega, w):
     """Pose composed with the exponential of the noisy body increment."""
-    return state @ lie.exp_sek(np.asarray(omega, dtype=float) + w, 2, 1)
+    return state @ lie.exp_sek(lie._floats(omega, "omega") + w, 2, 1)
 
 
 def _se2_position(state):
@@ -207,7 +207,7 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
 
 
 def _gyro_dynamics(dt, state, omega, w):
-    return state @ lie.exp_so3((np.asarray(omega, dtype=float) + w) * dt)
+    return state @ lie.exp_so3((lie._floats(omega, "omega") + w) * dt)
 
 
 def _body_field_observation(gravity, mag_field, state):
@@ -280,7 +280,7 @@ def _strapdown(pose, gyro, acc, dt, gravity, out=None):
 
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
     """Inputs stack gyro rates and specific force; noise adds to both."""
-    omega = np.asarray(omega, dtype=float)
+    omega = lie._floats(omega, "omega")
     return _strapdown(state, omega[:3] + w[..., :3], omega[3:6] + w[..., 3:6],
                       dt, gravity)
 
@@ -328,6 +328,8 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
     position_error in the world frame, with an initial covariance sized to
     cover both; this makes the large-error transient the interesting part.
     """
+    if landmarks.points.shape[1] != 3:
+        raise DimensionMismatch("inertial_nav landmarks must be 3D")
     m = len(landmarks)
     initial_truth = np.eye(5)
     initial_truth[:3, 3] = np.array([speed, 0.0, 0.0])
@@ -439,8 +441,7 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     left and right conventions are both handled) plus the rotated
     measurement noise.  Existing covariance entries are copied unchanged.
     """
-    y_new = np.asarray(y_new, dtype=float)
-    obs_cov = np.asarray(obs_cov, dtype=float)
+    y_new, obs_cov = lie._floats(y_new, "y_new"), lie._floats(obs_cov, "obs_cov")
     state = belief.mean
     pose = _mixed_parts(3, state)[0]
     C = pose[:2, :2]
@@ -482,7 +483,7 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
 
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = lie._floats(omega, "omega")
     pose, bias = _mixed_parts(5, state)
     gyro = omega[:3] - bias[..., :3] + w[..., :3]
     acc = omega[3:6] - bias[..., 3:6] + w[..., 3:6]
@@ -559,7 +560,7 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
 
 def _lifted_sphere_dynamics(dt, state, omega, w):
     """World-frame rotation increment with a rotation-vector noise factor."""
-    return lie.exp_so3(np.asarray(omega, dtype=float) * dt) @ lie.exp_so3(w) @ state
+    return lie.exp_so3(lie._floats(omega, "omega") * dt) @ lie.exp_so3(w) @ state
 
 
 def _sphere_point(lever, state):

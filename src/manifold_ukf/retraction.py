@@ -207,7 +207,7 @@ def _mixed_parts(n, state):
 def mixed_state(group, euclid) -> np.ndarray:
     """A flat mixed state: the n x n group element(s) in row-major order,
     then the Euclidean block; leading axes must agree."""
-    group = np.asarray(group, dtype=float)
+    group, euclid = lie._floats(group, "group"), lie._floats(euclid, "euclid")
     return np.concatenate([group.reshape(group.shape[:-2] + (-1,)), euclid], -1)
 
 
@@ -257,8 +257,9 @@ def covariance_retrieval(R_hat, L, P):
     Returns (x, A P A^T) with A = -wedge(x); the result is rank deficient
     along x because rotating about x does not move it.
     """
+    P = lie._floats(P, "P")
     _psd_sqrt(P)
-    x = np.asarray(R_hat, dtype=float) @ np.asarray(L, dtype=float)
+    x = lie._floats(R_hat, "R_hat") @ lie._floats(L, "L")
     A = -lie.wedge_so3(x)
     return x, A @ P @ A.T
 

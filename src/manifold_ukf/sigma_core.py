@@ -41,6 +41,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
+from . import lie_groups as lie
 from .errors import (
     CholeskyFailure,
     DimensionMismatch,
@@ -103,7 +104,9 @@ def sigma_points(P, lam: float) -> np.ndarray:
     trace(P), on the failing covariances of a stack only; if that also fails
     the covariance is declared broken.
     """
-    P = np.asarray(P, dtype=float)
+    P = lie._floats(P, "P")
+    if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
+        raise DimensionMismatch(f"P must be square, (..., n, n), got shape {P.shape}")
     n = P.shape[-1]
     scale = lam + n
     if scale <= 0.0:
@@ -194,7 +197,7 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     runtime (augment_landmark) keeps filtering; a width the retraction's
     factors cannot take raises DimensionMismatch.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = lie._floats(Q, "Q")
     d = belief.dim
     w_d = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w_d.lam)
@@ -234,8 +237,7 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     (1 + 2d, ..., ·) stack.  As in propagate, the sigma points take the
     belief's dimension.
     """
-    y = np.asarray(y, dtype=float)
-    R = np.asarray(R, dtype=float)
+    y, R = lie._floats(y, "y"), lie._floats(R, "R")
     if y.shape[-1:] != R.shape[:1]:
         raise DimensionMismatch(
             f"measurement shape {y.shape} does not match R of shape {R.shape}")

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, config handling, file formats."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 from manifold_ukf.cli import (
+    _CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
     IMU_LOG_HEADER,
     UsageError,
+    build_parser,
     main,
     read_imu_log,
     read_landmarks,
@@ -264,6 +267,82 @@ def test_config_model_params(tmp_path):
     assert np.abs(cols["x"]).max() < 0.5  # stays near the origin
 
 
+# argv without the key, the key, its config value, the same value as a flag,
+# and another flag value; landmarks and imu_log name files the test writes
+@pytest.mark.parametrize("argv, key, value, same, other", [
+    pytest.param(["run", "attitude3d"], "steps", 7, "7", "4", id="steps"),
+    pytest.param(["run", "attitude3d", "--steps", "5"], "seed", 3, "3", "4", id="seed"),
+    pytest.param(["run", "attitude3d", "--steps", "5"], "dt", 0.05, "0.05", "0.02", id="dt"),
+    pytest.param(["run", "attitude3d", "--steps", "5"], "alpha", 0.5, "0.5", "0.9",
+                 id="alpha"),
+    pytest.param(["run", "attitude3d", "--steps", "5"], "retractions", "so3_right",
+                 "so3_right", "so3_left", id="retractions"),
+    pytest.param(["benchmark", "localization2d", "--runs", "2", "--steps", "5"],
+                 "retractions", ["se2_right"], "se2_right", "se2_left",
+                 id="retractions-list"),
+    pytest.param(["run", "attitude3d", "--steps", "5"], "out", "est.csv", "est.csv",
+                 "other.csv", id="out"),
+    pytest.param(["run", "inertial_nav", "--steps", "6"], "landmarks", "lm_a.csv",
+                 "lm_a.csv", "lm_b.csv", id="landmarks"),
+    pytest.param(["run", "imu_gnss"], "imu_log", "log_a.csv", "log_a.csv", "log_b.csv",
+                 id="imu_log"),
+    pytest.param(["benchmark", "attitude3d", "--steps", "4"], "runs", 2, "2", "3",
+                 id="runs"),
+    pytest.param(["check-retraction", "attitude3d"], "epsilons", "1e-2", "1e-2", "1e-3",
+                 id="epsilons"),
+    pytest.param(["check-retraction", "attitude3d"], "epsilons", 0.01, "0.01", "1e-3",
+                 id="epsilons-number"),
+])
+def test_each_config_key_acts_as_its_flag(tmp_path, capsys, monkeypatch,
+                                          argv, key, value, same, other):
+    """The config value gives the flag's output, a flag beats the config, and
+    null is the same as leaving the key out."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "lm_a.csv").write_text("15,5,2\n-12,15,-3\n", encoding="utf-8")
+    (inputs / "lm_b.csv").write_text("10,0,1\n", encoding="utf-8")
+    model = make("imu_gnss")
+    for name, steps in (("log_a.csv", 6), ("log_b.csv", 8)):
+        _, u, y = simulate(model, steps, seed=1)
+        write_imu_log(inputs / name, model.dt * np.arange(1, steps + 1), u, y)
+    if key in ("landmarks", "imu_log"):
+        value, same, other = (str(inputs / v) for v in (value, same, other))
+    flag = "--" + key.replace("_", "-")
+
+    def outcome(extra=(), config=None):
+        """Exit code, stdout, stderr and the files written, each in a new
+        working directory (the benchmark CSV without its wall clock)."""
+        cwd = tmp_path / f"cwd{len(list(tmp_path.glob('cwd*')))}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        args = argv + list(extra)
+        if config is not None:
+            (inputs / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+            args += ["--config", str(inputs / "cfg.json")]
+        code = main(args)
+        files = {p.name: strip_runtime_column(_read(p)) if argv[0] == "benchmark"
+                 else _read(p) for p in cwd.iterdir()}
+        return (code,) + tuple(capsys.readouterr()) + (files,)
+
+    unset = outcome()
+    from_config = outcome(config={key: value})
+    from_other_flag = outcome([flag, other])
+    assert unset[0] == from_config[0] == from_other_flag[0] == EXIT_OK
+    assert from_config != unset and from_config != from_other_flag
+    assert outcome([flag, same]) == from_config
+    assert outcome([flag, other], config={key: value}) == from_other_flag
+    assert outcome(config={key: None}) == unset
+
+
+def test_config_keys_are_the_subcommands_options():
+    """Every flag has a config type and every config key but model_params a
+    flag: the settings a config may hold are the parser's, no more."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    dests = {a.dest for p in commands.values() for a in p._actions}
+    assert set(_CONFIG_KEYS) - {"model_params"} == dests - {"config", "example", "help"}
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"step": 9}), encoding="utf-8")
@@ -412,12 +491,19 @@ def test_run_with_landmark_file(tmp_path):
     assert code == EXIT_OK
 
 
-def test_landmark_file_wrong_dimension(tmp_path):
+@pytest.mark.parametrize("example, row, wanted", [("slam2d", "1.0,2.0,3.0", "2D"),
+                                                  ("inertial_nav", "1.0,2.0", "3D")],
+                         ids=["slam2d", "inertial_nav"])
+def test_landmark_file_wrong_dimension(tmp_path, capsys, example, row, wanted):
+    """Rejected when the model is built, not at the first measurement: three
+    steps hold none (both examples measure every fifth step)."""
     f = tmp_path / "lm.csv"
-    f.write_text("1.0,2.0,3.0\n", encoding="utf-8")  # slam2d wants 2D
-    code = main(["run", "slam2d", "--steps", "4", "--landmarks", str(f),
+    f.write_text(f"{row}\n{row}\n", encoding="utf-8")
+    code = main(["run", example, "--steps", "3", "--landmarks", str(f),
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {example} landmarks must be {wanted}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["lm.csv"]
 
 
 _IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"

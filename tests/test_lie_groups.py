@@ -21,6 +21,10 @@ from manifold_ukf.errors import (
     NotARotation,
 )
 
+from manifold_ukf.models import augment_landmark, example_names, make
+from manifold_ukf.retraction import covariance_retrieval, mixed_state
+from manifold_ukf.sigma_core import Belief, propagate, sigma_points, update
+
 from oracles import matrix_exp_series, wedge_sek, wedge_so2
 
 RNG = np.random.Generator(np.random.Philox(key=20240915))
@@ -424,8 +428,47 @@ PUBLIC_AFTER_ARRAY = {
     "log_sek": (3,), "inverse": (3,)}
 
 
+def _filter_step(name, **given):
+    """propagate (given omega or Q) or update (given y or R) on the example's
+    initial belief, with the other arguments the model's own."""
+    m = make(name)
+    belief, retr = Belief(m.initial_mean, m.initial_cov), m.retraction()
+    if given.keys() & {"y", "R"}:
+        args = {"y": np.zeros(m.R.shape[0]), "R": m.R, **given}
+        return update(belief, args["y"], m.h, args["R"], retr, m.alpha)
+    args = {"omega": m.inputs(1)[0], "Q": m.Q, **given}
+    return propagate(belief, args["omega"], m.f, args["Q"], retr, m.alpha)
+
+
+def _augment(y_new):
+    m = make("slam2d")
+    return augment_landmark(Belief(m.initial_mean, m.initial_cov), y_new,
+                            m.retraction(), np.eye(2))
+
+
+# public functions outside the Lie layer: the argument named, and the call
+# with `bad` in its place; propagate's omega reaches each built-in f
+OUTSIDE_LIE = {
+    "mixed_state": ("group", lambda bad: mixed_state(bad, np.zeros(2))),
+    "covariance_retrieval": ("R_hat", lambda bad: covariance_retrieval(
+        bad, np.ones(3), np.eye(3))),
+    "sigma_points": ("P", lambda bad: sigma_points(bad, 0.0)),
+    "propagate-Q": ("Q", lambda bad: _filter_step("attitude3d", Q=bad)),
+    "update-y": ("y", lambda bad: _filter_step("attitude3d", y=bad)),
+    "update-R": ("R", lambda bad: _filter_step("attitude3d", R=bad)),
+    "augment_landmark": ("y_new", _augment),
+    **{f"{name}.f": ("omega", lambda bad, name=name: _filter_step(name, omega=bad))
+       for name in example_names()},
+}
+
+
 @pytest.mark.parametrize("bad", ["abc", [[1.0, 2.0], [3.0]]], ids=["string", "ragged"])
-@pytest.mark.parametrize("name", PUBLIC_AFTER_ARRAY)
+@pytest.mark.parametrize("name", [*PUBLIC_AFTER_ARRAY, *OUTSIDE_LIE])
 def test_public_functions_reject_input_that_is_not_numeric(name, bad):
-    with pytest.raises(DimensionMismatch, match="is not a numeric array"):
-        getattr(lie, name)(bad, *PUBLIC_AFTER_ARRAY[name])
+    if name in PUBLIC_AFTER_ARRAY:
+        with pytest.raises(DimensionMismatch, match="is not a numeric array"):
+            getattr(lie, name)(bad, *PUBLIC_AFTER_ARRAY[name])
+    else:
+        what, call = OUTSIDE_LIE[name]
+        with pytest.raises(DimensionMismatch, match=f"^{what} is not a numeric array"):
+            call(bad)

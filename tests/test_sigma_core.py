@@ -179,6 +179,14 @@ def test_sigma_points_scale_check():
         sigma_points(np.eye(2), -2.0)
 
 
+@pytest.mark.parametrize("P", [np.ones(3), np.ones((2, 3)), 1.0], ids=["vector", "2x3", "scalar"])
+def test_sigma_points_reject_a_covariance_that_is_not_square(P):
+    """Checked before the Cholesky, whose jitter retry would otherwise add
+    an identity of the wrong size and let numpy's ValueError out."""
+    with pytest.raises(DimensionMismatch, match="^P must be square"):
+        sigma_points(P, 0.0)
+
+
 def test_noise_points_are_memoized_read_only():
     Q = make("inertial_nav").Q
     lam = set_weights(Q.shape[0], 0.5).lam
