@@ -155,41 +155,37 @@ def build_parser(_config: Optional[dict] = None) -> argparse.ArgumentParser:
                                  "Lie-group state spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p_run = sub.add_parser("run", help="run one filter and write estimates")
+    p_bench = sub.add_parser("benchmark",
+                             help="Monte-Carlo comparison of retraction variants")
+    p_check = sub.add_parser("check-retraction",
+                             help="verify phi / phi_inv consistency")
+    for p in (p_run, p_bench, p_check):
         p.add_argument("example", help="example name, e.g. one of: "
                                        + ", ".join(example_names()))
-        p.add_argument("--steps", type=int, default=100)
         p.add_argument("--dt", type=float)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--alpha", type=float)
         p.add_argument("--retractions", help="comma-separated retraction names")
         p.add_argument("--config", help="JSON settings file")
-        p.add_argument("--out", help="output CSV path")
         p.add_argument("--landmarks", help="CSV file of landmark coordinates")
-
-    p_run = sub.add_parser("run", help="run one filter and write estimates")
-    common(p_run)
+    for p in (p_run, p_bench):  # the commands that simulate and write a CSV
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", help="output CSV path")
     p_run.add_argument("--imu-log",
                        help="CSV of recorded inputs and position fixes "
                             "(imu_gnss example)")
-
-    p_bench = sub.add_parser("benchmark",
-                             help="Monte-Carlo comparison of retraction variants")
-    common(p_bench)
     p_bench.add_argument("--runs", type=int, default=50)
     p_bench.add_argument("--workers", type=int,
                          help="accepted and ignored: all runs of a variant "
                               "step in lockstep in one process")
-
-    p_check = sub.add_parser("check-retraction",
-                             help="verify phi / phi_inv consistency")
-    common(p_check)
     p_check.add_argument("--epsilons", default="1e-1,1e-2,1e-3",
                          help="comma-separated perturbation scales")
 
     config = {key: value for key, value in (_config or {}).items() if value is not None}
-    for p in (p_run, p_bench, p_check):
-        p.set_defaults(**{"model_params": {}, **config})
+    for p, command in ((p_run, cmd_run), (p_bench, cmd_benchmark),
+                       (p_check, cmd_check_retraction)):
+        p.set_defaults(**{"model_params": {}, **config}, command_fn=command)
     return parser
 
 
@@ -326,17 +322,13 @@ def cmd_check_retraction(args) -> int:
     return EXIT_OK if all_ok else EXIT_CONFIG
 
 
-_COMMANDS = {"run": cmd_run, "benchmark": cmd_benchmark,
-             "check-retraction": cmd_check_retraction}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; the only place an exception becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
         if args.config is not None:
             args = build_parser(_load_config(args.config)).parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.command_fn(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -307,12 +307,6 @@ def left_jacobian_so2(theta) -> np.ndarray:
     return _rot2(*_so2_coeffs(theta, np.cos(theta), np.sin(theta)))
 
 
-def inv_left_jacobian_so2(theta) -> np.ndarray:
-    theta = _floats(theta, "theta")
-    a, b = _so2_coeffs(theta, np.cos(theta), np.sin(theta))
-    return _rot2(a, -b) / (a * a + b * b)[..., None, None]
-
-
 # ---------------------------------------------------------------------------
 # SE_k(d)
 
@@ -431,7 +425,8 @@ def _log_sek(X, d):
         omega = theta[..., None]
         if k == 0:
             return omega
-        Jinv = inv_left_jacobian_so2(theta)
+        a, b = _so2_coeffs(theta, np.cos(theta), np.sin(theta))
+        Jinv = _rot2(a, -b) / (a * a + b * b)[..., None, None]
     trans = (Jinv @ X[..., :d, d:]).swapaxes(-1, -2)
     return np.concatenate([omega, trans.reshape(X.shape[:-2] + (k * d,))], axis=-1)
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import lie_groups as lie
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteState
 from .retraction import (
     Retraction,
     _mixed_parts,
@@ -44,6 +44,15 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 def _identity(state):
     return state
+
+
+def _omega(omega, width: int) -> np.ndarray:
+    """A built-in f's input as a float array, or DimensionMismatch naming
+    omega if it is not numeric or not (..., width)."""
+    omega = lie._floats(omega, "omega")
+    if omega.shape[-1:] != (width,):
+        raise DimensionMismatch(f"omega must be (..., {width}), got {omega.shape}")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,11 @@ class LandmarkSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = lie._floats(self.points, "landmarks")
+        if pts.ndim != 2:
+            raise DimensionMismatch(f"landmarks must be (n, dim), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise NonFiniteState("landmarks must be finite")
         if pts.shape[0] == 0:
             raise ValueError("landmark set must not be empty")
         object.__setattr__(self, "points", pts)
@@ -153,7 +166,7 @@ class LandmarkSet:
 
 def _se2_odometry(state, omega, w):
     """Pose composed with the exponential of the noisy body increment."""
-    return state @ lie.exp_sek(lie._floats(omega, "omega") + w, 2, 1)
+    return state @ lie.exp_sek(_omega(omega, 3) + w, 2, 1)
 
 
 def _se2_position(state):
@@ -207,7 +220,7 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
 
 
 def _gyro_dynamics(dt, state, omega, w):
-    return state @ lie.exp_so3((lie._floats(omega, "omega") + w) * dt)
+    return state @ lie.exp_so3((_omega(omega, 3) + w) * dt)
 
 
 def _body_field_observation(gravity, mag_field, state):
@@ -280,7 +293,7 @@ def _strapdown(pose, gyro, acc, dt, gravity, out=None):
 
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
     """Inputs stack gyro rates and specific force; noise adds to both."""
-    omega = lie._floats(omega, "omega")
+    omega = _omega(omega, 6)
     return _strapdown(state, omega[:3] + w[..., :3], omega[3:6] + w[..., 3:6],
                       dt, gravity)
 
@@ -483,7 +496,7 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
 
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
-    omega = lie._floats(omega, "omega")
+    omega = _omega(omega, 6)
     pose, bias = _mixed_parts(5, state)
     gyro = omega[:3] - bias[..., :3] + w[..., :3]
     acc = omega[3:6] - bias[..., 3:6] + w[..., 3:6]
@@ -560,7 +573,7 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
 
 def _lifted_sphere_dynamics(dt, state, omega, w):
     """World-frame rotation increment with a rotation-vector noise factor."""
-    return lie.exp_so3(lie._floats(omega, "omega") * dt) @ lie.exp_so3(w) @ state
+    return lie.exp_so3(_omega(omega, 3) * dt) @ lie.exp_so3(w) @ state
 
 
 def _sphere_point(lever, state):

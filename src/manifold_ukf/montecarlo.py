@@ -159,7 +159,6 @@ class FilterReport:
 class BenchmarkReport:
     model: str
     steps: int
-    dt: float
     runs: int
     seed: int
     alpha: float
@@ -279,7 +278,7 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
         ))
 
     return BenchmarkReport(
-        model=model.name, steps=steps, dt=model.dt, runs=runs, seed=seed,
+        model=model.name, steps=steps, runs=runs, seed=seed,
         alpha=model.alpha, times=model.dt * np.arange(1, steps + 1),
         blocks=blocks, filters=tuple(filters),
     )

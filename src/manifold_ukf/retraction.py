@@ -287,7 +287,6 @@ def _psd_sqrt(M, what: str = "covariance") -> np.ndarray:
 
 @dataclass(frozen=True)
 class RetractionCheck:
-    name: str
     residuals: Tuple[Tuple[float, float, bool], ...]  # (eps, residual, passed)
     jacobian_error: float
     jacobian_passed: bool
@@ -328,4 +327,4 @@ def check_retraction(retraction: Retraction, state,
                  for eps, r in zip(epsilons, worst.tolist()))
     J = ((back[-2 * d:-d] - back[-d:]) / (2.0 * step)).T
     jerr = float(np.abs(J - np.eye(d)).max())
-    return RetractionCheck(retraction.name, rows, jerr, jerr <= 1e-6)
+    return RetractionCheck(rows, jerr, jerr <= 1e-6)

@@ -61,8 +61,6 @@ _RENORM_EVERY = 1000
 class SigmaWeights:
     """Scaled unscented-transform weights for dimension n and spread alpha."""
 
-    n: int
-    alpha: float
     lam: float
     w_m: float
     w_0c: float
@@ -93,7 +91,7 @@ def _weights(n: int, alpha: float) -> SigmaWeights:
     w_m = lam / denom
     w_j = 0.5 / denom
     w_0c = w_m + 3.0 - alpha * alpha  # + (1 - alpha^2 + beta) with beta = 2
-    return SigmaWeights(n, alpha, lam, w_m, w_0c, w_j)
+    return SigmaWeights(lam, w_m, w_0c, w_j)
 
 
 def sigma_points(P, lam: float) -> np.ndarray:
@@ -198,6 +196,8 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     factors cannot take raises DimensionMismatch.
     """
     Q = lie._floats(Q, "Q")
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise DimensionMismatch(f"Q must be square, (q, q), got shape {Q.shape}")
     d = belief.dim
     w_d = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w_d.lam)
@@ -238,9 +238,9 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     belief's dimension.
     """
     y, R = lie._floats(y, "y"), lie._floats(R, "R")
-    if y.shape[-1:] != R.shape[:1]:
-        raise DimensionMismatch(
-            f"measurement shape {y.shape} does not match R of shape {R.shape}")
+    if R.ndim != 2 or R.shape != y.shape[-1:] * 2:
+        raise DimensionMismatch(f"R must be (p, p) for measurements of shape "
+                                f"(..., p), got R {R.shape} and y {y.shape}")
     d = belief.dim
     w = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w.lam)

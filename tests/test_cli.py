@@ -224,7 +224,9 @@ def test_empty_selections_and_a_non_object_config_are_usage_errors(
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(cfg)]
-    code = main(argv + ["--out", str(tmp_path / "x.csv")])
+    if argv[0] != "check-retraction":  # which takes no --out
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert captured.err == f"error: {message}\n" and not captured.out
@@ -334,13 +336,43 @@ def test_each_config_key_acts_as_its_flag(tmp_path, capsys, monkeypatch,
     assert outcome(config={key: None}) == unset
 
 
+def _subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_config_keys_are_the_subcommands_options():
     """Every flag has a config type and every config key but model_params a
     flag: the settings a config may hold are the parser's, no more."""
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    dests = {a.dest for p in commands.values() for a in p._actions}
+    dests = {a.dest for p in _subcommands().values() for a in p._actions}
     assert set(_CONFIG_KEYS) - {"model_params"} == dests - {"config", "example", "help"}
+
+
+_CHECK_READS = {"example", "dt", "alpha", "retractions", "config", "landmarks",
+                "epsilons"}
+_RUN_READS = _CHECK_READS - {"epsilons"} | {"steps", "seed", "out", "imu_log"}
+
+
+@pytest.mark.parametrize("command, reads", [
+    ("check-retraction", _CHECK_READS),
+    ("run", _RUN_READS),
+    ("benchmark", _RUN_READS - {"imu_log"} | {"runs", "workers"}),
+])
+def test_each_subcommand_declares_the_options_it_reads(command, reads):
+    """A flag a command ignores is not offered to it."""
+    assert {a.dest for a in _subcommands()[command]._actions} - {"help"} == reads
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--seed", "--out"])
+def test_check_retraction_rejects_the_flags_it_would_ignore(
+        tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    code = main(["check-retraction", "slam2d", flag, "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and not captured.out
+    assert captured.err.startswith(f"error: unrecognized arguments: {flag}")
+    assert len(captured.err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

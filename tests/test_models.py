@@ -8,7 +8,7 @@ import pytest
 
 from manifold_ukf import lie_groups as lie
 from manifold_ukf import models
-from manifold_ukf.errors import DimensionMismatch
+from manifold_ukf.errors import DimensionMismatch, NonFiniteState
 from manifold_ukf.models import LandmarkSet, augment_landmark, make
 from manifold_ukf.retraction import _mixed_parts, mixed_state
 from manifold_ukf.sigma_core import Belief, propagate, update
@@ -435,3 +435,16 @@ def test_landmark_set_validation():
     with pytest.raises(ValueError):
         LandmarkSet(np.zeros((0, 3)))
     assert len(LandmarkSet([[1.0, 2.0]])) == 1
+
+
+@pytest.mark.parametrize("points, error", [
+    ([[np.nan, 1.0]], NonFiniteState),
+    ([[np.inf, 1.0, 2.0]], NonFiniteState),
+    ("abc", DimensionMismatch),
+    (np.zeros((2, 2, 2)), DimensionMismatch),
+    ([1.0, 2.0], DimensionMismatch),
+], ids=["nan", "inf", "string", "3-d", "1-d"])
+def test_landmark_set_rejects_points_that_are_not_finite_rows(points, error):
+    """Before any factory sees them, as the command line's reader does."""
+    with pytest.raises(error, match="^landmarks"):
+        LandmarkSet(points)

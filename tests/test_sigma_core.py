@@ -600,6 +600,15 @@ def test_filter_run_reports_wrong_length_measurement(length):
     assert isinstance(exc_info.value.cause, DimensionMismatch)
 
 
+@pytest.mark.parametrize("name", example_names())
+def test_filter_run_reports_an_input_of_the_wrong_width(name):
+    model = make(name)
+    with pytest.raises(FilterStepError) as exc_info:
+        filter_run(model, model.inputs(3)[:, :-1])
+    assert exc_info.value.step == 1
+    assert isinstance(exc_info.value.cause, DimensionMismatch)
+
+
 def test_update_intermediate_quantities_match_formulas():
     # fixed instance: recompute the gain by hand from the same moments
     H = np.array([[2.0, 0.0], [0.0, 0.5]])
