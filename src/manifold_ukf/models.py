@@ -18,7 +18,7 @@ with columns (rotation, velocity, position).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Mapping, Optional, Tuple, Union
 
@@ -66,16 +66,21 @@ class ModelSpec:
     f = state @ F.T + w and h = state @ H.T, because the filter passes all
     its sigma points in one call: f gets a stack of N states together with a
     stack of N noise vectors and pairs them row by row (a single state or
-    noise vector broadcasts against a stack).  Per step f sees the paper's
-    N = 1 + 2(d + q) points (the mean, the 2d retracted state points, then
-    the mean with each of the 2q noise points) and h the 1 + 2d points of
-    the mean and its retracted points.  benchmark() steps all its runs in
-    lockstep, so there f sees a (1 + 2(d + q), runs, ...) stack with the
-    noise as (1 + 2(d + q), 1, q) and h a (1 + 2d, runs, ...) stack in the
-    filter, both see (runs, ...) stacks in the simulation, and renormalize
-    a (runs, ...) stack of states.  inputs(steps) returns the (steps, m)
-    input sequence, row n - 1 driving step n; every run shares it.
-    state_to_vector maps a single state.
+    noise vector broadcasts against a stack; the built-in f's pair a stack
+    of N inputs row by row too).  Per step f sees N = 1 + 2(a + q) points
+    (the mean, the 2a retracted state points, then the mean with each of
+    the 2q noise points), where a is the retraction's `moved` count, d by
+    default, which gives the paper's 1 + 2(d + q); h sees the 1 + 2d points
+    of the mean and its retracted points.  A retraction that declares
+    moved = a binds f to a contract (see Retraction): f copies the state
+    past the first a tangent coordinates bit for bit and its image on them
+    does not depend on it; slam2d's declare a = 3, the pose.  benchmark()
+    steps all its runs in lockstep, so there f sees a (1 + 2(a + q), runs,
+    ...) stack with the noise as (1 + 2(a + q), 1, q) and h a (1 + 2d,
+    runs, ...) stack in the filter, both see (runs, ...) stacks in the
+    simulation, and renormalize a (runs, ...) stack of states.
+    inputs(steps) returns the (steps, m) input sequence, row n - 1 driving
+    step n; every run shares it.  state_to_vector maps a single state.
 
     A ModelSpec checks itself when it is made: dt must be a finite number
     > 0 and alpha lie in (0, 1] (ValueError, InvalidAlpha), measure_every
@@ -294,8 +299,8 @@ def _strapdown(pose, gyro, acc, dt, gravity, out=None):
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
     """Inputs stack gyro rates and specific force; noise adds to both."""
     omega = _omega(omega, 6)
-    return _strapdown(state, omega[:3] + w[..., :3], omega[3:6] + w[..., 3:6],
-                      dt, gravity)
+    return _strapdown(state, omega[..., :3] + w[..., :3],
+                      omega[..., 3:6] + w[..., 3:6], dt, gravity)
 
 
 def _body_landmark_observation(landmarks, state):
@@ -428,7 +433,9 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         Q=np.diag(np.asarray(odo_std, dtype=float) ** 2),
         R=obs_std ** 2 * np.eye(2 * m),
         dt=dt,
-        retractions={r.name: r for r in (
+        # f moves the pose and copies the landmarks: propagate samples the
+        # 3 pose coordinates only
+        retractions={r.name: replace(r, moved=3) for r in (
             mixed_retraction(2, 1, 2 * m, "left", "landmarks"),
             mixed_retraction(2, 1, 2 * m, "right", "landmarks"))},
         default_retraction="mixed_right",
@@ -498,8 +505,8 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
     """
     omega = _omega(omega, 6)
     pose, bias = _mixed_parts(5, state)
-    gyro = omega[:3] - bias[..., :3] + w[..., :3]
-    acc = omega[3:6] - bias[..., 3:6] + w[..., 3:6]
+    gyro = omega[..., :3] - bias[..., :3] + w[..., :3]
+    acc = omega[..., 3:6] - bias[..., 3:6] + w[..., 3:6]
     # the new pose goes straight into the pose view of the flat output
     out = np.empty(gyro.shape[:-1] + state.shape[-1:])
     out_pose, out_bias = _mixed_parts(5, out)

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,15 @@ class Retraction:
     blocks names contiguous spans of the tangent vector, e.g.
     (("rot", 3), ("vel", 3), ("pos", 3)); reporting code aggregates errors
     per block.  Defaults to one block spanning everything.
+
+    moved, if set, declares that the model's dynamics move only the leading
+    `moved` tangent coordinates: f must leave the rest of the state (the
+    tail) unchanged, copying it bit for bit, and must not read it, so that
+    states differing only in their tails have the same image on the moving
+    coordinates.  propagate then samples only the leading coordinates and
+    carries the tail block of the covariance over, which is exact (see
+    sigma_core.propagate).  It must be an int in [1, dim] that ends a block;
+    None (the default) means the dynamics may move every coordinate.
     """
 
     name: str
@@ -68,12 +77,19 @@ class Retraction:
     phi: Callable[[Any, np.ndarray], Any]
     phi_inv: Callable[[Any, Any], np.ndarray]
     blocks: Tuple[Tuple[str, int], ...] = ()
+    moved: Optional[int] = None
 
     def __post_init__(self):
         if not self.blocks:
             object.__setattr__(self, "blocks", (("xi", self.dim),))
         if sum(width for _, width in self.blocks) != self.dim:
             raise ValueError("block widths must sum to the tangent dimension")
+        moved = self.moved
+        if moved is not None and (
+                isinstance(moved, bool) or not isinstance(moved, (int, np.integer))
+                or moved < 1 or moved not in accumulate(w for _, w in self.blocks)):
+            raise ValueError(f"moved must be an int in [1, {self.dim}] that ends "
+                             f"a block, got {moved!r}")
 
     def block_slices(self):
         out = {}

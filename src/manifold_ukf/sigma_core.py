@@ -12,19 +12,23 @@ takes the gain from one LU solve.  All of the package's linear algebra is
 numpy's, so a filter process loads one BLAS library.
 
 All sigma points of a step go through each of phi, f, phi_inv and h in one
-call, and phi only where it moves a point.  propagate pushes the paper's
-1 + 2(d + q) points through f as one stack: the mean, the 2d retracted
-state points phi(mean, xi_j), then 2q copies of the mean paired with the
-noise points; phi maps the 2d offsets and phi_inv the 2(d + q) images.
-update pushes the mean and its 2d retracted points through h as one
-(1 + 2d)-row stack.  The callables must broadcast over a leading batch
-axis, f over a state stack and a noise stack together (see ModelSpec and
-Retraction); an output that is constant over the batch is broadcast to it.
+call, and phi only where it moves a point.  propagate pushes 1 + 2(a + q)
+points through f as one stack: the mean, the 2a retracted state points
+phi(mean, xi_j), then 2q copies of the mean paired with the noise points;
+phi maps the 2a offsets and phi_inv the 2(a + q) images.  a is the number
+of leading tangent coordinates the dynamics move, declared by the
+retraction (Retraction.moved); it is d, the paper's 1 + 2(d + q) points,
+unless the retraction says otherwise, and sampling fewer is exact (see
+propagate).  update pushes the mean and its 2d retracted points through h
+as one (1 + 2d)-row stack.  The callables must broadcast over a leading
+batch axis, f over a state stack and a noise stack together (see ModelSpec
+and Retraction); an output that is constant over the batch is broadcast to
+it.
 
 A belief may also carry leading run axes: cov (..., d, d) holds the
 covariances of independent runs and the mean broadcasts to them (one shared
 state, or one per run).  The sigma axis then comes first, so the callables
-see (1 + 2(d + q), ..., ·) stacks and every run of a Monte-Carlo batch
+see (1 + 2(a + q), ..., ·) stacks and every run of a Monte-Carlo batch
 shares each call.  Each run's numbers are bit-identical to its run alone.
 
 Weights follow the scaled unscented transform with kappa = 0 and beta = 2;
@@ -179,17 +183,34 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
               alpha: float) -> Belief:
     """One prediction step.
 
-    f sees the paper's 1 + 2(d + q) points in one call: the mean with zero
-    noise, whose image is the new mean; the 2d state sigma points
-    phi(mean, xi_j) with zero noise, which re-express the state uncertainty
-    at the new mean; and the mean itself with each of the 2q noise sigma
-    points drawn from Q.  So phi runs on the 2d offsets only and phi_inv on
-    the other 2d + 2q images; the mean's own image would map to zero, so it
-    is left out of phi_inv and of both sums.  With Q all zero the stack has
-    only the 1 + 2d zero-noise rows.  On a belief with run axes the state
-    stack is (1 + 2(d + q), ..., ·), the noise stack (1 + 2(d + q), 1, ...,
-    q), and the new mean one state per run.  The new mean is a copy, so a
-    belief does not keep f's whole output alive.
+    f sees 1 + 2(a + q) points in one call, where a is the number of
+    leading tangent coordinates the dynamics move (retraction.moved, all d
+    of them by default): the mean with zero noise, whose image is the new
+    mean; the 2a state sigma points phi(mean, xi_j) with zero noise, which
+    re-express the state uncertainty at the new mean; and the mean itself
+    with each of the 2q noise sigma points drawn from Q.  So phi runs on the
+    2a offsets only and phi_inv on the other 2a + 2q images; the mean's own
+    image would map to zero, so it is left out of phi_inv and of both sums.
+    With Q all zero the stack has only the 1 + 2a zero-noise rows.  On a
+    belief with run axes the state stack is (1 + 2(a + q), ..., ·), the
+    noise stack (1 + 2(a + q), 1, ..., q), and the new mean one state per
+    run.  The new mean is a copy, so a belief does not keep f's whole
+    output alive.
+
+    With a < d this is the full transform, not an approximation.  The sigma
+    points are the columns of a lower-triangular Cholesky factor, so every
+    point past the first a is zero on the leading a coordinates: it differs
+    from the mean only in the tail, which f copies and does not read, so its
+    image is its own offset and it adds 2 w_j sum_{j >= a} L_j L_j^T to the
+    tail block alone.  The 2a sampled points cover every other entry, and
+    their tails too add to the tail block; as f leaves the noise points'
+    tails at the mean's, the tail block sums to 2 w_j (L L^T)_tail = P_tail.
+    So propagate computes the moving rows and columns from the 2a points and
+    copies the tail block from P, which the full transform reproduces in
+    exact arithmetic (in floating point, to the last few digits).  After a
+    jittered Cholesky (see sigma_points) the full transform would carry the
+    jitter, at most 1e-9 trace(P) / d on the diagonal, into the tail block;
+    the copy does not.
 
     d is the belief's dimension, not the retraction's, so a state grown at
     runtime (augment_landmark) keeps filtering; a width the retraction's
@@ -199,26 +220,31 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise DimensionMismatch(f"Q must be square, (q, q), got shape {Q.shape}")
     d = belief.dim
+    a = retraction.moved or d
     w_d = set_weights(d, alpha)
     xis = sigma_points(belief.cov, w_d.lam)
+    if a < d:
+        xis = np.concatenate([xis[:a], xis[d:d + a]])
     lead = xis.shape[1:-1]
     noisy = Q.any()
     w_q = set_weights(Q.shape[0], alpha) if noisy else None
     noise = _noise_points(Q.tobytes(), Q.shape, w_q.lam if noisy else 0.0,
-                          1 + 2 * d, len(lead))
+                          1 + 2 * a, len(lead))
     offsets = retraction.phi(belief.mean, xis)
     states = np.empty((len(noise),) + offsets.shape[1:])
     states[0] = belief.mean
-    states[1:1 + 2 * d] = offsets
-    states[1 + 2 * d:] = belief.mean
+    states[1:1 + 2 * a] = offsets
+    states[1 + 2 * a:] = belief.mean
     out = _rows(f(states, omega, noise), states.shape[:-1], states.shape[-1])
     mean_new = out[0].copy()
     imgs = _rows(retraction.phi_inv(mean_new, out[1:]),
                  (len(out) - 1,) + lead, d)
-    state_imgs, noise_imgs = imgs[:2 * d], imgs[2 * d:]
+    state_imgs, noise_imgs = imgs[:2 * a], imgs[2 * a:]
     cov = w_d.w_j * _gram(state_imgs, state_imgs)
     if noisy:
         cov = cov + w_q.w_j * _gram(noise_imgs, noise_imgs)
+    if a < d:
+        cov[..., a:, a:] = belief.cov[..., a:, a:]
 
     return Belief(mean_new, 0.5 * (cov + cov.swapaxes(-1, -2)))
 

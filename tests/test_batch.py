@@ -2,6 +2,7 @@
 take a leading batch axis, and a batch call equals the stack of its
 single-element calls.  Validation covers every element of a batch."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -203,6 +204,24 @@ def test_model_callables_batch(name):
                    [model.f(s, u, w) for s, w in zip(singles, ws)])
 
 
+@pytest.mark.parametrize("name", example_names())
+def test_model_dynamics_pair_an_input_stack_row_by_row(name):
+    """f pairs a stack of N inputs with the states and noise vectors row by
+    row, as it pairs states with noise: each row equals its own call."""
+    model = make(name)
+    retr = model.retraction()
+    mean = model.initial_mean
+    q = model.Q.shape[0]
+    us = model.inputs(N) + 0.1 * RNG.standard_normal((N, model.inputs(1).shape[1]))
+    ws = RNG.standard_normal((N, q)) * np.sqrt(np.diag(model.Q))
+    states = retr.phi(mean, sigma_like(retr.dim))
+
+    assert_stacked(model.f(states, us, ws),
+                   [model.f(s, u, w) for s, u, w in zip(states, us, ws)])
+    assert_stacked(model.f(mean, us, np.zeros((N, q))),
+                   [model.f(mean, u, np.zeros(q)) for u in us])
+
+
 # ---------------------------------------------------------------------------
 # Filter core
 
@@ -304,23 +323,29 @@ def test_benchmark_simulates_through_simulate(monkeypatch):
     assert calls == {"simulate": 1}
 
 
-@pytest.mark.parametrize("name", ["inertial_nav", "slam2d"])
-def test_propagate_and_update_on_a_run_stack(name):
+@pytest.mark.parametrize("name,registered", [
+    ("inertial_nav", True), ("slam2d", False), ("slam2d", True)],
+    ids=["inertial_nav", "slam2d", "slam2d_moved"])
+def test_propagate_and_update_on_a_run_stack(name, registered):
     """A belief with a run axis: the callables see (rows, runs, ...) stacks
-    and each run's result equals its single-belief call bit for bit."""
+    and each run's result equals its single-belief call bit for bit.  The
+    registered slam2d retraction samples only the a = 3 pose coordinates,
+    so f sees 1 + 2(a + q) rows; without the declaration a = d."""
     model = make(name)
     base = model.retraction()
     phi, f, h = Counted(base.phi, arg=1), Counted(model.f), Counted(model.h)
-    retr = Retraction(base.name, base.dim, phi, base.phi_inv, base.blocks)
+    retr = dataclasses.replace(base, phi=phi,
+                               moved=base.moved if registered else None)
     d, q, runs = retr.dim, model.Q.shape[0], 3
+    a = retr.moved or d
     means = base.phi(model.initial_mean, 0.1 * RNG.standard_normal((runs, d)))
     covs = model.initial_cov * RNG.uniform(0.5, 2.0, (runs, 1, 1))
     singles = [Belief(m, c) for m, c in zip(means, covs)]
     u = model.inputs(1)[0]
 
     stacked = propagate(Belief(means, covs), u, f, model.Q, retr, model.alpha)
-    assert phi.shapes == [(2 * d, runs, d)]
-    assert [shape[:2] for shape in f.shapes] == [(1 + 2 * (d + q), runs)]
+    assert phi.shapes == [(2 * a, runs, d)]
+    assert [shape[:2] for shape in f.shapes] == [(1 + 2 * (a + q), runs)]
     ys = np.array([model.h(b.mean) for b in singles]) + 0.05
     stacked = update(stacked, ys, h, model.R, retr, model.alpha)
     assert h.shapes[0][:2] == (2 * d + 1, runs)

@@ -1,5 +1,6 @@
 """Example-problem tests: dynamics, observations, augmentation, registry."""
 
+import dataclasses
 import math
 import pickle
 
@@ -212,6 +213,51 @@ def test_slam2d_augmented_belief_keeps_filtering():
     assert belief.cov.shape == (15, 15)
     assert np.isfinite(belief.cov).all()
     assert np.array_equal(belief.cov, belief.cov.T)
+
+
+def _keeps_moved(model, retr, n=8):
+    """Whether f keeps the declaration retr.moved = a at the model's mean.
+    On states phi(mean, xi) with xi zero on the first a coordinates, f's
+    image must have f(mean)'s moving part bit for bit, which phi_inv at the
+    new mean maps to exact zeros, and must copy the state's tail, so that
+    the tail coordinates at the new mean are the state's at the mean to the
+    bit; with the mean and a noise vector, the image's tail must be the
+    mean's."""
+    a, d, q = retr.moved, retr.dim, model.Q.shape[0]
+    mean, u = model.initial_mean, model.inputs(1)[0]
+    xi = RNG.standard_normal((n, d))
+    xi[:, :a] = 0.0
+    states = retr.phi(mean, xi)
+    ws = RNG.standard_normal((n, q)) * np.sqrt(np.diag(model.Q))
+    new_mean = model.f(mean, u, np.zeros(q))
+    moved = retr.phi_inv(new_mean, model.f(states, u, np.zeros(q)))
+    noisy = retr.phi_inv(new_mean, model.f(mean, u, ws))
+    return (not moved[:, :a].any()
+            and np.array_equal(moved[:, a:], retr.phi_inv(mean, states)[:, a:])
+            and not noisy[:, a:].any())
+
+
+MOVED = [(name, rname) for name in models.example_names()
+         for rname, retr in make(name).retractions.items()
+         if retr.moved is not None]
+
+
+@pytest.mark.parametrize("name, rname", MOVED)
+def test_declared_moved_coordinates_are_all_that_f_moves(name, rname):
+    for params in ({}, {"landmarks": LandmarkSet(RNG.uniform(-5, 5, (6, 2)))}):
+        model = make(name, **params)
+        assert _keeps_moved(model, model.retraction(rname)), params
+
+
+@pytest.mark.parametrize("name, rname, moved", [
+    ("slam2d", "mixed_right", 1),      # f moves the position too
+    ("imu_gnss", "mixed_right", 9),    # f reads the biases
+    ("inertial_nav", "se23_left", 6),  # f moves the position with the velocity
+])
+def test_a_false_moved_declaration_fails_the_contract(name, rname, moved):
+    model = make(name)
+    retr = dataclasses.replace(model.retraction(rname), moved=moved)
+    assert not _keeps_moved(model, retr)
 
 
 def test_slam2d_observation_consistency():

@@ -1,6 +1,8 @@
 """Retraction-pair tests: inverse consistency, exactness at zero, covariance retrieval."""
 
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,26 @@ def test_retraction_block_bookkeeping():
     with pytest.raises(ValueError):
         Retraction("bad", 4, lambda s, x: s, lambda r, s: np.zeros(4),
                    blocks=(("a", 1), ("b", 2)))
+
+
+def test_moved_is_an_int_that_ends_a_block():
+    """moved, the count of leading tangent coordinates the dynamics move,
+    is None or an int in [1, dim] that ends a block; anything else raises
+    ValueError when the retraction is made."""
+    base = mixed_retraction(2, 1, 4, "right", "landmarks")  # blocks 1, 2, 4
+    for moved in (None, 1, 3, 7, np.int64(3)):
+        assert dataclasses.replace(base, moved=moved).moved == moved
+    for moved in (0, -1, 2, 4, 8, 3.0, "3", True):
+        with pytest.raises(ValueError, match="moved"):
+            dataclasses.replace(base, moved=moved)
+
+
+def test_only_slam2d_declares_moved_coordinates():
+    """slam2d's f moves the SE(2) pose and copies the landmarks; every
+    other registered retraction lets the dynamics move all coordinates."""
+    moved = {label: retr.moved for label, retr, _ in all_model_retractions()}
+    assert moved == {label: 3 if label.startswith("slam2d/") else None
+                     for label in moved}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manifold_ukf import lie_groups as lie
-from manifold_ukf import sigma_core
+from manifold_ukf import models, sigma_core
 from manifold_ukf.errors import (
     CholeskyFailure,
     DimensionMismatch,
@@ -445,6 +445,85 @@ def test_propagate_and_update_reject_width_the_retraction_cannot_take():
     with pytest.raises(DimensionMismatch):
         update(belief, np.zeros(2), lambda s: s[..., :2, 2], np.eye(2), retr,
                1.0)
+
+
+# ---------------------------------------------------------------------------
+# Sampling only the coordinates the dynamics move
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _reduced_vs_full_gap(model, retr, belief, inputs, measurements, R):
+    """The worst relative gap, over every step's mean and covariance, between
+    one recursion through retr, which samples only its retr.moved leading
+    coordinates, and the same recursion through retr without the
+    declaration, which samples all of them."""
+    full = dataclasses.replace(retr, moved=None)
+    a = b = belief
+    worst = 0.0
+    for step, u in enumerate(inputs, start=1):
+        a = propagate(a, u, model.f, model.Q, retr, model.alpha)
+        b = propagate(b, u, model.f, model.Q, full, model.alpha)
+        if step in measurements:
+            a = update(a, measurements[step], model.h, R, retr, model.alpha)
+            b = update(b, measurements[step], model.h, R, full, model.alpha)
+        worst = max(worst, _rel(a.mean, b.mean), _rel(a.cov, b.cov))
+    return worst
+
+
+@pytest.mark.parametrize("retraction", ["mixed_left", "mixed_right"])
+def test_sampling_the_moved_coordinates_is_the_full_transform(retraction):
+    """slam2d declares that f moves only the pose (3 of d coordinates).  Over
+    20 steps with an update every other step, that path agrees with the
+    full transform to 1e-12 relative: for one belief, for a 3-run lockstep
+    stack, and for a belief grown twice by augment_landmark."""
+    model = make("slam2d", measure_every=2)
+    retr = model.retraction(retraction)
+    belief = Belief(model.initial_mean, model.initial_cov)
+    _, inputs, meas = simulate(model, 20, 5)
+    assert _reduced_vs_full_gap(model, retr, belief, inputs, meas, model.R) <= 1e-12
+
+    seeds = [6, 7, 8]
+    means = retr.phi(model.initial_mean, 0.1 * RNG.standard_normal((3, retr.dim)))
+    covs = model.initial_cov * RNG.uniform(0.5, 2.0, (3, 1, 1))
+    _, inputs, meas = simulate(model, 20, seeds)
+    assert _reduced_vs_full_gap(model, retr, Belief(means, covs), inputs, meas,
+                                model.R) <= 1e-12
+
+    # two more landmarks in the world, appended to the belief from their
+    # first observations
+    extra = np.array([[1.0, -2.0], [-3.0, 4.0]])
+    world = make("slam2d", measure_every=2, landmarks=models.LandmarkSet(
+        np.concatenate([models._DEFAULT_SLAM_LANDMARKS.points, extra])))
+    truth, inputs, meas = simulate(world, 20, 9)
+    R2 = 0.05 ** 2 * np.eye(2)
+    for y in world.h(truth[0]).reshape(-1, 2)[-2:]:
+        belief = models.augment_landmark(belief, y, retr, R2)
+    assert belief.dim == retr.dim + 4
+    assert _reduced_vs_full_gap(model, retr, belief, inputs, meas, world.R) <= 1e-12
+
+
+def test_sampling_the_moved_coordinates_leaves_the_jitter_out_of_the_tail():
+    """A covariance that needs the jittered Cholesky (a landmark coordinate
+    with zero variance): the full transform carries the jitter delta =
+    1e-9 trace(P) / d into the tail block, while the tail block copied
+    from P lacks it; the pose rows and columns agree."""
+    model = make("slam2d")
+    retr = model.retraction()
+    P = model.initial_cov.copy()
+    P[5, 5] = 0.0
+    u = model.inputs(1)[0]
+    a, d = retr.moved, retr.dim
+    reduced = propagate(Belief(model.initial_mean, P), u, model.f, model.Q, retr,
+                        model.alpha)
+    full = propagate(Belief(model.initial_mean, P), u, model.f, model.Q,
+                     dataclasses.replace(retr, moved=None), model.alpha)
+    delta = 1e-9 * np.trace(P) / d
+    assert np.array_equal(reduced.cov[a:, a:], P[a:, a:])
+    assert np.abs(full.cov[a:, a:] - P[a:, a:] - delta * np.eye(d - a)).max() <= 1e-15
+    assert _rel(reduced.cov[:a], full.cov[:a]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
