@@ -62,23 +62,25 @@ class ModelSpec:
     A state is one float ndarray: a matrix, a vector or a flat mixed state
     (retraction.mixed_state), so a stack of states is one array.
 
-    f(state, input, noise) and h(state) broadcast over leading axes, e.g.
-    f = state @ F.T + w and h = state @ H.T, because the filter passes all
-    its sigma points in one call: f gets a stack of N states together with a
-    stack of N noise vectors and pairs them row by row (a single state or
-    noise vector broadcasts against a stack; the built-in f's pair a stack
-    of N inputs row by row too).  Per step f sees N = 1 + 2(a + q) points
-    (the mean, the 2a retracted state points, then the mean with each of
-    the 2q noise points), where a is the retraction's `moved` count, d by
-    default, which gives the paper's 1 + 2(d + q); h sees the 1 + 2d points
-    of the mean and its retracted points.  A retraction that declares
-    moved = a binds f to a contract (see Retraction): f copies the state
-    past the first a tangent coordinates bit for bit and its image on them
-    does not depend on it; slam2d's declare a = 3, the pose.  benchmark()
-    steps all its runs in lockstep, so there f sees a (1 + 2(a + q), runs,
-    ...) stack with the noise as (1 + 2(a + q), 1, q) and h a (1 + 2d,
-    runs, ...) stack in the filter, both see (runs, ...) stacks in the
-    simulation, and renormalize a (runs, ...) stack of states.
+    f(state, input, noise) and h(state) broadcast over leading axes,
+    because the filter passes all its sigma points in one call: f gets a
+    stack of N states together with a stack of N noise vectors and pairs
+    them row by row (a single state or noise vector broadcasts against a
+    stack; the built-in f's pair a stack of N inputs row by row too).  Per
+    step f sees N = 1 + 2(a + q) points (the mean, the 2a retracted state
+    points, then the mean with each of the 2q noise points), where a is the
+    retraction's `moved` count, d by default, which gives the paper's
+    1 + 2(d + q); h sees the 1 + 2d points of the mean and its retracted
+    points.  A retraction that declares moved = a binds f to a contract
+    (see Retraction): f copies the state past the first a tangent
+    coordinates bit for bit and its image on them does not depend on it;
+    slam2d's declare a = 3, the pose.  benchmark() steps all its runs in
+    lockstep, so there f sees a (1 + 2(a + q), runs, ...) stack with the
+    noise as (1 + 2(a + q), 1, q) and h a (1 + 2d, runs, ...) stack in the
+    filter, both see (runs, ...) stacks in the simulation, and renormalize
+    a (runs, ...) stack of states.  A run there is bit-identical to the run
+    alone if f and h compute each state of a stack as alone, as
+    (F @ state[..., None])[..., 0] does; state @ F.T may round differently.
     inputs(steps) returns the (steps, m) input sequence, row n - 1 driving
     step n; every run shares it.  state_to_vector maps a single state.
 
@@ -286,21 +288,14 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
 # 3D inertial navigation: extended pose from IMU and body-frame landmarks
 
 
-def _strapdown(pose, gyro, acc, dt, gravity, out=None):
-    """Strapdown step of an extended pose (rotation, velocity, position)
-    under body-frame gyro rates and specific force, written into out if
-    given (see retraction._pose_join)."""
-    C, v, p = _pose_parts(pose)
-    return _pose_join(C @ lie.exp_so3(gyro * dt),
-                      v + ((C @ acc[..., None])[..., 0] + gravity) * dt, p + v * dt,
-                      out)
-
-
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
-    """Inputs stack gyro rates and specific force; noise adds to both."""
+    """Strapdown step of extended poses (rotation, velocity, position).
+    Inputs stack body-frame gyro rates and specific force; noise adds to both."""
     omega = _omega(omega, 6)
-    return _strapdown(state, omega[..., :3] + w[..., :3],
-                      omega[..., 3:6] + w[..., 3:6], dt, gravity)
+    gyro, acc = omega[..., :3] + w[..., :3], omega[..., 3:6] + w[..., 3:6]
+    C, v, p = _pose_parts(state)
+    return _pose_join(C @ lie.exp_so3(gyro * dt),
+                      v + ((C @ acc[..., None])[..., 0] + gravity) * dt, p + v * dt)
 
 
 def _body_landmark_observation(landmarks, state):
@@ -460,35 +455,39 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     dependence (finite differences through the belief's own retraction, so
     left and right conventions are both handled) plus the rotated
     measurement noise.  Existing covariance entries are copied unchanged.
+    y_new must be a finite (2,) vector and obs_cov a (2, 2) covariance.
     """
     y_new, obs_cov = lie._floats(y_new, "y_new"), lie._floats(obs_cov, "obs_cov")
-    state = belief.mean
-    pose = _mixed_parts(3, state)[0]
-    C = pose[:2, :2]
-    p = pose[:2, 2]
-    l_new = p + C @ y_new
-
+    if y_new.shape != (2,):
+        raise DimensionMismatch(f"y_new must be a (2,) vector, got {y_new.shape}")
+    if not np.isfinite(y_new).all():
+        raise NonFiniteState("y_new must be finite")
+    _psd_sqrt(obs_cov, "obs_cov")
+    if obs_cov.shape != (2, 2):
+        raise DimensionMismatch(f"obs_cov must be (2, 2), got {obs_cov.shape}")
+    state, P = belief.mean, belief.cov
     # size from the belief, not the retraction: repeated augmentation grows
     # the state past the dimension the retraction was built for, and the
     # mixed-retraction maps adapt to whatever Euclidean tail the state has
-    d_old = belief.cov.shape[0]
-    G = np.zeros((2, d_old))
+    d_old = P.shape[-1]
+    if P.shape != (d_old, d_old) or np.shape(state) != (d_old + 6,):
+        raise DimensionMismatch(f"belief must be one flat (d + 6,) state with a (d, d) "
+                                f"cov, got {np.shape(state)} and {P.shape}")
+    pose = _mixed_parts(3, state)[0]
+    C = pose[:2, :2]
+    l_new = pose[:2, 2] + C @ y_new
+    # only the pose coordinates move the new landmark: central differences
+    # over the offsets +-E in one phi call
     eps = 1e-6
-    E = eps * np.eye(d_old)[:3]  # only the pose coordinates move the new landmark
-    sp = _mixed_parts(3, retraction.phi(state, E))[0]
-    sm = _mixed_parts(3, retraction.phi(state, -E))[0]
-    lp = sp[:, :2, 2] + sp[:, :2, :2] @ y_new
-    lm = sm[:, :2, 2] + sm[:, :2, :2] @ y_new
-    G[:, :3] = ((lp - lm) / (2.0 * eps)).T
+    E = eps * np.eye(d_old)[:3]
+    poses = _mixed_parts(3, retraction.phi(state, np.concatenate([E, -E])))[0]
+    lms = poses[:, :2, 2] + poses[:, :2, :2] @ y_new
+    G = np.zeros((2, d_old))
+    G[:, :3] = ((lms[:3] - lms[3:]) / (2.0 * eps)).T
 
-    P = belief.cov
     cross = G @ P  # (2, d_old)
-    block = G @ P @ G.T + C @ obs_cov @ C.T
-    P_aug = np.empty((d_old + 2, d_old + 2))
-    P_aug[:d_old, :d_old] = P
-    P_aug[:d_old, d_old:] = cross.T
-    P_aug[d_old:, :d_old] = cross
-    P_aug[d_old:, d_old:] = 0.5 * (block + block.T)
+    block = cross @ G.T + C @ obs_cov @ C.T
+    P_aug = np.block([[P, cross.T], [cross, 0.5 * (block + block.T)]])
 
     # the landmarks are the tail of the flat state: append the new one
     return Belief(np.concatenate([state, l_new]), P_aug)
@@ -499,20 +498,16 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
 
 
 def _biased_imu_dynamics(dt, gravity, state, omega, w):
-    """Inertial kinematics with bias-corrected inputs; biases random-walk.
+    """inertial_nav's f on bias-corrected inputs; biases random-walk.
 
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
-    omega = _omega(omega, 6)
     pose, bias = _mixed_parts(5, state)
-    gyro = omega[..., :3] - bias[..., :3] + w[..., :3]
-    acc = omega[..., 3:6] - bias[..., 3:6] + w[..., 3:6]
-    # the new pose goes straight into the pose view of the flat output
-    out = np.empty(gyro.shape[:-1] + state.shape[-1:])
-    out_pose, out_bias = _mixed_parts(5, out)
-    _strapdown(pose, gyro, acc, dt, gravity, out_pose)
-    out_bias[...] = bias + w[..., 6:12]
-    return out
+    pose = _inertial_nav_dynamics(dt, gravity, pose, _omega(omega, 6) - bias, w[..., :6])
+    bias = bias + w[..., 6:12]
+    if pose.shape[:-2] != bias.shape[:-1]:  # one state and noise, a stack of inputs
+        bias = np.broadcast_to(bias, pose.shape[:-2] + (6,))
+    return mixed_state(pose, bias)
 
 
 def _mixed_position(state):

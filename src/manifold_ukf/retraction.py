@@ -243,12 +243,10 @@ def _pose_parts(X):
     return X[..., :3, :3], X[..., :3, 3], X[..., :3, 4]
 
 
-def _pose_join(C, v, p, out=None):
-    """Extended poses from their blocks, written into out, a (..., 5, 5)
-    array or view, or into a new array."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(C.shape[:-2], v.shape[:-1],
-                                           p.shape[:-1]) + (5, 5))
+def _pose_join(C, v, p):
+    """Extended poses from their blocks."""
+    out = np.empty(np.broadcast_shapes(C.shape[:-2], v.shape[:-1], p.shape[:-1])
+                   + (5, 5))
     out[..., :3, :3] = C
     out[..., :3, 3] = v
     out[..., :3, 4] = p
@@ -271,11 +269,15 @@ def covariance_retrieval(R_hat, L, P):
     """Push a rotation-tangent covariance to the sphere point x = R_hat @ L.
 
     Returns (x, A P A^T) with A = -wedge(x); the result is rank deficient
-    along x because rotating about x does not move it.
+    along x because rotating about x does not move it; L must be (3,).
     """
-    P = lie._floats(P, "P")
-    _psd_sqrt(P)
-    x = lie._floats(R_hat, "R_hat") @ lie._floats(L, "L")
+    R_hat, L, P = lie._floats(R_hat, "R_hat"), lie._floats(L, "L"), lie._floats(P, "P")
+    if L.shape != (3,):
+        raise DimensionMismatch(f"L must be (3,), got {L.shape}")
+    _psd_sqrt(P, "P")
+    if P.shape != (3, 3):
+        raise DimensionMismatch(f"P must be (3, 3), got {P.shape}")
+    x = R_hat @ L
     A = -lie.wedge_so3(x)
     return x, A @ P @ A.T
 

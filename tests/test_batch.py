@@ -220,6 +220,9 @@ def test_model_dynamics_pair_an_input_stack_row_by_row(name):
                    [model.f(s, u, w) for s, u, w in zip(states, us, ws)])
     assert_stacked(model.f(mean, us, np.zeros((N, q))),
                    [model.f(mean, u, np.zeros(q)) for u in us])
+    # the inputs alone stacked: the whole state follows them
+    assert_stacked(model.f(mean, us, np.zeros(q)),
+                   [model.f(mean, u, np.zeros(q)) for u in us])
 
 
 # ---------------------------------------------------------------------------

@@ -438,10 +438,12 @@ def _filter_step(name, **given):
     return propagate(belief, args["omega"], m.f, args["Q"], retr, m.alpha)
 
 
-def _augment(y_new):
+def _augment(y_new=(1.0, 0.0), obs_cov=np.eye(2), runs=()):
+    """augment_landmark on slam2d's initial belief, repeated over runs."""
     m = make("slam2d")
-    return augment_landmark(Belief(m.initial_mean, m.initial_cov), y_new,
-                            m.retraction(), np.eye(2))
+    belief = Belief(np.tile(m.initial_mean, runs + (1,)),
+                    np.tile(m.initial_cov, runs + (1, 1)))
+    return augment_landmark(belief, y_new, m.retraction(), obs_cov)
 
 
 # public functions outside the Lie layer: the argument named, and the call
@@ -472,14 +474,23 @@ def test_public_functions_reject_input_that_is_not_numeric(name, bad):
             call(bad)
 
 
-# filter steps given a numeric argument of the wrong shape: the argument
-# named, and the call; each built-in f gets its input one entry short
+# filter steps and the other public functions given a numeric argument of
+# the wrong shape: the argument named, and the call; each built-in f gets its
+# input one entry short
 MISSHAPEN = {
     "propagate-Q-vector": ("Q", lambda: _filter_step("attitude3d", Q=np.ones(3))),
     "propagate-Q-2x3": ("Q", lambda: _filter_step("attitude3d", Q=np.ones((2, 3)))),
     "update-R-vector": ("R", lambda: _filter_step("attitude3d", R=np.ones(6))),
     "update-R-6x5": ("R", lambda: _filter_step("attitude3d", R=np.ones((6, 5)))),
     "update-y-and-R-scalar": ("R", lambda: _filter_step("attitude3d", y=0.0, R=1.0)),
+    "augment_landmark-y_new-3": ("y_new", lambda: _augment(np.ones(3))),
+    "augment_landmark-y_new-scalar": ("y_new", lambda: _augment(1.0)),
+    "augment_landmark-obs_cov-3x3": ("obs_cov", lambda: _augment(obs_cov=np.eye(3))),
+    "augment_landmark-run-stack": ("belief", lambda: _augment(runs=(2,))),
+    "covariance_retrieval-L-2": ("L", lambda: covariance_retrieval(
+        np.eye(3), np.ones(2), np.eye(3))),
+    "covariance_retrieval-P-2x2": ("P", lambda: covariance_retrieval(
+        np.eye(3), np.ones(3), np.eye(2))),
     **{f"{name}.f": ("omega", lambda name=name: _filter_step(
         name, omega=make(name).inputs(1)[0][:-1])) for name in example_names()},
 }
@@ -487,8 +498,8 @@ MISSHAPEN = {
 
 @pytest.mark.parametrize("name", MISSHAPEN)
 def test_filter_steps_name_an_argument_of_the_wrong_shape(name):
-    """Not numpy's broadcast error, and not the name of another function's
-    argument (sigma_points' P for a bad Q)."""
+    """Not numpy's broadcast or matmul error, and not the name of another
+    function's argument (sigma_points' P for a bad Q)."""
     what, call = MISSHAPEN[name]
     with pytest.raises(DimensionMismatch, match=f"^{what} must be"):
         call()

@@ -9,7 +9,7 @@ import pytest
 
 from manifold_ukf import lie_groups as lie
 from manifold_ukf import models
-from manifold_ukf.errors import DimensionMismatch, NonFiniteState
+from manifold_ukf.errors import DimensionMismatch, NonFiniteState, NonPSDCovariance
 from manifold_ukf.models import LandmarkSet, augment_landmark, make
 from manifold_ukf.retraction import _mixed_parts, mixed_state
 from manifold_ukf.sigma_core import Belief, propagate, update
@@ -196,6 +196,19 @@ def test_slam2d_augment_order_insensitive():
     assert np.abs(blk_a_first - blk_a_second).max() <= 1e-12
 
 
+@pytest.mark.parametrize("y_new,obs_cov,error", [
+    ((1.0, 0.0), [0.01, 0.01], NonPSDCovariance),  # a vector, not (2, 2)
+    ((1.0, 0.0), [[math.nan, 0.0], [0.0, 0.01]], NonPSDCovariance),
+    ((1.0, 0.0), [[0.01, 0.0], [0.0, -0.01]], NonPSDCovariance),
+    ((math.nan, 0.0), np.eye(2), NonFiniteState),
+], ids=["cov-vector", "cov-nan", "cov-not-psd", "y-nan"])
+def test_slam2d_augment_rejects_a_bad_observation(y_new, obs_cov, error):
+    model = make("slam2d")
+    with pytest.raises(error):
+        augment_landmark(Belief(model.initial_mean, model.initial_cov), y_new,
+                         model.retraction(), obs_cov)
+
+
 def test_slam2d_augmented_belief_keeps_filtering():
     """propagate and update size their sigma points from the belief, so a
     state grown twice past the retraction's 11 dimensions still filters."""
@@ -291,8 +304,22 @@ def test_imu_gnss_reduces_to_inertial_nav_with_zero_bias():
         pose = nav.f(pose, u, np.zeros(6))
         state = fused.f(state, u, np.zeros(12))
     group, euclid = _mixed_parts(5, state)
-    assert np.abs(group - pose).max() < 1e-12
+    assert np.array_equal(group, pose)
     assert np.array_equal(euclid, np.zeros(6))
+
+
+def test_imu_gnss_is_inertial_nav_on_bias_corrected_inputs():
+    """With biases b, imu_gnss's f is inertial_nav's f on u - b with the
+    first six noise entries, and the biases walk by the last six, bit for
+    bit over a stack of states, inputs and noise."""
+    imu = make("imu_gnss")
+    nav = make("inertial_nav", dt=imu.dt)
+    poses = np.stack([lie.exp_sek(0.5 * RNG.standard_normal(9), 3, 2) for _ in range(7)])
+    b = 0.1 * RNG.standard_normal((7, 6))
+    u = imu.inputs(7) + 0.1 * RNG.standard_normal((7, 6))
+    w = RNG.standard_normal((7, 12)) * np.sqrt(np.diag(imu.Q))
+    assert np.array_equal(imu.f(mixed_state(poses, b), u, w),
+                          mixed_state(nav.f(poses, u - b, w[..., :6]), b + w[..., 6:]))
 
 
 def test_imu_gnss_constant_gyro_bias_drift():
