@@ -305,8 +305,6 @@ def cmd_check_retraction(args) -> int:
     model = _build_model(args)
     names = _retraction_names(args, model, many=True)
     epsilons = tuple(float(t) for t in str(args.epsilons).split(",") if t.strip())
-    if not epsilons:
-        raise UsageError("no epsilons given")
 
     all_ok = True
     for name in names:

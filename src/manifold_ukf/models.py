@@ -86,8 +86,9 @@ class ModelSpec:
 
     A ModelSpec checks itself when it is made: dt must be a finite number
     > 0 and alpha lie in (0, 1] (ValueError, InvalidAlpha), measure_every
-    be an int >= 1 (ValueError), and Q, R and initial_cov be finite,
-    square, symmetric positive semidefinite matrices (NonPSDCovariance).
+    be an int >= 1 (ValueError; a bool is neither a dt nor a measure_every),
+    and Q, R and initial_cov be finite, square, symmetric positive
+    semidefinite matrices (NonPSDCovariance).
     """
 
     name: str
@@ -110,13 +111,17 @@ class ModelSpec:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not 0.0 < self.dt < math.inf:
+        try:  # a str or None does not compare with a number
+            bad_dt = isinstance(self.dt, (bool, np.bool_)) or not 0.0 < self.dt < math.inf
+        except TypeError:
+            bad_dt = True
+        if bad_dt:
             raise ValueError(f"{self.name}: dt must be a finite number > 0, "
                              f"got {self.dt!r}")
         for what in ("Q", "R", "initial_cov"):
             _psd_sqrt(getattr(self, what), f"{self.name} {what}")
         every = self.measure_every
-        if not isinstance(every, (int, np.integer)) or every < 1:
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError(f"measure_every must be an int >= 1, got {every!r}")
 
     def retraction(self, name: Union[str, Retraction, None] = None) -> Retraction:
@@ -145,6 +150,12 @@ def _renormalize_mixed(n, d, state):
     """The same on the n x n group block of flat mixed states."""
     group, euclid = _mixed_parts(n, state)
     return mixed_state(_renormalize_rotation_block(d, group), euclid)
+
+
+def _mixed_state_vector(n, pose_vector, state):
+    """pose_vector of the n x n group block of a flat mixed state, then its tail."""
+    pose, tail = _mixed_parts(n, state)
+    return np.concatenate([pose_vector(pose), tail])
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,7 @@ def _se2_state_vector(state):
 
 def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
                    odo_std=(0.01, 0.02, 0.01), gnss_std: float = 0.1,
-                   measure_every: int = 10, alpha: float = 1.0) -> ModelSpec:
+                   measure_every: int = 10) -> ModelSpec:
     """Planar unicycle with odometry increments and sparse position fixes.
 
     odo_std is the per-step standard deviation of the (heading, along-track,
@@ -215,7 +226,6 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         initial_cov=np.diag([0.05 ** 2, 0.1 ** 2, 0.1 ** 2]),
         inputs=partial(_constant_turn_odometry, dt, speed, yaw_rate),
         measure_every=measure_every,
-        alpha=alpha,
         state_labels=("theta", "x", "y"),
         state_to_vector=_se2_state_vector,
         renormalize=partial(_renormalize_rotation_block, 2),
@@ -255,7 +265,7 @@ def _euler_zyx(C):
 
 def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
                accel_obs_std: float = 0.3, mag_obs_std: float = 0.05,
-               measure_every: int = 20, alpha: float = 1.0) -> ModelSpec:
+               measure_every: int = 20) -> ModelSpec:
     """Attitude from integrated gyro rates with vector-direction updates.
 
     gyro_std is the continuous-time rate noise density (rad/s/sqrt(Hz)); the
@@ -277,7 +287,6 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
         initial_cov=0.1 ** 2 * np.eye(3),
         inputs=partial(_tumble_rates, dt),
         measure_every=measure_every,
-        alpha=alpha,
         state_labels=("roll", "pitch", "yaw"),
         state_to_vector=_euler_zyx,
         renormalize=partial(_renormalize_rotation_block, 3),
@@ -298,12 +307,16 @@ def _inertial_nav_dynamics(dt, gravity, state, omega, w):
                       v + ((C @ acc[..., None])[..., 0] + gravity) * dt, p + v * dt)
 
 
-def _body_landmark_observation(landmarks, state):
-    """Known world landmarks, one per row, seen in the body frame, stacked."""
-    C = state[..., :3, :3]
-    p = state[..., None, :3, 4]
-    body = (landmarks - p) @ C
+def _in_body(C, p, points):
+    """World points, one per row, in the body frame of each pose (C, p),
+    flattened per pose (v @ C is C^T v)."""
+    body = (points - p[..., None, :]) @ C
     return body.reshape(body.shape[:-2] + (-1,))
+
+
+def _body_landmark_observation(landmarks, state):
+    """Known world landmarks seen in the body frame, stacked."""
+    return _in_body(state[..., :3, :3], state[..., :3, 4], landmarks)
 
 
 def _coordinated_turn_imu(dt, speed, yaw_rate, gravity, steps):
@@ -332,8 +345,7 @@ _DEFAULT_NAV_LANDMARKS = LandmarkSet(
 def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
                  gyro_std: float = 0.01, accel_std: float = 0.05,
                  obs_std: float = 0.1, landmarks: LandmarkSet = _DEFAULT_NAV_LANDMARKS,
-                 measure_every: int = 5, alpha: float = 1.0,
-                 heading_error: float = math.pi / 4,
+                 measure_every: int = 5, heading_error: float = math.pi / 4,
                  position_error=(1.0, 0.0, 0.0)) -> ModelSpec:
     """IMU dead reckoning with body-frame landmark fixes on a level turn.
 
@@ -369,7 +381,6 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
         ),
         inputs=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
         measure_every=measure_every,
-        alpha=alpha,
         state_labels=("roll", "pitch", "yaw", "vx", "vy", "vz", "px", "py", "pz"),
         state_to_vector=_extended_pose_state_vector,
         renormalize=partial(_renormalize_rotation_block, 3),
@@ -392,10 +403,8 @@ def _slam_dynamics(state, omega, w):
 def _slam_observation(state):
     """All landmark estimates observed in the body frame, stacked."""
     pose, landmarks = _mixed_parts(3, state)
-    C = pose[..., :2, :2]
-    p = pose[..., None, :2, 2]
-    body = (landmarks.reshape(landmarks.shape[:-1] + (-1, 2)) - p) @ C
-    return body.reshape(body.shape[:-2] + (-1,))
+    return _in_body(pose[..., :2, :2], pose[..., :2, 2],
+                    landmarks.reshape(landmarks.shape[:-1] + (-1, 2)))
 
 
 _DEFAULT_SLAM_LANDMARKS = LandmarkSet(
@@ -403,15 +412,10 @@ _DEFAULT_SLAM_LANDMARKS = LandmarkSet(
 )
 
 
-def _slam_state_vector(state):
-    pose, landmarks = _mixed_parts(3, state)
-    return np.concatenate([_se2_state_vector(pose), landmarks])
-
-
 def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
            odo_std=(0.01, 0.02, 0.01), obs_std: float = 0.05,
            landmarks: LandmarkSet = _DEFAULT_SLAM_LANDMARKS,
-           measure_every: int = 5, alpha: float = 1.0) -> ModelSpec:
+           measure_every: int = 5) -> ModelSpec:
     """Planar SLAM with all landmarks in the state and relative observations."""
     if landmarks.points.shape[1] != 2:
         raise DimensionMismatch("slam2d landmarks must be 2D")
@@ -439,9 +443,8 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
         initial_cov=np.diag([0.05 ** 2, 0.1 ** 2, 0.1 ** 2] + [0.1 ** 2] * (2 * m)),
         inputs=partial(_constant_turn_odometry, dt, speed, yaw_rate),
         measure_every=measure_every,
-        alpha=alpha,
         state_labels=labels,
-        state_to_vector=_slam_state_vector,
+        state_to_vector=partial(_mixed_state_vector, 3, _se2_state_vector),
         renormalize=partial(_renormalize_mixed, 3, 2),
     )
 
@@ -514,16 +517,10 @@ def _mixed_position(state):
     return _mixed_parts(5, state)[0][..., :3, 4].copy()
 
 
-def _biased_state_vector(state):
-    pose, bias = _mixed_parts(5, state)
-    return np.concatenate([_extended_pose_state_vector(pose), bias])
-
-
 def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
              gyro_std: float = 0.01, accel_std: float = 0.05,
              gyro_walk: float = 1e-4, accel_walk: float = 1e-3,
              gnss_std: float = 0.3, measure_every: int = 20,
-             alpha: float = 1.0,
              true_gyro_bias=(0.02, -0.01, 0.015),
              true_accel_bias=(0.05, -0.1, 0.08)) -> ModelSpec:
     """GNSS-aided inertial navigation with IMU biases in the state.
@@ -559,12 +556,11 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
         ),
         inputs=partial(_coordinated_turn_imu, dt, speed, yaw_rate, GRAVITY),
         measure_every=measure_every,
-        alpha=alpha,
         state_labels=(
             "roll", "pitch", "yaw", "vx", "vy", "vz", "px", "py", "pz",
             "bgx", "bgy", "bgz", "bax", "bay", "baz",
         ),
-        state_to_vector=_biased_state_vector,
+        state_to_vector=partial(_mixed_state_vector, 5, _extended_pose_state_vector),
         renormalize=partial(_renormalize_mixed, 5, 3),
     )
 
@@ -619,8 +615,7 @@ def _pendulum_rates(dt, tilt, length, gravity_mag, steps):
 
 def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
                 gravity_mag: float = 9.81, step_noise_std: float = 0.005,
-                obs_std: float = 0.02, measure_every: int = 10,
-                alpha: float = 1.0) -> ModelSpec:
+                obs_std: float = 0.02, measure_every: int = 10) -> ModelSpec:
     """Spherical pendulum direction estimated through its rotation lift.
 
     The state is the lifting rotation R with the pendulum direction R @ e3;
@@ -643,7 +638,6 @@ def pendulum_s2(dt: float = 0.01, tilt: float = 0.7, length: float = 1.0,
         initial_cov=0.1 ** 2 * np.eye(3),
         inputs=partial(_pendulum_rates, dt, tilt, length, gravity_mag),
         measure_every=measure_every,
-        alpha=alpha,
         state_labels=("x", "y", "z"),
         state_to_vector=partial(_sphere_point, lever),
         renormalize=partial(_renormalize_rotation_block, 3),
@@ -669,10 +663,12 @@ def example_names():
 
 
 def make(name: str, **params) -> ModelSpec:
-    """Build a registered example by name with keyword overrides."""
+    """Build a registered example by name with keyword overrides; alpha is a
+    ModelSpec field, which make sets on the spec the factory builds."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         known = ", ".join(example_names())
         raise ValueError(f"unknown example {name!r}; choose from: {known}") from None
-    return factory(**params)
+    model = factory(**{key: value for key, value in params.items() if key != "alpha"})
+    return replace(model, alpha=params["alpha"]) if "alpha" in params else model

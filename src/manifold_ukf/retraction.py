@@ -32,7 +32,8 @@ working.  Each factor maps equal parts to exact zeros.  group_retraction
 and additive_retraction are single factors, mixed_retraction is
 SE_k(d) x R^n and componentwise_so3_r6 is SO(3) x R^3 x R^3.  Each phi
 and phi_inv takes its arguments through lie_groups._floats, so one that
-is not a numeric array raises DimensionMismatch naming it.
+is not a numeric array raises DimensionMismatch naming it; arguments whose
+leading axes do not broadcast raise DimensionMismatch naming both shapes.
 
 All callables are module-level functions, bound with functools.partial.
 """
@@ -119,10 +120,20 @@ def _rows(values, lead: Tuple[int, ...], width: int) -> np.ndarray:
 # Factors: SE_k(d) and R^n
 
 
+def _broadcast_error(first, a, second, b):
+    """DimensionMismatch for numpy's ValueError when the leading axes of a
+    and b do not broadcast, worded as lie._require_pair words it."""
+    return DimensionMismatch(f"{first} of shape {np.shape(a)} do not broadcast "
+                             f"against {second} of shape {np.shape(b)}")
+
+
 def _phi_group(state, xi, d, side):
     state = lie._floats(state, "state")
     G = lie.exp_sek(xi, d, state.shape[-1] - d)
-    return state @ G if side == "left" else G @ state
+    try:
+        return state @ G if side == "left" else G @ state
+    except ValueError:
+        raise _broadcast_error("tangent vectors", xi, "states", state) from None
 
 
 def _phi_inv_group(ref, state, d, side):
@@ -159,14 +170,20 @@ def _phi_euclid(state, xi):
     state, xi = lie._floats(state, "state"), lie._floats(xi, "xi")
     if xi.shape[-1:] != state.shape[-1:]:
         raise DimensionMismatch(f"tangent shape {xi.shape} != state shape {state.shape}")
-    return state + xi
+    try:
+        return state + xi
+    except ValueError:
+        raise _broadcast_error("tangent vectors", xi, "states", state) from None
 
 
 def _phi_inv_euclid(ref, state):
     ref, state = lie._floats(ref, "ref"), lie._floats(state, "state")
     if state.shape[-1:] != ref.shape[-1:]:
         raise DimensionMismatch(f"state shape {state.shape} != ref shape {ref.shape}")
-    out = state - ref
+    try:
+        out = state - ref
+    except ValueError:
+        raise _broadcast_error("states", state, "a ref", ref) from None
     if not np.isfinite(out).all():
         raise NonFiniteState("Euclidean state or reference is not finite")
     return out
@@ -269,9 +286,13 @@ def covariance_retrieval(R_hat, L, P):
     """Push a rotation-tangent covariance to the sphere point x = R_hat @ L.
 
     Returns (x, A P A^T) with A = -wedge(x); the result is rank deficient
-    along x because rotating about x does not move it; L must be (3,).
+    along x because rotating about x does not move it.  R_hat must be one
+    rotation matrix (DimensionMismatch, NotARotation) and L be (3,).
     """
     R_hat, L, P = lie._floats(R_hat, "R_hat"), lie._floats(L, "L"), lie._floats(P, "P")
+    if R_hat.shape != (3, 3):
+        raise DimensionMismatch(f"R_hat must be (3, 3), got {R_hat.shape}")
+    lie._require_rotation(R_hat, 3)
     if L.shape != (3,):
         raise DimensionMismatch(f"L must be (3,), got {L.shape}")
     _psd_sqrt(P, "P")
@@ -326,10 +347,13 @@ def check_retraction(retraction: Retraction, state,
     The central-difference Jacobian at zero of xi -> phi_inv(state,
     phi(state, xi)), over the 2 dim points +-1e-5 e_j, must match the
     identity within 1e-6.  All points go through one phi and one phi_inv
-    call.  An eps that is not in (0, 1], NaN and inf included, raises
-    ValueError: past 1 a rotation can wrap past pi and still pass.
+    call.  No epsilons, or an eps that is not in (0, 1], NaN and inf
+    included, raises ValueError: past 1 a rotation can wrap past pi and
+    still pass.
     """
     epsilons = [float(eps) for eps in epsilons]
+    if not epsilons:
+        raise ValueError("no epsilons given")
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilons must lie in (0, 1], got {eps}")

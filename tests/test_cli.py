@@ -577,6 +577,9 @@ _IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"
     pytest.param("attitude3d", "--config",
                  '{"model_params": {"measure_every": 2.5}}', "measure_every",
                  id="config-measure-every-float"),
+    pytest.param("attitude3d", "--config",
+                 '{"model_params": {"measure_every": true}}', "measure_every",
+                 id="config-measure-every-bool"),
     pytest.param("attitude3d", "--config", '{"out": 5}', "out", id="config-out"),
     pytest.param("attitude3d", "--config", '{"dt": 0}', "attitude3d",
                  id="config-dt-zero"),
@@ -586,6 +589,8 @@ _IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"
                  id="config-dt-inf"),
     pytest.param("attitude3d", "--config", '{"dt": -0.01}', "dt must be",
                  id="config-dt-negative"),
+    pytest.param("attitude3d", "--config", '{"model_params": {"dt": true}}',
+                 "dt must be", id="config-model-params-dt-bool"),
     pytest.param("imu_gnss", "--config",
                  '{"model_params": {"gyro_std": Infinity}}', "imu_gnss Q",
                  id="config-gyro-std-inf"),

@@ -487,6 +487,10 @@ MISSHAPEN = {
     "augment_landmark-y_new-scalar": ("y_new", lambda: _augment(1.0)),
     "augment_landmark-obs_cov-3x3": ("obs_cov", lambda: _augment(obs_cov=np.eye(3))),
     "augment_landmark-run-stack": ("belief", lambda: _augment(runs=(2,))),
+    "covariance_retrieval-R_hat-stack": ("R_hat", lambda: covariance_retrieval(
+        np.stack([np.eye(3)] * 4), np.ones(3), np.eye(3))),
+    "covariance_retrieval-R_hat-2x2": ("R_hat", lambda: covariance_retrieval(
+        np.eye(2), np.ones(3), np.eye(3))),
     "covariance_retrieval-L-2": ("L", lambda: covariance_retrieval(
         np.eye(3), np.ones(2), np.eye(3))),
     "covariance_retrieval-P-2x2": ("P", lambda: covariance_retrieval(

@@ -1,6 +1,7 @@
 """Example-problem tests: dynamics, observations, augmentation, registry."""
 
 import dataclasses
+import inspect
 import math
 import pickle
 
@@ -9,8 +10,13 @@ import pytest
 
 from manifold_ukf import lie_groups as lie
 from manifold_ukf import models
-from manifold_ukf.errors import DimensionMismatch, NonFiniteState, NonPSDCovariance
-from manifold_ukf.models import LandmarkSet, augment_landmark, make
+from manifold_ukf.errors import (
+    DimensionMismatch,
+    InvalidAlpha,
+    NonFiniteState,
+    NonPSDCovariance,
+)
+from manifold_ukf.models import LandmarkSet, ModelSpec, augment_landmark, make
 from manifold_ukf.retraction import _mixed_parts, mixed_state
 from manifold_ukf.sigma_core import Belief, propagate, update
 
@@ -449,6 +455,41 @@ def test_state_vector_matches_labels():
         model = make(name)
         vec = model.state_to_vector(model.initial_mean)
         assert vec.shape == (len(model.state_labels),), name
+
+
+@pytest.mark.parametrize("name, n, pose_vector", [
+    ("slam2d", 3, models._se2_state_vector),
+    ("imu_gnss", 5, models._extended_pose_state_vector)])
+def test_mixed_state_vector_is_the_pose_vector_then_the_tail(name, n, pose_vector):
+    model = make(name)
+    retr = model.retraction()
+    xi = 0.3 * np.random.Generator(np.random.Philox(key=26)).standard_normal(retr.dim)
+    for state in (model.initial_truth, retr.phi(model.initial_truth, xi)):
+        want = np.concatenate([pose_vector(state[:n * n].reshape(n, n)), state[n * n:]])
+        assert np.array_equal(model.state_to_vector(state), want)
+
+
+def test_alpha_is_a_spec_field_that_make_sets():
+    """No factory takes alpha; make(name, alpha=a) is the default spec with
+    alpha replaced, field for field, and an explicit None is still checked."""
+    for name, factory in models._FACTORIES.items():
+        assert "alpha" not in inspect.signature(factory).parameters, name
+        spec, ref = make(name, alpha=0.3), dataclasses.replace(make(name), alpha=0.3)
+        for field in dataclasses.fields(ModelSpec):
+            assert (pickle.dumps(getattr(spec, field.name))
+                    == pickle.dumps(getattr(ref, field.name))), (name, field.name)
+    with pytest.raises(InvalidAlpha):
+        make("attitude3d", alpha=None)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", True), ("dt", np.True_), ("dt", "0.1"), ("dt", None),
+    ("measure_every", True)])
+def test_spec_rejects_a_bool_or_a_non_number(field, value):
+    """ValueError naming the field, not True taken as 1 or a TypeError from
+    the comparison."""
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(make("localization2d"), **{field: value})
 
 
 @pytest.mark.parametrize("name,m", [

@@ -13,6 +13,7 @@ from manifold_ukf.errors import (
     ManifoldUkfError,
     NonFiniteState,
     NonPSDCovariance,
+    NotARotation,
 )
 from manifold_ukf.retraction import (
     Retraction,
@@ -275,6 +276,12 @@ def test_check_retraction_flags_broken_inverse():
     assert not result.jacobian_passed
 
 
+def test_check_retraction_rejects_no_epsilons():
+    """An empty list would leave only the Jacobian check to pass."""
+    with pytest.raises(ValueError, match="^no epsilons given$"):
+        check_retraction(group_retraction(3, 0, "left"), np.eye(3), epsilons=())
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-2, 3.2])
 def test_check_retraction_rejects_eps_outside_unit_interval(eps):
     # at eps = 3.2 some direction wraps past pi, yet the 10 eps^2 bound
@@ -318,6 +325,16 @@ def test_covariance_retrieval_rejects_non_psd():
     with pytest.raises(NonPSDCovariance):
         covariance_retrieval(np.eye(3), np.array([0.0, 0.0, 1.0]),
                              np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("R_hat", [
+    2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan),
+], ids=["scaled", "reflection", "nan"])
+def test_covariance_retrieval_rejects_a_matrix_that_is_not_a_rotation(R_hat):
+    """Not a non-unit x; a stack or another size is a DimensionMismatch
+    (test_lie_groups' MISSHAPEN table)."""
+    with pytest.raises(NotARotation):
+        covariance_retrieval(R_hat, np.array([0.0, 0.0, 1.0]), np.eye(3))
 
 
 def test_retraction_block_bookkeeping():
@@ -382,6 +399,26 @@ def test_registered_phi_rejects_wrong_width(label, retr, state, delta):
     for shape in ((retr.dim + delta,), (4, retr.dim + delta)):
         with pytest.raises(DimensionMismatch):
             retr.phi(state, np.zeros(shape))
+
+
+@pytest.mark.parametrize("label, retr, state",
+                         [pytest.param(*r, id=r[0]) for r in all_model_retractions()])
+def test_registered_maps_reject_leading_axes_that_do_not_broadcast(label, retr, state):
+    """Two states against five tangent vectors or five states: DimensionMismatch
+    naming both shapes, from phi as from phi_inv, not numpy's ValueError."""
+    states = np.stack([state] * 2)
+    with pytest.raises(DimensionMismatch, match="do not broadcast"):
+        retr.phi(states, np.zeros((5, retr.dim)))
+    with pytest.raises(DimensionMismatch, match="do not broadcast"):
+        retr.phi_inv(states, np.stack([state] * 5))
+
+
+def test_additive_maps_reject_leading_axes_that_do_not_broadcast():
+    retr = additive_retraction(3)
+    with pytest.raises(DimensionMismatch, match=r"\(5, 3\) do not broadcast .* \(2, 3\)"):
+        retr.phi(np.zeros((2, 3)), np.zeros((5, 3)))
+    with pytest.raises(DimensionMismatch, match=r"\(5, 3\) do not broadcast .* \(2, 3\)"):
+        retr.phi_inv(np.zeros((2, 3)), np.zeros((5, 3)))
 
 
 def test_group_retraction_k3_builds_and_roundtrips():
