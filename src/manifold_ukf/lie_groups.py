@@ -14,8 +14,11 @@ rotation part is a scalar for d = 2 and a 3-vector for d = 3.
 Closed forms are used throughout: Rodrigues for exp, atan2-based log, and
 the SO(d) left Jacobian for the translational columns of exp/log on
 SE_k(d).  Below _SMALL_ANGLE every coefficient switches from its closed form
-to its Taylor series by one rule (_small_angle).  Near pi the SO(3) log
-takes the rotation axis from the symmetric part of the matrix.
+to its Taylor series by one rule (_small_angle).  If all small elements are
+exact zeros (sigma points past the rotation block), the series run once, on
+the float 0.0, where each SO(3) series (of theta^2 >= +0.0) is its constant
+term; SO(2)'s odd b always takes theta's sign, -0.0 included.  Near pi the
+SO(3) log takes the rotation axis from the symmetric part of the matrix.
 
 exp, log, inverse, wedge_so3 and the left Jacobians broadcast over leading
 axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
@@ -29,8 +32,8 @@ reports what _require_group(ref) and then _require_group(state) would, and
 then calls the cores.  The near-pi check of the logs needs the angles, so it
 stays in the cores.  _require_rotation forms C^T C from a contiguous copy of
 C^T, since numpy's matmul of a matrix with a transposed view of its own
-buffer takes a slower path; the product has the same bits.  Boolean tests on
-the hot paths count with np.count_nonzero, a third of the cost of .any().
+buffer takes a slower path; the product has the same bits.  Hot-path tests
+and sums call np.count_nonzero and np.add.reduce, not .any() and .sum().
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def _rot2(c, s) -> np.ndarray:
 
 def _require_below_pi(abs_theta) -> float:
     """max(abs_theta, 0), or NearPiRotation if that is within 1e-6 of pi."""
-    worst = float(abs_theta.max(initial=0.0))
+    worst = float(np.maximum.reduce(abs_theta, axis=None, initial=0.0))
     if worst >= math.pi - _PI_MARGIN:
         raise NearPiRotation(f"rotation angle {worst:.9f} is within 1e-6 of pi")
     return worst
@@ -152,11 +155,11 @@ def _small_angle(x, small, coeffs):
     small-angle rule: where the mask small is set, their Taylor series
     coeffs(x, series=True) take over, and the closed forms see x = 1 there,
     so they never divide by zero.  The series run only if some element is
-    small."""
+    small, and once, on the float 0.0, if every small element is +-0.0."""
     if not np.count_nonzero(small):
         return coeffs(x)
-    return [np.where(small, s, c) for c, s in
-            zip(coeffs(np.where(small, 1.0, x)), coeffs(x, series=True))]
+    series = coeffs(x if np.count_nonzero(x[small]) else 0.0, series=True)
+    return [np.where(small, s, c) for c, s in zip(coeffs(np.where(small, 1.0, x)), series)]
 
 
 # The SO(3) closed forms are I + a W + b W^2 with W = wedge(omega):
@@ -197,7 +200,7 @@ def _so3_parts(omega):
     """wedge(omega), its square and theta^2 = |omega|^2 as (..., 1, 1)."""
     omega = _floats(omega, "omega")
     W = wedge_so3(omega)
-    return W, W @ W, (omega * omega).sum(axis=-1)[..., None, None]
+    return W, W @ W, np.add.reduce(omega * omega, axis=-1)[..., None, None]
 
 
 def _quadratic(W, WW, a, b) -> np.ndarray:
@@ -217,8 +220,8 @@ def _log_so3(C):
     and their angles."""
     # 0.5 * vee(C - C^T) has norm sin(theta); the trace gives cos(theta).
     s_vec = 0.5 * (C - C.swapaxes(-1, -2))[..., _VEE_ROWS, _VEE_COLS]
-    s = np.sqrt((s_vec * s_vec).sum(axis=-1))
-    c = 0.5 * (C.trace(axis1=-2, axis2=-1) - 1.0)
+    s = np.sqrt(np.add.reduce(s_vec * s_vec, axis=-1))
+    c = 0.5 * (C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2] - 1.0)
     theta = np.arctan2(s, c)  # in [0, pi], since s >= 0
     worst = _require_below_pi(theta)
     scale, = _small_angle(s, theta < _SMALL_ANGLE, lambda sin, series=False: (
@@ -254,16 +257,16 @@ def log_so3(C) -> np.ndarray:
 def _require_rotation(C, d):
     if C.shape[-2:] != (d, d):
         raise DimensionMismatch(f"expected (..., {d}, {d}) matrices, got {C.shape}")
-    # Ct: see the module docstring.  "not <=" and the errstate: NaN and inf
-    # entries fail too, and here, not as a numpy warning from the product
+    # Ct: see the module docstring.  Counting "<=" and the errstate: NaN and
+    # inf entries fail too, and here, not as a numpy warning from the product
     Ct = np.ascontiguousarray(C.swapaxes(-1, -2))
     with np.errstate(invalid="ignore", over="ignore"):
         gap = Ct @ C - _eye(d)
-    if not np.abs(gap).max(initial=0.0) <= _ROT_TOL:
+    if np.count_nonzero(np.abs(gap) <= _ROT_TOL) != gap.size:
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
     rows, perms, signs = _det_terms(d)
     det = Ct[..., rows, perms].prod(axis=-1) @ signs
-    if not np.abs(det - 1.0).max(initial=0.0) <= _ROT_TOL:
+    if np.count_nonzero(np.abs(det - 1.0) <= _ROT_TOL) != det.size:
         raise NotARotation("matrix determinant is not +1 within 1e-9")
 
 
@@ -297,9 +300,10 @@ def inv_left_jacobian_so3(omega) -> np.ndarray:
 def _so2_coeffs(theta, c, s):
     """Entries a = sin(t) / t and b = (1 - cos t) / t of the SO(2) left
     Jacobian [[a, -b], [b, a]] from c = cos(theta) and s = sin(theta)."""
-    return _small_angle(theta, np.abs(theta) < _SMALL_ANGLE, lambda t, series=False: (
+    a, b = _small_angle(theta, np.abs(theta) < _SMALL_ANGLE, lambda t, series=False: (
         (1.0 - t * t / 6.0, 0.5 * t * (1.0 - t * t / 12.0)) if series
         else (s / t, (1.0 - c) / t)))
+    return a, np.copysign(b, theta)  # b is odd: at theta = -0.0 it is -0.0
 
 
 def left_jacobian_so2(theta) -> np.ndarray:
@@ -387,7 +391,7 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
         return exp_so3(rot) if d == 3 else exp_so2(rot)
     if d == 3:  # R and J in one pass: (sinc, cosc) and (cosc, sinc3)
         W = rot[..., _WEDGE_IDX] * _WEDGE_SIGN
-        theta2 = (rot * rot).sum(axis=-1)[..., None, None]
+        theta2 = np.add.reduce(rot * rot, axis=-1)[..., None, None]
         S = np.array(_so3_coeffs(theta2, _sinc_cosc_sinc3))
         R, J = _quadratic(W, W @ W, S[:2], S[1:])
     else:

@@ -120,9 +120,11 @@ def _rows(values, lead: Tuple[int, ...], width: int) -> np.ndarray:
 # Factors: SE_k(d) and R^n
 
 
-def _broadcast_error(first, a, second, b):
-    """DimensionMismatch for numpy's ValueError when the leading axes of a
-    and b do not broadcast, worded as lie._require_pair words it."""
+def _broadcast_error(first, a, second, b, factor_error=None):
+    """DimensionMismatch for numpy's ValueError, or a product factor's, when the
+    leading axes of a and b do not broadcast, worded as lie._require_pair words it."""
+    if factor_error is not None and "do not broadcast" not in str(factor_error):
+        return factor_error  # any other fault of a factor, as it is
     return DimensionMismatch(f"{first} of shape {np.shape(a)} do not broadcast "
                              f"against {second} of shape {np.shape(b)}")
 
@@ -142,7 +144,7 @@ def _phi_inv_group(ref, state, d, side):
     ref, state = lie._require_pair(ref, state, d)
     inv_ref = lie._inverse(ref, d)
     xi = lie._log_sek(inv_ref @ state if side == "left" else state @ inv_ref, d)
-    same = (lie._flat(ref) == lie._flat(state)).all(axis=-1)  # map to exact zeros
+    same = np.logical_and.reduce(lie._flat(ref) == lie._flat(state), -1)  # map to exact zeros
     return np.where(same[..., None], 0.0, xi) if np.count_nonzero(same) else xi
 
 
@@ -184,7 +186,7 @@ def _phi_inv_euclid(ref, state):
         out = state - ref
     except ValueError:
         raise _broadcast_error("states", state, "a ref", ref) from None
-    if not np.isfinite(out).all():
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise NonFiniteState("Euclidean state or reference is not finite")
     return out
 
@@ -203,14 +205,20 @@ def additive_retraction(dim: int) -> Retraction:
 
 def _phi_product(state, xi, split, join, phis, spans):
     state, xi = lie._floats(state, "state"), lie._floats(xi, "xi")
-    return join(*(phi(part, xi[..., span])
-                  for phi, part, span in zip(phis, split(state), spans)))
+    try:
+        return join(*(phi(part, xi[..., span])
+                      for phi, part, span in zip(phis, split(state), spans)))
+    except DimensionMismatch as exc:
+        raise _broadcast_error("tangent vectors", xi, "states", state, exc) from None
 
 
 def _phi_inv_product(ref, state, split, phi_invs):
     ref, state = lie._floats(ref, "ref"), lie._floats(state, "state")
-    parts = zip(phi_invs, split(ref), split(state))
-    return np.concatenate([f(r, s) for f, r, s in parts], axis=-1)
+    try:
+        return np.concatenate([f(r, s) for f, r, s in
+                               zip(phi_invs, split(ref), split(state))], axis=-1)
+    except DimensionMismatch as exc:
+        raise _broadcast_error("states", state, "a ref", ref, exc) from None
 
 
 def _product(name: str, split, join, *factors: Retraction) -> Retraction:

@@ -15,15 +15,15 @@ All sigma points of a step go through each of phi, f, phi_inv and h in one
 call, and phi only where it moves a point.  propagate pushes 1 + 2(a + q)
 points through f as one stack: the mean, the 2a retracted state points
 phi(mean, xi_j), then 2q copies of the mean paired with the noise points;
-phi maps the 2a offsets and phi_inv the 2(a + q) images.  a is the number
-of leading tangent coordinates the dynamics move, declared by the
-retraction (Retraction.moved); it is d, the paper's 1 + 2(d + q) points,
-unless the retraction says otherwise, and sampling fewer is exact (see
-propagate).  update pushes the mean and its 2d retracted points through h
-as one (1 + 2d)-row stack.  The callables must broadcast over a leading
-batch axis, f over a state stack and a noise stack together (see ModelSpec
-and Retraction); an output that is constant over the batch is broadcast to
-it.
+phi maps the 2a offsets and phi_inv the 2(a + q) images.  The xi_j are +-the
+first a Cholesky columns, all that propagate stacks.  a is the number of
+leading tangent coordinates the dynamics move, declared by the retraction
+(Retraction.moved); it is d, the paper's 1 + 2(d + q) points, unless the
+retraction says otherwise, and sampling fewer is exact (see
+propagate).  update pushes the mean and its 2d retracted points through h as
+one (1 + 2d)-row stack.  The callables must broadcast over a leading batch
+axis, f over a state stack and a noise stack together (see ModelSpec and
+Retraction); an output that is constant over the batch is broadcast to it.
 
 A belief may also carry leading run axes: cov (..., d, d) holds the
 covariances of independent runs and the mean broadcasts to them (one shared
@@ -80,7 +80,7 @@ def set_weights(n: int, alpha: float) -> SigmaWeights:
 def _check_alpha(alpha) -> float:
     """alpha as a float, or InvalidAlpha if it is not a number in (0, 1]."""
     try:
-        value = float(alpha)
+        value = float("nan") if isinstance(alpha, (bool, np.bool_)) else float(alpha)
     except (TypeError, ValueError):
         value = float("nan")
     if not 0.0 < value <= 1.0:
@@ -106,6 +106,11 @@ def sigma_points(P, lam: float) -> np.ndarray:
     trace(P), on the failing covariances of a stack only; if that also fails
     the covariance is declared broken.
     """
+    return np.concatenate([Lt := _columns(P, lam), -Lt])
+
+
+def _columns(P, lam: float) -> np.ndarray:
+    """The first half of sigma_points(P, lam), (n, ..., n)."""
     P = lie._floats(P, "P")
     if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
         raise DimensionMismatch(f"P must be square, (..., n, n), got shape {P.shape}")
@@ -119,8 +124,7 @@ def sigma_points(P, lam: float) -> np.ndarray:
         L = np.empty(P.shape)
         for i in np.ndindex(P.shape[:-2]):
             L[i] = _jittered_cholesky(P[i], scale)
-    Lt = L.transpose((-1,) + tuple(range(L.ndim - 1)))
-    return np.concatenate([Lt, -Lt])
+    return L.transpose((-1,) + tuple(range(L.ndim - 1)))
 
 
 def _jittered_cholesky(P, scale):
@@ -222,11 +226,10 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     d = belief.dim
     a = retraction.moved or d
     w_d = set_weights(d, alpha)
-    xis = sigma_points(belief.cov, w_d.lam)
-    if a < d:
-        xis = np.concatenate([xis[:a], xis[d:d + a]])
+    cols = _columns(belief.cov, w_d.lam)[:a]
+    xis = np.concatenate([cols, -cols])  # sigma_points' rows :a and d:d + a
     lead = xis.shape[1:-1]
-    noisy = Q.any()
+    noisy = np.count_nonzero(Q)
     w_q = set_weights(Q.shape[0], alpha) if noisy else None
     noise = _noise_points(Q.tobytes(), Q.shape, w_q.lam if noisy else 0.0,
                           1 + 2 * a, len(lead))
@@ -279,7 +282,7 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     y_all = _rows(h(points), (2 * d + 1,) + lead, R.shape[0])
     y0, ys = y_all[0], y_all[1:]
 
-    y_bar = w.w_m * y0 + w.w_j * ys.sum(axis=0)
+    y_bar = w.w_m * y0 + w.w_j * np.add.reduce(ys, axis=0)
     dy0 = y0 - y_bar
     dys = ys - y_bar
     S = (w.w_0c * (dy0[..., :, None] * dy0[..., None, :])

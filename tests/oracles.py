@@ -127,3 +127,24 @@ def nees_band(dim: int, runs: int):
     half_dof = dim * runs / 2
     return tuple(2 * float(scipy.special.gammaincinv(half_dof, p)) / runs
                  for p in (0.025, 0.975))
+
+
+def small_angle_two_branch(x, small, coeffs):
+    """The small-angle rule of lie_groups._small_angle with no shortcut for
+    exact zeros: when any element is small, the closed forms (at x = 1
+    where small) and the Taylor series run on the whole stack and merge per
+    element.  A frozen reference for the rule's outputs, signed zeros
+    included."""
+    if not np.count_nonzero(small):
+        return coeffs(x)
+    return [np.where(small, s, c) for c, s in
+            zip(coeffs(np.where(small, 1.0, x)), coeffs(x, series=True))]
+
+
+def so2_coeffs_two_branch(theta, c, s):
+    """lie_groups._so2_coeffs under small_angle_two_branch and without its
+    sign fix-up of b: the entries a and b of the SO(2) left Jacobian as the
+    two-branch rule gives them, b = -0.0 at theta = -0.0 included."""
+    return small_angle_two_branch(theta, np.abs(theta) < 1e-4, lambda t, series=False: (
+        (1.0 - t * t / 6.0, 0.5 * t * (1.0 - t * t / 12.0)) if series
+        else (s / t, (1.0 - c) / t)))

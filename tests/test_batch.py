@@ -297,13 +297,12 @@ def test_propagate_and_update_call_counts(with_noise, monkeypatch):
 
     # after that step, constants and the noise points are cached: no identity
     # is rebuilt, no determinant goes through LAPACK, and only the belief's
-    # covariance gets factored
-    calls = count_calls(monkeypatch, eye=np, det=np.linalg,
-                        sigma_points=sigma_core)
+    # covariance gets factored (_columns is sigma_points' factoring half)
+    calls = count_calls(monkeypatch, eye=np, det=np.linalg, _columns=sigma_core)
     belief = propagate(belief, model.inputs(2)[1], f, Q, retr, model.alpha)
-    assert calls == {"eye": 0, "det": 0, "sigma_points": 1}
+    assert calls == {"eye": 0, "det": 0, "_columns": 1}
     update(belief, model.h(belief.mean), h, model.R, retr, model.alpha)
-    assert calls == {"eye": 0, "det": 0, "sigma_points": 2}
+    assert calls == {"eye": 0, "det": 0, "_columns": 2}
 
 
 def test_check_retraction_is_one_stacked_call():

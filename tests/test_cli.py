@@ -571,6 +571,8 @@ _IMU_ROW = "0.05,0.0,0.0,0.3,0.0,0.0,9.81,0.0,0.0,0.0,0"
                  id="config-alpha"),
     pytest.param("attitude3d", "--config", '{"model_params": {"alpha": "x"}}',
                  "alpha", id="config-model-params-alpha"),
+    pytest.param("attitude3d", "--config", '{"model_params": {"alpha": true}}',
+                 "alpha must lie", id="config-model-params-alpha-bool"),
     pytest.param("attitude3d", "--config",
                  '{"model_params": {"measure_every": 0}}', "measure_every",
                  id="config-measure-every-zero"),

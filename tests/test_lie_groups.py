@@ -25,7 +25,13 @@ from manifold_ukf.models import augment_landmark, example_names, make
 from manifold_ukf.retraction import covariance_retrieval, mixed_state
 from manifold_ukf.sigma_core import Belief, propagate, sigma_points, update
 
-from oracles import matrix_exp_series, wedge_sek, wedge_so2
+from oracles import (
+    matrix_exp_series,
+    small_angle_two_branch,
+    so2_coeffs_two_branch,
+    wedge_sek,
+    wedge_so2,
+)
 
 RNG = np.random.Generator(np.random.Philox(key=20240915))
 
@@ -296,6 +302,94 @@ def test_left_jacobian_so2_matches_series():
     for th in (0.0, 1e-7, 1e-3, 0.5, 2.0, -1.3):
         J = lie.left_jacobian_so2(th)
         assert np.abs(J - jacobian_series(wedge_so2(th))).max() < 1e-12
+
+
+# Rotation parts of every kind the small-angle rule meets: exact zeros of
+# either sign (the Cholesky zeros of sigma points and their negations), a
+# tiny angle, one just under the cutoff, and ordinary angles.
+_SIGNED_ZEROS_3 = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]]
+_SIGNED_ZEROS_2 = [[0.0], [-0.0]]
+_TINY_3, _TINY_2 = [[1e-12, 0.0, -0.0], [0.0, 9.9e-5, 0.0]], [[1e-12], [-9.9e-5]]
+_ORDINARY_3, _ORDINARY_2 = [[0.3, -0.2, 0.5], [-1.1, 0.4, 0.2]], [[0.7], [-2.1], [7.0], [-4.0]]
+
+
+def _rotation_stacks(d):
+    """Stacks of rotation parts: exact zeros beside ordinary angles (every
+    small element is +-0.0), the same with tiny angles (the two-branch
+    path), exact zeros alone and ordinary angles alone."""
+    zeros, tiny, ordinary = ((_SIGNED_ZEROS_3, _TINY_3, _ORDINARY_3) if d == 3
+                             else (_SIGNED_ZEROS_2, _TINY_2, _ORDINARY_2))
+    return [np.array(rows) for rows in (zeros + ordinary, zeros + tiny + ordinary,
+                                        tiny[:1] + zeros, zeros, ordinary)]
+
+
+def _tangent_stacks(d, k):
+    """_rotation_stacks with translation columns, zero ones among them, so
+    that a signed zero of a coefficient can reach the output."""
+    rng = np.random.Generator(np.random.Philox(key=27 + 10 * d + k))
+    out = []
+    for rot in _rotation_stacks(d):
+        trans = rng.standard_normal((len(rot), k * d))
+        trans[::2] = 0.0
+        trans[1::4] = -0.0
+        out.append(np.concatenate([rot, trans], axis=-1))
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _lie_small_angle_cases():
+    """(label, function, stack) for every function the small-angle rule
+    serves."""
+    cases = []
+    for stack in _rotation_stacks(3):
+        cases += [("exp_so3", lie.exp_so3, stack),
+                  ("left_jacobian_so3", lie.left_jacobian_so3, stack),
+                  ("inv_left_jacobian_so3", lie.inv_left_jacobian_so3, stack)]
+    for stack in _rotation_stacks(2):
+        cases.append(("left_jacobian_so2", lie.left_jacobian_so2, stack[:, 0]))
+    for d in (2, 3):
+        for k in (0, 1, 2):
+            for stack in _tangent_stacks(d, k):
+                exp = (lambda xi, d=d, k=k: lie.exp_sek(xi, d, k))
+                cases.append((f"exp_sek({d},{k})", exp, stack))
+                cases.append((f"log_sek({d},{k})",
+                              lambda X, d=d: lie.log_sek(X, d), exp(stack)))
+    return cases
+
+
+def test_exact_zero_angles_give_the_two_branch_bits(monkeypatch):
+    """Every function of the small-angle rule, on stacks mixing exact +-0.0
+    angles with tiny and ordinary ones, returns the bits of the rule that
+    always runs the series on the whole stack, with SO(2)'s b as that rule
+    gives it (oracles), and each row the bits of its own call; signed zeros
+    count."""
+    cases = _lie_small_angle_cases()
+    got = [fn(stack) for _, fn, stack in cases]
+    rows = [[fn(row) for row in stack] for _, fn, stack in cases]
+    monkeypatch.setattr(lie, "_small_angle", small_angle_two_branch)
+    monkeypatch.setattr(lie, "_so2_coeffs", so2_coeffs_two_branch)
+    for (label, fn, stack), out, alone in zip(cases, got, rows):
+        assert _same_bits(out, fn(stack)), (label, stack)
+        for i, row in enumerate(alone):
+            assert _same_bits(out[i], row), (label, stack[i])
+
+
+def test_exact_zero_angles_keep_the_sign_of_so2s_odd_coefficient():
+    """b = (1 - cos t) / t is odd: at t = -0.0 it is -0.0, also when the
+    stack's only small angles are exact zeros."""
+    J = lie.left_jacobian_so2(np.array([0.0, -0.0, 0.5]))
+    assert np.signbit(J[:, 1, 0]).tolist() == [False, True, False]
+    assert np.signbit(J[:, 0, 1]).tolist() == [True, False, True]
+
+
+def test_rotation_check_passes_an_empty_stack():
+    lie._require_rotation(np.empty((0, 3, 3)), 3)
+    assert lie.log_so3(np.empty((0, 3, 3))).shape == (0, 3)
+    assert lie.log_sek(np.empty((0, 5, 5)), 3).shape == (0, 9)
 
 
 # ---------------------------------------------------------------------------

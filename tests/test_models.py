@@ -471,15 +471,17 @@ def test_mixed_state_vector_is_the_pose_vector_then_the_tail(name, n, pose_vecto
 
 def test_alpha_is_a_spec_field_that_make_sets():
     """No factory takes alpha; make(name, alpha=a) is the default spec with
-    alpha replaced, field for field, and an explicit None is still checked."""
+    alpha replaced, field for field, and an explicit None or bool is still
+    checked."""
     for name, factory in models._FACTORIES.items():
         assert "alpha" not in inspect.signature(factory).parameters, name
         spec, ref = make(name, alpha=0.3), dataclasses.replace(make(name), alpha=0.3)
         for field in dataclasses.fields(ModelSpec):
             assert (pickle.dumps(getattr(spec, field.name))
                     == pickle.dumps(getattr(ref, field.name))), (name, field.name)
-    with pytest.raises(InvalidAlpha):
-        make("attitude3d", alpha=None)
+    for alpha in (None, True, np.bool_(True)):  # a bool is not the number 1
+        with pytest.raises(InvalidAlpha):
+            make("attitude3d", alpha=alpha)
 
 
 @pytest.mark.parametrize("field, value", [

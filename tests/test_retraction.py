@@ -2,6 +2,7 @@
 
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -405,12 +406,17 @@ def test_registered_phi_rejects_wrong_width(label, retr, state, delta):
                          [pytest.param(*r, id=r[0]) for r in all_model_retractions()])
 def test_registered_maps_reject_leading_axes_that_do_not_broadcast(label, retr, state):
     """Two states against five tangent vectors or five states: DimensionMismatch
-    naming both shapes, from phi as from phi_inv, not numpy's ValueError."""
-    states = np.stack([state] * 2)
-    with pytest.raises(DimensionMismatch, match="do not broadcast"):
+    naming both whole shapes, from phi as from phi_inv, not numpy's
+    ValueError, and for a product not the shapes of the factor's parts."""
+    states, five = np.stack([state] * 2), np.stack([state] * 5)
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"tangent vectors of shape {(5, retr.dim)} do not broadcast against "
+            f"states of shape {states.shape}")):
         retr.phi(states, np.zeros((5, retr.dim)))
-    with pytest.raises(DimensionMismatch, match="do not broadcast"):
-        retr.phi_inv(states, np.stack([state] * 5))
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"states of shape {five.shape} do not broadcast against a ref of "
+            f"shape {states.shape}")):
+        retr.phi_inv(states, five)
 
 
 def test_additive_maps_reject_leading_axes_that_do_not_broadcast():

@@ -121,7 +121,7 @@ def test_weights_accept_numpy_alphas_and_reject_every_bad_call():
     for alpha in (np.float64(0.5), np.array(0.5), np.float32(0.5)):
         assert set_weights(3, alpha) == ref
     assert set_weights(np.int64(3), 0.5) == ref
-    for alpha in (0.0, np.float64(1.5), np.array(-0.5), np.nan):
+    for alpha in (0.0, np.float64(1.5), np.array(-0.5), np.nan, True, np.bool_(True)):
         for _ in range(2):
             with pytest.raises(InvalidAlpha):
                 set_weights(3, alpha)
@@ -503,6 +503,53 @@ def test_sampling_the_moved_coordinates_is_the_full_transform(retraction):
         belief = models.augment_landmark(belief, y, retr, R2)
     assert belief.dim == retr.dim + 4
     assert _reduced_vs_full_gap(model, retr, belief, inputs, meas, world.R) <= 1e-12
+
+
+def _propagate_sliced(belief, omega, f, Q, retr, alpha):
+    """propagate (with process noise) as it was before it stacked only the
+    2a sampled factor columns: the whole 2d-row sigma stack, then its rows
+    :a and d:d + a.  Frozen as the bit-for-bit reference."""
+    d, a = belief.dim, retr.moved or belief.dim
+    w_d, w_q = set_weights(d, alpha), set_weights(Q.shape[0], alpha)
+    xis = sigma_points(belief.cov, w_d.lam)
+    xis = np.concatenate([xis[:a], xis[d:d + a]])
+    noise = sigma_core._noise_points(Q.tobytes(), Q.shape, w_q.lam, 1 + 2 * a,
+                                     xis.ndim - 2)
+    offsets = retr.phi(belief.mean, xis)
+    states = np.empty((len(noise),) + offsets.shape[1:])
+    states[0] = belief.mean
+    states[1:1 + 2 * a] = offsets
+    states[1 + 2 * a:] = belief.mean
+    out = f(states, omega, noise)
+    mean_new = out[0].copy()
+    imgs = retr.phi_inv(mean_new, out[1:])
+    cov = w_d.w_j * sigma_core._gram(imgs[:2 * a], imgs[:2 * a])
+    cov = cov + w_q.w_j * sigma_core._gram(imgs[2 * a:], imgs[2 * a:])
+    cov[..., a:, a:] = belief.cov[..., a:, a:]
+    return Belief(mean_new, 0.5 * (cov + cov.swapaxes(-1, -2)))
+
+
+@pytest.mark.parametrize("runs", [None, 3])
+def test_propagate_stacks_only_the_sampled_columns_bit_for_bit(runs):
+    """slam2d with 16 landmarks (d = 35, moved = 3): every step's mean and
+    covariance equal the frozen build-2d-then-slice path byte for byte,
+    for one belief and for a stack of runs."""
+    rng = np.random.Generator(np.random.Philox(key=2727))
+    model = make("slam2d", landmarks=models.LandmarkSet(
+        rng.uniform(-6.0, 6.0, (16, 2))))
+    retr = model.retraction()
+    assert (retr.moved, retr.dim) == (3, 35)
+    belief = Belief(model.initial_mean, model.initial_cov)
+    if runs:
+        belief = Belief(retr.phi(model.initial_mean,
+                                 0.05 * rng.standard_normal((runs, retr.dim))),
+                        model.initial_cov * rng.uniform(0.5, 2.0, (runs, 1, 1)))
+    ref = belief
+    for u in model.inputs(5):
+        belief = propagate(belief, u, model.f, model.Q, retr, model.alpha)
+        ref = _propagate_sliced(ref, u, model.f, model.Q, retr, model.alpha)
+        assert belief.mean.tobytes() == ref.mean.tobytes()
+        assert belief.cov.tobytes() == ref.cov.tobytes()
 
 
 def test_sampling_the_moved_coordinates_leaves_the_jitter_out_of_the_tail():
