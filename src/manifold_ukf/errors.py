@@ -29,8 +29,8 @@ class MalformedEmbedding(ManifoldUkfError):
 
 
 class NonFiniteState(ManifoldUkfError):
-    """A Euclidean state block, or a translation column of a group element,
-    holds NaN or inf."""
+    """A Euclidean state block, a translation column of a group element or
+    a measurement holds NaN or inf."""
 
 
 class NonPSDCovariance(ManifoldUkfError):

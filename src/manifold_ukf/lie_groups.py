@@ -24,16 +24,16 @@ exp, log, inverse, wedge_so3 and the left Jacobians broadcast over leading
 axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
 are chosen per element, and one bad element of a stack fails the call.
 
-inverse and log_sek check their input with _require_group before any
-arithmetic, log_so3 and log_so2 check the rotation, and each then calls one
-private unchecked core (_inverse, _log_sek, _log_so3, _log_so2).  The group
-phi_inv in retraction checks its ref and states with _require_pair, which
-reports what _require_group(ref) and then _require_group(state) would, and
-then calls the cores.  The near-pi check of the logs needs the angles, so it
-stays in the cores.  _require_rotation forms C^T C from a contiguous copy of
-C^T, since numpy's matmul of a matrix with a transposed view of its own
-buffer takes a slower path; the product has the same bits.  Hot-path tests
-and sums call np.count_nonzero and np.add.reduce, not .any() and .sum().
+inverse and log_sek check their input with _square and _require_group
+before any arithmetic, log_so3 and log_so2 check the rotation, and each then
+calls one private unchecked core (_inverse, _log_sek, _log_so3, _log_so2).
+The group phi_inv in retraction checks its ref and states with
+_require_pair, as inverse(ref) and then inverse(state) would, and then calls
+the cores.  The near-pi check of the logs needs the angles, so it stays in
+the cores.  _require_rotation forms C^T C from a contiguous copy of C^T,
+since numpy's matmul of a matrix with a transposed view of its own buffer
+takes a slower path; the product has the same bits.  Hot-path tests and sums
+call np.count_nonzero and np.add.reduce, not .any() and .sum().
 """
 
 from __future__ import annotations
@@ -335,12 +335,11 @@ def _flat(X) -> np.ndarray:
 
 
 def _require_group(X, d) -> np.ndarray:
-    """X as a float array of SE_k(d) elements, k = X.shape[-1] - d, checked
-    before any arithmetic on it, in this order: square of size >= d
-    (DimensionMismatch), bottom rows exactly [0 I] (MalformedEmbedding), the
-    rotation block (NotARotation, NaN and inf included), finite translation
-    columns (NonFiniteState)."""
-    X = _square(X, d, "X")
+    """X, square matrices of size >= d as _square returns them, checked as
+    SE_k(d) elements, k = X.shape[-1] - d, before any arithmetic on it, in
+    this order: bottom rows exactly [0 I] (MalformedEmbedding), the rotation
+    block (NotARotation, NaN and inf included), finite translation columns
+    (NonFiniteState)."""
     n = X.shape[-1]
     # The bottom rows, from flat entry d n on, are [0 I] exactly: group
     # operations keep them bit for bit, so a deviation means a wrongly built X.
@@ -353,10 +352,10 @@ def _require_group(X, d) -> np.ndarray:
 
 
 def _require_pair(ref, state, d):
-    """ref and state as float arrays, checked as _require_group(ref, d) and
-    then _require_group(state, d) would check them, and DimensionMismatch
-    unless they are of one size and their leading axes broadcast; one pass
-    of each check covers both."""
+    """ref and state as float arrays, checked as _square and _require_group
+    would check ref and then state, and DimensionMismatch unless they are of
+    one size and their leading axes broadcast; one pass of each check covers
+    both, and _square runs once on each."""
     ref = _square(ref, d, "ref")
     n = ref.shape[-1]
     try:
@@ -411,7 +410,7 @@ def log_sek(X, d: int) -> np.ndarray:
 
     For d = 3 the inverse left Jacobian reuses the angles of the rotation log.
     """
-    return _log_sek(_require_group(X, d), d)
+    return _log_sek(_require_group(_square(X, d, "X"), d), d)
 
 
 def _log_sek(X, d):
@@ -438,7 +437,7 @@ def _log_sek(X, d):
 def inverse(X, d: int) -> np.ndarray:
     """Closed-form inverse [[C^T, -C^T p_i], [0, I]]; no linear solve.  The
     rotation block C must be a rotation."""
-    return _inverse(_require_group(X, d), d)
+    return _inverse(_require_group(_square(X, d, "X"), d), d)
 
 
 def _inverse(X, d):

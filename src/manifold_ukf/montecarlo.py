@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ManifoldUkfError, SingularCovariance
 from .retraction import Retraction, _psd_sqrt
-from .sigma_core import _RENORM_EVERY, Belief, _filter_steps, filter_run
+from .sigma_core import _RENORM_EVERY, Belief, _filter_steps, _solve, filter_run
 
 DIVERGENCE_NEES = 1e6
 _CHUNK = 128  # steps of beliefs a lockstep pass buffers per reduction
@@ -128,7 +128,7 @@ def _nees(covs, errors, first: int) -> np.ndarray:
     step `first`; a singular covariance raises SingularCovariance naming
     its step."""
     try:
-        sol = np.linalg.solve(covs, errors[..., None])[..., 0]
+        sol = _solve(covs, errors[..., None])[..., 0]
     except np.linalg.LinAlgError:
         for i, cov in enumerate(covs):  # name the first singular step
             try:

@@ -659,3 +659,23 @@ def test_group_phi_inv_of_the_ref_itself_is_exact_zeros(label, retr, state):
         out = retr.phi_inv(ref, states)
         assert np.array_equal(out[2], np.zeros_like(out[2]))
         assert (out[[0, 1, 3]] != 0.0).any(axis=-1).all()
+
+
+@pytest.mark.parametrize("label, retr, state, kind", [
+    pytest.param(*r, kind, id=f"{r[0]}-{kind}") for r in _group_pairs()
+    for kind in ("none", "bad_rotation_ref_bad_row_state", "nan_state")])
+def test_group_phi_inv_squares_the_ref_and_the_states_once_each(label, retr, state,
+                                                                kind, monkeypatch):
+    """_require_pair runs _square on each argument once: neither the pair's
+    one group check nor the ref's recheck after a failure squares again."""
+    ref, states = _ref_and_states(retr, state, False)
+    if kind != "none":
+        states = _corrupt(kind, retr, ref, states, False)
+    calls, square = [], lie._square
+    monkeypatch.setattr(lie, "_square",
+                        lambda X, d, what: calls.append(what) or square(X, d, what))
+    try:
+        retr.phi_inv(ref, states)
+    except ManifoldUkfError:
+        assert kind != "none"
+    assert calls == ["ref", "state"]

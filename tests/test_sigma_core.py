@@ -5,11 +5,13 @@ oracles.py; scalar expected values are frozen from its closed forms.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from manifold_ukf import lie_groups as lie
 from manifold_ukf import models, sigma_core
@@ -19,6 +21,7 @@ from manifold_ukf.errors import (
     FilterStepError,
     InvalidAlpha,
     NonFiniteState,
+    NonPSDCovariance,
     NotARotation,
     SingularInnovationCovariance,
 )
@@ -212,6 +215,81 @@ def test_propagate_sees_in_place_changes_to_q():
     sigma_core._noise_points.cache_clear()
     fresh = propagate(belief, u, model.f, Q, retr, model.alpha)
     assert np.array_equal(second.cov, fresh.cov)
+
+
+@pytest.mark.parametrize("name", ["attitude3d", "imu_gnss", "slam2d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_propagate_rejects_a_non_finite_q(name, bad):
+    """LAPACK factors NaN without an error, so the noise points would carry
+    it into f and the fault would surface as a bad state."""
+    model = make(name)
+    Q = model.Q.copy()
+    Q[0, 0] = bad
+    with pytest.raises(NonPSDCovariance, match="^Q holds NaN or inf$"):
+        propagate(Belief(model.initial_mean, model.initial_cov), model.inputs(1)[0],
+                  model.f, Q, model.retraction(), model.alpha)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK calls
+
+
+def test_lapack_gufuncs_keep_the_signatures_the_core_calls():
+    """_umath_linalg is private numpy API: a numpy that moves or reshapes
+    these gufuncs fails here by name."""
+    assert _umath_linalg.cholesky_lo.signature == "(m,m)->(m,m)"
+    assert _umath_linalg.solve.signature == "(m,m),(m,n)->(m,n)"
+
+
+def _spd(lead, n):
+    A = RNG.standard_normal(lead + (n, n))
+    return A @ A.swapaxes(-1, -2) + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [3, 9, 15])
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+def test_lapack_calls_equal_numpys_wrappers_byte_for_byte(n, lead):
+    S = _spd(lead, n)
+    B = RNG.standard_normal(lead + (n, 5))
+    assert sigma_core._cholesky(S).tobytes() == np.linalg.cholesky(S).tobytes()
+    assert sigma_core._solve(S, B).tobytes() == np.linalg.solve(S, B).tobytes()
+    P_xy = RNG.standard_normal(lead + (7, n))  # a transposed view goes in
+    K = sigma_core._gain(S, P_xy)
+    wrapped = np.linalg.solve(S, P_xy.swapaxes(-1, -2)).swapaxes(-1, -2)
+    assert K.tobytes() == np.ascontiguousarray(wrapped).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("kind", ["indefinite", "singular", "nan"])
+def test_lapack_calls_raise_where_numpys_wrappers_do(lead, kind):
+    """A stack fails as a whole when one element fails.  The wrappers raise
+    on an indefinite matrix (Cholesky) and a singular one (both), and not
+    on NaN, which LAPACK factors without an error."""
+    S = _spd(lead, 3)
+    bad = {"indefinite": np.diag([1.0, -1.0, 2.0]), "singular": np.ones((3, 3)),
+           "nan": np.diag([np.nan, 1.0, 1.0])}[kind]
+    S[(0,) * len(lead)] = bad
+    B = RNG.standard_normal(lead + (3, 2))
+    raises = {"indefinite": (True, False), "singular": (True, True),
+              "nan": (False, False)}[kind]
+    calls = ((np.linalg.cholesky, sigma_core._cholesky, (S,)),
+             (np.linalg.solve, sigma_core._solve, (S, B)))
+    for (theirs, mine, args), fails in zip(calls, raises):
+        for fn in (theirs, mine):
+            if fails:
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(*args)
+            else:
+                fn(*args)
+
+
+def test_gain_reports_a_failed_solve_as_a_singular_innovation(monkeypatch):
+    """A solve failure inside _gain is SingularInnovationCovariance too: with
+    the Cholesky check switched off, a singular S reaches the solve."""
+    monkeypatch.setattr(sigma_core, "_umath_linalg", types.SimpleNamespace(
+        cholesky_lo=lambda S: S, solve=_umath_linalg.solve))
+    with pytest.raises(SingularInnovationCovariance):
+        sigma_core._gain(np.ones((2, 2)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +708,38 @@ def test_filter_run_reports_failing_step():
         filter_run(model, [np.zeros(1)] * 5, meas)
     assert exc_info.value.step == 3
     assert isinstance(exc_info.value.cause, SingularInnovationCovariance)
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("nan_R", SingularInnovationCovariance), ("inf_R", SingularInnovationCovariance),
+    ("nan_h_row", SingularInnovationCovariance), ("nan_y", NonFiniteState)])
+@pytest.mark.parametrize("bad_step", [3, 6])
+def test_filter_run_rejects_a_non_finite_update_at_its_step(case, cause, bad_step):
+    """LAPACK factors NaN without an error, so update checks S and the
+    measurement: a NaN or inf entering R, one sigma row of h or y at a step
+    fails that step, the run's last one (6) included, and never returns
+    NaN.  R turns bad in place, past ModelSpec's own check of it."""
+    model = make("attitude3d", measure_every=1)
+    _, inputs, meas = simulate(model, 6, 3)
+    meas = dict(meas)
+    if case == "nan_y":
+        meas[bad_step] = np.array(meas[bad_step], dtype=float)
+        meas[bad_step][1] = np.nan
+    calls = []
+
+    def h(state, h=model.h, R=model.R):  # one call per update, one update a step
+        calls.append(None)
+        out = np.array(h(state))
+        if len(calls) == bad_step and case == "nan_h_row":
+            out[1] = np.nan  # the first sigma point's image
+        elif len(calls) == bad_step and case.endswith("_R"):
+            R[0, 0] = np.nan if case == "nan_R" else np.inf
+        return out
+
+    with pytest.raises(FilterStepError) as exc_info:
+        filter_run(dataclasses.replace(model, h=h), inputs, meas)
+    assert exc_info.value.step == bad_step
+    assert type(exc_info.value.cause) is cause
 
 
 def _corrupt(kind, d):
