@@ -37,7 +37,7 @@ from .retraction import (
     mixed_retraction,
     mixed_state,
 )
-from .sigma_core import Belief, _check_alpha
+from .sigma_core import Belief, _check_alpha, _check_count
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -120,9 +120,7 @@ class ModelSpec:
                              f"got {self.dt!r}")
         for what in ("Q", "R", "initial_cov"):
             _psd_sqrt(getattr(self, what), f"{self.name} {what}")
-        every = self.measure_every
-        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
-            raise ValueError(f"measure_every must be an int >= 1, got {every!r}")
+        _check_count(self.measure_every, "measure_every")
 
     def retraction(self, name: Union[str, Retraction, None] = None) -> Retraction:
         """The retraction registered under name (None: the default one); a

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ManifoldUkfError, SingularCovariance
 from .retraction import Retraction, _psd_sqrt
-from .sigma_core import _RENORM_EVERY, Belief, _filter_steps, _solve, filter_run
+from .sigma_core import _RENORM_EVERY, Belief, _check_count, _filter_steps, _solve, filter_run
 
 DIVERGENCE_NEES = 1e6
 _CHUNK = 128  # steps of beliefs a lockstep pass buffers per reduction
@@ -59,8 +59,7 @@ def simulate(model, steps: int, seed):
     noise, then its measurement noise when one is due.  Run r is
     bit-identical to simulate(model, steps, seed[r]).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    steps = _check_count(steps, "steps")
     Lq = _psd_sqrt(model.Q)
     Lr = _psd_sqrt(model.R)
     q = Lq.shape[0]
@@ -235,8 +234,7 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
     accepted and has no effect: the runs of a variant share one lockstep
     pass in this process.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be positive, got {runs}")
+    runs = _check_count(runs, "runs")
     retrs = [model.retraction(r) for r in retractions]
     if not retrs:
         raise ValueError("need at least one retraction to benchmark")

@@ -15,18 +15,17 @@ private API pinned by test_sigma_core) under _lapack: the same bits and
 LinAlgError without the wrappers' argument handling (3 x 3: 3.8 -> 1.6 us).
 
 All sigma points of a step go through each of phi, f, phi_inv and h in one
-call, and phi only where it moves a point.  propagate pushes 1 + 2(a + q)
-points through f as one stack: the mean, the 2a retracted state points
-phi(mean, xi_j), then 2q copies of the mean paired with the noise points;
-phi maps the 2a offsets and phi_inv the 2(a + q) images.  The xi_j are +-the
-first a Cholesky columns, all that propagate stacks.  a is the number of
-leading tangent coordinates the dynamics move, declared by the retraction
-(Retraction.moved); it is d, the paper's 1 + 2(d + q) points, unless the
-retraction says otherwise, and sampling fewer is exact (see
-propagate).  update pushes the mean and its 2d retracted points through h as
-one (1 + 2d)-row stack.  The callables must broadcast over a leading batch
-axis, f over a state stack and a noise stack together (see ModelSpec and
-Retraction); an output that is constant over the batch is broadcast to it.
+call, and phi only where it moves a point.  Both halves of a step draw them
+through one sampler (_sampled): the mean, phi(mean, xi_j) for the 2a
+offsets xi_j = +-the first a Cholesky columns, then copies of the mean.  a
+is the number of leading tangent coordinates the dynamics move, declared by
+the retraction (Retraction.moved).  propagate pairs 2q copies with the noise
+points, so f sees 1 + 2(a + q) points, the paper's 1 + 2(d + q) for a = d,
+and phi_inv maps the 2(a + q) images; sampling a < d is exact (see
+propagate).  update is the a = d case without copies: h sees 1 + 2d points.
+The callables must broadcast over a leading batch axis, f over a state
+stack and a noise stack together (see ModelSpec and Retraction); an output
+that is constant over the batch is broadcast to it.
 
 A belief may also carry leading run axes: cov (..., d, d) holds the
 covariances of independent runs and the mean broadcasts to them (one shared
@@ -78,15 +77,22 @@ class SigmaWeights:
 
 
 def set_weights(n: int, alpha: float) -> SigmaWeights:
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    return _weights(int(n), _check_alpha(alpha))
+    return _weights(_check_count(n, "dimension"), _check_alpha(alpha))
+
+
+def _check_count(n, what: str) -> int:
+    """n as an int, or ValueError naming it `what` unless an int >= 1 (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{what} must be positive, an int >= 1, got {n!r}")
+    return int(n)
 
 
 def _check_alpha(alpha) -> float:
-    """alpha as a float, or InvalidAlpha if it is not a number in (0, 1]."""
+    """alpha as a float, or InvalidAlpha if it is not a number in (0, 1]
+    (a bool or a str is not a number)."""
     try:
-        value = float("nan") if isinstance(alpha, (bool, np.bool_)) else float(alpha)
+        bad = isinstance(alpha, (bool, np.bool_, str, bytes))
+        value = float("nan") if bad else float(alpha)
     except (TypeError, ValueError):
         value = float("nan")
     if not 0.0 < value <= 1.0:
@@ -108,9 +114,10 @@ def sigma_points(P, lam: float) -> np.ndarray:
     """The 2n symmetric sigma points +-col_i(sqrt((lam + n) P)).
 
     P may be a stack (..., n, n); the result is (2n, ..., n), sigma axis
-    first.  A failed Cholesky gets one retry with diagonal jitter scaled to
-    trace(P), on the failing covariances of a stack only; if that also fails
-    the covariance is declared broken.
+    first.  NaN or inf in P raises NonPSDCovariance, as LAPACK factors it
+    without an error.  A failed Cholesky gets one retry with diagonal jitter
+    scaled to trace(P), on the failing covariances of a stack only; if that
+    also fails the covariance is declared broken.
     """
     return np.concatenate([Lt := _columns(P, lam), -Lt])
 
@@ -131,6 +138,8 @@ def _columns(P, lam: float) -> np.ndarray:
     P = lie._floats(P, "P")
     if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
         raise DimensionMismatch(f"P must be square, (..., n, n), got shape {P.shape}")
+    if np.count_nonzero(np.isfinite(P)) != P.size:
+        raise NonPSDCovariance("P holds NaN or inf")
     n = P.shape[-1]
     scale = lam + n
     if scale <= 0.0:
@@ -163,20 +172,38 @@ def _jittered_cholesky(P, scale):
 
 
 @lru_cache(maxsize=64)
-def _noise_points(Q_bytes: bytes, shape: tuple, lam: float, head: int,
-                  run_axes: int) -> np.ndarray:
-    """Read-only noise stack of the noise covariance Q with these bytes and
-    shape: `head` zero rows, then sigma_points(Q, lam) unless Q is all zero
-    (lam is then unused), each row shaped (1,) * run_axes + (q,) so that
-    every run shares it.  propagate reuses it while Q keeps its values."""
+def _noise_points(Q_bytes: bytes, shape: tuple, alpha: float, head: int,
+                  run_axes: int):
+    """Q's read-only noise stack and its weights for alpha (None if Q is all
+    zero), from Q's bytes and shape, checked square and finite: `head` zero
+    rows, then sigma_points(Q, lam) unless Q is all zero, each row shaped
+    (1,) * run_axes + (q,) so that every run shares it.  propagate reuses
+    both, and skips the checks, while Q keeps its values."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"Q must be square, (q, q), got shape {shape}")
     Q = np.frombuffer(Q_bytes).reshape(shape)
     if np.count_nonzero(np.isfinite(Q)) != Q.size:
         raise NonPSDCovariance("Q holds NaN or inf")
-    points = sigma_points(Q, lam) if Q.any() else np.empty((0, shape[0]))
+    w = set_weights(shape[0], alpha) if Q.any() else None
+    points = sigma_points(Q, w.lam) if w else np.empty((0, shape[0]))
     stack = np.zeros((head + len(points),) + (1,) * run_axes + shape[:1])
     stack.reshape(len(stack), -1)[head:] = points
     stack.flags.writeable = False
-    return stack
+    return stack, w
+
+
+def _sampled(belief, alpha, retraction: Retraction, a: int, rows: int):
+    """The belief's weights for d, the 2a offsets xis = +-the first a scaled
+    factor columns (sigma_points' rows :a and d:d + a), and the (rows, ...)
+    stack of the mean, phi(mean, xis), then copies of the mean."""
+    w = set_weights(belief.dim, alpha)
+    cols = _columns(belief.cov, w.lam)[:a]
+    xis = np.concatenate([cols, -cols])
+    offsets = retraction.phi(belief.mean, xis)
+    stack = np.empty((rows,) + offsets.shape[1:])
+    stack[0] = stack[1 + 2 * a:] = belief.mean
+    stack[1:1 + 2 * a] = offsets
+    return w, xis, stack
 
 
 def _gram(a, b) -> np.ndarray:
@@ -238,31 +265,19 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     runtime (augment_landmark) keeps filtering; a width the retraction's
     factors cannot take raises DimensionMismatch.
     """
-    Q = lie._floats(Q, "Q")
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise DimensionMismatch(f"Q must be square, (q, q), got shape {Q.shape}")
+    Q, alpha = lie._floats(Q, "Q"), _check_alpha(alpha)
     d = belief.dim
     a = retraction.moved or d
-    w_d = set_weights(d, alpha)
-    cols = _columns(belief.cov, w_d.lam)[:a]
-    xis = np.concatenate([cols, -cols])  # sigma_points' rows :a and d:d + a
-    lead = xis.shape[1:-1]
-    noisy = np.count_nonzero(Q)
-    w_q = set_weights(Q.shape[0], alpha) if noisy else None
-    noise = _noise_points(Q.tobytes(), Q.shape, w_q.lam if noisy else 0.0,
-                          1 + 2 * a, len(lead))
-    offsets = retraction.phi(belief.mean, xis)
-    states = np.empty((len(noise),) + offsets.shape[1:])
-    states[0] = belief.mean
-    states[1:1 + 2 * a] = offsets
-    states[1 + 2 * a:] = belief.mean
+    lead = belief.cov.shape[:-2]
+    noise, w_q = _noise_points(Q.tobytes(), Q.shape, alpha, 1 + 2 * a, len(lead))
+    w_d, _, states = _sampled(belief, alpha, retraction, a, len(noise))
     out = _rows(f(states, omega, noise), states.shape[:-1], states.shape[-1])
     mean_new = out[0].copy()
     imgs = _rows(retraction.phi_inv(mean_new, out[1:]),
                  (len(out) - 1,) + lead, d)
     state_imgs, noise_imgs = imgs[:2 * a], imgs[2 * a:]
     cov = w_d.w_j * _gram(state_imgs, state_imgs)
-    if noisy:
+    if w_q:
         cov = cov + w_q.w_j * _gram(noise_imgs, noise_imgs)
     if a < d:
         cov[..., a:, a:] = belief.cov[..., a:, a:]
@@ -275,28 +290,22 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     """One measurement update.
 
     Sigma points live in the tangent space at the current mean; h sees the
-    paper's 1 + 2d points in one call, the mean itself in row 0 and then
-    phi(mean, xi_j), so phi runs on the 2d offsets only (and once more on
-    the correction).  The Kalman gain maps innovation to a tangent
-    correction which is retracted onto the state.  The covariance update
-    P - K S K^T keeps the existing tangent coordinates.  On a belief with
-    run axes, y holds one measurement per run, (..., p), and h sees a
-    (1 + 2d, ..., ·) stack.  As in propagate, the sigma points take the
-    belief's dimension.  NaN or inf in S or y fails the update.
+    paper's 1 + 2d points in one call, sampled as by propagate with a = d:
+    the mean, then phi(mean, xi_j) (phi runs once more on the correction).
+    The Kalman gain maps innovation to a tangent correction which is
+    retracted onto the state.  The covariance update P - K S K^T keeps the
+    existing tangent coordinates.  On a belief with run axes, y holds one
+    measurement per run, (..., p), and h sees a (1 + 2d, ..., ·) stack.  As
+    in propagate, the sigma points take the belief's dimension.  NaN or inf
+    in P, S or y fails the update.
     """
     y, R = lie._floats(y, "y"), lie._floats(R, "R")
     if R.ndim != 2 or R.shape != y.shape[-1:] * 2:
         raise DimensionMismatch(f"R must be (p, p) for measurements of shape "
                                 f"(..., p), got R {R.shape} and y {y.shape}")
     d = belief.dim
-    w = set_weights(d, alpha)
-    xis = sigma_points(belief.cov, w.lam)
+    w, xis, points = _sampled(belief, alpha, retraction, d, 1 + 2 * d)
     lead = xis.shape[1:-1]
-
-    offsets = retraction.phi(belief.mean, xis)
-    points = np.empty((1 + 2 * d,) + offsets.shape[1:])
-    points[0] = belief.mean
-    points[1:] = offsets
     y_all = _rows(h(points), (2 * d + 1,) + lead, R.shape[0])
     y0, ys = y_all[0], y_all[1:]
 

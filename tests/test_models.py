@@ -472,21 +472,21 @@ def test_mixed_state_vector_is_the_pose_vector_then_the_tail(name, n, pose_vecto
 def test_alpha_is_a_spec_field_that_make_sets():
     """No factory takes alpha; make(name, alpha=a) is the default spec with
     alpha replaced, field for field, and an explicit None or bool is still
-    checked."""
+    checked, as is a numeric str."""
     for name, factory in models._FACTORIES.items():
         assert "alpha" not in inspect.signature(factory).parameters, name
         spec, ref = make(name, alpha=0.3), dataclasses.replace(make(name), alpha=0.3)
         for field in dataclasses.fields(ModelSpec):
             assert (pickle.dumps(getattr(spec, field.name))
                     == pickle.dumps(getattr(ref, field.name))), (name, field.name)
-    for alpha in (None, True, np.bool_(True)):  # a bool is not the number 1
+    for alpha in (None, True, np.bool_(True), "0.5", b"0.5"):  # nor the number 1
         with pytest.raises(InvalidAlpha):
             make("attitude3d", alpha=alpha)
 
 
 @pytest.mark.parametrize("field, value", [
     ("dt", True), ("dt", np.True_), ("dt", "0.1"), ("dt", None),
-    ("measure_every", True)])
+    ("measure_every", True), ("measure_every", 2.5), ("measure_every", "3")])
 def test_spec_rejects_a_bool_or_a_non_number(field, value):
     """ValueError naming the field, not True taken as 1 or a TypeError from
     the comparison."""

@@ -133,6 +133,20 @@ def test_simulate_and_benchmark_reject_nonpositive_steps():
         benchmark(model, ["so3_left"], runs=2, seed=0, steps=-1, workers=1)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, np.True_, "3", None])
+def test_simulate_and_benchmark_take_counts_as_ints_only(count):
+    """Not numpy's raw TypeError, a float truncated or True run as one step."""
+    model = make("attitude3d")
+    with pytest.raises(ValueError, match="^steps must be positive"):
+        simulate(model, count, seed=0)
+    with pytest.raises(ValueError, match="^steps must be positive"):
+        benchmark(model, ["so3_left"], runs=2, seed=0, steps=count)
+    with pytest.raises(ValueError, match="^runs must be positive"):
+        benchmark(model, ["so3_left"], runs=count, seed=0, steps=3)
+    truth, inputs, _ = simulate(model, np.int64(3), seed=0)
+    assert truth.shape[0] == 4 and len(inputs) == 3
+
+
 def test_nees_band_brackets_dimension():
     lo, hi = nees_band(3, 100)
     assert lo < 3.0 < hi

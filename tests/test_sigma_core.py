@@ -124,10 +124,18 @@ def test_weights_accept_numpy_alphas_and_reject_every_bad_call():
     for alpha in (np.float64(0.5), np.array(0.5), np.float32(0.5)):
         assert set_weights(3, alpha) == ref
     assert set_weights(np.int64(3), 0.5) == ref
-    for alpha in (0.0, np.float64(1.5), np.array(-0.5), np.nan, True, np.bool_(True)):
+    for alpha in (0.0, np.float64(1.5), np.array(-0.5), np.nan, True, np.bool_(True),
+                  "0.5", b"0.5", np.str_("0.5")):
         for _ in range(2):
             with pytest.raises(InvalidAlpha):
                 set_weights(3, alpha)
+
+
+@pytest.mark.parametrize("n", [0, -1, 3.5, 3.0, True, np.True_, "3", None])
+def test_weights_reject_a_dimension_that_is_not_a_positive_int(n):
+    """Not 3.5 truncated to 3, True taken as 1 or a raw TypeError."""
+    with pytest.raises(ValueError, match="^dimension must be positive"):
+        set_weights(n, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +200,11 @@ def test_sigma_points_reject_a_covariance_that_is_not_square(P):
 
 def test_noise_points_are_memoized_read_only():
     Q = make("inertial_nav").Q
-    lam = set_weights(Q.shape[0], 0.5).lam
-    pts = sigma_core._noise_points(Q.tobytes(), Q.shape, lam, 0, 0)
-    assert pts is sigma_core._noise_points(Q.tobytes(), Q.shape, lam, 0, 0)
-    assert np.array_equal(pts, sigma_points(Q, lam))
+    w = set_weights(Q.shape[0], 0.5)
+    pts, w_q = sigma_core._noise_points(Q.tobytes(), Q.shape, 0.5, 0, 0)
+    assert pts is sigma_core._noise_points(Q.tobytes(), Q.shape, 0.5, 0, 0)[0]
+    assert w_q == w
+    assert np.array_equal(pts, sigma_points(Q, w.lam))
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
@@ -228,6 +237,52 @@ def test_propagate_rejects_a_non_finite_q(name, bad):
     with pytest.raises(NonPSDCovariance, match="^Q holds NaN or inf$"):
         propagate(Belief(model.initial_mean, model.initial_cov), model.inputs(1)[0],
                   model.f, Q, model.retraction(), model.alpha)
+
+
+def test_a_zero_q_has_no_noise_rows_and_no_weights():
+    stack, w_q = sigma_core._noise_points(np.zeros((2, 2)).tobytes(), (2, 2), 0.5, 3, 1)
+    assert stack.shape == (3, 1, 2) and not stack.any() and w_q is None
+
+
+def test_propagate_computes_qs_weights_only_on_a_noise_cache_miss(monkeypatch):
+    """The noise stack's cache entry holds Q's checks and weights: a step
+    with a cached Q makes one set_weights call, for the belief's d."""
+    model = make("inertial_nav")
+    belief = Belief(model.initial_mean, model.initial_cov)
+    u, retr = model.inputs(1)[0], model.retraction()
+    propagate(belief, u, model.f, model.Q, retr, model.alpha)
+    calls = []
+    monkeypatch.setattr(sigma_core, "set_weights",
+                        lambda n, alpha: calls.append(n) or set_weights(n, alpha))
+    propagate(belief, u, model.f, model.Q, retr, model.alpha)
+    assert calls == [retr.dim]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("runs", [None, 3])
+def test_a_non_finite_covariance_is_declared_broken(bad, runs):
+    """LAPACK factors NaN without an error: sigma_points, propagate and
+    update name P, not NaN sigma points or a bad rotation downstream; in a
+    stack of runs one bad member is enough."""
+    model = make("attitude3d")
+    retr, P = model.retraction(), model.initial_cov.copy()
+    if runs:
+        P = np.stack([P] * runs)
+        P[1, 1, 1] = bad
+    else:
+        P[1, 1] = bad
+    belief = Belief(model.initial_mean, P)
+    y = model.h(model.initial_mean)
+    y = np.tile(y, (runs, 1)) if runs else y
+    for call in (lambda: sigma_points(P, 0.0),
+                 lambda: propagate(belief, model.inputs(1)[0], model.f, model.Q,
+                                   retr, model.alpha),
+                 lambda: update(belief, y, model.h, model.R, retr, model.alpha)):
+        with pytest.raises(NonPSDCovariance, match="^P holds NaN or inf$"):
+            call()
+    with pytest.raises(NonPSDCovariance, match="^Q holds NaN or inf$"):  # Q first
+        propagate(belief, model.inputs(1)[0], model.f, np.full((3, 3), bad), retr,
+                  model.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +646,8 @@ def _propagate_sliced(belief, omega, f, Q, retr, alpha):
     w_d, w_q = set_weights(d, alpha), set_weights(Q.shape[0], alpha)
     xis = sigma_points(belief.cov, w_d.lam)
     xis = np.concatenate([xis[:a], xis[d:d + a]])
-    noise = sigma_core._noise_points(Q.tobytes(), Q.shape, w_q.lam, 1 + 2 * a,
-                                     xis.ndim - 2)
+    noise = sigma_core._noise_points(Q.tobytes(), Q.shape, alpha, 1 + 2 * a,
+                                     xis.ndim - 2)[0]
     offsets = retr.phi(belief.mean, xis)
     states = np.empty((len(noise),) + offsets.shape[1:])
     states[0] = belief.mean
@@ -626,6 +681,56 @@ def test_propagate_stacks_only_the_sampled_columns_bit_for_bit(runs):
     for u in model.inputs(5):
         belief = propagate(belief, u, model.f, model.Q, retr, model.alpha)
         ref = _propagate_sliced(ref, u, model.f, model.Q, retr, model.alpha)
+        assert belief.mean.tobytes() == ref.mean.tobytes()
+        assert belief.cov.tobytes() == ref.cov.tobytes()
+
+
+def _update_through_sigma_points(belief, y, h, R, retr, alpha):
+    """update as it was before it sampled through propagate's path: the
+    whole sigma_points stack and its own mean-and-offsets stack.  Frozen as
+    the bit-for-bit reference."""
+    d, w = belief.dim, set_weights(belief.dim, alpha)
+    xis = sigma_points(belief.cov, w.lam)
+    offsets = retr.phi(belief.mean, xis)
+    points = np.empty((1 + 2 * d,) + offsets.shape[1:])
+    points[0] = belief.mean
+    points[1:] = offsets
+    y_all = h(points)
+    y0, ys = y_all[0], y_all[1:]
+    y_bar = w.w_m * y0 + w.w_j * np.add.reduce(ys, axis=0)
+    dy0 = y0 - y_bar
+    dys = ys - y_bar
+    S = (w.w_0c * (dy0[..., :, None] * dy0[..., None, :])
+         + w.w_j * sigma_core._gram(dys, dys) + R)
+    K = sigma_core._gain(S, w.w_j * sigma_core._gram(xis, dys))
+    mean_new = retr.phi(belief.mean, (K @ (y - y_bar)[..., None])[..., 0])
+    cov = belief.cov - K @ S @ K.swapaxes(-1, -2)
+    return Belief(mean_new, 0.5 * (cov + cov.swapaxes(-1, -2)))
+
+
+@pytest.mark.parametrize("name", ["slam2d", "inertial_nav"])
+@pytest.mark.parametrize("runs", [None, 3])
+def test_update_samples_through_propagates_path_bit_for_bit(name, runs):
+    """slam2d with 16 landmarks (d = 35) and inertial_nav (d = 9): every
+    update's mean and covariance equal the frozen sigma_points path byte
+    for byte, for one belief and for a stack of runs."""
+    rng = np.random.Generator(np.random.Philox(key=2929))
+    model = (make(name, landmarks=models.LandmarkSet(rng.uniform(-6.0, 6.0, (16, 2))))
+             if name == "slam2d" else make(name))
+    retr = model.retraction()
+    truth, inputs, _ = simulate(model, 4, [5, 6, 7][:runs or 1])
+    belief = Belief(model.initial_mean, model.initial_cov)
+    if runs:
+        belief = Belief(retr.phi(model.initial_mean,
+                                 0.05 * rng.standard_normal((runs, retr.dim))),
+                        model.initial_cov * rng.uniform(0.5, 2.0, (runs, 1, 1)))
+    ref = belief
+    for n, u in enumerate(inputs, start=1):
+        belief = propagate(belief, u, model.f, model.Q, retr, model.alpha)
+        ref = propagate(ref, u, model.f, model.Q, retr, model.alpha)
+        y = model.h(truth[n] if runs else truth[n, 0])
+        belief = update(belief, y, model.h, model.R, retr, model.alpha)
+        ref = _update_through_sigma_points(ref, y, model.h, model.R, retr, model.alpha)
         assert belief.mean.tobytes() == ref.mean.tobytes()
         assert belief.cov.tobytes() == ref.cov.tobytes()
 
@@ -685,6 +790,19 @@ def test_filter_run_matches_kalman_trace():
     for b, (ex, eP) in zip(beliefs, expected):
         assert np.abs(b.mean - ex).max() < 1e-8
         assert np.abs(b.cov - eP).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["attitude3d", "inertial_nav"])
+def test_filter_run_takes_a_numpy_alpha(name):
+    """A 0-d array alpha is checked to a float before it keys the noise
+    cache: the run equals the float alpha's bit for bit."""
+    model = make(name)
+    truth, inputs, meas = simulate(model, 10, 3)
+    ref = filter_run(make(name, alpha=0.5), inputs, meas)
+    for alpha in (np.array(0.5), np.float64(0.5)):
+        run = filter_run(make(name, alpha=alpha), inputs, meas)
+        assert all(b.mean.tobytes() == r.mean.tobytes() and b.cov.tobytes() == r.cov.tobytes()
+                   for b, r in zip(run, ref))
 
 
 def test_filter_run_deterministic():
