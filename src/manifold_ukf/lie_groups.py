@@ -34,11 +34,15 @@ the cores.  _require_rotation forms C^T C from a contiguous copy of C^T,
 since numpy's matmul of a matrix with a transposed view of its own buffer
 takes a slower path; the product has the same bits.  Hot-path tests and sums
 call np.count_nonzero and np.add.reduce, not .any() and .sum().
+
+The package's argument rules live here: _floats for arrays, _check_int for
+counts, seeds and dimensions, _check_number for alpha, dt and check scales.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 from itertools import permutations
 
@@ -90,6 +94,32 @@ def _floats(x, what: str) -> np.ndarray:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise DimensionMismatch(f"{what} is not a numeric array: {x!r:.60}") from None
+
+
+def _check_int(n, what: str, low: int = 1) -> int:
+    """n as an int, or ValueError naming it `what` unless it is an integer
+    >= low: an int, a numpy integer or a 0-d integer array, not a bool."""
+    try:
+        value = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        value = None
+    if value is None or value < low:
+        kind = "positive, " if low == 1 else ""
+        raise ValueError(f"{what} must be {kind}an int >= {low}, got {n!r}")
+    return value
+
+
+def _check_number(x, what: str, error: type, top: float = 1.0) -> float:
+    """x as a float, or `error` naming it `what` unless it is a finite real
+    number in (0, top]; a bool, str or bytes is not a number."""
+    try:
+        value = math.nan if isinstance(x, (bool, np.bool_, str, bytes)) else float(x)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not 0.0 < value <= top or value == math.inf:
+        bound = f"lie in (0, {top:g}]" if top < math.inf else "be a finite number > 0"
+        raise error(f"{what} must {bound}, got {x!r}")
+    return value
 
 
 def rot_dim(d: int) -> int:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import lie_groups as lie
-from .errors import DimensionMismatch, NonFiniteState
+from .errors import DimensionMismatch, InvalidAlpha, NonFiniteState
 from .retraction import (
     Retraction,
     _mixed_parts,
@@ -37,7 +37,7 @@ from .retraction import (
     mixed_retraction,
     mixed_state,
 )
-from .sigma_core import Belief, _check_alpha, _check_count
+from .sigma_core import Belief
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -46,12 +46,12 @@ def _identity(state):
     return state
 
 
-def _omega(omega, width: int) -> np.ndarray:
-    """A built-in f's input as a float array, or DimensionMismatch naming
-    omega if it is not numeric or not (..., width)."""
-    omega = lie._floats(omega, "omega")
+def _omega(omega, width: int, what: str = "omega") -> np.ndarray:
+    """A built-in f's input or noise as a float array, or DimensionMismatch
+    naming it as `what` if it is not numeric or not (..., width)."""
+    omega = lie._floats(omega, what)
     if omega.shape[-1:] != (width,):
-        raise DimensionMismatch(f"omega must be (..., {width}), got {omega.shape}")
+        raise DimensionMismatch(f"{what} must be (..., {width}), got {omega.shape}")
     return omega
 
 
@@ -84,11 +84,12 @@ class ModelSpec:
     inputs(steps) returns the (steps, m) input sequence, row n - 1 driving
     step n; every run shares it.  state_to_vector maps a single state.
 
-    A ModelSpec checks itself when it is made: dt must be a finite number
-    > 0 and alpha lie in (0, 1] (ValueError, InvalidAlpha), measure_every
-    be an int >= 1 (ValueError; a bool is neither a dt nor a measure_every),
-    and Q, R and initial_cov be finite, square, symmetric positive
-    semidefinite matrices (NonPSDCovariance).
+    A ModelSpec checks itself when it is made, by the argument rules of
+    lie_groups: dt must be a finite number > 0 and alpha lie in (0, 1]
+    (ValueError, InvalidAlpha), measure_every be an int >= 1 (ValueError),
+    and Q, R and initial_cov be numeric (DimensionMismatch), finite, square,
+    symmetric positive semidefinite matrices (NonPSDCovariance).  A built-in
+    f checks the width of its noise w too, so a Q of the wrong size fails.
     """
 
     name: str
@@ -110,17 +111,11 @@ class ModelSpec:
     renormalize: Callable[[Any], Any] = _identity
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        try:  # a str or None does not compare with a number
-            bad_dt = isinstance(self.dt, (bool, np.bool_)) or not 0.0 < self.dt < math.inf
-        except TypeError:
-            bad_dt = True
-        if bad_dt:
-            raise ValueError(f"{self.name}: dt must be a finite number > 0, "
-                             f"got {self.dt!r}")
+        lie._check_number(self.alpha, "alpha", InvalidAlpha)
+        lie._check_number(self.dt, f"{self.name}: dt", ValueError, math.inf)
         for what in ("Q", "R", "initial_cov"):
             _psd_sqrt(getattr(self, what), f"{self.name} {what}")
-        _check_count(self.measure_every, "measure_every")
+        lie._check_int(self.measure_every, "measure_every")
 
     def retraction(self, name: Union[str, Retraction, None] = None) -> Retraction:
         """The retraction registered under name (None: the default one); a
@@ -182,7 +177,7 @@ class LandmarkSet:
 
 def _se2_odometry(state, omega, w):
     """Pose composed with the exponential of the noisy body increment."""
-    return state @ lie.exp_sek(_omega(omega, 3) + w, 2, 1)
+    return state @ lie.exp_sek(_omega(omega, 3) + _omega(w, 3, "w"), 2, 1)
 
 
 def _se2_position(state):
@@ -235,7 +230,7 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
 
 
 def _gyro_dynamics(dt, state, omega, w):
-    return state @ lie.exp_so3((_omega(omega, 3) + w) * dt)
+    return state @ lie.exp_so3((_omega(omega, 3) + _omega(w, 3, "w")) * dt)
 
 
 def _body_field_observation(gravity, mag_field, state):
@@ -298,7 +293,7 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
     """Strapdown step of extended poses (rotation, velocity, position).
     Inputs stack body-frame gyro rates and specific force; noise adds to both."""
-    omega = _omega(omega, 6)
+    omega, w = _omega(omega, 6), _omega(w, 6, "w")
     gyro, acc = omega[..., :3] + w[..., :3], omega[..., 3:6] + w[..., 3:6]
     C, v, p = _pose_parts(state)
     return _pose_join(C @ lie.exp_so3(gyro * dt),
@@ -463,9 +458,7 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
         raise DimensionMismatch(f"y_new must be a (2,) vector, got {y_new.shape}")
     if not np.isfinite(y_new).all():
         raise NonFiniteState("y_new must be finite")
-    _psd_sqrt(obs_cov, "obs_cov")
-    if obs_cov.shape != (2, 2):
-        raise DimensionMismatch(f"obs_cov must be (2, 2), got {obs_cov.shape}")
+    _psd_sqrt(obs_cov, "obs_cov", 2)
     state, P = belief.mean, belief.cov
     # size from the belief, not the retraction: repeated augmentation grows
     # the state past the dimension the retraction was built for, and the
@@ -504,6 +497,7 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
     pose, bias = _mixed_parts(5, state)
+    w = _omega(w, 12, "w")
     pose = _inertial_nav_dynamics(dt, gravity, pose, _omega(omega, 6) - bias, w[..., :6])
     bias = bias + w[..., 6:12]
     if pose.shape[:-2] != bias.shape[:-1]:  # one state and noise, a stack of inputs
@@ -569,7 +563,7 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
 
 def _lifted_sphere_dynamics(dt, state, omega, w):
     """World-frame rotation increment with a rotation-vector noise factor."""
-    return lie.exp_so3(_omega(omega, 3) * dt) @ lie.exp_so3(w) @ state
+    return lie.exp_so3(_omega(omega, 3) * dt) @ lie.exp_so3(_omega(w, 3, "w")) @ state
 
 
 def _sphere_point(lever, state):

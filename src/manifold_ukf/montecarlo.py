@@ -33,9 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import lie_groups as lie
 from .errors import ManifoldUkfError, SingularCovariance
 from .retraction import Retraction, _psd_sqrt
-from .sigma_core import _RENORM_EVERY, Belief, _check_count, _filter_steps, _solve, filter_run
+from .sigma_core import _RENORM_EVERY, Belief, _filter_steps, _solve, filter_run
 
 DIVERGENCE_NEES = 1e6
 _CHUNK = 128  # steps of beliefs a lockstep pass buffers per reduction
@@ -44,9 +45,9 @@ _CHUNK = 128  # steps of beliefs a lockstep pass buffers per reduction
 def simulate(model, steps: int, seed):
     """Sample one trajectory of the model per seed, all runs stepping together.
 
-    With one int seed, returns (truth, inputs, measurements): truth is one
-    (steps + 1, ...) array of states, row 0 the initial one, inputs is
-    model.inputs(steps) as returned, the (steps, m) array whose row n - 1
+    With one seed, an int >= 0, returns (truth, inputs, measurements): truth
+    is one (steps + 1, ...) array of states, row 0 the initial one, inputs
+    is model.inputs(steps) as returned, the (steps, m) array whose row n - 1
     drives step n, and measurements maps 1-based step indices to noisy
     observations on the model's schedule.  Identical arguments give
     identical output, whatever the platform's default RNG does.
@@ -59,14 +60,14 @@ def simulate(model, steps: int, seed):
     noise, then its measurement noise when one is due.  Run r is
     bit-identical to simulate(model, steps, seed[r]).
     """
-    steps = _check_count(steps, "steps")
+    steps = lie._check_int(steps, "steps")
     Lq = _psd_sqrt(model.Q)
     Lr = _psd_sqrt(model.R)
     q = Lq.shape[0]
     p = Lr.shape[0]
     lead = np.shape(seed)
     draws = steps * q + steps // model.measure_every * p
-    keys = seed if lead else [seed]
+    keys = [lie._check_int(s, "seed", 0) for s in (seed if lead else [seed])]
     z = np.array([np.random.Generator(np.random.Philox(key=s))
                   .standard_normal(draws) for s in keys])
     at = 0
@@ -229,12 +230,12 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
     Every variant sees the same simulated truth and measurements within a
     run.  Diverged runs (non-finite errors, NEES beyond 1e6, or a numerical
     failure inside the filter) are counted and excluded from RMSE / NEES
-    aggregates.  All reported metrics depend only on (model, retractions,
-    runs, seed, steps); the sigma-point spread is model.alpha.  `workers` is
-    accepted and has no effect: the runs of a variant share one lockstep
-    pass in this process.
+    aggregates, NaN if no run is valid.  All reported metrics depend only on
+    (model, retractions, runs, seed >= 0, steps); the sigma-point spread is
+    model.alpha.  `workers` is accepted and has no effect: the runs of a
+    variant share one lockstep pass in this process.
     """
-    runs = _check_count(runs, "runs")
+    runs, seed = lie._check_int(runs, "runs"), lie._check_int(seed, "seed", 0)
     retrs = [model.retraction(r) for r in retractions]
     if not retrs:
         raise ValueError("need at least one retraction to benchmark")
@@ -254,25 +255,16 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
         errors, values = _outcomes(model, retr, sim)
         wall = time.perf_counter() - t0
         good = (np.isfinite(errors).all(axis=(0, 2))
-                & np.isfinite(values).all(axis=0)
-                & (values.max(axis=0) <= DIVERGENCE_NEES))
-        diverged = runs - int(good.sum())
-        slices = retr.block_slices()
-        if good.any():
-            E = errors.transpose(1, 0, 2)[good]  # (valid, steps, dim)
-            N = values.T[good]                    # (valid, steps)
-            rmse = {
-                lbl: np.sqrt(np.mean(np.sum(E[:, :, slices[lbl]] ** 2, axis=2),
-                                     axis=0))
-                for lbl, _ in retr.blocks
-            }
-            mean_nees = N.mean(axis=0)
-        else:
-            rmse = {lbl: np.full(steps, np.nan) for lbl, _ in retr.blocks}
-            mean_nees = np.full(steps, np.nan)
+                & (values.max(axis=0) <= DIVERGENCE_NEES))  # so does a NaN NEES
+        valid = int(good.sum())
+        E = errors.transpose(1, 0, 2)[good]  # (valid, steps, dim)
+        with np.errstate(invalid="ignore"):  # no valid run: 0 / 0 is NaN
+            rmse = {lbl: np.sqrt(np.add.reduce(np.sum(E[..., span] ** 2, axis=2), 0) / valid)
+                    for lbl, span in retr.block_slices().items()}
+            mean_nees = np.add.reduce(values.T[good], axis=0) / valid
         filters.append(FilterReport(
             name=retr.name, rmse=rmse, mean_nees=mean_nees,
-            diverged=diverged, valid_runs=runs - diverged, wall_clock_s=wall,
+            diverged=runs - valid, valid_runs=valid, wall_clock_s=wall,
         ))
 
     return BenchmarkReport(

@@ -53,7 +53,7 @@ from .errors import DimensionMismatch, NonFiniteState, NonPSDCovariance
 
 @dataclass(frozen=True)
 class Retraction:
-    """A phi / phi_inv pair over a fixed tangent dimension.
+    """A phi / phi_inv pair over a fixed tangent dimension, an int >= 1.
 
     phi(state, xi) and phi_inv(ref, state) broadcast over leading axes: with
     xi of shape (N, dim) phi returns N states, and phi_inv returns (N, dim)
@@ -81,16 +81,15 @@ class Retraction:
     moved: Optional[int] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", lie._check_int(self.dim, "dim"))
         if not self.blocks:
             object.__setattr__(self, "blocks", (("xi", self.dim),))
         if sum(width for _, width in self.blocks) != self.dim:
             raise ValueError("block widths must sum to the tangent dimension")
-        moved = self.moved
-        if moved is not None and (
-                isinstance(moved, bool) or not isinstance(moved, (int, np.integer))
-                or moved < 1 or moved not in accumulate(w for _, w in self.blocks)):
+        ends = accumulate(width for _, width in self.blocks)
+        if self.moved is not None and lie._check_int(self.moved, "moved") not in ends:
             raise ValueError(f"moved must be an int in [1, {self.dim}] that ends "
-                             f"a block, got {moved!r}")
+                             f"a block, got {self.moved!r}")
 
     def block_slices(self):
         out = {}
@@ -154,9 +153,12 @@ _COLUMN_LABELS = {0: (), 1: ("pos",), 2: ("vel", "pos")}
 
 def group_retraction(d: int, k: int, side: str = "left") -> Retraction:
     """SE_k(d) (SO(d) for k = 0), named after the group and the side, e.g.
-    so3_left, se2_right or se23_left."""
+    so3_left, se2_right or se23_left.  k must be an int >= 0 and d an int
+    >= 2 (ValueError) that is 2 or 3 (DimensionMismatch)."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    d, k = lie._check_int(d, "d", 2), lie._check_int(k, "k", 0)
+    lie._check_d(d)
     family = f"so{d}" if k == 0 else f"se{d}" if k == 1 else f"se{k}{d}"
     columns = _COLUMN_LABELS.get(k, tuple(f"t{i}" for i in range(1, k + 1)))
     return Retraction(
@@ -303,19 +305,19 @@ def covariance_retrieval(R_hat, L, P):
     lie._require_rotation(R_hat, 3)
     if L.shape != (3,):
         raise DimensionMismatch(f"L must be (3,), got {L.shape}")
-    _psd_sqrt(P, "P")
-    if P.shape != (3, 3):
-        raise DimensionMismatch(f"P must be (3, 3), got {P.shape}")
+    _psd_sqrt(P, "P", 3)
     x = R_hat @ L
     A = -lie.wedge_so3(x)
     return x, A @ P @ A.T
 
 
-def _psd_sqrt(M, what: str = "covariance") -> np.ndarray:
+def _psd_sqrt(M, what: str = "covariance", size: Optional[int] = None) -> np.ndarray:
     """A factor L with L @ L.T == M of a symmetric positive semidefinite M.
-    NonPSDCovariance, naming M as `what`, if M is not square, holds NaN or
-    inf, is asymmetric beyond 1e-9 or has an eigenvalue below -1e-9."""
-    M = np.asarray(M, dtype=float)
+    DimensionMismatch, naming M as `what`, if M is not numeric or, with a
+    size given, after the PSD checks, not (size, size); NonPSDCovariance if
+    it is not square, holds NaN or inf, is asymmetric beyond 1e-9 or has an
+    eigenvalue below -1e-9."""
+    M = lie._floats(M, what)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonPSDCovariance(f"{what} must be square, got {M.shape}")
     if not np.isfinite(M).all():
@@ -325,6 +327,8 @@ def _psd_sqrt(M, what: str = "covariance") -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     if (vals < -1e-9).any():
         raise NonPSDCovariance(f"{what} has an eigenvalue below -1e-9")
+    if size is not None and M.shape != (size, size):
+        raise DimensionMismatch(f"{what} must be ({size}, {size}), got {M.shape}")
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
@@ -355,16 +359,13 @@ def check_retraction(retraction: Retraction, state,
     The central-difference Jacobian at zero of xi -> phi_inv(state,
     phi(state, xi)), over the 2 dim points +-1e-5 e_j, must match the
     identity within 1e-6.  All points go through one phi and one phi_inv
-    call.  No epsilons, or an eps that is not in (0, 1], NaN and inf
-    included, raises ValueError: past 1 a rotation can wrap past pi and
-    still pass.
+    call.  No epsilons, or an eps that is not a number in (0, 1] (NaN, inf,
+    a bool or a str included), raises ValueError: past 1 a rotation can
+    wrap past pi and still pass.
     """
-    epsilons = [float(eps) for eps in epsilons]
+    epsilons = [lie._check_number(eps, "epsilons", ValueError) for eps in epsilons]
     if not epsilons:
         raise ValueError("no epsilons given")
-    for eps in epsilons:
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"epsilons must lie in (0, 1], got {eps}")
     d, step = retraction.dim, 1e-5
     dirs = np.random.Generator(np.random.Philox(key=0)).standard_normal((8, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -77,27 +77,8 @@ class SigmaWeights:
 
 
 def set_weights(n: int, alpha: float) -> SigmaWeights:
-    return _weights(_check_count(n, "dimension"), _check_alpha(alpha))
-
-
-def _check_count(n, what: str) -> int:
-    """n as an int, or ValueError naming it `what` unless an int >= 1 (not a bool)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{what} must be positive, an int >= 1, got {n!r}")
-    return int(n)
-
-
-def _check_alpha(alpha) -> float:
-    """alpha as a float, or InvalidAlpha if it is not a number in (0, 1]
-    (a bool or a str is not a number)."""
-    try:
-        bad = isinstance(alpha, (bool, np.bool_, str, bytes))
-        value = float("nan") if bad else float(alpha)
-    except (TypeError, ValueError):
-        value = float("nan")
-    if not 0.0 < value <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in (0, 1], got {alpha}")
-    return value
+    return _weights(lie._check_int(n, "dimension"),
+                    lie._check_number(alpha, "alpha", InvalidAlpha))
 
 
 @lru_cache(maxsize=64)
@@ -265,7 +246,7 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     runtime (augment_landmark) keeps filtering; a width the retraction's
     factors cannot take raises DimensionMismatch.
     """
-    Q, alpha = lie._floats(Q, "Q"), _check_alpha(alpha)
+    Q, alpha = lie._floats(Q, "Q"), lie._check_number(alpha, "alpha", InvalidAlpha)
     d = belief.dim
     a = retraction.moved or d
     lead = belief.cov.shape[:-2]

@@ -1,14 +1,30 @@
 """The public surface is what the README documents or the package uses: an
-export that only the tests call would fail here."""
+export that only the tests call would fail here.  Every count, seed or
+dimension passes one integer rule and every spread, step or scale one
+number rule, so each boundary refuses the same bad values with its own
+error class."""
 
 import ast
+import math
 import re
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import manifold_ukf as mu
+from manifold_ukf.errors import DimensionMismatch, InvalidAlpha
+from manifold_ukf.models import make
+from manifold_ukf.montecarlo import benchmark, simulate
+from manifold_ukf.retraction import (
+    Retraction,
+    check_retraction,
+    group_retraction,
+    mixed_retraction,
+)
+from manifold_ukf.sigma_core import Belief, propagate, set_weights
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,3 +89,91 @@ def test_readme_python_blocks_run():
     model = namespace["model"]
     assert namespace["belief"].dim == model.initial_cov.shape[0] + 2
     assert namespace["h"](np.ones((4, 2))).shape == (4, 1)
+
+
+def _propagate(alpha):
+    m = make("attitude3d")
+    return propagate(Belief(m.initial_mean, m.initial_cov), m.inputs(1)[0], m.f, m.Q,
+                     m.retraction(), alpha)
+
+
+# integer rule: the argument's name, its least value, a value it takes and
+# the call with `v` in its place
+INT_RULE = {
+    "set_weights-n": ("dimension", 1, 3, lambda v: set_weights(v, 0.5)),
+    "simulate-steps": ("steps", 1, 2, lambda v: simulate(make("attitude3d"), v, 0)),
+    "simulate-seed": ("seed", 0, 1, lambda v: simulate(make("attitude3d"), 2, v)),
+    "benchmark-runs": ("runs", 1, 1, lambda v: benchmark(
+        make("attitude3d"), ["so3_left"], runs=v, seed=0, steps=2)),
+    "benchmark-seed": ("seed", 0, 1, lambda v: benchmark(
+        make("attitude3d"), ["so3_left"], runs=1, seed=v, steps=2)),
+    "ModelSpec-measure_every": ("measure_every", 1, 2, lambda v: replace(
+        make("attitude3d"), measure_every=v)),
+    "Retraction-dim": ("dim", 1, 3, lambda v: Retraction("r", v, None, None)),
+    "Retraction-moved": ("moved", 1, 3, lambda v: replace(  # blocks 1, 2, 4
+        mixed_retraction(2, 1, 4, "right", "landmarks"), moved=v)),
+    "group_retraction-d": ("d", 2, 3, lambda v: group_retraction(v, 1)),
+    "group_retraction-k": ("k", 0, 1, lambda v: group_retraction(3, v)),
+}
+
+# number rule: the argument's name, its error class and the call
+NUMBER_RULE = {
+    "set_weights-alpha": ("alpha", InvalidAlpha, lambda v: set_weights(3, v)),
+    "propagate-alpha": ("alpha", InvalidAlpha, _propagate),
+    "ModelSpec-alpha": ("alpha", InvalidAlpha, lambda v: replace(
+        make("attitude3d"), alpha=v)),
+    "ModelSpec-dt": ("dt", ValueError, lambda v: replace(make("attitude3d"), dt=v)),
+    "check_retraction-epsilons": ("epsilons", ValueError, lambda v: check_retraction(
+        group_retraction(3, 0), np.eye(3), (v,))),
+}
+
+NOT_NUMBERS = [True, np.True_, "0.5", b"0.5", None, math.nan, math.inf,
+               np.array([0.5, 0.5])]
+
+
+def _refused():
+    """(name, error class, call, value) for each boundary and bad value:
+    the integer rule also refuses 2.5 and every int below its bound."""
+    for name, (what, low, _, call) in INT_RULE.items():
+        for v in NOT_NUMBERS + [2.5, *range(-1, low)]:
+            if not (name == "Retraction-moved" and v is None):  # None: all move
+                yield pytest.param(what, ValueError, call, v, id=f"{name}-{v!r}")
+    for name, (what, error, call) in NUMBER_RULE.items():
+        for v in NOT_NUMBERS + [0, -1]:
+            yield pytest.param(what, error, call, v, id=f"{name}-{v!r}")
+
+
+@pytest.mark.parametrize("what, error, call, value", _refused())
+def test_every_boundary_refuses_what_its_rule_refuses(what, error, call, value):
+    """A bool, a str or bytes, None, NaN, inf, an array or a value below
+    the bound is refused with the boundary's error class, naming the
+    argument, and is not taken as 1, truncated or passed on to numpy."""
+    with pytest.raises(error, match=f"{what} must"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", [*INT_RULE, *NUMBER_RULE])
+def test_every_boundary_takes_numpy_scalars_and_0d_arrays(name):
+    if name in INT_RULE:
+        _, _, good, call = INT_RULE[name]
+        values = (np.int64(good), np.array(good))
+    else:
+        call = NUMBER_RULE[name][2]
+        values = (np.float64(0.5), np.array(0.5))
+    for value in values:
+        call(value)
+
+
+def test_each_seed_of_a_sequence_passes_the_integer_rule():
+    """A sequence of seeds is checked seed by seed; an int array is one."""
+    m = make("attitude3d")
+    for seeds in ([1.5, 2], [1, True], [0, -1], ["1", 2]):
+        with pytest.raises(ValueError, match="seed must"):
+            simulate(m, 2, seeds)
+    ref = simulate(m, 2, [1, 2])
+    assert np.array_equal(simulate(m, 2, np.array([1, 2]))[0], ref[0])
+
+
+def test_group_retraction_checks_its_rotation_block_when_built():
+    with pytest.raises(DimensionMismatch, match="must be 2 or 3"):
+        group_retraction(4, 0)

@@ -12,13 +12,14 @@ from manifold_ukf import lie_groups as lie
 from manifold_ukf import models
 from manifold_ukf.errors import (
     DimensionMismatch,
+    FilterStepError,
     InvalidAlpha,
     NonFiniteState,
     NonPSDCovariance,
 )
 from manifold_ukf.models import LandmarkSet, ModelSpec, augment_landmark, make
 from manifold_ukf.retraction import _mixed_parts, mixed_state
-from manifold_ukf.sigma_core import Belief, propagate, update
+from manifold_ukf.sigma_core import Belief, filter_run, propagate, update
 
 from oracles import matrix_exp_series
 
@@ -492,6 +493,27 @@ def test_spec_rejects_a_bool_or_a_non_number(field, value):
     the comparison."""
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(make("localization2d"), **{field: value})
+
+
+@pytest.mark.parametrize("field", ["Q", "R", "initial_cov"])
+def test_spec_names_a_covariance_that_is_not_numeric(field):
+    with pytest.raises(DimensionMismatch, match=f"^localization2d {field} is not a numeric"):
+        dataclasses.replace(make("localization2d"), **{field: "abc"})
+
+
+@pytest.mark.parametrize("name", models.example_names())
+@pytest.mark.parametrize("extra", [None, -1, 1], ids=["empty", "one-short", "one-more"])
+def test_builtin_f_names_a_noise_of_the_wrong_width(name, extra):
+    """A Q of the wrong size fails the first step on the noise w, not with
+    numpy's broadcast error, and its extra variance is not dropped."""
+    model = make(name)
+    q = 0 if extra is None else model.Q.shape[0] + extra
+    spec = dataclasses.replace(model, Q=0.01 * np.eye(q))
+    with pytest.raises(FilterStepError) as info:
+        filter_run(spec, model.inputs(2))
+    assert info.value.step == 1
+    assert isinstance(info.value.cause, DimensionMismatch)
+    assert str(info.value.cause).startswith("w must be (..., ")
 
 
 @pytest.mark.parametrize("name,m", [

@@ -1,9 +1,11 @@
 """Simulation determinism, metric aggregation and benchmark reproducibility."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,8 +178,10 @@ mu.filter_run(model, inputs, measurements)
 mu.benchmark(model, ["so3_left"], runs=2, seed=0, steps=20)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.stdout.strip() == "[]"
 
 
