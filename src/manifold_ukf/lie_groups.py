@@ -25,15 +25,19 @@ axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
 are chosen per element, and one bad element of a stack fails the call.
 
 inverse and log_sek check their input with _square and _require_group
-before any arithmetic, log_so3 and log_so2 check the rotation, and each then
-calls one private unchecked core (_inverse, _log_sek, _log_so3, _log_so2).
-The group phi_inv in retraction checks its ref and states with
-_require_pair, as inverse(ref) and then inverse(state) would, and then calls
-the cores.  The near-pi check of the logs needs the angles, so it stays in
-the cores.  _require_rotation forms C^T C from a contiguous copy of C^T,
-since numpy's matmul of a matrix with a transposed view of its own buffer
-takes a slower path; the product has the same bits.  Hot-path tests and sums
-call np.count_nonzero and np.add.reduce, not .any() and .sum().
+before any arithmetic, log_so3 and log_so2 check the rotation, exp_so3 and
+exp_sek convert theirs, and each then calls one private unchecked core
+(_inverse, _log_sek, _log_so3, _log_so2, _exp_so3, _exp_sek; _exp_sek still
+checks the tangent width).  The group phi_inv in retraction checks its ref
+and states with _require_pair, as inverse(ref) and then inverse(state)
+would, the group phi and the built-in dynamics check their arguments
+themselves, and all call the cores.  The near-pi check of the logs needs
+the angles, so it stays in the cores.  _require_rotation forms C^T C from a
+contiguous copy of C^T, since numpy's matmul of a matrix with a transposed
+view of its own buffer takes a slower path; the product has the same bits.
+Hot-path tests call _count_nonzero, numpy's C count_nonzero without
+np.count_nonzero's two Python frames (private API, pinned by
+test_lie_groups), and sums call np.add.reduce, not .any() and .sum().
 
 The package's argument rules live here: _floats for arrays, _check_int for
 counts, seeds and dimensions, _check_number for alpha, dt and check scales.
@@ -47,6 +51,7 @@ from functools import cache
 from itertools import permutations
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from .errors import (
     DimensionMismatch,
@@ -111,9 +116,9 @@ def _check_int(n, what: str, low: int = 1) -> int:
 
 def _check_number(x, what: str, error: type, top: float = 1.0) -> float:
     """x as a float, or `error` naming it `what` unless it is a finite real
-    number in (0, top]; a bool, str or bytes is not a number."""
+    number in (0, top]; a bool, str, bytes or complex value is not one."""
     try:
-        value = math.nan if isinstance(x, (bool, np.bool_, str, bytes)) else float(x)
+        value = float(x) if np.asarray(x).dtype.kind in "iuf" else math.nan
     except (TypeError, ValueError):
         value = math.nan
     if not 0.0 < value <= top or value == math.inf:
@@ -136,12 +141,17 @@ def tangent_dim(d: int, k: int) -> int:
 # so(2) / so(3)
 
 
-def wedge_so3(omega) -> np.ndarray:
-    """Skew matrices of (..., 3) vectors: wedge(omega) @ v == cross(omega, v)."""
+def _so3_vectors(omega) -> np.ndarray:
+    """omega as (..., 3) float vectors, or DimensionMismatch."""
     omega = _floats(omega, "omega")
     if omega.shape[-1:] != (3,):
         raise DimensionMismatch(f"expected (..., 3) vectors, got shape {omega.shape}")
-    return omega[..., _WEDGE_IDX] * _WEDGE_SIGN
+    return omega
+
+
+def wedge_so3(omega) -> np.ndarray:
+    """Skew matrices of (..., 3) vectors: wedge(omega) @ v == cross(omega, v)."""
+    return _so3_vectors(omega)[..., _WEDGE_IDX] * _WEDGE_SIGN
 
 
 def _rot2(c, s) -> np.ndarray:
@@ -186,9 +196,9 @@ def _small_angle(x, small, coeffs):
     coeffs(x, series=True) take over, and the closed forms see x = 1 there,
     so they never divide by zero.  The series run only if some element is
     small, and once, on the float 0.0, if every small element is +-0.0."""
-    if not np.count_nonzero(small):
+    if not _count_nonzero(small):
         return coeffs(x)
-    series = coeffs(x if np.count_nonzero(x[small]) else 0.0, series=True)
+    series = coeffs(x if _count_nonzero(x[small]) else 0.0, series=True)
     return [np.where(small, s, c) for c, s in zip(coeffs(np.where(small, 1.0, x)), series)]
 
 
@@ -227,9 +237,9 @@ def _so3_coeffs(theta2, coeffs):
 
 
 def _so3_parts(omega):
-    """wedge(omega), its square and theta^2 = |omega|^2 as (..., 1, 1)."""
-    omega = _floats(omega, "omega")
-    W = wedge_so3(omega)
+    """wedge(omega), its square and theta^2 = |omega|^2 as (..., 1, 1) of
+    (..., 3) float vectors."""
+    W = omega[..., _WEDGE_IDX] * _WEDGE_SIGN
     return W, W @ W, np.add.reduce(omega * omega, axis=-1)[..., None, None]
 
 
@@ -241,6 +251,11 @@ def _quadratic(W, WW, a, b) -> np.ndarray:
 
 def exp_so3(omega) -> np.ndarray:
     """Rodrigues formula with a Taylor branch below the small-angle cutoff."""
+    return _exp_so3(_so3_vectors(omega))
+
+
+def _exp_so3(omega):
+    """exp_so3 of (..., 3) float vectors, checked already."""
     W, WW, theta2 = _so3_parts(omega)
     return _quadratic(W, WW, *_so3_coeffs(theta2, _sinc_cosc))
 
@@ -284,19 +299,19 @@ def log_so3(C) -> np.ndarray:
     return _log_so3(C)[0]
 
 
+@np.errstate(invalid="ignore", over="ignore")  # built once, entered per call
 def _require_rotation(C, d):
     if C.shape[-2:] != (d, d):
         raise DimensionMismatch(f"expected (..., {d}, {d}) matrices, got {C.shape}")
     # Ct: see the module docstring.  Counting "<=" and the errstate: NaN and
-    # inf entries fail too, and here, not as a numpy warning from the product
+    # inf entries fail too, and here, not as a numpy warning from a product
     Ct = np.ascontiguousarray(C.swapaxes(-1, -2))
-    with np.errstate(invalid="ignore", over="ignore"):
-        gap = Ct @ C - _eye(d)
-    if np.count_nonzero(np.abs(gap) <= _ROT_TOL) != gap.size:
+    gap = Ct @ C - _eye(d)
+    if _count_nonzero(np.abs(gap) <= _ROT_TOL) != gap.size:
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
     rows, perms, signs = _det_terms(d)
     det = Ct[..., rows, perms].prod(axis=-1) @ signs
-    if np.count_nonzero(np.abs(det - 1.0) <= _ROT_TOL) != det.size:
+    if _count_nonzero(np.abs(det - 1.0) <= _ROT_TOL) != det.size:
         raise NotARotation("matrix determinant is not +1 within 1e-9")
 
 
@@ -317,13 +332,13 @@ def polar_project(R) -> np.ndarray:
 
 
 def left_jacobian_so3(omega) -> np.ndarray:
-    W, WW, theta2 = _so3_parts(omega)
+    W, WW, theta2 = _so3_parts(_so3_vectors(omega))
     return _quadratic(W, WW, *_so3_coeffs(theta2, _sinc_cosc_sinc3)[1:])
 
 
 def inv_left_jacobian_so3(omega) -> np.ndarray:
     # Valid for angles below pi; the log never produces larger ones.
-    W, WW, theta2 = _so3_parts(omega)
+    W, WW, theta2 = _so3_parts(_so3_vectors(omega))
     return _quadratic(W, WW, -0.5, *_so3_coeffs(theta2, _cotc))
 
 
@@ -373,10 +388,10 @@ def _require_group(X, d) -> np.ndarray:
     n = X.shape[-1]
     # The bottom rows, from flat entry d n on, are [0 I] exactly: group
     # operations keep them bit for bit, so a deviation means a wrongly built X.
-    if n > d and np.count_nonzero(_flat(X)[..., d * n:] != _eye(n).ravel()[d * n:]):
+    if n > d and _count_nonzero(_flat(X)[..., d * n:] != _eye(n).ravel()[d * n:]):
         raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
     _require_rotation(X[..., :d, :d], d)
-    if n > d and np.count_nonzero(np.isfinite(X)) != X.size:  # only translations left
+    if n > d and _count_nonzero(np.isfinite(X)) != X.size:  # only translations left
         raise NonFiniteState("translation columns hold NaN or inf")
     return X
 
@@ -412,17 +427,21 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
     wedge)."""
     xi = _floats(xi, "xi")
     _check_d(d)
+    return _exp_sek(xi, d, k)
+
+
+def _exp_sek(xi, d, k):
+    """exp_sek of float tangent vectors; it checks only their width."""
     if xi.shape[-1] != tangent_dim(d, k):
         raise DimensionMismatch(
             f"tangent vector of length {xi.shape[-1]} does not match SE_{k}({d})")
     rot = xi[..., :3] if d == 3 else xi[..., 0]
     if k == 0:
-        return exp_so3(rot) if d == 3 else exp_so2(rot)
+        return _exp_so3(rot) if d == 3 else _rot2(np.cos(rot), np.sin(rot))
     if d == 3:  # R and J in one pass: (sinc, cosc) and (cosc, sinc3)
-        W = rot[..., _WEDGE_IDX] * _WEDGE_SIGN
-        theta2 = np.add.reduce(rot * rot, axis=-1)[..., None, None]
+        W, WW, theta2 = _so3_parts(rot)
         S = np.array(_so3_coeffs(theta2, _sinc_cosc_sinc3))
-        R, J = _quadratic(W, W @ W, S[:2], S[1:])
+        R, J = _quadratic(W, WW, S[:2], S[1:])
     else:
         c, s = np.cos(rot), np.sin(rot)
         R = _rot2(c, s)

@@ -177,7 +177,7 @@ class LandmarkSet:
 
 def _se2_odometry(state, omega, w):
     """Pose composed with the exponential of the noisy body increment."""
-    return state @ lie.exp_sek(_omega(omega, 3) + _omega(w, 3, "w"), 2, 1)
+    return state @ lie._exp_sek(_omega(omega, 3) + _omega(w, 3, "w"), 2, 1)
 
 
 def _se2_position(state):
@@ -230,7 +230,7 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
 
 
 def _gyro_dynamics(dt, state, omega, w):
-    return state @ lie.exp_so3((_omega(omega, 3) + _omega(w, 3, "w")) * dt)
+    return state @ lie._exp_so3((_omega(omega, 3) + _omega(w, 3, "w")) * dt)
 
 
 def _body_field_observation(gravity, mag_field, state):
@@ -296,7 +296,7 @@ def _inertial_nav_dynamics(dt, gravity, state, omega, w):
     omega, w = _omega(omega, 6), _omega(w, 6, "w")
     gyro, acc = omega[..., :3] + w[..., :3], omega[..., 3:6] + w[..., 3:6]
     C, v, p = _pose_parts(state)
-    return _pose_join(C @ lie.exp_so3(gyro * dt),
+    return _pose_join(C @ lie._exp_so3(gyro * dt),
                       v + ((C @ acc[..., None])[..., 0] + gravity) * dt, p + v * dt)
 
 
@@ -563,7 +563,7 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
 
 def _lifted_sphere_dynamics(dt, state, omega, w):
     """World-frame rotation increment with a rotation-vector noise factor."""
-    return lie.exp_so3(_omega(omega, 3) * dt) @ lie.exp_so3(_omega(w, 3, "w")) @ state
+    return lie._exp_so3(_omega(omega, 3) * dt) @ lie._exp_so3(_omega(w, 3, "w")) @ state
 
 
 def _sphere_point(lever, state):

@@ -65,7 +65,10 @@ def simulate(model, steps: int, seed):
     Lr = _psd_sqrt(model.R)
     q = Lq.shape[0]
     p = Lr.shape[0]
-    lead = np.shape(seed)
+    try:
+        lead = np.shape(seed)
+    except ValueError:
+        raise ValueError(f"seed must be an int >= 0 or a sequence of them, got {seed!r}") from None
     draws = steps * q + steps // model.measure_every * p
     keys = [lie._check_int(s, "seed", 0) for s in (seed if lead else [seed])]
     z = np.array([np.random.Generator(np.random.Philox(key=s))

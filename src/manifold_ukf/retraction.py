@@ -129,8 +129,9 @@ def _broadcast_error(first, a, second, b, factor_error=None):
 
 
 def _phi_group(state, xi, d, side):
+    """state @ exp(xi) or exp(xi) @ state; group_retraction checked d."""
     state = lie._floats(state, "state")
-    G = lie.exp_sek(xi, d, state.shape[-1] - d)
+    G = lie._exp_sek(lie._floats(xi, "xi"), d, state.shape[-1] - d)
     try:
         return state @ G if side == "left" else G @ state
     except ValueError:
@@ -144,7 +145,7 @@ def _phi_inv_group(ref, state, d, side):
     inv_ref = lie._inverse(ref, d)
     xi = lie._log_sek(inv_ref @ state if side == "left" else state @ inv_ref, d)
     same = np.logical_and.reduce(lie._flat(ref) == lie._flat(state), -1)  # map to exact zeros
-    return np.where(same[..., None], 0.0, xi) if np.count_nonzero(same) else xi
+    return np.where(same[..., None], 0.0, xi) if lie._count_nonzero(same) else xi
 
 
 # block labels of the k translation-like columns of SE_k(d)
@@ -188,7 +189,7 @@ def _phi_inv_euclid(ref, state):
         out = state - ref
     except ValueError:
         raise _broadcast_error("states", state, "a ref", ref) from None
-    if np.count_nonzero(np.isfinite(out)) != out.size:
+    if lie._count_nonzero(np.isfinite(out)) != out.size:
         raise NonFiniteState("Euclidean state or reference is not finite")
     return out
 
@@ -363,7 +364,10 @@ def check_retraction(retraction: Retraction, state,
     a bool or a str included), raises ValueError: past 1 a rotation can
     wrap past pi and still pass.
     """
-    epsilons = [lie._check_number(eps, "epsilons", ValueError) for eps in epsilons]
+    try:
+        epsilons = [lie._check_number(eps, "epsilons", ValueError) for eps in epsilons]
+    except TypeError:
+        raise ValueError(f"epsilons must be a sequence of numbers, got {epsilons!r}") from None
     if not epsilons:
         raise ValueError("no epsilons given")
     d, step = retraction.dim, 1e-5

@@ -119,7 +119,7 @@ def _columns(P, lam: float) -> np.ndarray:
     P = lie._floats(P, "P")
     if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
         raise DimensionMismatch(f"P must be square, (..., n, n), got shape {P.shape}")
-    if np.count_nonzero(np.isfinite(P)) != P.size:
+    if lie._count_nonzero(np.isfinite(P)) != P.size:
         raise NonPSDCovariance("P holds NaN or inf")
     n = P.shape[-1]
     scale = lam + n
@@ -163,7 +163,7 @@ def _noise_points(Q_bytes: bytes, shape: tuple, alpha: float, head: int,
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionMismatch(f"Q must be square, (q, q), got shape {shape}")
     Q = np.frombuffer(Q_bytes).reshape(shape)
-    if np.count_nonzero(np.isfinite(Q)) != Q.size:
+    if lie._count_nonzero(np.isfinite(Q)) != Q.size:
         raise NonPSDCovariance("Q holds NaN or inf")
     w = set_weights(shape[0], alpha) if Q.any() else None
     points = sigma_points(Q, w.lam) if w else np.empty((0, shape[0]))
@@ -295,9 +295,9 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     dys = ys - y_bar
     S = (w.w_0c * (dy0[..., :, None] * dy0[..., None, :])
          + w.w_j * _gram(dys, dys) + R)
-    if np.count_nonzero(np.isfinite(S)) != S.size:  # LAPACK factors NaN
+    if lie._count_nonzero(np.isfinite(S)) != S.size:  # LAPACK factors NaN
         raise SingularInnovationCovariance("innovation covariance holds NaN or inf")
-    if np.count_nonzero(np.isfinite(y)) != y.size:  # y_bar is finite once S is
+    if lie._count_nonzero(np.isfinite(y)) != y.size:  # y_bar is finite once S is
         raise NonFiniteState("measurement y holds NaN or inf")
     K = _gain(S, w.w_j * _gram(xis, dys))
 

@@ -128,7 +128,8 @@ NUMBER_RULE = {
 }
 
 NOT_NUMBERS = [True, np.True_, "0.5", b"0.5", None, math.nan, math.inf,
-               np.array([0.5, 0.5])]
+               np.array([0.5, 0.5]), np.array("0.5"), np.array(b"0.5"),
+               np.complex128(0.5 + 1j)]
 
 
 def _refused():
@@ -145,9 +146,10 @@ def _refused():
 
 @pytest.mark.parametrize("what, error, call, value", _refused())
 def test_every_boundary_refuses_what_its_rule_refuses(what, error, call, value):
-    """A bool, a str or bytes, None, NaN, inf, an array or a value below
-    the bound is refused with the boundary's error class, naming the
-    argument, and is not taken as 1, truncated or passed on to numpy."""
+    """A bool, a str or bytes (numpy's 0-d ones included), a complex value,
+    None, NaN, inf, an array or a value below the bound is refused with the
+    boundary's error class, naming the argument, and is not taken as 1,
+    truncated, parsed or passed on to numpy."""
     with pytest.raises(error, match=f"{what} must"):
         call(value)
 
@@ -159,9 +161,20 @@ def test_every_boundary_takes_numpy_scalars_and_0d_arrays(name):
         values = (np.int64(good), np.array(good))
     else:
         call = NUMBER_RULE[name][2]
-        values = (np.float64(0.5), np.array(0.5))
+        values = (np.float64(0.5), np.float32(0.5), np.array(0.5))
     for value in values:
         call(value)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("epsilons", lambda: check_retraction(group_retraction(3, 0), np.eye(3), None)),
+    ("seed", lambda: simulate(make("attitude3d"), 2, [1, [2, 3]])),
+], ids=["check_retraction-epsilons-None", "simulate-seed-ragged"])
+def test_a_malformed_container_is_refused_naming_it(what, call):
+    """Not a raw TypeError from iterating None, nor numpy's ValueError from
+    the shape of a ragged list."""
+    with pytest.raises(ValueError, match=f"^{what} must be .* sequence of"):
+        call()
 
 
 def test_each_seed_of_a_sequence_passes_the_integer_rule():

@@ -5,6 +5,7 @@ power-series exponential in oracles.py and frozen here as literals.
 """
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from manifold_ukf.errors import (
 )
 
 from manifold_ukf.models import augment_landmark, example_names, make
-from manifold_ukf.retraction import covariance_retrieval, mixed_state
+from manifold_ukf.retraction import covariance_retrieval, group_retraction, mixed_state
 from manifold_ukf.sigma_core import Belief, propagate, sigma_points, update
 
 from oracles import (
@@ -392,6 +393,52 @@ def test_rotation_check_passes_an_empty_stack():
     assert lie.log_sek(np.empty((0, 5, 5)), 3).shape == (0, 9)
 
 
+_NEAR_PI_3 = [[math.pi - 1e-7, 0.0, 0.0], [0.0, -3.1, 1e-3], [-0.0, 0.0, 0.0]]
+_NEAR_PI_2 = [[math.pi - 1e-9], [-3.14], [-0.0]]
+
+
+def _exp_core_cases():
+    """(label, public, core, stack): _tangent_stacks and stacks with angles
+    near pi, each also with a leading run axis of two runs."""
+    cases = []
+    for d, near_pi in ((2, _NEAR_PI_2), (3, _NEAR_PI_3)):
+        for k in (0, 1, 2):
+            trans = np.linspace(-1.0, 1.0, len(near_pi) * k * d).reshape(len(near_pi), -1)
+            for stack in _tangent_stacks(d, k) + [np.hstack([near_pi, trans])]:
+                cases.append((f"exp_sek({d},{k})", lambda xi, d=d, k=k: lie.exp_sek(xi, d, k),
+                              lambda xi, d=d, k=k: lie._exp_sek(xi, d, k), stack))
+                if k == 0:
+                    public = lie.exp_so3 if d == 3 else (lambda xi: lie.exp_so2(xi[..., 0]))
+                    cases.append((f"exp_so{d}", public, cases[-1][2], stack))
+    for stack in _rotation_stacks(3) + [np.array(_NEAR_PI_3)]:
+        cases.append(("_exp_so3", lie.exp_so3, lie._exp_so3, stack))
+    return [(label, public, core, runs) for label, public, core, stack in cases
+            for runs in (stack, np.stack([stack, -stack[::-1]]))]
+
+
+@pytest.mark.parametrize("label, public, core, xi", _exp_core_cases())
+def test_exp_cores_give_the_bits_of_the_public_functions(label, public, core, xi):
+    """The unchecked cores that phi and the built-in dynamics call return
+    exp_so3's, exp_so2's and exp_sek's bits, run by run as on the stack."""
+    out = core(xi)
+    assert _same_bits(out, public(xi)), label
+    if xi.ndim == 3:
+        for run, alone in zip(out, xi):
+            assert _same_bits(run, core(alone)), label
+
+
+def test_count_nonzero_is_numpys_c_entry():
+    """_count_nonzero is private numpy API (numpy._core.multiarray): a numpy
+    that moves or changes it fails here by name."""
+    assert isinstance(lie._count_nonzero, types.BuiltinFunctionType)
+    strided = (RNG.standard_normal((6, 9)) > 0.0)[::2, ::3]
+    assert not strided.flags.c_contiguous
+    for a in (np.zeros(0, bool), np.zeros((3, 0), bool), np.array(True), np.array(False),
+              strided, RNG.standard_normal((13, 4, 3, 3)) > 0.0):
+        got = lie._count_nonzero(a)
+        assert got == np.count_nonzero(a) and type(got) is type(np.count_nonzero(a))
+
+
 # ---------------------------------------------------------------------------
 # SE_k(d)
 
@@ -566,6 +613,29 @@ def test_public_functions_reject_input_that_is_not_numeric(name, bad):
         what, call = OUTSIDE_LIE[name]
         with pytest.raises(DimensionMismatch, match=f"^{what} is not a numeric array"):
             call(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lie.exp_so3("abc"), "omega is not a numeric array: 'abc'"),
+    (lambda: lie.wedge_so3("abc"), "omega is not a numeric array: 'abc'"),
+    (lambda: lie.exp_so2("abc"), "theta is not a numeric array: 'abc'"),
+    (lambda: lie.exp_sek("abc", 3, 1), "xi is not a numeric array: 'abc'"),
+    (lambda: lie.exp_so3(np.zeros((2, 4))), r"expected \(\.\.\., 3\) vectors, got shape \(2, 4\)"),
+    (lambda: lie.wedge_so3(np.zeros(4)), r"expected \(\.\.\., 3\) vectors, got shape \(4,\)"),
+    (lambda: lie.exp_sek(np.zeros((2, 4)), 3, 0), r"tangent vector of length 4 does not match SE_0\(3\)"),
+    (lambda: lie.exp_sek(np.zeros(4), 2, 1), r"tangent vector of length 4 does not match SE_1\(2\)"),
+    (lambda: lie.exp_sek(np.zeros(8), 3, 2), r"tangent vector of length 8 does not match SE_2\(3\)"),
+    (lambda: group_retraction(3, 1).phi(np.eye(4), np.zeros((2, 5))),
+     r"tangent vector of length 5 does not match SE_1\(3\)"),
+    (lambda: group_retraction(2, 0).phi(np.eye(2), "abc"), "xi is not a numeric array: 'abc'"),
+], ids=["exp_so3-str", "wedge_so3-str", "exp_so2-str", "exp_sek-str", "exp_so3-width",
+        "wedge_so3-width", "exp_sek-so3-width", "exp_sek-se2-width", "exp_sek-se23-width",
+        "phi-se3-width", "phi-so2-str"])
+def test_public_exps_keep_their_checks_and_messages(call, message):
+    """The exp entries (and the group phi, which calls the core) check their
+    argument as before the cores were split off, with the same messages."""
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        call()
 
 
 # filter steps and the other public functions given a numeric argument of

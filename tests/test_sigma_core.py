@@ -296,6 +296,31 @@ def test_lapack_gufuncs_keep_the_signatures_the_core_calls():
     assert _umath_linalg.solve.signature == "(m,m),(m,n)->(m,n)"
 
 
+def test_a_filter_step_enters_no_checked_exp_and_no_count_nonzero_wrapper(monkeypatch):
+    """The step path calls the unchecked exp cores and numpy's C
+    count_nonzero: with the public exps, wedge_so3 and np.count_nonzero
+    raising, every variant runs 20 steps to the same bits."""
+    runs = []
+    for name in example_names():
+        model = make(name)
+        _, inputs, meas = simulate(model, 20, 3)
+        for retraction in sorted(model.retractions):
+            runs.append((model, inputs, meas, retraction,
+                         filter_run(model, inputs, meas, retraction=retraction)))
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("the step entered a checked wrapper")
+
+    monkeypatch.setattr(np, "count_nonzero", wrapper)
+    for name in ("exp_so3", "exp_sek", "exp_so2", "wedge_so3"):
+        monkeypatch.setattr(lie, name, wrapper)
+    for model, inputs, meas, retraction, ref in runs:
+        got = filter_run(model, inputs, meas, retraction=retraction)
+        for a, b in zip(got, ref, strict=True):
+            assert a.mean.tobytes() == b.mean.tobytes(), (model.name, retraction)
+            assert a.cov.tobytes() == b.cov.tobytes(), (model.name, retraction)
+
+
 def _spd(lead, n):
     A = RNG.standard_normal(lead + (n, n))
     return A @ A.swapaxes(-1, -2) + 0.1 * np.eye(n)
