@@ -310,7 +310,7 @@ def _require_rotation(C, d):
     if _count_nonzero(np.abs(gap) <= _ROT_TOL) != gap.size:
         raise NotARotation("matrix columns are not orthonormal within 1e-9")
     rows, perms, signs = _det_terms(d)
-    det = Ct[..., rows, perms].prod(axis=-1) @ signs
+    det = np.multiply.reduce(Ct[..., rows, perms], axis=-1) @ signs
     if _count_nonzero(np.abs(det - 1.0) <= _ROT_TOL) != det.size:
         raise NotARotation("matrix determinant is not +1 within 1e-9")
 
@@ -414,7 +414,7 @@ def _require_pair(ref, state, d):
         raise
     if ref.ndim > 2:  # a single ref broadcasts against any stack
         try:
-            np.broadcast_shapes(ref.shape, state.shape)
+            np.broadcast(ref, state)
         except ValueError:
             raise DimensionMismatch(f"states of shape {state.shape} do not broadcast "
                                     f"against a ref of shape {ref.shape}") from None
@@ -432,9 +432,9 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
 
 def _exp_sek(xi, d, k):
     """exp_sek of float tangent vectors; it checks only their width."""
-    if xi.shape[-1] != tangent_dim(d, k):
-        raise DimensionMismatch(
-            f"tangent vector of length {xi.shape[-1]} does not match SE_{k}({d})")
+    if xi.shape[-1:] != (tangent_dim(d, k),):
+        got = f"length {xi.shape[-1]}" if xi.ndim else "shape ()"
+        raise DimensionMismatch(f"tangent vector of {got} does not match SE_{k}({d})")
     rot = xi[..., :3] if d == 3 else xi[..., 0]
     if k == 0:
         return _exp_so3(rot) if d == 3 else _rot2(np.cos(rot), np.sin(rot))

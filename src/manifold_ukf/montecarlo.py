@@ -2,10 +2,11 @@
 
 simulate() draws a ground-truth trajectory plus measurements from a
 counter-based generator (Philox), fully determined by an integer seed, or
-one per seed of a sequence.  benchmark() draws them for independent per-run
-seeds and feeds the same simulated data to every retraction variant (common
-random numbers), then aggregates RMSE per tangent block, mean NEES and
-divergence counts.
+one per seed of a sequence, with each kind of noise (process, measurement)
+scaled for every step and run in one stacked matvec.  benchmark() draws them
+for independent per-run seeds and feeds the same simulated data to every
+retraction variant (common random numbers), then aggregates RMSE per
+tangent block, mean NEES and divergence counts.
 
 All runs step in lockstep.  Every state is one ndarray, so a stack of runs
 is one array and run r is index r, and every simulated or reduced quantity
@@ -57,8 +58,8 @@ def simulate(model, steps: int, seed):
     p) array, and all runs share one f, one h and one renormalize call per
     step.  Each run draws all its noise in one standard_normal call from its
     own Philox generator and slices it in step order: step n's process
-    noise, then its measurement noise when one is due.  Run r is
-    bit-identical to simulate(model, steps, seed[r]).
+    noise, then its measurement noise when one is due, both scaled before
+    the loop.  Run r is bit-identical to simulate(model, steps, seed[r]).
     """
     steps = lie._check_int(steps, "steps")
     Lq = _psd_sqrt(model.Q)
@@ -69,19 +70,18 @@ def simulate(model, steps: int, seed):
         lead = np.shape(seed)
     except ValueError:
         raise ValueError(f"seed must be an int >= 0 or a sequence of them, got {seed!r}") from None
-    draws = steps * q + steps // model.measure_every * p
+    every = model.measure_every
+    draws = steps * q + steps // every * p
     keys = [lie._check_int(s, "seed", 0) for s in (seed if lead else [seed])]
     z = np.array([np.random.Generator(np.random.Philox(key=s))
                   .standard_normal(draws) for s in keys])
-    at = 0
-
-    def noise(L):
-        """L @ z per run for the next L.shape[0] draws of every run."""
-        nonlocal at
-        k = L.shape[0]
-        out = np.array([L @ zr for zr in z[:, at:at + k]]).reshape(lead + (k,))
-        at += k
-        return out
+    # L @ z for every step and run, one matmul per kind of noise with the
+    # draws as columns: each run's own L @ z_r to the bit (z @ L.T is not)
+    i = np.arange(steps)
+    first = i * q + i // every * p  # step i + 1's first draw
+    w_q, w_r = [np.matmul(L, z[:, at[:, None] + np.arange(len(L))].swapaxes(0, 1)[..., None])
+                [..., 0].reshape(at.shape + lead + (len(L),))
+                for L, at in ((Lq, first), (Lr, first[every - 1::every] + q))]
 
     state = model.initial_truth if not lead else np.stack(
         [model.initial_truth] * lead[0])
@@ -90,12 +90,12 @@ def simulate(model, steps: int, seed):
     inputs = model.inputs(steps)
     measurements: Dict[int, np.ndarray] = {}
     for n, u in enumerate(inputs, start=1):
-        state = model.f(state, u, noise(Lq))
+        state = model.f(state, u, w_q[n - 1])
         if n % _RENORM_EVERY == 0:
             state = model.renormalize(state)
         truth[n] = state
-        if n % model.measure_every == 0:
-            measurements[n] = model.h(state) + noise(Lr)
+        if n % every == 0:
+            measurements[n] = model.h(state) + w_r[n // every - 1]
     return truth, inputs, measurements
 
 

@@ -131,6 +131,8 @@ def _broadcast_error(first, a, second, b, factor_error=None):
 def _phi_group(state, xi, d, side):
     """state @ exp(xi) or exp(xi) @ state; group_retraction checked d."""
     state = lie._floats(state, "state")
+    if state.ndim < 2:
+        raise DimensionMismatch(f"expected square matrices of size >= {d}, got {state.shape}")
     G = lie._exp_sek(lie._floats(xi, "xi"), d, state.shape[-1] - d)
     try:
         return state @ G if side == "left" else G @ state

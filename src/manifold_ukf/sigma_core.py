@@ -37,6 +37,8 @@ Weights follow the scaled unscented transform with kappa = 0 and beta = 2;
 the spread alpha in (0, 1] is the only knob, set on the model (ModelSpec.alpha)
 and passed to propagate and update.  The mean point reuses the plain
 mean weight while its covariance term uses w_m + (1 - alpha^2 + beta).
+propagate and update are their checks plus private cores; a filter pass
+(_filter_steps) checks the model's Q, R and alpha once and steps the cores.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def set_weights(n: int, alpha: float) -> SigmaWeights:
 
 @lru_cache(maxsize=64)
 def _weights(n: int, alpha: float) -> SigmaWeights:
+    lie._check_int(n, "dimension")  # on a cache miss only: an empty P fails here
     lam = alpha * alpha * n - n
     denom = n + lam
     w_m = lam / denom
@@ -173,18 +176,17 @@ def _noise_points(Q_bytes: bytes, shape: tuple, alpha: float, head: int,
     return stack, w
 
 
-def _sampled(belief, alpha, retraction: Retraction, a: int, rows: int):
-    """The belief's weights for d, the 2a offsets xis = +-the first a scaled
-    factor columns (sigma_points' rows :a and d:d + a), and the (rows, ...)
-    stack of the mean, phi(mean, xis), then copies of the mean."""
-    w = set_weights(belief.dim, alpha)
+def _sampled(belief, w: SigmaWeights, retraction: Retraction, a: int, rows: int):
+    """The 2a offsets xis = +-the first a scaled factor columns for the
+    belief's weights w (sigma_points' rows :a and d:d + a), and the
+    (rows, ...) stack of the mean, phi(mean, xis), then copies of the mean."""
     cols = _columns(belief.cov, w.lam)[:a]
     xis = np.concatenate([cols, -cols])
     offsets = retraction.phi(belief.mean, xis)
     stack = np.empty((rows,) + offsets.shape[1:])
     stack[0] = stack[1 + 2 * a:] = belief.mean
     stack[1:1 + 2 * a] = offsets
-    return w, xis, stack
+    return xis, stack
 
 
 def _gram(a, b) -> np.ndarray:
@@ -247,11 +249,17 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     factors cannot take raises DimensionMismatch.
     """
     Q, alpha = lie._floats(Q, "Q"), lie._check_number(alpha, "alpha", InvalidAlpha)
+    return _propagate(belief, omega, f, (Q.tobytes(), Q.shape), retraction, alpha)
+
+
+def _propagate(belief, omega, f, Q_key, retraction, alpha):
+    """propagate for a checked alpha and Q as its noise stack's key."""
     d = belief.dim
     a = retraction.moved or d
     lead = belief.cov.shape[:-2]
-    noise, w_q = _noise_points(Q.tobytes(), Q.shape, alpha, 1 + 2 * a, len(lead))
-    w_d, _, states = _sampled(belief, alpha, retraction, a, len(noise))
+    noise, w_q = _noise_points(*Q_key, alpha, 1 + 2 * a, len(lead))
+    w_d = _weights(d, alpha)
+    _, states = _sampled(belief, w_d, retraction, a, len(noise))
     out = _rows(f(states, omega, noise), states.shape[:-1], states.shape[-1])
     mean_new = out[0].copy()
     imgs = _rows(retraction.phi_inv(mean_new, out[1:]),
@@ -281,11 +289,21 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     in P, S or y fails the update.
     """
     y, R = lie._floats(y, "y"), lie._floats(R, "R")
+    return _update(belief, _measured(y, R), h, R, retraction, set_weights(belief.dim, alpha))
+
+
+def _measured(y, R) -> np.ndarray:
+    """y, DimensionMismatch unless R is (p, p) for y (..., p); both floats."""
     if R.ndim != 2 or R.shape != y.shape[-1:] * 2:
         raise DimensionMismatch(f"R must be (p, p) for measurements of shape "
                                 f"(..., p), got R {R.shape} and y {y.shape}")
+    return y
+
+
+def _update(belief, y, h, R, retraction, w: SigmaWeights):
+    """update's core, for y and R from _measured and the belief's weights."""
     d = belief.dim
-    w, xis, points = _sampled(belief, alpha, retraction, d, 1 + 2 * d)
+    xis, points = _sampled(belief, w, retraction, d, 1 + 2 * d)
     lead = xis.shape[1:-1]
     y_all = _rows(h(points), (2 * d + 1,) + lead, R.shape[0])
     y0, ys = y_all[0], y_all[1:]
@@ -350,16 +368,20 @@ def filter_run(model, inputs, measurements: Optional[Mapping[int, Any]] = None,
 
 def _filter_steps(model, inputs, measurements: Optional[Mapping[int, Any]],
                   retr: Retraction, belief: Belief):
-    """Yield the belief after each step of filter_run's recursion from the
-    initial belief, with its FilterStepError step attribution."""
+    """Yield each step's belief of filter_run's recursion from `belief`, with
+    its FilterStepError step; Q, R and alpha are checked once, at step 1."""
     schedule = measurements or {}
     step = 0
     try:
         for step, omega in enumerate(inputs, start=1):
-            belief = propagate(belief, omega, model.f, model.Q, retr, model.alpha)
+            if step == 1:  # the model's Q, alpha and R, read once per pass
+                Q = lie._floats(model.Q, "Q")
+                alpha = lie._check_number(model.alpha, "alpha", InvalidAlpha)
+                Q_key, R = (Q.tobytes(), Q.shape), lie._floats(model.R, "R")
+            belief = _propagate(belief, omega, model.f, Q_key, retr, alpha)
             if step in schedule:
-                belief = update(belief, schedule[step], model.h, model.R,
-                                retr, model.alpha)
+                y = _measured(lie._floats(schedule[step], "y"), R)
+                belief = _update(belief, y, model.h, R, retr, _weights(belief.dim, alpha))
             if step % _RENORM_EVERY == 0:
                 belief = Belief(model.renormalize(belief.mean), belief.cov)
             yield belief

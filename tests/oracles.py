@@ -148,3 +148,40 @@ def so2_coeffs_two_branch(theta, c, s):
     return small_angle_two_branch(theta, np.abs(theta) < 1e-4, lambda t, series=False: (
         (1.0 - t * t / 6.0, 0.5 * t * (1.0 - t * t / 12.0)) if series
         else (s / t, (1.0 - c) / t)))
+
+
+def simulate_per_run(model, steps, seed):
+    """montecarlo.simulate with each step's noise drawn run by run: the
+    per-step loop that takes, in draw order, step n's process noise and then
+    its measurement noise when one is due as one L @ z_r product per run.  A
+    frozen reference for simulate's outputs, bit for bit; L is the same
+    factor of Q and R, from montecarlo's _psd_sqrt."""
+    from manifold_ukf.montecarlo import _psd_sqrt
+
+    Lq, Lr = _psd_sqrt(model.Q), _psd_sqrt(model.R)
+    lead = np.shape(seed)
+    seeds = list(seed) if lead else [seed]
+    draws = steps * len(Lq) + steps // model.measure_every * len(Lr)
+    z = np.array([np.random.Generator(np.random.Philox(key=s)).standard_normal(draws)
+                  for s in seeds])
+    at = 0
+
+    def noise(L):
+        nonlocal at
+        k = len(L)
+        out = np.array([L @ zr for zr in z[:, at:at + k]]).reshape(lead + (k,))
+        at += k
+        return out
+
+    state = np.stack([model.initial_truth] * len(seeds)) if lead else model.initial_truth
+    truth = [state]
+    inputs = model.inputs(steps)
+    measurements = {}
+    for n, u in enumerate(inputs, start=1):
+        state = model.f(state, u, noise(Lq))
+        if n % 1000 == 0:
+            state = model.renormalize(state)
+        truth.append(state)
+        if n % model.measure_every == 0:
+            measurements[n] = model.h(state) + noise(Lr)
+    return np.array(truth), inputs, measurements

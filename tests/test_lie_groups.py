@@ -638,6 +638,20 @@ def test_public_exps_keep_their_checks_and_messages(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: lie.exp_sek(1.0, 2, 0), r"tangent vector of shape \(\) does not match SE_0\(2\)"),
+    (lambda: group_retraction(2, 1).phi(1.0, np.zeros(3)),
+     r"expected square matrices of size >= 2, got \(\)"),
+    (lambda: group_retraction(2, 1).phi(np.eye(3), 1.0),
+     r"tangent vector of shape \(\) does not match SE_1\(2\)"),
+], ids=["exp_sek-xi", "phi-state", "phi-xi"])
+def test_a_0d_tangent_vector_or_state_is_a_dimension_mismatch(call, message):
+    """A scalar where a vector or a matrix belongs is named, not read past
+    its shape as a raw IndexError."""
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        call()
+
+
 # filter steps and the other public functions given a numeric argument of
 # the wrong shape: the argument named, and the call; each built-in f gets its
 # input one entry short

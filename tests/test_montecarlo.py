@@ -31,7 +31,7 @@ from manifold_ukf.montecarlo import (
 from manifold_ukf.retraction import Retraction, additive_retraction
 from manifold_ukf.sigma_core import Belief, filter_run
 
-from oracles import nees_band
+from oracles import nees_band, simulate_per_run
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +69,30 @@ def test_simulate_measurement_schedule():
     model = make("attitude3d", measure_every=7)
     _, _, measurements = simulate(model, 30, seed=0)
     assert sorted(measurements) == [7, 14, 21, 28]
+
+
+def _simulation_model(name, every):
+    model = _full_noise_linear_model() if name == "linear3" else make(name)
+    return dataclasses.replace(model, measure_every=every)
+
+
+@pytest.mark.parametrize("seed", [5, [7], [1, 2, 3]], ids=["int", "one-seed", "three-seeds"])
+@pytest.mark.parametrize("every, steps", [(1, 7), (3, 11), (6, 4), (4, 1002)])
+@pytest.mark.parametrize("name", [*example_names(), "linear3"])
+def test_simulate_equals_its_per_run_noise_loop(name, every, steps, seed):
+    """The stacked draws give each step and run the noise of the per-run
+    L @ z_r loop, bit for bit: measure_every 1 and > 1, a step count that is
+    not a multiple of it, fewer steps than it (no measurement) and a run
+    across step 1000, where the truth is renormalized."""
+    model = _simulation_model(name, every)
+    truth, inputs, measurements = simulate(model, steps, seed)
+    ref_truth, ref_inputs, ref_measurements = simulate_per_run(model, steps, seed)
+    assert truth.shape == ref_truth.shape and truth.tobytes() == ref_truth.tobytes()
+    assert inputs.tobytes() == ref_inputs.tobytes()
+    assert list(measurements) == list(ref_measurements) == list(range(every, steps + 1, every))
+    for n, y in measurements.items():
+        assert y.shape == ref_measurements[n].shape
+        assert y.tobytes() == ref_measurements[n].tobytes()
 
 
 @pytest.mark.parametrize("name", example_names())

@@ -246,16 +246,143 @@ def test_a_zero_q_has_no_noise_rows_and_no_weights():
 
 def test_propagate_computes_qs_weights_only_on_a_noise_cache_miss(monkeypatch):
     """The noise stack's cache entry holds Q's checks and weights: a step
-    with a cached Q makes one set_weights call, for the belief's d."""
+    with a new Q makes one set_weights call, for Q's size q, and a step
+    with a cached Q none (the belief's weights for d skip the checks)."""
     model = make("inertial_nav")
     belief = Belief(model.initial_mean, model.initial_cov)
     u, retr = model.inputs(1)[0], model.retraction()
-    propagate(belief, u, model.f, model.Q, retr, model.alpha)
+    sigma_core._noise_points.cache_clear()
     calls = []
     monkeypatch.setattr(sigma_core, "set_weights",
                         lambda n, alpha: calls.append(n) or set_weights(n, alpha))
     propagate(belief, u, model.f, model.Q, retr, model.alpha)
-    assert calls == [retr.dim]
+    assert calls == [len(model.Q)] and len(model.Q) != retr.dim
+    propagate(belief, u, model.f, model.Q, retr, model.alpha)
+    assert calls == [len(model.Q)]
+
+
+PAIRS = [(name, retr) for name in example_names()
+         for retr in sorted(make(name).retractions)]
+
+
+def _public_steps(model, inputs, measurements, retr, belief):
+    """filter_run's recursion as public propagate / update calls, one step
+    at a time, as a caller outside the package (perfbench's drive) makes it."""
+    for step, omega in enumerate(inputs, start=1):
+        belief = propagate(belief, omega, model.f, model.Q, retr, model.alpha)
+        if step in measurements:
+            belief = update(belief, measurements[step], model.h, model.R, retr,
+                            model.alpha)
+        if step % 1000 == 0:
+            belief = Belief(model.renormalize(belief.mean), belief.cov)
+        yield belief
+
+
+@pytest.mark.parametrize("runs", [None, 3], ids=["alone", "lockstep"])
+@pytest.mark.parametrize("name, retraction", PAIRS)
+def test_filter_steps_equal_public_propagate_and_update_calls(name, retraction, runs):
+    """_filter_steps steps the private cores on the model's Q, R and alpha
+    read once: every belief equals the public calls' bit for bit, for one
+    run and for a stack of 3 runs in lockstep."""
+    model = make(name)
+    retr = model.retraction(retraction)
+    _, inputs, measurements = simulate(model, 25, [1, 2, 3] if runs else 4)
+    cov = model.initial_cov
+    belief = (Belief(np.stack([model.initial_mean] * runs),
+                     np.broadcast_to(cov, (runs,) + cov.shape)) if runs
+              else Belief(model.initial_mean, cov))
+    assert measurements
+    pairs = zip(sigma_core._filter_steps(model, inputs, measurements, retr, belief),
+                _public_steps(model, inputs, measurements, retr, belief), strict=True)
+    for a, b in pairs:
+        assert a.mean.shape == b.mean.shape and a.mean.tobytes() == b.mean.tobytes()
+        assert a.cov.shape == b.cov.shape and a.cov.tobytes() == b.cov.tobytes()
+
+
+def _step(kind, belief=None, alpha=None, **given):
+    """propagate or update on attitude3d's initial belief (or `belief`) with
+    the model's arguments except those given."""
+    m = make("attitude3d")
+    belief = belief or Belief(m.initial_mean, m.initial_cov)
+    alpha = m.alpha if alpha is None else alpha
+    if kind == "update":
+        return update(belief, given.get("y", np.zeros(len(m.R))), m.h,
+                      given.get("R", m.R), m.retraction(), alpha)
+    return propagate(belief, m.inputs(1)[0], m.f, given.get("Q", m.Q),
+                     m.retraction(), alpha)
+
+
+_NAN_P = Belief(np.eye(3), np.diag([1.0, np.nan, 1.0]))
+_EMPTY = Belief(np.eye(3), np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _step("propagate", Q="abc", alpha=2.0), DimensionMismatch, "Q is not a numeric"),
+    (lambda: _step("propagate", Q=np.ones((2, 3)), alpha=2.0), InvalidAlpha, "alpha must"),
+    (lambda: _step("propagate", _NAN_P, Q=np.ones((2, 3))), DimensionMismatch, "Q must be square"),
+    (lambda: _step("propagate", _NAN_P, alpha=2.0), InvalidAlpha, "alpha must"),
+    (lambda: _step("propagate", _EMPTY, Q=np.ones((2, 3))), DimensionMismatch, "Q must be square"),
+    (lambda: _step("propagate", _EMPTY), ValueError, "dimension must be positive"),
+    (lambda: _step("update", y="abc", R="abc"), DimensionMismatch, "y is not a numeric"),
+    (lambda: _step("update", R="abc", alpha=2.0), DimensionMismatch, "R is not a numeric"),
+    (lambda: _step("update", R=np.eye(2), alpha=2.0), DimensionMismatch, r"R must be \(p, p\)"),
+    (lambda: _step("update", _EMPTY, R=np.eye(2)), DimensionMismatch, r"R must be \(p, p\)"),
+    (lambda: _step("update", _EMPTY, alpha=2.0), ValueError, "dimension must be positive"),
+    (lambda: _step("update", _NAN_P, alpha=2.0), InvalidAlpha, "alpha must"),
+    (lambda: _step("update", _NAN_P, y=np.full(6, np.nan)), NonPSDCovariance, "P holds NaN"),
+    (lambda: _step("update", y=np.full(6, np.nan)), NonFiniteState, "measurement y holds NaN"),
+], ids=["Q-str+alpha", "alpha+Q-shape", "Q-shape+P", "alpha+P", "Q-shape+d0", "d0",
+        "y-str+R-str", "R-str+alpha", "R-shape+alpha", "R-shape+d0", "d0+alpha", "alpha+P",
+        "P+y", "y"])
+def test_public_steps_check_in_their_order(call, error, message):
+    """propagate and update are their checks plus a core: of two faults the
+    first check's error is raised, as when every check ran in the step."""
+    with pytest.raises(error, match=f"^{message}") as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_a_pass_reads_the_model_as_step_1_starts():
+    """Q, R and alpha are read once per pass, as step 1 starts: a Q set to
+    NaN in place fails step 1, and a pass with no inputs reads nothing."""
+    model = make("attitude3d")
+    model = dataclasses.replace(model, Q=model.Q.copy())
+    _, inputs, measurements = simulate(model, 5, 1)
+    model.Q[1, 1] = np.nan
+    with pytest.raises(FilterStepError) as info:
+        filter_run(model, inputs, measurements)
+    assert info.value.step == 1 and type(info.value.cause) is NonPSDCovariance
+    bad = types.SimpleNamespace(Q="abc", R="abc", alpha=2.0)
+    assert list(sigma_core._filter_steps(bad, inputs[:0], measurements, model.retraction(),
+                                         Belief(model.initial_mean, model.initial_cov))) == []
+
+
+def test_a_pass_checks_alpha_q_and_r_once(monkeypatch):
+    """No per-step checks of the model: a pass of 40 steps with an update on
+    every step makes as many _check_number calls, and _floats calls on Q
+    and R, as a pass of 20."""
+    model = make("attitude3d", measure_every=1)
+    _, inputs, measurements = simulate(model, 40, 2)
+    calls = []
+    check_number, floats = lie._check_number, lie._floats
+
+    def counted_number(x, what, *args):
+        calls.append(what)
+        return check_number(x, what, *args)
+
+    def counted_floats(x, what):
+        if what in ("Q", "R"):
+            calls.append(what)
+        return floats(x, what)
+
+    monkeypatch.setattr(lie, "_check_number", counted_number)
+    monkeypatch.setattr(lie, "_floats", counted_floats)
+    counts = []
+    for steps in (20, 40):
+        calls.clear()
+        filter_run(model, inputs[:steps], measurements)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
