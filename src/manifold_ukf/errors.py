@@ -34,7 +34,7 @@ class NonFiniteState(ManifoldUkfError):
 
 
 class NonPSDCovariance(ManifoldUkfError):
-    """Covariance matrix is not symmetric positive semidefinite."""
+    """Covariance matrix holds NaN or inf or is not symmetric PSD."""
 
 
 class InvalidAlpha(ManifoldUkfError):

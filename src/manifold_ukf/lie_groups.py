@@ -39,8 +39,8 @@ Hot-path tests call _count_nonzero, numpy's C count_nonzero without
 np.count_nonzero's two Python frames (private API, pinned by
 test_lie_groups), and sums call np.add.reduce, not .any() and .sum().
 
-The package's argument rules live here: _floats for arrays, _check_int for
-counts, seeds and dimensions, _check_number for alpha, dt and check scales.
+Argument rules live here: _floats for arrays, _covariance for covariances,
+_check_int for counts, seeds and dimensions, _check_number for scalars.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .errors import (
     ManifoldUkfError,
     NearPiRotation,
     NonFiniteState,
+    NonPSDCovariance,
     NotARotation,
 )
 
@@ -99,6 +100,22 @@ def _floats(x, what: str) -> np.ndarray:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise DimensionMismatch(f"{what} is not a numeric array: {x!r:.60}") from None
+
+
+def _covariance(M, what: str, stack: bool = False) -> np.ndarray:
+    """The covariance rule: _square_finite of M as a float array (_floats)."""
+    return _square_finite(_floats(M, what), what, stack)
+
+
+def _square_finite(M: np.ndarray, what: str, stack: bool = False) -> np.ndarray:
+    """M, or DimensionMismatch naming it `what` unless it is (n, n), or with
+    stack (..., n, n), and NonPSDCovariance if it holds NaN or inf."""
+    if M.ndim < 2 or M.ndim > 2 and not stack or M.shape[-1] != M.shape[-2]:
+        shape = "(..., n, n)" if stack else "(n, n)"
+        raise DimensionMismatch(f"{what} must be square, {shape}, got shape {M.shape}")
+    if _count_nonzero(np.isfinite(M)) != M.size:
+        raise NonPSDCovariance(f"{what} holds NaN or inf")
+    return M
 
 
 def _check_int(n, what: str, low: int = 1) -> int:

@@ -87,9 +87,8 @@ class ModelSpec:
     A ModelSpec checks itself when it is made, by the argument rules of
     lie_groups: dt must be a finite number > 0 and alpha lie in (0, 1]
     (ValueError, InvalidAlpha), measure_every be an int >= 1 (ValueError),
-    and Q, R and initial_cov be numeric (DimensionMismatch), finite, square,
-    symmetric positive semidefinite matrices (NonPSDCovariance).  A built-in
-    f checks the width of its noise w too, so a Q of the wrong size fails.
+    Q, R and a non-empty initial_cov pass the covariance rule and be PSD
+    (NonPSDCovariance).  A built-in f checks the width of its noise w too.
     """
 
     name: str
@@ -114,7 +113,8 @@ class ModelSpec:
         lie._check_number(self.alpha, "alpha", InvalidAlpha)
         lie._check_number(self.dt, f"{self.name}: dt", ValueError, math.inf)
         for what in ("Q", "R", "initial_cov"):
-            _psd_sqrt(getattr(self, what), f"{self.name} {what}")
+            d = len(_psd_sqrt(getattr(self, what), f"{self.name} {what}"))
+        lie._check_int(d, f"{self.name}: initial_cov dimension")  # the last one's
         lie._check_int(self.measure_every, "measure_every")
 
     def retraction(self, name: Union[str, Retraction, None] = None) -> Retraction:
@@ -463,7 +463,7 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     # size from the belief, not the retraction: repeated augmentation grows
     # the state past the dimension the retraction was built for, and the
     # mixed-retraction maps adapt to whatever Euclidean tail the state has
-    d_old = P.shape[-1]
+    d_old = belief.dim
     if P.shape != (d_old, d_old) or np.shape(state) != (d_old + 6,):
         raise DimensionMismatch(f"belief must be one flat (d + 6,) state with a (d, d) "
                                 f"cov, got {np.shape(state)} and {P.shape}")

@@ -131,7 +131,7 @@ def _broadcast_error(first, a, second, b, factor_error=None):
 def _phi_group(state, xi, d, side):
     """state @ exp(xi) or exp(xi) @ state; group_retraction checked d."""
     state = lie._floats(state, "state")
-    if state.ndim < 2:
+    if state.ndim < 2 or state.shape[-1] != state.shape[-2] or state.shape[-1] < d:
         raise DimensionMismatch(f"expected square matrices of size >= {d}, got {state.shape}")
     G = lie._exp_sek(lie._floats(xi, "xi"), d, state.shape[-1] - d)
     try:
@@ -315,16 +315,11 @@ def covariance_retrieval(R_hat, L, P):
 
 
 def _psd_sqrt(M, what: str = "covariance", size: Optional[int] = None) -> np.ndarray:
-    """A factor L with L @ L.T == M of a symmetric positive semidefinite M.
-    DimensionMismatch, naming M as `what`, if M is not numeric or, with a
-    size given, after the PSD checks, not (size, size); NonPSDCovariance if
-    it is not square, holds NaN or inf, is asymmetric beyond 1e-9 or has an
-    eigenvalue below -1e-9."""
-    M = lie._floats(M, what)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonPSDCovariance(f"{what} must be square, got {M.shape}")
-    if not np.isfinite(M).all():
-        raise NonPSDCovariance(f"{what} holds NaN or inf")
+    """A factor L with L @ L.T == M of a symmetric PSD M, named `what`: the
+    covariance rule (lie._covariance), then NonPSDCovariance if M is asymmetric
+    beyond 1e-9 or has an eigenvalue below -1e-9, then, with a size given,
+    DimensionMismatch unless M is (size, size)."""
+    M = lie._covariance(M, what)
     if np.abs(M - M.T).max(initial=0.0) > 1e-9:
         raise NonPSDCovariance(f"{what} is not symmetric within 1e-9")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))

@@ -58,7 +58,6 @@ from .errors import (
     InvalidAlpha,
     ManifoldUkfError,
     NonFiniteState,
-    NonPSDCovariance,
     SingularInnovationCovariance,
 )
 from .retraction import Retraction, _rows
@@ -119,11 +118,7 @@ _cholesky, _solve = _lapack(_umath_linalg.cholesky_lo), _lapack(_umath_linalg.so
 
 def _columns(P, lam: float) -> np.ndarray:
     """The first half of sigma_points(P, lam), (n, ..., n)."""
-    P = lie._floats(P, "P")
-    if P.ndim < 2 or P.shape[-1] != P.shape[-2]:
-        raise DimensionMismatch(f"P must be square, (..., n, n), got shape {P.shape}")
-    if lie._count_nonzero(np.isfinite(P)) != P.size:
-        raise NonPSDCovariance("P holds NaN or inf")
+    P = lie._covariance(P, "P", stack=True)
     n = P.shape[-1]
     scale = lam + n
     if scale <= 0.0:
@@ -159,15 +154,11 @@ def _jittered_cholesky(P, scale):
 def _noise_points(Q_bytes: bytes, shape: tuple, alpha: float, head: int,
                   run_axes: int):
     """Q's read-only noise stack and its weights for alpha (None if Q is all
-    zero), from Q's bytes and shape, checked square and finite: `head` zero
-    rows, then sigma_points(Q, lam) unless Q is all zero, each row shaped
+    zero), from Q's bytes and shape, checked by lie._square_finite: `head`
+    zero rows, then sigma_points(Q, lam) unless Q is all zero, each row shaped
     (1,) * run_axes + (q,) so that every run shares it.  propagate reuses
     both, and skips the checks, while Q keeps its values."""
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatch(f"Q must be square, (q, q), got shape {shape}")
-    Q = np.frombuffer(Q_bytes).reshape(shape)
-    if lie._count_nonzero(np.isfinite(Q)) != Q.size:
-        raise NonPSDCovariance("Q holds NaN or inf")
+    Q = lie._square_finite(np.frombuffer(Q_bytes).reshape(shape), "Q")
     w = set_weights(shape[0], alpha) if Q.any() else None
     points = sigma_points(Q, w.lam) if w else np.empty((0, shape[0]))
     stack = np.zeros((head + len(points),) + (1,) * run_axes + shape[:1])
@@ -208,7 +199,7 @@ class Belief:
 
     @property
     def dim(self) -> int:
-        return self.cov.shape[-1]
+        return self.cov.shape[-1] if self.cov.ndim else 0  # 0-d: fails as empty
 
 
 def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
@@ -286,15 +277,15 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     existing tangent coordinates.  On a belief with run axes, y holds one
     measurement per run, (..., p), and h sees a (1 + 2d, ..., ·) stack.  As
     in propagate, the sigma points take the belief's dimension.  NaN or inf
-    in P, S or y fails the update.
+    in R, P, S or y fails the update.
     """
-    y, R = lie._floats(y, "y"), lie._floats(R, "R")
+    y, R = lie._floats(y, "y"), lie._covariance(R, "R")
     return _update(belief, _measured(y, R), h, R, retraction, set_weights(belief.dim, alpha))
 
 
 def _measured(y, R) -> np.ndarray:
-    """y, DimensionMismatch unless R is (p, p) for y (..., p); both floats."""
-    if R.ndim != 2 or R.shape != y.shape[-1:] * 2:
+    """y, DimensionMismatch unless R, a _covariance, is (p, p) for y (..., p)."""
+    if R.shape != y.shape[-1:] * 2:
         raise DimensionMismatch(f"R must be (p, p) for measurements of shape "
                                 f"(..., p), got R {R.shape} and y {y.shape}")
     return y
@@ -377,7 +368,7 @@ def _filter_steps(model, inputs, measurements: Optional[Mapping[int, Any]],
             if step == 1:  # the model's Q, alpha and R, read once per pass
                 Q = lie._floats(model.Q, "Q")
                 alpha = lie._check_number(model.alpha, "alpha", InvalidAlpha)
-                Q_key, R = (Q.tobytes(), Q.shape), lie._floats(model.R, "R")
+                Q_key, R = (Q.tobytes(), Q.shape), lie._covariance(model.R, "R")
             belief = _propagate(belief, omega, model.f, Q_key, retr, alpha)
             if step in schedule:
                 y = _measured(lie._floats(schedule[step], "y"), R)

@@ -2,7 +2,7 @@
 export that only the tests call would fail here.  Every count, seed or
 dimension passes one integer rule and every spread, step or scale one
 number rule, so each boundary refuses the same bad values with its own
-error class."""
+error class; every covariance passes one covariance rule, written once."""
 
 import ast
 import math
@@ -15,16 +15,17 @@ import numpy as np
 import pytest
 
 import manifold_ukf as mu
-from manifold_ukf.errors import DimensionMismatch, InvalidAlpha
-from manifold_ukf.models import make
+from manifold_ukf.errors import DimensionMismatch, InvalidAlpha, NonPSDCovariance
+from manifold_ukf.models import augment_landmark, make
 from manifold_ukf.montecarlo import benchmark, simulate
 from manifold_ukf.retraction import (
     Retraction,
     check_retraction,
+    covariance_retrieval,
     group_retraction,
     mixed_retraction,
 )
-from manifold_ukf.sigma_core import Belief, propagate, set_weights
+from manifold_ukf.sigma_core import Belief, propagate, set_weights, sigma_points, update
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -190,3 +191,87 @@ def test_each_seed_of_a_sequence_passes_the_integer_rule():
 def test_group_retraction_checks_its_rotation_block_when_built():
     with pytest.raises(DimensionMismatch, match="must be 2 or 3"):
         group_retraction(4, 0)
+
+
+def _step(kind, P=None, **given):
+    """propagate or update on attitude3d, with the model's arguments and
+    initial belief except a given P, Q or R."""
+    m = make("attitude3d")
+    belief = Belief(m.initial_mean, m.initial_cov if P is None else P)
+    if kind == "update":
+        return update(belief, np.zeros(len(m.R)), m.h, given.get("R", m.R), m.retraction(),
+                      m.alpha)
+    return propagate(belief, m.inputs(1)[0], m.f, given.get("Q", m.Q), m.retraction(),
+                     m.alpha)
+
+
+def _augment(obs_cov):
+    m = make("slam2d")
+    return augment_landmark(Belief(m.initial_mean, m.initial_cov), (1.0, 0.0),
+                            m.retraction(), obs_cov)
+
+
+# covariance rule: the name each boundary gives the covariance and the call
+# with `v` in its place
+COVARIANCE_RULE = {
+    "ModelSpec-Q": ("attitude3d Q", lambda v: replace(make("attitude3d"), Q=v)),
+    "ModelSpec-R": ("attitude3d R", lambda v: replace(make("attitude3d"), R=v)),
+    "ModelSpec-initial_cov": ("attitude3d initial_cov",
+                              lambda v: replace(make("attitude3d"), initial_cov=v)),
+    "propagate-Q": ("Q", lambda v: _step("propagate", Q=v)),
+    "propagate-P": ("P", lambda v: _step("propagate", P=v)),
+    "update-R": ("R", lambda v: _step("update", R=v)),
+    "update-P": ("P", lambda v: _step("update", P=v)),
+    "sigma_points-P": ("P", lambda v: sigma_points(v, 0.0)),
+    "augment_landmark-obs_cov": ("obs_cov", _augment),
+    "covariance_retrieval-P": ("P", lambda v: covariance_retrieval(
+        np.eye(3), np.array([0.0, 0.0, 1.0]), v)),
+}
+
+BAD_COVARIANCES = {
+    "not-numeric": (np.array([["a", "b"], ["c", "d"]]), DimensionMismatch, "is not a numeric"),
+    "not-square": (np.ones((2, 3)), DimensionMismatch, "must be square"),
+    "nan": (np.diag([1.0, np.nan]), NonPSDCovariance, "holds NaN or inf$"),
+    "inf": (np.diag([np.inf, 1.0]), NonPSDCovariance, "holds NaN or inf$"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_COVARIANCES)
+@pytest.mark.parametrize("name", COVARIANCE_RULE)
+def test_every_covariance_boundary_refuses_what_the_rule_refuses(name, fault):
+    """One fault, one class, at every boundary: a covariance that is not
+    numeric or not square is a DimensionMismatch and one that holds NaN or
+    inf a NonPSDCovariance, each naming the covariance as its boundary
+    does."""
+    what, call = COVARIANCE_RULE[name]
+    value, error, message = BAD_COVARIANCES[fault]
+    with pytest.raises(error, match=f"^{what} {message}") as info:
+        call(value)
+    assert type(info.value) is error
+
+
+def _covariance_checks(tree):
+    """The functions of a module that raise a covariance's shape or finite
+    fault: DimensionMismatch or NonPSDCovariance with a message holding
+    "must be square" or "holds NaN or inf"."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                    and exc.func.id in ("DimensionMismatch", "NonPSDCovariance")):
+                continue
+            text = "".join(c.value for arg in exc.args for c in ast.walk(arg)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if "must be square" in text or "holds NaN or inf" in text:
+                yield func.name
+                break
+
+
+def test_the_covariance_rule_is_written_once():
+    """No boundary keeps its own copy of the covariance square or finite
+    check: exactly one function in src/ raises either fault."""
+    found = {(path.name, name) for path in (ROOT / "src" / "manifold_ukf").glob("*.py")
+             for name in _covariance_checks(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("lie_groups.py", "_square_finite")}

@@ -204,7 +204,7 @@ def test_slam2d_augment_order_insensitive():
 
 
 @pytest.mark.parametrize("y_new,obs_cov,error", [
-    ((1.0, 0.0), [0.01, 0.01], NonPSDCovariance),  # a vector, not (2, 2)
+    ((1.0, 0.0), [0.01, 0.01], DimensionMismatch),  # a vector, not (2, 2)
     ((1.0, 0.0), [[math.nan, 0.0], [0.0, 0.01]], NonPSDCovariance),
     ((1.0, 0.0), [[0.01, 0.0], [0.0, -0.01]], NonPSDCovariance),
     ((math.nan, 0.0), np.eye(2), NonFiniteState),
@@ -499,6 +499,15 @@ def test_spec_rejects_a_bool_or_a_non_number(field, value):
 def test_spec_names_a_covariance_that_is_not_numeric(field):
     with pytest.raises(DimensionMismatch, match=f"^localization2d {field} is not a numeric"):
         dataclasses.replace(make("localization2d"), **{field: "abc"})
+
+
+def test_spec_refuses_an_empty_initial_cov():
+    """A filter over no tangent coordinates has no sigma points: refused when
+    the spec is made, by the integer rule, not as a raw ValueError of a
+    later filter_run or benchmark.  An empty Q or R is a model's choice."""
+    with pytest.raises(ValueError, match="^localization2d: initial_cov dimension must be"):
+        dataclasses.replace(make("localization2d"), initial_cov=np.zeros((0, 0)))
+    dataclasses.replace(make("localization2d"), Q=np.zeros((0, 0)), R=np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("name", models.example_names())

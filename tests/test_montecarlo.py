@@ -12,6 +12,7 @@ import pytest
 
 from manifold_ukf import montecarlo
 from manifold_ukf.errors import (
+    DimensionMismatch,
     FilterStepError,
     NonPSDCovariance,
     NotARotation,
@@ -597,8 +598,10 @@ def test_psd_sqrt_reconstructs():
     assert np.abs(L @ L.T - M).max() < 1e-12
     assert np.array_equal(_psd_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
     assert _psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
-    for bad in (np.diag([1.0, -1.0]), np.ones((2, 3)), np.diag([1.0, np.nan]),
+    for bad in (np.diag([1.0, -1.0]), np.diag([1.0, np.nan]),
                 np.diag([np.inf, 1.0]), np.array([[1.0, 0.1], [0.0, 1.0]])):
         with pytest.raises(NonPSDCovariance):
             _psd_sqrt(bad)
+    with pytest.raises(DimensionMismatch):
+        _psd_sqrt(np.ones((2, 3)))
 

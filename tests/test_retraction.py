@@ -471,6 +471,20 @@ def test_product_retractions_check_the_state_size_before_splitting(label, retr, 
                 call()
 
 
+@pytest.mark.parametrize("state", [np.ones((3, 4)), np.ones((2, 3, 4)), np.eye(1)],
+                         ids=["non-square", "non-square-stack", "too-small"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_group_phi_refuses_what_phi_inv_refuses(state, side):
+    """A state that is not square, or smaller than its rotation block, raises
+    the DimensionMismatch of lie_groups._square from phi as from phi_inv,
+    not a product with a matching exp."""
+    retr = group_retraction(2, 1, side)
+    message = re.escape(f"expected square matrices of size >= 2, got {state.shape}")
+    for call in (lambda: retr.phi(state, np.zeros(5)), lambda: retr.phi_inv(state, state)):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            call()
+
+
 NOT_NUMERIC = {"string": "abc", "ragged": [[1.0, 2.0], [3.0]]}
 
 

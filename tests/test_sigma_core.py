@@ -314,6 +314,7 @@ def _step(kind, belief=None, alpha=None, **given):
 
 _NAN_P = Belief(np.eye(3), np.diag([1.0, np.nan, 1.0]))
 _EMPTY = Belief(np.eye(3), np.zeros((0, 0)))
+_SCALAR = Belief(np.zeros(0), np.zeros(()))  # a 0-d cov fails as an empty one
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -323,17 +324,19 @@ _EMPTY = Belief(np.eye(3), np.zeros((0, 0)))
     (lambda: _step("propagate", _NAN_P, alpha=2.0), InvalidAlpha, "alpha must"),
     (lambda: _step("propagate", _EMPTY, Q=np.ones((2, 3))), DimensionMismatch, "Q must be square"),
     (lambda: _step("propagate", _EMPTY), ValueError, "dimension must be positive"),
+    (lambda: _step("propagate", _SCALAR), ValueError, "dimension must be positive"),
     (lambda: _step("update", y="abc", R="abc"), DimensionMismatch, "y is not a numeric"),
     (lambda: _step("update", R="abc", alpha=2.0), DimensionMismatch, "R is not a numeric"),
     (lambda: _step("update", R=np.eye(2), alpha=2.0), DimensionMismatch, r"R must be \(p, p\)"),
     (lambda: _step("update", _EMPTY, R=np.eye(2)), DimensionMismatch, r"R must be \(p, p\)"),
     (lambda: _step("update", _EMPTY, alpha=2.0), ValueError, "dimension must be positive"),
+    (lambda: _step("update", _SCALAR, alpha=2.0), ValueError, "dimension must be positive"),
     (lambda: _step("update", _NAN_P, alpha=2.0), InvalidAlpha, "alpha must"),
     (lambda: _step("update", _NAN_P, y=np.full(6, np.nan)), NonPSDCovariance, "P holds NaN"),
     (lambda: _step("update", y=np.full(6, np.nan)), NonFiniteState, "measurement y holds NaN"),
 ], ids=["Q-str+alpha", "alpha+Q-shape", "Q-shape+P", "alpha+P", "Q-shape+d0", "d0",
-        "y-str+R-str", "R-str+alpha", "R-shape+alpha", "R-shape+d0", "d0+alpha", "alpha+P",
-        "P+y", "y"])
+        "0-d", "y-str+R-str", "R-str+alpha", "R-shape+alpha", "R-shape+d0", "d0+alpha",
+        "0-d+alpha", "alpha+P", "P+y", "y"])
 def test_public_steps_check_in_their_order(call, error, message):
     """propagate and update are their checks plus a core: of two faults the
     first check's error is raised, as when every check ran in the step."""
