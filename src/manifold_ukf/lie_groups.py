@@ -25,13 +25,13 @@ axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
 are chosen per element, and one bad element of a stack fails the call.
 
 inverse and log_sek check their input with _square and _require_group
-before any arithmetic, log_so3 and log_so2 check the rotation, exp_so3 and
-exp_sek convert theirs, and each then calls one private unchecked core
-(_inverse, _log_sek, _log_so3, _log_so2, _exp_so3, _exp_sek; _exp_sek still
-checks the tangent width).  The group phi_inv in retraction checks its ref
-and states with _require_pair, as inverse(ref) and then inverse(state)
-would, the group phi and the built-in dynamics check their arguments
-themselves, and all call the cores.  The near-pi check of the logs needs
+before any arithmetic, log_so3 and log_so2 check the rotation, exp_so3
+its vectors, and each then calls one private unchecked core (_inverse,
+_log_sek, _log_so3, _log_so2, _exp_so3, _exp_sek; _exp_sek still checks
+its tangent vectors).  The group phi_inv in retraction checks its ref and
+states with _require_pair, as inverse(ref) and then inverse(state) would,
+the group phi and the built-in dynamics check their arguments themselves,
+and all call the cores.  The near-pi check of the logs needs
 the angles, so it stays in the cores.  _require_rotation forms C^T C from a
 contiguous copy of C^T, since numpy's matmul of a matrix with a transposed
 view of its own buffer takes a slower path; the product has the same bits.
@@ -39,8 +39,9 @@ Hot-path tests call _count_nonzero, numpy's C count_nonzero without
 np.count_nonzero's two Python frames (private API, pinned by
 test_lie_groups), and sums call np.add.reduce, not .any() and .sum().
 
-Argument rules live here: _floats for arrays, _covariance for covariances,
-_check_int for counts, seeds and dimensions, _check_number for scalars.
+Argument rules live here: _floats for arrays, _shaped for their shapes,
+_covariance for covariances, _check_int for counts, seeds and dimensions,
+_check_number for scalars, and _broadcast_error words each broadcast fault.
 """
 
 from __future__ import annotations
@@ -102,6 +103,27 @@ def _floats(x, what: str) -> np.ndarray:
         raise DimensionMismatch(f"{what} is not a numeric array: {x!r:.60}") from None
 
 
+def _shaped(x, what: str, shape: tuple) -> np.ndarray:
+    """The shape rule: x as a float array (_floats), or DimensionMismatch
+    naming it `what` unless its shape is `shape`, where a leading ... matches
+    any leading axes: (..., 3) takes a stack of 3-vectors, (2,) one 2-vector."""
+    x = _floats(x, what)
+    if x.shape[1 - len(shape):] != shape[1:] if shape and shape[0] is ... else x.shape != shape:
+        want = str(shape)[1:-1].replace("Ellipsis", "...")
+        raise DimensionMismatch(f"{what} must be ({want}), got shape {x.shape}")
+    return x
+
+
+def _broadcast_error(first, a, second, b, factor_error=None):
+    """DimensionMismatch for numpy's ValueError, or a product factor's, when the
+    leading axes of a and b do not broadcast, naming both shapes; any other
+    fault of a factor is returned as it is."""
+    if factor_error is not None and "do not broadcast" not in str(factor_error):
+        return factor_error
+    return DimensionMismatch(f"{first} of shape {np.shape(a)} do not broadcast "
+                             f"against {second} of shape {np.shape(b)}")
+
+
 def _covariance(M, what: str, stack: bool = False) -> np.ndarray:
     """The covariance rule: _square_finite of M as a float array (_floats)."""
     return _square_finite(_floats(M, what), what, stack)
@@ -158,17 +180,9 @@ def tangent_dim(d: int, k: int) -> int:
 # so(2) / so(3)
 
 
-def _so3_vectors(omega) -> np.ndarray:
-    """omega as (..., 3) float vectors, or DimensionMismatch."""
-    omega = _floats(omega, "omega")
-    if omega.shape[-1:] != (3,):
-        raise DimensionMismatch(f"expected (..., 3) vectors, got shape {omega.shape}")
-    return omega
-
-
 def wedge_so3(omega) -> np.ndarray:
     """Skew matrices of (..., 3) vectors: wedge(omega) @ v == cross(omega, v)."""
-    return _so3_vectors(omega)[..., _WEDGE_IDX] * _WEDGE_SIGN
+    return _shaped(omega, "omega", (..., 3))[..., _WEDGE_IDX] * _WEDGE_SIGN
 
 
 def _rot2(c, s) -> np.ndarray:
@@ -268,7 +282,7 @@ def _quadratic(W, WW, a, b) -> np.ndarray:
 
 def exp_so3(omega) -> np.ndarray:
     """Rodrigues formula with a Taylor branch below the small-angle cutoff."""
-    return _exp_so3(_so3_vectors(omega))
+    return _exp_so3(_shaped(omega, "omega", (..., 3)))
 
 
 def _exp_so3(omega):
@@ -349,13 +363,13 @@ def polar_project(R) -> np.ndarray:
 
 
 def left_jacobian_so3(omega) -> np.ndarray:
-    W, WW, theta2 = _so3_parts(_so3_vectors(omega))
+    W, WW, theta2 = _so3_parts(_shaped(omega, "omega", (..., 3)))
     return _quadratic(W, WW, *_so3_coeffs(theta2, _sinc_cosc_sinc3)[1:])
 
 
 def inv_left_jacobian_so3(omega) -> np.ndarray:
     # Valid for angles below pi; the log never produces larger ones.
-    W, WW, theta2 = _so3_parts(_so3_vectors(omega))
+    W, WW, theta2 = _so3_parts(_shaped(omega, "omega", (..., 3)))
     return _quadratic(W, WW, -0.5, *_so3_coeffs(theta2, _cotc))
 
 
@@ -433,8 +447,7 @@ def _require_pair(ref, state, d):
         try:
             np.broadcast(ref, state)
         except ValueError:
-            raise DimensionMismatch(f"states of shape {state.shape} do not broadcast "
-                                    f"against a ref of shape {ref.shape}") from None
+            raise _broadcast_error("states", state, "a ref", ref) from None
     return ref, state
 
 
@@ -442,16 +455,13 @@ def exp_sek(xi, d: int, k: int) -> np.ndarray:
     """Group exponential: rotation by Rodrigues, translations via the left
     Jacobian; both come from one set of trig terms (and for d = 3 one
     wedge)."""
-    xi = _floats(xi, "xi")
     _check_d(d)
     return _exp_sek(xi, d, k)
 
 
 def _exp_sek(xi, d, k):
-    """exp_sek of float tangent vectors; it checks only their width."""
-    if xi.shape[-1:] != (tangent_dim(d, k),):
-        got = f"length {xi.shape[-1]}" if xi.ndim else "shape ()"
-        raise DimensionMismatch(f"tangent vector of {got} does not match SE_{k}({d})")
+    """exp_sek for a checked d; it checks xi by the shape rule only."""
+    xi = _shaped(xi, "xi", (..., tangent_dim(d, k)))
     rot = xi[..., :3] if d == 3 else xi[..., 0]
     if k == 0:
         return _exp_so3(rot) if d == 3 else _rot2(np.cos(rot), np.sin(rot))

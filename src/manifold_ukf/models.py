@@ -46,15 +46,6 @@ def _identity(state):
     return state
 
 
-def _omega(omega, width: int, what: str = "omega") -> np.ndarray:
-    """A built-in f's input or noise as a float array, or DimensionMismatch
-    naming it as `what` if it is not numeric or not (..., width)."""
-    omega = lie._floats(omega, what)
-    if omega.shape[-1:] != (width,):
-        raise DimensionMismatch(f"{what} must be (..., {width}), got {omega.shape}")
-    return omega
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """One estimation problem: dynamics, observation, noise, retractions.
@@ -177,7 +168,8 @@ class LandmarkSet:
 
 def _se2_odometry(state, omega, w):
     """Pose composed with the exponential of the noisy body increment."""
-    return state @ lie._exp_sek(_omega(omega, 3) + _omega(w, 3, "w"), 2, 1)
+    return state @ lie._exp_sek(lie._shaped(omega, "omega", (..., 3))
+                                + lie._shaped(w, "w", (..., 3)), 2, 1)
 
 
 def _se2_position(state):
@@ -230,7 +222,8 @@ def localization2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
 
 
 def _gyro_dynamics(dt, state, omega, w):
-    return state @ lie._exp_so3((_omega(omega, 3) + _omega(w, 3, "w")) * dt)
+    return state @ lie._exp_so3((lie._shaped(omega, "omega", (..., 3))
+                                 + lie._shaped(w, "w", (..., 3))) * dt)
 
 
 def _body_field_observation(gravity, mag_field, state):
@@ -293,7 +286,7 @@ def attitude3d(dt: float = 0.01, gyro_std: float = 0.01,
 def _inertial_nav_dynamics(dt, gravity, state, omega, w):
     """Strapdown step of extended poses (rotation, velocity, position).
     Inputs stack body-frame gyro rates and specific force; noise adds to both."""
-    omega, w = _omega(omega, 6), _omega(w, 6, "w")
+    omega, w = lie._shaped(omega, "omega", (..., 6)), lie._shaped(w, "w", (..., 6))
     gyro, acc = omega[..., :3] + w[..., :3], omega[..., 3:6] + w[..., 3:6]
     C, v, p = _pose_parts(state)
     return _pose_join(C @ lie._exp_so3(gyro * dt),
@@ -346,8 +339,7 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
     position_error in the world frame, with an initial covariance sized to
     cover both; this makes the large-error transient the interesting part.
     """
-    if landmarks.points.shape[1] != 3:
-        raise DimensionMismatch("inertial_nav landmarks must be 3D")
+    lie._shaped(landmarks.points, "inertial_nav landmarks", (..., 3))
     m = len(landmarks)
     initial_truth = np.eye(5)
     initial_truth[:3, 3] = np.array([speed, 0.0, 0.0])
@@ -387,10 +379,7 @@ def inertial_nav(dt: float = 0.1, speed: float = 4.0, yaw_rate: float = 0.3,
 def _slam_dynamics(state, omega, w):
     """Odometry on the pose block; landmarks are static."""
     pose, landmarks = _mixed_parts(3, state)
-    pose = _se2_odometry(pose, omega, w)
-    if pose.shape[:-2] != landmarks.shape[:-1]:  # one state, a stack of noise
-        landmarks = np.broadcast_to(landmarks, pose.shape[:-2] + landmarks.shape[-1:])
-    return mixed_state(pose, landmarks)
+    return mixed_state(_se2_odometry(pose, omega, w), landmarks)
 
 
 def _slam_observation(state):
@@ -410,8 +399,7 @@ def slam2d(dt: float = 0.1, speed: float = 1.0, yaw_rate: float = 0.3,
            landmarks: LandmarkSet = _DEFAULT_SLAM_LANDMARKS,
            measure_every: int = 5) -> ModelSpec:
     """Planar SLAM with all landmarks in the state and relative observations."""
-    if landmarks.points.shape[1] != 2:
-        raise DimensionMismatch("slam2d landmarks must be 2D")
+    lie._shaped(landmarks.points, "slam2d landmarks", (..., 2))
     m = len(landmarks)
     flat = landmarks.points.reshape(-1)
     initial_truth = mixed_state(np.eye(3), flat)
@@ -453,9 +441,7 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     measurement noise.  Existing covariance entries are copied unchanged.
     y_new must be a finite (2,) vector and obs_cov a (2, 2) covariance.
     """
-    y_new, obs_cov = lie._floats(y_new, "y_new"), lie._floats(obs_cov, "obs_cov")
-    if y_new.shape != (2,):
-        raise DimensionMismatch(f"y_new must be a (2,) vector, got {y_new.shape}")
+    y_new, obs_cov = lie._shaped(y_new, "y_new", (2,)), lie._floats(obs_cov, "obs_cov")
     if not np.isfinite(y_new).all():
         raise NonFiniteState("y_new must be finite")
     _psd_sqrt(obs_cov, "obs_cov", 2)
@@ -497,12 +483,9 @@ def _biased_imu_dynamics(dt, gravity, state, omega, w):
     Noise vector: (gyro white, accel white, gyro bias walk, accel bias walk).
     """
     pose, bias = _mixed_parts(5, state)
-    w = _omega(w, 12, "w")
-    pose = _inertial_nav_dynamics(dt, gravity, pose, _omega(omega, 6) - bias, w[..., :6])
-    bias = bias + w[..., 6:12]
-    if pose.shape[:-2] != bias.shape[:-1]:  # one state and noise, a stack of inputs
-        bias = np.broadcast_to(bias, pose.shape[:-2] + (6,))
-    return mixed_state(pose, bias)
+    omega, w = lie._shaped(omega, "omega", (..., 6)), lie._shaped(w, "w", (..., 12))
+    pose = _inertial_nav_dynamics(dt, gravity, pose, omega - bias, w[..., :6])
+    return mixed_state(pose, bias + w[..., 6:12])
 
 
 def _mixed_position(state):
@@ -563,7 +546,8 @@ def imu_gnss(dt: float = 0.05, speed: float = 4.0, yaw_rate: float = 0.3,
 
 def _lifted_sphere_dynamics(dt, state, omega, w):
     """World-frame rotation increment with a rotation-vector noise factor."""
-    return lie._exp_so3(_omega(omega, 3) * dt) @ lie._exp_so3(_omega(w, 3, "w")) @ state
+    return (lie._exp_so3(lie._shaped(omega, "omega", (..., 3)) * dt)
+            @ lie._exp_so3(lie._shaped(w, "w", (..., 3))) @ state)
 
 
 def _sphere_point(lever, state):

@@ -16,9 +16,9 @@ is itself a Retraction of one of two kinds:
   its phi_inv checks the ref and then the states as lie_groups.inverse
   checks its input, before any arithmetic (lie_groups._require_pair), and
   then calls the unchecked cores of inverse and log_sek;
-* R^n, plain addition, with one block named by the caller; it checks the
-  tangent width (exp_sek checks it for SE_k(d)) and the ref's against the
-  state, and raises NonFiniteState when phi_inv meets a NaN or inf.
+* R^n, plain addition, with one block named by the caller; the shape rule
+  (lie_groups._shaped) holds xi to the state's width and the states to the
+  ref's, and phi_inv raises NonFiniteState when it meets a NaN or inf.
 
 A product splits states into parts through a layout, split(state) -> parts
 and join(*parts) -> state.  A mixed state is one flat (..., n*n + m) array,
@@ -33,7 +33,7 @@ and additive_retraction are single factors, mixed_retraction is
 SE_k(d) x R^n and componentwise_so3_r6 is SO(3) x R^3 x R^3.  Each phi
 and phi_inv takes its arguments through lie_groups._floats, so one that
 is not a numeric array raises DimensionMismatch naming it; arguments whose
-leading axes do not broadcast raise DimensionMismatch naming both shapes.
+leading axes do not broadcast raise DimensionMismatch (_broadcast_error).
 
 All callables are module-level functions, bound with functools.partial.
 """
@@ -119,25 +119,16 @@ def _rows(values, lead: Tuple[int, ...], width: int) -> np.ndarray:
 # Factors: SE_k(d) and R^n
 
 
-def _broadcast_error(first, a, second, b, factor_error=None):
-    """DimensionMismatch for numpy's ValueError, or a product factor's, when the
-    leading axes of a and b do not broadcast, worded as lie._require_pair words it."""
-    if factor_error is not None and "do not broadcast" not in str(factor_error):
-        return factor_error  # any other fault of a factor, as it is
-    return DimensionMismatch(f"{first} of shape {np.shape(a)} do not broadcast "
-                             f"against {second} of shape {np.shape(b)}")
-
-
 def _phi_group(state, xi, d, side):
     """state @ exp(xi) or exp(xi) @ state; group_retraction checked d."""
     state = lie._floats(state, "state")
     if state.ndim < 2 or state.shape[-1] != state.shape[-2] or state.shape[-1] < d:
         raise DimensionMismatch(f"expected square matrices of size >= {d}, got {state.shape}")
-    G = lie._exp_sek(lie._floats(xi, "xi"), d, state.shape[-1] - d)
+    G = lie._exp_sek(xi, d, state.shape[-1] - d)
     try:
         return state @ G if side == "left" else G @ state
     except ValueError:
-        raise _broadcast_error("tangent vectors", xi, "states", state) from None
+        raise lie._broadcast_error("tangent vectors", xi, "states", state) from None
 
 
 def _phi_inv_group(ref, state, d, side):
@@ -174,23 +165,21 @@ def group_retraction(d: int, k: int, side: str = "left") -> Retraction:
 
 
 def _phi_euclid(state, xi):
-    state, xi = lie._floats(state, "state"), lie._floats(xi, "xi")
-    if xi.shape[-1:] != state.shape[-1:]:
-        raise DimensionMismatch(f"tangent shape {xi.shape} != state shape {state.shape}")
+    state = lie._floats(state, "state")
+    xi = lie._shaped(xi, "xi", (..., state.shape[-1]) if state.ndim else ())
     try:
         return state + xi
     except ValueError:
-        raise _broadcast_error("tangent vectors", xi, "states", state) from None
+        raise lie._broadcast_error("tangent vectors", xi, "states", state) from None
 
 
 def _phi_inv_euclid(ref, state):
-    ref, state = lie._floats(ref, "ref"), lie._floats(state, "state")
-    if state.shape[-1:] != ref.shape[-1:]:
-        raise DimensionMismatch(f"state shape {state.shape} != ref shape {ref.shape}")
+    ref = lie._floats(ref, "ref")
+    state = lie._shaped(state, "state", (..., ref.shape[-1]) if ref.ndim else ())
     try:
         out = state - ref
     except ValueError:
-        raise _broadcast_error("states", state, "a ref", ref) from None
+        raise lie._broadcast_error("states", state, "a ref", ref) from None
     if lie._count_nonzero(np.isfinite(out)) != out.size:
         raise NonFiniteState("Euclidean state or reference is not finite")
     return out
@@ -214,7 +203,7 @@ def _phi_product(state, xi, split, join, phis, spans):
         return join(*(phi(part, xi[..., span])
                       for phi, part, span in zip(phis, split(state), spans)))
     except DimensionMismatch as exc:
-        raise _broadcast_error("tangent vectors", xi, "states", state, exc) from None
+        raise lie._broadcast_error("tangent vectors", xi, "states", state, exc) from None
 
 
 def _phi_inv_product(ref, state, split, phi_invs):
@@ -223,7 +212,7 @@ def _phi_inv_product(ref, state, split, phi_invs):
         return np.concatenate([f(r, s) for f, r, s in
                                zip(phi_invs, split(ref), split(state))], axis=-1)
     except DimensionMismatch as exc:
-        raise _broadcast_error("states", state, "a ref", ref, exc) from None
+        raise lie._broadcast_error("states", state, "a ref", ref, exc) from None
 
 
 def _product(name: str, split, join, *factors: Retraction) -> Retraction:
@@ -252,9 +241,17 @@ def _mixed_parts(n, state):
 
 def mixed_state(group, euclid) -> np.ndarray:
     """A flat mixed state: the n x n group element(s) in row-major order,
-    then the Euclidean block; leading axes must agree."""
+    then the Euclidean block; their leading axes broadcast (one group element
+    and a stack of blocks, say), or DimensionMismatch names both shapes."""
     group, euclid = lie._floats(group, "group"), lie._floats(euclid, "euclid")
-    return np.concatenate([group.reshape(group.shape[:-2] + (-1,)), euclid], -1)
+    flat = group.reshape(group.shape[:-2] + (-1,))
+    if flat.shape[:-1] != euclid.shape[:-1]:
+        try:
+            lead = np.broadcast_shapes(flat.shape[:-1], euclid.shape[:-1])
+        except ValueError:
+            raise lie._broadcast_error("blocks", euclid, "group elements", group) from None
+        flat, euclid = (np.broadcast_to(x, lead + x.shape[-1:]) for x in (flat, euclid))
+    return np.concatenate([flat, euclid], -1)
 
 
 def mixed_retraction(d: int, k: int, n_euclid: int, side: str = "right",
@@ -302,12 +299,9 @@ def covariance_retrieval(R_hat, L, P):
     along x because rotating about x does not move it.  R_hat must be one
     rotation matrix (DimensionMismatch, NotARotation) and L be (3,).
     """
-    R_hat, L, P = lie._floats(R_hat, "R_hat"), lie._floats(L, "L"), lie._floats(P, "P")
-    if R_hat.shape != (3, 3):
-        raise DimensionMismatch(f"R_hat must be (3, 3), got {R_hat.shape}")
+    R_hat = lie._shaped(R_hat, "R_hat", (3, 3))
     lie._require_rotation(R_hat, 3)
-    if L.shape != (3,):
-        raise DimensionMismatch(f"L must be (3,), got {L.shape}")
+    L = lie._shaped(L, "L", (3,))
     _psd_sqrt(P, "P", 3)
     x = R_hat @ L
     A = -lie.wedge_so3(x)
@@ -318,15 +312,15 @@ def _psd_sqrt(M, what: str = "covariance", size: Optional[int] = None) -> np.nda
     """A factor L with L @ L.T == M of a symmetric PSD M, named `what`: the
     covariance rule (lie._covariance), then NonPSDCovariance if M is asymmetric
     beyond 1e-9 or has an eigenvalue below -1e-9, then, with a size given,
-    DimensionMismatch unless M is (size, size)."""
+    the shape rule (lie._shaped) with (size, size)."""
     M = lie._covariance(M, what)
     if np.abs(M - M.T).max(initial=0.0) > 1e-9:
         raise NonPSDCovariance(f"{what} is not symmetric within 1e-9")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     if (vals < -1e-9).any():
         raise NonPSDCovariance(f"{what} has an eigenvalue below -1e-9")
-    if size is not None and M.shape != (size, size):
-        raise DimensionMismatch(f"{what} must be ({size}, {size}), got {M.shape}")
+    if size is not None:
+        lie._shaped(M, what, (size, size))
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 

@@ -102,7 +102,7 @@ def sigma_points(P, lam: float) -> np.ndarray:
     scaled to trace(P), on the failing covariances of a stack only; if that
     also fails the covariance is declared broken.
     """
-    return np.concatenate([Lt := _columns(P, lam), -Lt])
+    return np.concatenate([Lt := _columns(lie._covariance(P, "P", stack=True), lam), -Lt])
 
 
 def _lapack_failed(err, flag):
@@ -117,8 +117,8 @@ _cholesky, _solve = _lapack(_umath_linalg.cholesky_lo), _lapack(_umath_linalg.so
 
 
 def _columns(P, lam: float) -> np.ndarray:
-    """The first half of sigma_points(P, lam), (n, ..., n)."""
-    P = lie._covariance(P, "P", stack=True)
+    """The first half of sigma_points(P, lam), (n, ..., n), for a P that
+    passed the covariance rule."""
     n = P.shape[-1]
     scale = lam + n
     if scale <= 0.0:
@@ -155,12 +155,13 @@ def _noise_points(Q_bytes: bytes, shape: tuple, alpha: float, head: int,
                   run_axes: int):
     """Q's read-only noise stack and its weights for alpha (None if Q is all
     zero), from Q's bytes and shape, checked by lie._square_finite: `head`
-    zero rows, then sigma_points(Q, lam) unless Q is all zero, each row shaped
-    (1,) * run_axes + (q,) so that every run shares it.  propagate reuses
-    both, and skips the checks, while Q keeps its values."""
+    zero rows, then sigma_points(Q, lam), as _columns factors it, unless Q
+    is all zero, each row shaped (1,) * run_axes + (q,) so that every run
+    shares it.  propagate reuses both, and skips the checks, while Q keeps
+    its values."""
     Q = lie._square_finite(np.frombuffer(Q_bytes).reshape(shape), "Q")
     w = set_weights(shape[0], alpha) if Q.any() else None
-    points = sigma_points(Q, w.lam) if w else np.empty((0, shape[0]))
+    points = np.concatenate([L := _columns(Q, w.lam), -L]) if w else np.empty((0, shape[0]))
     stack = np.zeros((head + len(points),) + (1,) * run_axes + shape[:1])
     stack.reshape(len(stack), -1)[head:] = points
     stack.flags.writeable = False
@@ -171,7 +172,7 @@ def _sampled(belief, w: SigmaWeights, retraction: Retraction, a: int, rows: int)
     """The 2a offsets xis = +-the first a scaled factor columns for the
     belief's weights w (sigma_points' rows :a and d:d + a), and the
     (rows, ...) stack of the mean, phi(mean, xis), then copies of the mean."""
-    cols = _columns(belief.cov, w.lam)[:a]
+    cols = _columns(lie._covariance(belief.cov, "P", stack=True), w.lam)[:a]
     xis = np.concatenate([cols, -cols])
     offsets = retraction.phi(belief.mean, xis)
     stack = np.empty((rows,) + offsets.shape[1:])
@@ -200,6 +201,12 @@ class Belief:
     @property
     def dim(self) -> int:
         return self.cov.shape[-1] if self.cov.ndim else 0  # 0-d: fails as empty
+
+
+def _float_cov(belief: Belief) -> Belief:
+    """belief with its cov as a float array, by lie._floats (named P)."""
+    cov = lie._floats(belief.cov, "P")
+    return belief if cov is belief.cov else Belief(belief.mean, cov)
 
 
 def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
@@ -240,6 +247,7 @@ def propagate(belief: Belief, omega, f: Callable, Q, retraction: Retraction,
     factors cannot take raises DimensionMismatch.
     """
     Q, alpha = lie._floats(Q, "Q"), lie._check_number(alpha, "alpha", InvalidAlpha)
+    belief = _float_cov(belief)
     return _propagate(belief, omega, f, (Q.tobytes(), Q.shape), retraction, alpha)
 
 
@@ -280,7 +288,8 @@ def update(belief: Belief, y, h: Callable, R, retraction: Retraction,
     in R, P, S or y fails the update.
     """
     y, R = lie._floats(y, "y"), lie._covariance(R, "R")
-    return _update(belief, _measured(y, R), h, R, retraction, set_weights(belief.dim, alpha))
+    y, belief = _measured(y, R), _float_cov(belief)
+    return _update(belief, y, h, R, retraction, set_weights(belief.dim, alpha))
 
 
 def _measured(y, R) -> np.ndarray:

@@ -2,7 +2,8 @@
 export that only the tests call would fail here.  Every count, seed or
 dimension passes one integer rule and every spread, step or scale one
 number rule, so each boundary refuses the same bad values with its own
-error class; every covariance passes one covariance rule, written once."""
+error class; every covariance passes one covariance rule, and every
+array's shape one shape rule, each written once."""
 
 import ast
 import math
@@ -15,11 +16,13 @@ import numpy as np
 import pytest
 
 import manifold_ukf as mu
+from manifold_ukf import lie_groups as lie
 from manifold_ukf.errors import DimensionMismatch, InvalidAlpha, NonPSDCovariance
-from manifold_ukf.models import augment_landmark, make
+from manifold_ukf.models import LandmarkSet, augment_landmark, example_names, make
 from manifold_ukf.montecarlo import benchmark, simulate
 from manifold_ukf.retraction import (
     Retraction,
+    additive_retraction,
     check_retraction,
     covariance_retrieval,
     group_retraction,
@@ -205,9 +208,9 @@ def _step(kind, P=None, **given):
                      m.alpha)
 
 
-def _augment(obs_cov):
+def _augment(obs_cov=np.eye(2), y_new=(1.0, 0.0)):
     m = make("slam2d")
-    return augment_landmark(Belief(m.initial_mean, m.initial_cov), (1.0, 0.0),
+    return augment_landmark(Belief(m.initial_mean, m.initial_cov), y_new,
                             m.retraction(), obs_cov)
 
 
@@ -250,28 +253,111 @@ def test_every_covariance_boundary_refuses_what_the_rule_refuses(name, fault):
     assert type(info.value) is error
 
 
-def _covariance_checks(tree):
-    """The functions of a module that raise a covariance's shape or finite
-    fault: DimensionMismatch or NonPSDCovariance with a message holding
-    "must be square" or "holds NaN or inf"."""
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(func):
-            exc = node.exc if isinstance(node, ast.Raise) else None
-            if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
-                    and exc.func.id in ("DimensionMismatch", "NonPSDCovariance")):
-                continue
-            text = "".join(c.value for arg in exc.args for c in ast.walk(arg)
-                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
-            if "must be square" in text or "holds NaN or inf" in text:
-                yield func.name
-                break
+def _raising(errors, *phrases):
+    """(module, function) for each function of src/, Class.function for a
+    method, that raises one of `errors` with a message whose literal text
+    holds one of `phrases`."""
+    for path in (ROOT / "src" / "manifold_ukf").glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    exc = node.exc if isinstance(node, ast.Raise) else None
+                    if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                            and exc.func.id in errors):
+                        continue
+                    text = "".join(c.value for arg in exc.args for c in ast.walk(arg)
+                                   if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                    if any(phrase in text for phrase in phrases):
+                        yield path.name, (f"{top.name}.{func.name}" if func is not top
+                                          else func.name)
+                        break
 
 
 def test_the_covariance_rule_is_written_once():
     """No boundary keeps its own copy of the covariance square or finite
     check: exactly one function in src/ raises either fault."""
-    found = {(path.name, name) for path in (ROOT / "src" / "manifold_ukf").glob("*.py")
-             for name in _covariance_checks(ast.parse(path.read_text(encoding="utf-8")))}
+    found = set(_raising(("DimensionMismatch", "NonPSDCovariance"), "must be square",
+                         "holds NaN or inf"))
     assert found == {("lie_groups.py", "_square_finite")}
+
+
+def test_the_shape_rule_is_written_once():
+    """No boundary keeps its own copy of a shape check worded "{what} must
+    be (...)": besides the rule, only _measured, which relates R to y, and
+    LandmarkSet's rank check raise one."""
+    assert set(_raising(("DimensionMismatch",), "must be (")) == {
+        ("lie_groups.py", "_shaped"), ("sigma_core.py", "_measured"),
+        ("models.py", "LandmarkSet.__post_init__")}
+
+
+def _f(name, omega=None, w=None):
+    """The example's f on its initial mean, with its first input and zero
+    noise unless given."""
+    m = make(name)
+    return m.f(m.initial_mean, m.inputs(1)[0] if omega is None else omega,
+               np.zeros(len(m.Q)) if w is None else w)
+
+
+# shape rule: the name each boundary gives the argument, the shape it asks
+# for and the call with `v` in its place
+SHAPE_RULE = {
+    **{f"{fn.__name__}-omega": ("omega", (..., 3), fn) for fn in (
+        lie.wedge_so3, lie.exp_so3, lie.left_jacobian_so3, lie.inv_left_jacobian_so3)},
+    "exp_sek-xi": ("xi", (..., 6), lambda v: lie.exp_sek(v, 3, 1)),
+    "group-phi-xi": ("xi", (..., 3), lambda v: group_retraction(2, 1).phi(np.eye(3), v)),
+    "additive-phi-xi": ("xi", (..., 3), lambda v: additive_retraction(3).phi(np.ones(3), v)),
+    "additive-phi_inv-state": ("state", (..., 3), lambda v: additive_retraction(3).phi_inv(
+        np.ones(3), v)),
+    **{f"{name}.f-{what}": (what, (..., width), lambda v, name=name, what=what: _f(
+        name, **{what: v})) for name in example_names()
+       for what, width in (("omega", make(name).inputs(1).shape[1]),
+                           ("w", len(make(name).Q)))},
+    "augment_landmark-y_new": ("y_new", (2,), lambda v: _augment(y_new=v)),
+    "augment_landmark-obs_cov": ("obs_cov", (2, 2), _augment),
+    "covariance_retrieval-R_hat": ("R_hat", (3, 3), lambda v: covariance_retrieval(
+        v, np.ones(3), np.eye(3))),
+    "covariance_retrieval-L": ("L", (3,), lambda v: covariance_retrieval(
+        np.eye(3), v, np.eye(3))),
+    "covariance_retrieval-P": ("P", (3, 3), lambda v: covariance_retrieval(
+        np.eye(3), np.ones(3), v)),
+    **{f"{name}-landmarks": (f"{name} landmarks", (..., width), lambda v, name=name: make(
+        name, landmarks=LandmarkSet(v))) for name, width in (("inertial_nav", 3),
+                                                            ("slam2d", 2))},
+}
+
+
+def _misshapen():
+    """(name, value) for each boundary and each shape it refuses: one entry
+    too many on each axis it fixes (in a stack of two for a (..., n) shape),
+    a 0-d value (not for landmarks: LandmarkSet refuses it first) and,
+    where the shape is fixed, an extra leading axis."""
+    for name, (_, shape, _) in SHAPE_RULE.items():
+        wider = tuple(2 if n is ... else n + 1 for n in shape)
+        yield pytest.param(name, np.zeros(wider), id=f"{name}-width")
+        if not name.endswith("landmarks"):
+            yield pytest.param(name, np.float64(0.0), id=f"{name}-0d")
+        if shape[0] is not ...:
+            yield pytest.param(name, np.zeros((1,) + shape), id=f"{name}-extra-axis")
+
+
+@pytest.mark.parametrize("name, value", _misshapen())
+def test_every_shape_boundary_names_an_argument_of_the_wrong_shape(name, value):
+    """One fault, one class and one wording, "{what} must be (...)", at
+    every boundary whose argument has a shape of its own."""
+    what, _, call = SHAPE_RULE[name]
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(what)} must be") as info:
+        call(value)
+    assert type(info.value) is DimensionMismatch
+
+
+def test_the_shape_rule_words_what_it_asks_for():
+    assert lie._shaped([1, 2], "v", (2,)).dtype == float
+    for shape, value, message in [
+            ((..., 3), np.zeros((2, 4)), "v must be (..., 3), got shape (2, 4)"),
+            ((..., 3, 3), np.zeros(3), "v must be (..., 3, 3), got shape (3,)"),
+            ((2,), np.zeros((1, 2)), "v must be (2,), got shape (1, 2)"),
+            ((), np.zeros(1), "v must be (), got shape (1,)")]:
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            lie._shaped(value, "v", shape)

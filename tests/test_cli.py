@@ -523,9 +523,9 @@ def test_run_with_landmark_file(tmp_path):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("example, row, wanted", [("slam2d", "1.0,2.0,3.0", "2D"),
-                                                  ("inertial_nav", "1.0,2.0", "3D")],
-                         ids=["slam2d", "inertial_nav"])
+@pytest.mark.parametrize("example, row, wanted", [
+    ("slam2d", "1.0,2.0,3.0", "(..., 2), got shape (2, 3)"),
+    ("inertial_nav", "1.0,2.0", "(..., 3), got shape (2, 2)")], ids=["slam2d", "inertial_nav"])
 def test_landmark_file_wrong_dimension(tmp_path, capsys, example, row, wanted):
     """Rejected when the model is built, not at the first measurement: three
     steps hold none (both examples measure every fifth step)."""

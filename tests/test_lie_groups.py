@@ -620,30 +620,30 @@ def test_public_functions_reject_input_that_is_not_numeric(name, bad):
     (lambda: lie.wedge_so3("abc"), "omega is not a numeric array: 'abc'"),
     (lambda: lie.exp_so2("abc"), "theta is not a numeric array: 'abc'"),
     (lambda: lie.exp_sek("abc", 3, 1), "xi is not a numeric array: 'abc'"),
-    (lambda: lie.exp_so3(np.zeros((2, 4))), r"expected \(\.\.\., 3\) vectors, got shape \(2, 4\)"),
-    (lambda: lie.wedge_so3(np.zeros(4)), r"expected \(\.\.\., 3\) vectors, got shape \(4,\)"),
-    (lambda: lie.exp_sek(np.zeros((2, 4)), 3, 0), r"tangent vector of length 4 does not match SE_0\(3\)"),
-    (lambda: lie.exp_sek(np.zeros(4), 2, 1), r"tangent vector of length 4 does not match SE_1\(2\)"),
-    (lambda: lie.exp_sek(np.zeros(8), 3, 2), r"tangent vector of length 8 does not match SE_2\(3\)"),
+    (lambda: lie.exp_so3(np.zeros((2, 4))), r"omega must be \(\.\.\., 3\), got shape \(2, 4\)"),
+    (lambda: lie.wedge_so3(np.zeros(4)), r"omega must be \(\.\.\., 3\), got shape \(4,\)"),
+    (lambda: lie.exp_sek(np.zeros((2, 4)), 3, 0), r"xi must be \(\.\.\., 3\), got shape \(2, 4\)"),
+    (lambda: lie.exp_sek(np.zeros(4), 2, 1), r"xi must be \(\.\.\., 3\), got shape \(4,\)"),
+    (lambda: lie.exp_sek(np.zeros(8), 3, 2), r"xi must be \(\.\.\., 9\), got shape \(8,\)"),
     (lambda: group_retraction(3, 1).phi(np.eye(4), np.zeros((2, 5))),
-     r"tangent vector of length 5 does not match SE_1\(3\)"),
+     r"xi must be \(\.\.\., 6\), got shape \(2, 5\)"),
     (lambda: group_retraction(2, 0).phi(np.eye(2), "abc"), "xi is not a numeric array: 'abc'"),
 ], ids=["exp_so3-str", "wedge_so3-str", "exp_so2-str", "exp_sek-str", "exp_so3-width",
         "wedge_so3-width", "exp_sek-so3-width", "exp_sek-se2-width", "exp_sek-se23-width",
         "phi-se3-width", "phi-so2-str"])
 def test_public_exps_keep_their_checks_and_messages(call, message):
     """The exp entries (and the group phi, which calls the core) check their
-    argument as before the cores were split off, with the same messages."""
+    argument as before the cores were split off, a width by the shape rule."""
     with pytest.raises(DimensionMismatch, match=f"^{message}$"):
         call()
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: lie.exp_sek(1.0, 2, 0), r"tangent vector of shape \(\) does not match SE_0\(2\)"),
+    (lambda: lie.exp_sek(1.0, 2, 0), r"xi must be \(\.\.\., 1\), got shape \(\)"),
     (lambda: group_retraction(2, 1).phi(1.0, np.zeros(3)),
      r"expected square matrices of size >= 2, got \(\)"),
     (lambda: group_retraction(2, 1).phi(np.eye(3), 1.0),
-     r"tangent vector of shape \(\) does not match SE_1\(2\)"),
+     r"xi must be \(\.\.\., 3\), got shape \(\)"),
 ], ids=["exp_sek-xi", "phi-state", "phi-xi"])
 def test_a_0d_tangent_vector_or_state_is_a_dimension_mismatch(call, message):
     """A scalar where a vector or a matrix belongs is named, not read past

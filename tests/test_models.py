@@ -290,9 +290,9 @@ def test_slam2d_observation_consistency():
     assert np.abs(model.h(truth) - np.concatenate(bodies)).max() < 1e-14
 
 
-@pytest.mark.parametrize("name, width, wanted", [("slam2d", 3, "2D"),
-                                                 ("inertial_nav", 2, "3D")],
-                         ids=["slam2d", "inertial_nav"])
+@pytest.mark.parametrize("name, width, wanted", [
+    ("slam2d", 3, r"\(\.\.\., 2\), got shape \(2, 3\)"),
+    ("inertial_nav", 2, r"\(\.\.\., 3\), got shape \(2, 2\)")], ids=["slam2d", "inertial_nav"])
 def test_landmarks_of_another_width_are_rejected(name, width, wanted):
     with pytest.raises(DimensionMismatch, match=f"^{name} landmarks must be {wanted}$"):
         make(name, landmarks=LandmarkSet(np.zeros((2, width))))

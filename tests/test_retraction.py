@@ -142,6 +142,28 @@ def test_mixed_roundtrip():
             assert np.abs(back - xi).max() < 1e-10
 
 
+@pytest.mark.parametrize("group, euclid", [((2, 3, 3), (4,)), ((3, 3), (2, 4))],
+                         ids=["group-stack", "euclid-stack"])
+def test_mixed_state_broadcasts_one_part_against_a_stack_of_the_other(group, euclid):
+    """Row r of the join is the join of the parts' rows r, a single part
+    repeated: as f's join one state against a stack of noise."""
+    rng = np.random.default_rng(3)
+    g, e = rng.standard_normal(group), rng.standard_normal(euclid)
+    out = mixed_state(g, e)
+    assert out.shape == (2, 13)
+    for r in range(2):
+        assert np.array_equal(out[r], mixed_state(g[r] if g.ndim == 3 else g,
+                                                  e[r] if e.ndim == 2 else e))
+
+
+def test_mixed_state_names_parts_that_do_not_broadcast():
+    """Not numpy's ValueError from concatenating arrays of other ranks."""
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "blocks of shape (3, 4) do not broadcast against group elements of "
+            "shape (2, 3, 3)")):
+        mixed_state(np.zeros((2, 3, 3)), np.zeros((3, 4)))
+
+
 def test_mixed_dimension_check():
     retr = mixed_retraction(3, 2, 6)
     state = mixed_state(np.eye(5), np.zeros(6))

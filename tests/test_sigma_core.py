@@ -315,6 +315,7 @@ def _step(kind, belief=None, alpha=None, **given):
 _NAN_P = Belief(np.eye(3), np.diag([1.0, np.nan, 1.0]))
 _EMPTY = Belief(np.eye(3), np.zeros((0, 0)))
 _SCALAR = Belief(np.zeros(0), np.zeros(()))  # a 0-d cov fails as an empty one
+_WORDS = Belief(np.eye(3), [["a", "b", "c"]] * 3)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -334,15 +335,46 @@ _SCALAR = Belief(np.zeros(0), np.zeros(()))  # a 0-d cov fails as an empty one
     (lambda: _step("update", _NAN_P, alpha=2.0), InvalidAlpha, "alpha must"),
     (lambda: _step("update", _NAN_P, y=np.full(6, np.nan)), NonPSDCovariance, "P holds NaN"),
     (lambda: _step("update", y=np.full(6, np.nan)), NonFiniteState, "measurement y holds NaN"),
+    (lambda: _step("propagate", _WORDS, alpha=2.0), InvalidAlpha, "alpha must"),
+    (lambda: _step("propagate", _WORDS), DimensionMismatch, "P is not a numeric"),
+    (lambda: _step("update", _WORDS, R=np.eye(2)), DimensionMismatch, r"R must be \(p, p\)"),
+    (lambda: _step("update", _WORDS), DimensionMismatch, "P is not a numeric"),
 ], ids=["Q-str+alpha", "alpha+Q-shape", "Q-shape+P", "alpha+P", "Q-shape+d0", "d0",
         "0-d", "y-str+R-str", "R-str+alpha", "R-shape+alpha", "R-shape+d0", "d0+alpha",
-        "0-d+alpha", "alpha+P", "P+y", "y"])
+        "0-d+alpha", "alpha+P", "P+y", "y", "alpha+P-str", "P-str", "R-shape+P-str",
+        "update-P-str"])
 def test_public_steps_check_in_their_order(call, error, message):
     """propagate and update are their checks plus a core: of two faults the
     first check's error is raised, as when every check ran in the step."""
     with pytest.raises(error, match=f"^{message}") as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("kind", ["propagate", "update"])
+def test_public_steps_take_a_covariance_given_as_a_nested_list(kind):
+    """As sigma_points does: the list is converted once, at the entry, and
+    the step is the step on the array, bit for bit."""
+    m = make("attitude3d")
+    listed = _step(kind, Belief(m.initial_mean, m.initial_cov.tolist()))
+    given = _step(kind)
+    assert listed.mean.tobytes() == given.mean.tobytes()
+    assert listed.cov.tobytes() == given.cov.tobytes()
+
+
+def test_a_noise_cache_miss_checks_q_once(monkeypatch):
+    """Q passes the covariance rule's check half once, as Q, on a miss, and
+    the belief's P once; Q's factor skips sigma_points' second check."""
+    m, seen = make("attitude3d"), []
+    square_finite = lie._square_finite
+    monkeypatch.setattr(lie, "_square_finite", lambda M, what, *args: seen.append(what)
+                        or square_finite(M, what, *args))
+    sigma_core._noise_points.cache_clear()
+    for expected in (["Q", "P"], ["P"]):  # a miss, then a hit
+        seen.clear()
+        propagate(Belief(m.initial_mean, m.initial_cov), m.inputs(1)[0], m.f, m.Q,
+                  m.retraction(), m.alpha)
+        assert seen == expected
 
 
 def test_a_pass_reads_the_model_as_step_1_starts():
