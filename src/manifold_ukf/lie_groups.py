@@ -24,24 +24,26 @@ exp, log, inverse, wedge_so3 and the left Jacobians broadcast over leading
 axes ((..., 3) rotation vectors to (..., 3, 3) matrices, and so on); branches
 are chosen per element, and one bad element of a stack fails the call.
 
-inverse and log_sek check their input with _square and _require_group
-before any arithmetic, log_so3 and log_so2 check the rotation, exp_so3
-its vectors, and each then calls one private unchecked core (_inverse,
-_log_sek, _log_so3, _log_so2, _exp_so3, _exp_sek; _exp_sek still checks
-its tangent vectors).  The group phi_inv in retraction checks its ref and
-states with _require_pair, as inverse(ref) and then inverse(state) would,
-the group phi and the built-in dynamics check their arguments themselves,
-and all call the cores.  The near-pi check of the logs needs
-the angles, so it stays in the cores.  _require_rotation forms C^T C from a
-contiguous copy of C^T, since numpy's matmul of a matrix with a transposed
-view of its own buffer takes a slower path; the product has the same bits.
+inverse and log_sek check d and then their input with _square and
+_require_group before any arithmetic, log_so3 and log_so2 the rotation (its
+shape by _shaped), exp_so3 its vectors, and each then calls one private
+unchecked core (_inverse, _log_sek, _log_so3, _log_so2, _exp_so3, _exp_sek;
+_exp_sek still checks its tangent vectors).  The group phi_inv in retraction
+checks its ref and states with _require_pair, as inverse(ref) and then
+inverse(state) would, the group phi its state with _square, the built-in
+dynamics their arguments, and all call the cores.  The near-pi check of the
+logs needs the angles, so it stays in the cores.  _require_rotation forms
+C^T C from a contiguous copy of C^T, since numpy's matmul of a matrix with a
+transposed view of its own buffer takes a slower path; the product has the
+same bits.
 Hot-path tests call _count_nonzero, numpy's C count_nonzero without
 np.count_nonzero's two Python frames (private API, pinned by
 test_lie_groups), and sums call np.add.reduce, not .any() and .sum().
 
 Argument rules live here: _floats for arrays, _shaped for their shapes,
-_covariance for covariances, _check_int for counts, seeds and dimensions,
-_check_number for scalars, and _broadcast_error words each broadcast fault.
+_finite for NaN and inf, _covariance for covariances, _check_int for counts,
+seeds and dimensions, _check_number for scalars, and _broadcast_error words
+each broadcast fault.
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ def _shaped(x, what: str, shape: tuple) -> np.ndarray:
     return x
 
 
+def _finite(x: np.ndarray, what: str, error: type = NonFiniteState) -> np.ndarray:
+    """The finiteness rule: x, or `error` naming it `what` if it holds NaN or inf."""
+    if _count_nonzero(np.isfinite(x)) != x.size:
+        raise error(f"{what} holds NaN or inf")
+    return x
+
+
 def _broadcast_error(first, a, second, b, factor_error=None):
     """DimensionMismatch for numpy's ValueError, or a product factor's, when the
     leading axes of a and b do not broadcast, naming both shapes; any other
@@ -131,13 +140,11 @@ def _covariance(M, what: str, stack: bool = False) -> np.ndarray:
 
 def _square_finite(M: np.ndarray, what: str, stack: bool = False) -> np.ndarray:
     """M, or DimensionMismatch naming it `what` unless it is (n, n), or with
-    stack (..., n, n), and NonPSDCovariance if it holds NaN or inf."""
+    stack (..., n, n), and NonPSDCovariance by _finite."""
     if M.ndim < 2 or M.ndim > 2 and not stack or M.shape[-1] != M.shape[-2]:
         shape = "(..., n, n)" if stack else "(n, n)"
         raise DimensionMismatch(f"{what} must be square, {shape}, got shape {M.shape}")
-    if _count_nonzero(np.isfinite(M)) != M.size:
-        raise NonPSDCovariance(f"{what} holds NaN or inf")
-    return M
+    return _finite(M, what, NonPSDCovariance)
 
 
 def _check_int(n, what: str, low: int = 1) -> int:
@@ -209,7 +216,7 @@ def exp_so2(theta) -> np.ndarray:
 
 
 def log_so2(C):
-    C = _floats(C, "C")
+    C = _shaped(C, "C", (..., 2, 2))
     _require_rotation(C, 2)
     return _log_so2(C)
 
@@ -325,15 +332,13 @@ def _axis_near_pi(C, c, s_vec):
 
 
 def log_so3(C) -> np.ndarray:
-    C = _floats(C, "C")
+    C = _shaped(C, "C", (..., 3, 3))
     _require_rotation(C, 3)
     return _log_so3(C)[0]
 
 
 @np.errstate(invalid="ignore", over="ignore")  # built once, entered per call
 def _require_rotation(C, d):
-    if C.shape[-2:] != (d, d):
-        raise DimensionMismatch(f"expected (..., {d}, {d}) matrices, got {C.shape}")
     # Ct: see the module docstring.  Counting "<=" and the errstate: NaN and
     # inf entries fail too, and here, not as a numpy warning from a product
     Ct = np.ascontiguousarray(C.swapaxes(-1, -2))
@@ -398,7 +403,6 @@ def _check_d(d):
 
 def _square(X, d, what: str) -> np.ndarray:
     X = _floats(X, what)
-    _check_d(d)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2] or X.shape[-1] < d:
         raise DimensionMismatch(
             f"expected square matrices of size >= {d}, got {X.shape}")
@@ -415,16 +419,14 @@ def _require_group(X, d) -> np.ndarray:
     SE_k(d) elements, k = X.shape[-1] - d, before any arithmetic on it, in
     this order: bottom rows exactly [0 I] (MalformedEmbedding), the rotation
     block (NotARotation, NaN and inf included), finite translation columns
-    (NonFiniteState)."""
+    (_finite)."""
     n = X.shape[-1]
     # The bottom rows, from flat entry d n on, are [0 I] exactly: group
     # operations keep them bit for bit, so a deviation means a wrongly built X.
     if n > d and _count_nonzero(_flat(X)[..., d * n:] != _eye(n).ravel()[d * n:]):
         raise MalformedEmbedding("bottom block rows must be exactly [0 I]")
     _require_rotation(X[..., :d, :d], d)
-    if n > d and _count_nonzero(np.isfinite(X)) != X.size:  # only translations left
-        raise NonFiniteState("translation columns hold NaN or inf")
-    return X
+    return _finite(X, "a translation column") if n > d else X  # all that is left
 
 
 def _require_pair(ref, state, d):
@@ -486,6 +488,7 @@ def log_sek(X, d: int) -> np.ndarray:
 
     For d = 3 the inverse left Jacobian reuses the angles of the rotation log.
     """
+    _check_d(d)
     return _log_sek(_require_group(_square(X, d, "X"), d), d)
 
 
@@ -513,6 +516,7 @@ def _log_sek(X, d):
 def inverse(X, d: int) -> np.ndarray:
     """Closed-form inverse [[C^T, -C^T p_i], [0, I]]; no linear solve.  The
     rotation block C must be a rotation."""
+    _check_d(d)
     return _inverse(_require_group(_square(X, d, "X"), d), d)
 
 

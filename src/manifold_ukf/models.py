@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import lie_groups as lie
-from .errors import DimensionMismatch, InvalidAlpha, NonFiniteState
+from .errors import DimensionMismatch, InvalidAlpha
 from .retraction import (
     Retraction,
     _mixed_parts,
@@ -103,8 +103,10 @@ class ModelSpec:
     def __post_init__(self):
         lie._check_number(self.alpha, "alpha", InvalidAlpha)
         lie._check_number(self.dt, f"{self.name}: dt", ValueError, math.inf)
-        for what in ("Q", "R", "initial_cov"):
-            d = len(_psd_sqrt(getattr(self, what), f"{self.name} {what}"))
+        for what in ("Q", "R", "initial_cov"):  # stored as float arrays
+            M = lie._floats(getattr(self, what), f"{self.name} {what}")
+            d = len(_psd_sqrt(M, f"{self.name} {what}"))
+            object.__setattr__(self, what, M)
         lie._check_int(d, f"{self.name}: initial_cov dimension")  # the last one's
         lie._check_int(self.measure_every, "measure_every")
 
@@ -152,8 +154,7 @@ class LandmarkSet:
         pts = lie._floats(self.points, "landmarks")
         if pts.ndim != 2:
             raise DimensionMismatch(f"landmarks must be (n, dim), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise NonFiniteState("landmarks must be finite")
+        lie._finite(pts, "landmarks")
         if pts.shape[0] == 0:
             raise ValueError("landmark set must not be empty")
         object.__setattr__(self, "points", pts)
@@ -441,18 +442,17 @@ def augment_landmark(belief: Belief, y_new, retraction: Retraction,
     measurement noise.  Existing covariance entries are copied unchanged.
     y_new must be a finite (2,) vector and obs_cov a (2, 2) covariance.
     """
-    y_new, obs_cov = lie._shaped(y_new, "y_new", (2,)), lie._floats(obs_cov, "obs_cov")
-    if not np.isfinite(y_new).all():
-        raise NonFiniteState("y_new must be finite")
+    y_new = lie._finite(lie._shaped(y_new, "y_new", (2,)), "y_new")
+    obs_cov = lie._floats(obs_cov, "obs_cov")
     _psd_sqrt(obs_cov, "obs_cov", 2)
-    state, P = belief.mean, belief.cov
+    state, P = lie._floats(belief.mean, "mean"), lie._floats(belief.cov, "P")
     # size from the belief, not the retraction: repeated augmentation grows
     # the state past the dimension the retraction was built for, and the
     # mixed-retraction maps adapt to whatever Euclidean tail the state has
-    d_old = belief.dim
-    if P.shape != (d_old, d_old) or np.shape(state) != (d_old + 6,):
+    d_old = P.shape[-1] if P.ndim else 0
+    if P.shape != (d_old, d_old) or state.shape != (d_old + 6,):
         raise DimensionMismatch(f"belief must be one flat (d + 6,) state with a (d, d) "
-                                f"cov, got {np.shape(state)} and {P.shape}")
+                                f"cov, got {state.shape} and {P.shape}")
     pose = _mixed_parts(3, state)[0]
     C = pose[:2, :2]
     l_new = pose[:2, 2] + C @ y_new

@@ -13,12 +13,13 @@ is itself a Retraction of one of two kinds:
 
 * SE_k(d), multiplying on the left (state @ exp(xi)) or on the right
   (exp(xi) @ state), with blocks rot, then pos (k = 1) or vel, pos (k = 2);
-  its phi_inv checks the ref and then the states as lie_groups.inverse
-  checks its input, before any arithmetic (lie_groups._require_pair), and
-  then calls the unchecked cores of inverse and log_sek;
+  its phi checks the state by lie_groups._square, and its phi_inv checks
+  the ref and then the states as lie_groups.inverse checks its input, before
+  any arithmetic (lie_groups._require_pair), and then calls the unchecked
+  cores of inverse and log_sek;
 * R^n, plain addition, with one block named by the caller; the shape rule
   (lie_groups._shaped) holds xi to the state's width and the states to the
-  ref's, and phi_inv raises NonFiniteState when it meets a NaN or inf.
+  ref's, and phi_inv raises NonFiniteState on a NaN or inf (lie_groups._finite).
 
 A product splits states into parts through a layout, split(state) -> parts
 and join(*parts) -> state.  A mixed state is one flat (..., n*n + m) array,
@@ -48,7 +49,7 @@ from typing import Any, Callable, Optional, Tuple
 import numpy as np
 
 from . import lie_groups as lie
-from .errors import DimensionMismatch, NonFiniteState, NonPSDCovariance
+from .errors import DimensionMismatch, NonPSDCovariance
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,7 @@ def _rows(values, lead: Tuple[int, ...], width: int) -> np.ndarray:
 
 def _phi_group(state, xi, d, side):
     """state @ exp(xi) or exp(xi) @ state; group_retraction checked d."""
-    state = lie._floats(state, "state")
-    if state.ndim < 2 or state.shape[-1] != state.shape[-2] or state.shape[-1] < d:
-        raise DimensionMismatch(f"expected square matrices of size >= {d}, got {state.shape}")
+    state = lie._square(state, d, "state")
     G = lie._exp_sek(xi, d, state.shape[-1] - d)
     try:
         return state @ G if side == "left" else G @ state
@@ -180,9 +179,7 @@ def _phi_inv_euclid(ref, state):
         out = state - ref
     except ValueError:
         raise lie._broadcast_error("states", state, "a ref", ref) from None
-    if lie._count_nonzero(np.isfinite(out)) != out.size:
-        raise NonFiniteState("Euclidean state or reference is not finite")
-    return out
+    return lie._finite(out, "a Euclidean state or ref")
 
 
 def _euclid(n: int, label: str) -> Retraction:
@@ -234,7 +231,7 @@ def _product(name: str, split, join, *factors: Retraction) -> Retraction:
 def _mixed_parts(n, state):
     """The (..., n, n) group block, as a view, and the Euclidean tail of flat
     mixed states."""
-    if state.shape[-1] < n * n:
+    if not state.ndim or state.shape[-1] < n * n:
         raise DimensionMismatch(f"mixed states {state.shape} hold no {n}x{n} block")
     return state[..., :n * n].reshape(state.shape[:-1] + (n, n)), state[..., n * n:]
 
@@ -244,6 +241,8 @@ def mixed_state(group, euclid) -> np.ndarray:
     then the Euclidean block; their leading axes broadcast (one group element
     and a stack of blocks, say), or DimensionMismatch names both shapes."""
     group, euclid = lie._floats(group, "group"), lie._floats(euclid, "euclid")
+    if not euclid.ndim:
+        raise DimensionMismatch("euclid is a 0-d value, not a (..., m) block")
     flat = group.reshape(group.shape[:-2] + (-1,))
     if flat.shape[:-1] != euclid.shape[:-1]:
         try:
@@ -265,8 +264,7 @@ def mixed_retraction(d: int, k: int, n_euclid: int, side: str = "right",
 
 def _pose_parts(X):
     """Rotation block, velocity column and position column of extended poses."""
-    if X.shape[-2:] != (5, 5):
-        raise DimensionMismatch(f"expected (..., 5, 5) extended poses, got {X.shape}")
+    X = lie._shaped(X, "extended poses", (..., 5, 5))
     return X[..., :3, :3], X[..., :3, 3], X[..., :3, 4]
 
 

@@ -57,7 +57,6 @@ from .errors import (
     FilterStepError,
     InvalidAlpha,
     ManifoldUkfError,
-    NonFiniteState,
     SingularInnovationCovariance,
 )
 from .retraction import Retraction, _rows
@@ -313,10 +312,8 @@ def _update(belief, y, h, R, retraction, w: SigmaWeights):
     dys = ys - y_bar
     S = (w.w_0c * (dy0[..., :, None] * dy0[..., None, :])
          + w.w_j * _gram(dys, dys) + R)
-    if lie._count_nonzero(np.isfinite(S)) != S.size:  # LAPACK factors NaN
-        raise SingularInnovationCovariance("innovation covariance holds NaN or inf")
-    if lie._count_nonzero(np.isfinite(y)) != y.size:  # y_bar is finite once S is
-        raise NonFiniteState("measurement y holds NaN or inf")
+    lie._finite(S, "innovation covariance", SingularInnovationCovariance)  # LAPACK factors NaN
+    lie._finite(y, "measurement y")  # y_bar is finite once S is
     K = _gain(S, w.w_j * _gram(xis, dys))
 
     mean_new = retraction.phi(belief.mean, (K @ (y - y_bar)[..., None])[..., 0])

@@ -2,8 +2,9 @@
 export that only the tests call would fail here.  Every count, seed or
 dimension passes one integer rule and every spread, step or scale one
 number rule, so each boundary refuses the same bad values with its own
-error class; every covariance passes one covariance rule, and every
-array's shape one shape rule, each written once."""
+error class; every covariance passes one covariance rule, every array's
+shape one shape rule and every NaN or inf test one finiteness rule, each
+written once."""
 
 import ast
 import math
@@ -17,13 +18,20 @@ import pytest
 
 import manifold_ukf as mu
 from manifold_ukf import lie_groups as lie
-from manifold_ukf.errors import DimensionMismatch, InvalidAlpha, NonPSDCovariance
+from manifold_ukf.errors import (
+    DimensionMismatch,
+    InvalidAlpha,
+    NonFiniteState,
+    NonPSDCovariance,
+    SingularInnovationCovariance,
+)
 from manifold_ukf.models import LandmarkSet, augment_landmark, example_names, make
 from manifold_ukf.montecarlo import benchmark, simulate
 from manifold_ukf.retraction import (
     Retraction,
     additive_retraction,
     check_retraction,
+    componentwise_so3_r6,
     covariance_retrieval,
     group_retraction,
     mixed_retraction,
@@ -202,8 +210,8 @@ def _step(kind, P=None, **given):
     m = make("attitude3d")
     belief = Belief(m.initial_mean, m.initial_cov if P is None else P)
     if kind == "update":
-        return update(belief, np.zeros(len(m.R)), m.h, given.get("R", m.R), m.retraction(),
-                      m.alpha)
+        return update(belief, given.get("y", np.zeros(len(m.R))), given.get("h", m.h),
+                      given.get("R", m.R), m.retraction(), m.alpha)
     return propagate(belief, m.inputs(1)[0], m.f, given.get("Q", m.Q), m.retraction(),
                      m.alpha)
 
@@ -253,19 +261,70 @@ def test_every_covariance_boundary_refuses_what_the_rule_refuses(name, fault):
     assert type(info.value) is error
 
 
+def _pose(v):
+    """The SE(2) identity with v in its position column."""
+    X = np.eye(3)
+    X[0, 2] = v
+    return X
+
+
+# finiteness rule: the name each boundary gives the array, its error class
+# and the call with a NaN or inf `v` in one entry; the covariance boundaries
+# are COVARIANCE_RULE's
+FINITE_RULE = {
+    "log_sek-X": ("a translation column", NonFiniteState, lambda v: lie.log_sek(_pose(v), 2)),
+    "inverse-X": ("a translation column", NonFiniteState, lambda v: lie.inverse(_pose(v), 2)),
+    "group-phi_inv-ref": ("a translation column", NonFiniteState, lambda v: group_retraction(
+        2, 1).phi_inv(_pose(v), np.eye(3))),
+    "group-phi_inv-state": ("a translation column", NonFiniteState, lambda v: group_retraction(
+        2, 1).phi_inv(np.eye(3), _pose(v))),
+    "additive-phi_inv-ref": ("a Euclidean state or ref", NonFiniteState,
+                             lambda v: additive_retraction(2).phi_inv([v, 0.0], np.zeros(2))),
+    "additive-phi_inv-state": ("a Euclidean state or ref", NonFiniteState,
+                               lambda v: additive_retraction(2).phi_inv(np.zeros(2), [v, 0.0])),
+    "update-h": ("innovation covariance", SingularInnovationCovariance,
+                 lambda v: _step("update", h=lambda states: v)),
+    "update-y": ("measurement y", NonFiniteState, lambda v: _step("update", y=[v] + [0.0] * 5)),
+    "LandmarkSet": ("landmarks", NonFiniteState, lambda v: LandmarkSet([[v, 0.0]])),
+    "augment_landmark-y_new": ("y_new", NonFiniteState, lambda v: _augment(y_new=(v, 0.0))),
+}
+
+
+def _non_finite():
+    """(name, value) for each boundary and NaN, inf and -inf; h's output only
+    NaN, since on an inf numpy warns (0 * inf in the weighted mean) before
+    the innovation covariance is checked."""
+    for name in FINITE_RULE:
+        for value in (math.nan, math.inf, -math.inf):
+            if name != "update-h" or math.isnan(value):
+                yield pytest.param(name, value, id=f"{name}-{value}")
+
+
+@pytest.mark.parametrize("name, value", _non_finite())
+def test_every_finiteness_boundary_refuses_nan_and_inf(name, value):
+    """One wording, "{what} holds NaN or inf", with the class each boundary
+    has always raised."""
+    what, error, call = FINITE_RULE[name]
+    with pytest.raises(error, match=f"^{what} holds NaN or inf$") as info:
+        call(value)
+    assert type(info.value) is error
+
+
 def _raising(errors, *phrases):
     """(module, function) for each function of src/, Class.function for a
     method, that raises one of `errors` with a message whose literal text
-    holds one of `phrases`."""
+    holds one of `phrases`; a raise of a parameter (a rule's `error`) may be
+    any of them."""
     for path in (ROOT / "src" / "manifold_ukf").glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for func in top.body if isinstance(top, ast.ClassDef) else [top]:
                 if not isinstance(func, ast.FunctionDef):
                     continue
+                params = {arg.arg for arg in func.args.args}
                 for node in ast.walk(func):
                     exc = node.exc if isinstance(node, ast.Raise) else None
                     if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
-                            and exc.func.id in errors):
+                            and exc.func.id in {*errors, *params}):
                         continue
                     text = "".join(c.value for arg in exc.args for c in ast.walk(arg)
                                    if isinstance(c, ast.Constant) and isinstance(c.value, str))
@@ -276,11 +335,27 @@ def _raising(errors, *phrases):
 
 
 def test_the_covariance_rule_is_written_once():
-    """No boundary keeps its own copy of the covariance square or finite
-    check: exactly one function in src/ raises either fault."""
-    found = set(_raising(("DimensionMismatch", "NonPSDCovariance"), "must be square",
-                         "holds NaN or inf"))
+    """No boundary keeps its own copy of the covariance square check: exactly
+    one function in src/ raises its fault (the finite check is _finite's)."""
+    found = set(_raising(("DimensionMismatch", "NonPSDCovariance"), "must be square"))
     assert found == {("lie_groups.py", "_square_finite")}
+
+
+def test_the_finiteness_rule_is_written_once():
+    """Exactly one function in src/ raises a NaN or inf fault, with the
+    class its caller names ("finite" alone would match "positive definite");
+    the command line's reader, which names a file's line, raises UsageError."""
+    assert set(_raising(("NonFiniteState", "NonPSDCovariance", "SingularInnovationCovariance",
+                         "DimensionMismatch"), "NaN or inf", "not finite", "be finite")) == {
+        ("lie_groups.py", "_finite")}
+
+
+def test_the_square_state_rule_is_written_once():
+    """Group states are squared by lie_groups._square alone, and no entry
+    keeps a hand-written "expected (..., d, d)" shape test."""
+    assert set(_raising(("DimensionMismatch",), "square matrices")) == {
+        ("lie_groups.py", "_square")}
+    assert not set(_raising(("DimensionMismatch",), "expected ("))
 
 
 def test_the_shape_rule_is_written_once():
@@ -322,6 +397,10 @@ SHAPE_RULE = {
         np.eye(3), v, np.eye(3))),
     "covariance_retrieval-P": ("P", (3, 3), lambda v: covariance_retrieval(
         np.eye(3), np.ones(3), v)),
+    "log_so3-C": ("C", (..., 3, 3), lie.log_so3),
+    "log_so2-C": ("C", (..., 2, 2), lie.log_so2),
+    "so3xr6-split": ("extended poses", (..., 5, 5), lambda v: componentwise_so3_r6().phi(
+        v, np.zeros(9))),
     **{f"{name}-landmarks": (f"{name} landmarks", (..., width), lambda v, name=name: make(
         name, landmarks=LandmarkSet(v))) for name, width in (("inertial_nav", 3),
                                                             ("slam2d", 2))},

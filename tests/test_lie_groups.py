@@ -23,7 +23,12 @@ from manifold_ukf.errors import (
 )
 
 from manifold_ukf.models import augment_landmark, example_names, make
-from manifold_ukf.retraction import covariance_retrieval, group_retraction, mixed_state
+from manifold_ukf.retraction import (
+    covariance_retrieval,
+    group_retraction,
+    mixed_retraction,
+    mixed_state,
+)
 from manifold_ukf.sigma_core import Belief, propagate, sigma_points, update
 
 from oracles import (
@@ -644,7 +649,12 @@ def test_public_exps_keep_their_checks_and_messages(call, message):
      r"expected square matrices of size >= 2, got \(\)"),
     (lambda: group_retraction(2, 1).phi(np.eye(3), 1.0),
      r"xi must be \(\.\.\., 3\), got shape \(\)"),
-], ids=["exp_sek-xi", "phi-state", "phi-xi"])
+    (lambda: mixed_state(np.eye(3), 1.0), r"euclid is a 0-d value, not a \(\.\.\., m\) block"),
+    (lambda: mixed_retraction(2, 1, 2).phi(1.0, np.zeros(5)),
+     r"mixed states \(\) hold no 3x3 block"),
+    (lambda: mixed_retraction(2, 1, 2).phi_inv(1.0, 1.0), r"mixed states \(\) hold no 3x3 block"),
+], ids=["exp_sek-xi", "phi-state", "phi-xi", "mixed_state-euclid", "mixed-phi-state",
+        "mixed-phi_inv-ref"])
 def test_a_0d_tangent_vector_or_state_is_a_dimension_mismatch(call, message):
     """A scalar where a vector or a matrix belongs is named, not read past
     its shape as a raw IndexError."""

@@ -216,6 +216,18 @@ def test_slam2d_augment_rejects_a_bad_observation(y_new, obs_cov, error):
                          model.retraction(), obs_cov)
 
 
+def test_slam2d_augment_takes_a_belief_given_as_nested_lists():
+    """The mean and cov are converted at the entry, not read as arrays:
+    the result is the one of the array belief, bit for bit."""
+    model = make("slam2d")
+    given = Belief(model.initial_mean, model.initial_cov)
+    listed = Belief(model.initial_mean.tolist(), model.initial_cov.tolist())
+    outs = [augment_landmark(b, (0.7, -0.2), model.retraction(), np.eye(2))
+            for b in (listed, given)]
+    assert outs[0].mean.tobytes() == outs[1].mean.tobytes()
+    assert outs[0].cov.tobytes() == outs[1].cov.tobytes()
+
+
 def test_slam2d_augmented_belief_keeps_filtering():
     """propagate and update size their sigma points from the belief, so a
     state grown twice past the retraction's 11 dimensions still filters."""

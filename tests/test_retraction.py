@@ -481,11 +481,12 @@ def test_mixed_last_factor_takes_the_rest():
     pytest.param(*r, id=r[0]) for r in all_model_retractions()
     if "phi_invs" in r[1].phi_inv.keywords])
 def test_product_retractions_check_the_state_size_before_splitting(label, retr, state):
-    """A state cut by its last entry or column, or too small to hold the
-    group block, raises DimensionMismatch from phi and, as the ref or the
+    """A state cut by its last entry or column, too small to hold the group
+    block or 0-d raises DimensionMismatch from phi and, as the ref or the
     state, from phi_inv; each factor's own check would come too late."""
     state = np.asarray(state)
-    for bad in (state[..., :-1], np.eye(4) if state.ndim == 2 else state[:4]):
+    for bad in (state[..., :-1], np.eye(4) if state.ndim == 2 else state[:4],
+                np.float64(1.0)):
         for call in (lambda: retr.phi_inv(state, bad), lambda: retr.phi_inv(bad, state),
                      lambda: retr.phi_inv(np.stack([state] * 2), np.stack([bad] * 2)),
                      lambda: retr.phi(bad, np.zeros(retr.dim))):

@@ -362,6 +362,19 @@ def test_public_steps_take_a_covariance_given_as_a_nested_list(kind):
     assert listed.cov.tobytes() == given.cov.tobytes()
 
 
+def test_filter_run_takes_a_spec_whose_covariances_are_nested_lists():
+    """ModelSpec stores Q, R and initial_cov as the float arrays its checks
+    made, so filter_run, which steps the unchecked cores, runs the spec as
+    the array spec, bit for bit."""
+    m = make("attitude3d")
+    listed = dataclasses.replace(m, **{what: getattr(m, what).tolist()
+                                       for what in ("Q", "R", "initial_cov")})
+    inputs, ys = m.inputs(4), {2: np.full(len(m.R), 0.1), 4: np.zeros(len(m.R))}
+    for a, b in zip(filter_run(listed, inputs, ys), filter_run(m, inputs, ys)):
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.cov.tobytes() == b.cov.tobytes()
+
+
 def test_a_noise_cache_miss_checks_q_once(monkeypatch):
     """Q passes the covariance rule's check half once, as Q, on a miss, and
     the belief's P once; Q's factor skips sigma_points' second check."""
