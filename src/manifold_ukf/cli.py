@@ -148,8 +148,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser(_config: Optional[dict] = None) -> argparse.ArgumentParser:
     """The command-line parser.  The set values of a checked config (see
-    _load_config) become each subcommand's defaults, so a flag given on the
-    command line beats the config, which beats the default declared here."""
+    _load_config) become the defaults of the subcommands that declare them,
+    so a flag beats the config, which beats the default declared here."""
     parser = _Parser(prog="manifold-ukf",
                      description="Sigma-point filtering benchmarks on "
                                  "Lie-group state spaces.")
@@ -163,12 +163,12 @@ def build_parser(_config: Optional[dict] = None) -> argparse.ArgumentParser:
     for p in (p_run, p_bench, p_check):
         p.add_argument("example", help="example name, e.g. one of: "
                                        + ", ".join(example_names()))
-        p.add_argument("--dt", type=float)
-        p.add_argument("--alpha", type=float)
         p.add_argument("--retractions", help="comma-separated retraction names")
         p.add_argument("--config", help="JSON settings file")
         p.add_argument("--landmarks", help="CSV file of landmark coordinates")
     for p in (p_run, p_bench):  # the commands that simulate and write a CSV
+        p.add_argument("--dt", type=float)
+        p.add_argument("--alpha", type=float)
         p.add_argument("--steps", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output CSV path")
@@ -176,16 +176,15 @@ def build_parser(_config: Optional[dict] = None) -> argparse.ArgumentParser:
                        help="CSV of recorded inputs and position fixes "
                             "(imu_gnss example)")
     p_bench.add_argument("--runs", type=int, default=50)
-    p_bench.add_argument("--workers", type=int,
-                         help="accepted and ignored: all runs of a variant "
-                              "step in lockstep in one process")
     p_check.add_argument("--epsilons", default="1e-1,1e-2,1e-3",
                          help="comma-separated perturbation scales")
 
     config = {key: value for key, value in (_config or {}).items() if value is not None}
     for p, command in ((p_run, cmd_run), (p_bench, cmd_benchmark),
                        (p_check, cmd_check_retraction)):
-        p.set_defaults(**{"model_params": {}, **config}, command_fn=command)
+        declared = {a.dest for a in p._actions}
+        p.set_defaults(**{k: v for k, v in config.items() if k in declared},
+                       model_params=config.get("model_params", {}), command_fn=command)
     return parser
 
 
@@ -193,7 +192,7 @@ def build_parser(_config: Optional[dict] = None) -> argparse.ArgumentParser:
 _NUMBER = (int, float)
 _CONFIG_KEYS = {"steps": (int,), "dt": _NUMBER, "seed": (int,), "alpha": _NUMBER,
                 "retractions": (str, list), "out": (str,), "landmarks": (str,),
-                "imu_log": (str,), "runs": (int,), "workers": (int,),
+                "imu_log": (str,), "runs": (int,),
                 "epsilons": (str,) + _NUMBER, "model_params": (dict,)}
 
 
@@ -220,7 +219,7 @@ def _build_model(args):
     name = args.example
     params = dict(args.model_params)
     for key in ("dt", "alpha", "landmarks"):
-        value = getattr(args, key)
+        value = getattr(args, key, None)  # check-retraction takes no dt or alpha
         if value is not None:
             params[key] = read_landmarks(value) if key == "landmarks" else value
     try:

@@ -235,8 +235,8 @@ def benchmark(model, retractions: Sequence[Union[str, Retraction]], runs: int,
     failure inside the filter) are counted and excluded from RMSE / NEES
     aggregates, NaN if no run is valid.  All reported metrics depend only on
     (model, retractions, runs, seed >= 0, steps); the sigma-point spread is
-    model.alpha.  `workers` is accepted and has no effect: the runs of a
-    variant share one lockstep pass in this process.
+    model.alpha; the runs of a variant share one lockstep pass.  `workers` is
+    ignored and kept only for perfbench/run.py; ROADMAP.md item 2 removes it.
     """
     runs, seed = lie._check_int(runs, "runs"), lie._check_int(seed, "seed", 0)
     retrs = [model.retraction(r) for r in retractions]

@@ -196,6 +196,8 @@ def additive_retraction(dim: int) -> Retraction:
 
 def _phi_product(state, xi, split, join, phis, spans):
     state, xi = lie._floats(state, "state"), lie._floats(xi, "xi")
+    if not xi.ndim:
+        raise DimensionMismatch("xi is a 0-d value, not a (..., dim) tangent vector")
     try:
         return join(*(phi(part, xi[..., span])
                       for phi, part, span in zip(phis, split(state), spans)))
@@ -240,7 +242,7 @@ def mixed_state(group, euclid) -> np.ndarray:
     """A flat mixed state: the n x n group element(s) in row-major order,
     then the Euclidean block; their leading axes broadcast (one group element
     and a stack of blocks, say), or DimensionMismatch names both shapes."""
-    group, euclid = lie._floats(group, "group"), lie._floats(euclid, "euclid")
+    group, euclid = lie._square(group, 2, "group"), lie._floats(euclid, "euclid")
     if not euclid.ndim:
         raise DimensionMismatch("euclid is a 0-d value, not a (..., m) block")
     flat = group.reshape(group.shape[:-2] + (-1,))

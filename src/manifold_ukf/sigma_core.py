@@ -305,20 +305,27 @@ def _update(belief, y, h, R, retraction, w: SigmaWeights):
     xis, points = _sampled(belief, w, retraction, d, 1 + 2 * d)
     lead = xis.shape[1:-1]
     y_all = _rows(h(points), (2 * d + 1,) + lead, R.shape[0])
-    y0, ys = y_all[0], y_all[1:]
+    y_bar, S, P_xy = _moments(xis, y_all[0], y_all[1:], R, w)
+    lie._finite(S, "innovation covariance", SingularInnovationCovariance)  # LAPACK factors NaN
+    lie._finite(y, "measurement y")  # y_bar is finite once S is
+    K = _gain(S, P_xy)
 
+    mean_new = retraction.phi(belief.mean, (K @ (y - y_bar)[..., None])[..., 0])
+    cov = belief.cov - K @ S @ K.swapaxes(-1, -2)
+    return Belief(mean_new, 0.5 * (cov + cov.swapaxes(-1, -2)))
+
+
+@np.errstate(invalid="ignore", over="ignore")  # built once, entered per call
+def _moments(xis, y0, ys, R, w: SigmaWeights):
+    """y_bar, S and P_xy from h's sigma outputs y0 and ys; an output that is
+    NaN or inf, or overflows, leaves S non-finite for _update's check rather
+    than warning (0 * inf at w_m = 0, inf - inf)."""
     y_bar = w.w_m * y0 + w.w_j * np.add.reduce(ys, axis=0)
     dy0 = y0 - y_bar
     dys = ys - y_bar
     S = (w.w_0c * (dy0[..., :, None] * dy0[..., None, :])
          + w.w_j * _gram(dys, dys) + R)
-    lie._finite(S, "innovation covariance", SingularInnovationCovariance)  # LAPACK factors NaN
-    lie._finite(y, "measurement y")  # y_bar is finite once S is
-    K = _gain(S, w.w_j * _gram(xis, dys))
-
-    mean_new = retraction.phi(belief.mean, (K @ (y - y_bar)[..., None])[..., 0])
-    cov = belief.cov - K @ S @ K.swapaxes(-1, -2)
-    return Belief(mean_new, 0.5 * (cov + cov.swapaxes(-1, -2)))
+    return y_bar, S, w.w_j * _gram(xis, dys)
 
 
 @_lapack

@@ -138,8 +138,7 @@ def test_criterion_5_nees_consistency_band():
     t0 = time.perf_counter()
     model, _, _ = _linear_model()
     steps = 60
-    report = benchmark(model, ["additive"], runs=200, seed=1, steps=steps,
-                       workers=1)
+    report = benchmark(model, ["additive"], runs=200, seed=1, steps=steps)
     flt = report.filters[0]
     lo, hi = nees_band(2, 200)
     inside = np.mean((flt.mean_nees >= lo) & (flt.mean_nees <= hi))
@@ -197,13 +196,8 @@ def test_criterion_8_benchmark_determinism(tmp_path):
     args = ["benchmark", "localization2d", "--runs", "3", "--steps", "12",
             "--seed", "7"]
     paths = [tmp_path / f"{i}.csv" for i in range(3)]
-    codes = [
-        main(args + ["--workers", "1", "--out", str(paths[0])]),
-        main(args + ["--workers", "1", "--out", str(paths[1])]),
-        main(args + ["--workers", "2", "--out", str(paths[2])]),
-    ]
+    codes = [main(args + ["--out", str(p)]) for p in paths]
     texts = [strip_runtime_column(p.read_text(encoding="utf-8")) for p in paths]
     ok = (codes == [0, 0, 0] and texts[0] == texts[1] and texts[0] == texts[2])
     _verdict(ok, "criterion 8: repeated benchmark invocations are "
-                 "byte-identical outside the runtime column, serial and "
-                 "parallel alike")
+                 "byte-identical outside the runtime column")

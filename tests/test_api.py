@@ -290,24 +290,24 @@ FINITE_RULE = {
 }
 
 
-def _non_finite():
-    """(name, value) for each boundary and NaN, inf and -inf; h's output only
-    NaN, since on an inf numpy warns (0 * inf in the weighted mean) before
-    the innovation covariance is checked."""
-    for name in FINITE_RULE:
-        for value in (math.nan, math.inf, -math.inf):
-            if name != "update-h" or math.isnan(value):
-                yield pytest.param(name, value, id=f"{name}-{value}")
-
-
-@pytest.mark.parametrize("name, value", _non_finite())
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FINITE_RULE)
 def test_every_finiteness_boundary_refuses_nan_and_inf(name, value):
     """One wording, "{what} holds NaN or inf", with the class each boundary
-    has always raised."""
+    has always raised; for h's output no numpy warning first (0 * inf in the
+    weighted mean at alpha = 1)."""
     what, error, call = FINITE_RULE[name]
     with pytest.raises(error, match=f"^{what} holds NaN or inf$") as info:
         call(value)
     assert type(info.value) is error
+
+
+def test_an_h_output_that_overflows_is_a_non_finite_innovation_covariance():
+    """Finite outputs whose squares overflow: not numpy's overflow warning."""
+    with pytest.raises(SingularInnovationCovariance,
+                       match="^innovation covariance holds NaN or inf$"):
+        _step("update", h=lambda states: 1e200 * states.reshape(states.shape[:-2] + (9,))[
+            ..., :6])
 
 
 def _raising(errors, *phrases):

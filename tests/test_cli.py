@@ -133,7 +133,7 @@ def test_run_bad_flag_exits_config(tmp_path):
 def test_benchmark_rows_and_summary(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main(["benchmark", "localization2d", "--runs", "2", "--steps", "10",
-                 "--seed", "3", "--workers", "1", "--out", str(out)])
+                 "--seed", "3", "--out", str(out)])
     assert code == EXIT_OK
     text = _read(out)
     lines = text.strip().split("\n")
@@ -148,7 +148,7 @@ def test_benchmark_rows_and_summary(tmp_path, capsys):
 def test_benchmark_single_run(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["benchmark", "attitude3d", "--runs", "1", "--steps", "6",
-                 "--workers", "1", "--out", str(out)])
+                 "--out", str(out)])
     assert code == EXIT_OK
     cols = _columns(out)
     assert set(cols["valid_runs"]) == {1.0}
@@ -158,8 +158,8 @@ def test_benchmark_byte_identical_modulo_runtime(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["benchmark", "localization2d", "--runs", "2", "--steps", "8",
             "--seed", "5"]
-    assert main(args + ["--workers", "1", "--out", str(a)]) == EXIT_OK
-    assert main(args + ["--workers", "2", "--out", str(b)]) == EXIT_OK
+    assert main(args + ["--out", str(a)]) == EXIT_OK
+    assert main(args + ["--out", str(b)]) == EXIT_OK
     assert _read(a) != _read(b) or True  # wall clock may coincide, no claim
     assert strip_runtime_column(_read(a)) == strip_runtime_column(_read(b))
 
@@ -167,8 +167,7 @@ def test_benchmark_byte_identical_modulo_runtime(tmp_path):
 def test_benchmark_retraction_subset(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["benchmark", "inertial_nav", "--runs", "1", "--steps", "5",
-                 "--retractions", "se23_right,so3xr6", "--workers", "1",
-                 "--out", str(out)])
+                 "--retractions", "se23_right,so3xr6", "--out", str(out)])
     assert code == EXIT_OK
     cols = _columns(out)
     assert set(cols["retraction"]) == {"se23_right", "so3xr6"}
@@ -205,12 +204,14 @@ def test_check_retraction_bad_epsilons(capsys):
         assert len(captured.err.splitlines()) == 1 and not captured.out, eps
 
 
-def test_check_retraction_rejects_bad_dt(capsys):
-    code = main(["check-retraction", "attitude3d", "--dt", "nan"])
+def test_run_rejects_bad_dt(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "attitude3d", "--dt", "nan"])
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert captured.err.startswith("error:") and "dt must be" in captured.err
     assert len(captured.err.splitlines()) == 1 and not captured.out
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -348,40 +349,64 @@ def test_config_keys_are_the_subcommands_options():
     assert set(_CONFIG_KEYS) - {"model_params"} == dests - {"config", "example", "help"}
 
 
-_CHECK_READS = {"example", "dt", "alpha", "retractions", "config", "landmarks",
-                "epsilons"}
-_RUN_READS = _CHECK_READS - {"epsilons"} | {"steps", "seed", "out", "imu_log"}
+_CHECK_READS = {"example", "retractions", "config", "landmarks", "epsilons"}
+_RUN_READS = (_CHECK_READS - {"epsilons"}
+              | {"dt", "alpha", "steps", "seed", "out", "imu_log"})
 
 
 @pytest.mark.parametrize("command, reads", [
     ("check-retraction", _CHECK_READS),
     ("run", _RUN_READS),
-    ("benchmark", _RUN_READS - {"imu_log"} | {"runs", "workers"}),
+    ("benchmark", _RUN_READS - {"imu_log"} | {"runs"}),
 ])
 def test_each_subcommand_declares_the_options_it_reads(command, reads):
     """A flag a command ignores is not offered to it."""
     assert {a.dest for a in _subcommands()[command]._actions} - {"help"} == reads
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--seed", "--out"])
+@pytest.mark.parametrize("argv", [
+    ["check-retraction", "slam2d", "--steps", "3"],
+    ["check-retraction", "slam2d", "--seed", "3"],
+    ["check-retraction", "slam2d", "--out", "3"],
+    ["check-retraction", "slam2d", "--dt", "0.1"],
+    ["check-retraction", "slam2d", "--alpha", "0.5"],
+    ["benchmark", "localization2d", "--runs", "2", "--steps", "5", "--workers", "1"],
+], ids=["--steps", "--seed", "--out", "--dt", "--alpha", "benchmark--workers"])
 def test_check_retraction_rejects_the_flags_it_would_ignore(
-        tmp_path, capsys, monkeypatch, flag):
+        tmp_path, capsys, monkeypatch, argv):
+    """One usage line and no file: the simulation and model flags of
+    check-retraction, and the pool size benchmark no longer has."""
     monkeypatch.chdir(tmp_path)
-    code = main(["check-retraction", "slam2d", flag, "3"])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG and not captured.out
-    assert captured.err.startswith(f"error: unrecognized arguments: {flag}")
+    assert captured.err.startswith(f"error: unrecognized arguments: {argv[-2]}")
     assert len(captured.err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
 
 
-def test_config_unknown_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["step", "workers"])
+def test_config_unknown_key_rejected(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"step": 9}), encoding="utf-8")
+    cfg.write_text(json.dumps({key: 9}), encoding="utf-8")
     code = main(["run", "localization2d", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
-    assert "unknown config keys: step" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+def test_check_retraction_ignores_the_config_keys_it_does_not_read(
+        tmp_path, capsys):
+    """An alpha outside (0, 1] would be a usage error for run; through
+    model_params it still reaches check-retraction's model."""
+    cfg = tmp_path / "cfg.json"
+    argv = ["check-retraction", "attitude3d", "--config", str(cfg)]
+    cfg.write_text(json.dumps({"alpha": 2.0, "dt": 0.0, "steps": 0}), encoding="utf-8")
+    assert main(argv) == EXIT_OK
+    assert "PASS" in capsys.readouterr().out
+    cfg.write_text(json.dumps({"model_params": {"alpha": 2.0}}), encoding="utf-8")
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: alpha must lie in (0, 1]")
 
 
 def test_config_invalid_json(tmp_path):

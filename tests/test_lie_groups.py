@@ -4,9 +4,12 @@ Expected values marked as derived were computed with the truncated
 power-series exponential in oracles.py and frozen here as literals.
 """
 
+import ast
 import math
+import re
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from manifold_ukf.errors import (
 
 from manifold_ukf.models import augment_landmark, example_names, make
 from manifold_ukf.retraction import (
+    componentwise_so3_r6,
     covariance_retrieval,
     group_retraction,
     mixed_retraction,
@@ -444,6 +448,30 @@ def test_count_nonzero_is_numpys_c_entry():
         assert got == np.count_nonzero(a) and type(got) is type(np.count_nonzero(a))
 
 
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_the_declared_numpy_floor_has_numpy_core():
+    """numpy 1.x names its core numpy.core, so a src/ module that imports
+    numpy._core needs a numpy floor of 2.0 or above in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = [d.strip() for d in tomllib.load(fh)["project"]["dependencies"]]
+    floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)(\.\d+)*", d) for d in deps
+              if re.match(r"numpy\b", d)]
+    assert len(floors) == 1 and floors[0], f"no one numpy>=X.Y floor in {deps}"
+    core = sorted(path.name for path in (root / "src" / "manifold_ukf").glob("*.py")
+                  if any(m.startswith("numpy._core") for m in _imported_modules(path)))
+    assert not core or int(floors[0].group(1)) >= 2, (
+        f"{core} import numpy._core, but pyproject.toml declares {floors[0].group(0)}")
+
+
 # ---------------------------------------------------------------------------
 # SE_k(d)
 
@@ -653,8 +681,13 @@ def test_public_exps_keep_their_checks_and_messages(call, message):
     (lambda: mixed_retraction(2, 1, 2).phi(1.0, np.zeros(5)),
      r"mixed states \(\) hold no 3x3 block"),
     (lambda: mixed_retraction(2, 1, 2).phi_inv(1.0, 1.0), r"mixed states \(\) hold no 3x3 block"),
+    (lambda: mixed_state(1.0, np.zeros(2)), r"expected square matrices of size >= 2, got \(\)"),
+    (lambda: mixed_retraction(2, 1, 2).phi(mixed_state(np.eye(3), np.zeros(2)), 1.0),
+     r"xi is a 0-d value, not a \(\.\.\., dim\) tangent vector"),
+    (lambda: componentwise_so3_r6().phi(np.eye(5), 1.0),
+     r"xi is a 0-d value, not a \(\.\.\., dim\) tangent vector"),
 ], ids=["exp_sek-xi", "phi-state", "phi-xi", "mixed_state-euclid", "mixed-phi-state",
-        "mixed-phi_inv-ref"])
+        "mixed-phi_inv-ref", "mixed_state-group", "mixed-phi-xi", "so3xr6-phi-xi"])
 def test_a_0d_tangent_vector_or_state_is_a_dimension_mismatch(call, message):
     """A scalar where a vector or a matrix belongs is named, not read past
     its shape as a raw IndexError."""

@@ -18,6 +18,7 @@ from manifold_ukf.errors import (
     NonPSDCovariance,
 )
 from manifold_ukf.models import LandmarkSet, ModelSpec, augment_landmark, make
+from manifold_ukf.montecarlo import simulate
 from manifold_ukf.retraction import _mixed_parts, mixed_state
 from manifold_ukf.sigma_core import Belief, filter_run, propagate, update
 
@@ -582,8 +583,6 @@ def test_specs_pickle_bit_equal():
 
 
 def test_truth_rotation_stays_orthonormal_long_run():
-    from manifold_ukf.montecarlo import simulate
-
     model = make("pendulum_s2")
     truth, _, _ = simulate(model, 5000, seed=2)
     C = truth[-1]
@@ -607,3 +606,61 @@ def test_landmark_set_rejects_points_that_are_not_finite_rows(points, error):
     """Before any factory sees them, as the command line's reader does."""
     with pytest.raises(error, match="^landmarks"):
         LandmarkSet(points)
+
+
+# ---------------------------------------------------------------------------
+# world translation: the left-invariant errors do not see the origin
+
+
+# example -> group matrix size n (position in the last column) and the
+# variants whose error is left-invariant (Barrau & Bonnabel, IEEE TAC 2017);
+# the right variants' position coordinates scale with the distance to the
+# origin, so they are left out
+_LEFT_VARIANTS = {"localization2d": (3, ("se2_left",)),
+                  "inertial_nav": (5, ("se23_left", "so3xr6")),
+                  "slam2d": (3, ("mixed_left",)),
+                  "imu_gnss": (5, ("mixed_left",))}
+_UNIT = {2: np.array([3.0, 4.0]) / 5.0, 3: np.array([2.0, 3.0, 6.0]) / 7.0}
+
+
+def _translated(name, distance):
+    """make(name) with the initial truth and mean positions and the
+    landmarks moved by `distance` metres in a fixed direction."""
+    n = _LEFT_VARIANTS[name][0]
+    d = 2 if n == 3 else 3
+    offset = distance * _UNIT[d]
+    m = make(name)
+    if name == "inertial_nav":
+        m = make(name, landmarks=LandmarkSet(models._DEFAULT_NAV_LANDMARKS.points + offset))
+    elif name == "slam2d":
+        points = _mixed_parts(3, m.initial_truth)[1].reshape(-1, 2)
+        m = make(name, landmarks=LandmarkSet(points + offset))
+
+    def moved(state):
+        state = np.array(state, dtype=float)
+        pose = state if state.ndim == 2 else _mixed_parts(n, state)[0]  # a view
+        pose[:d, -1] += offset
+        return state
+
+    return dataclasses.replace(m, initial_truth=moved(m.initial_truth),
+                               initial_mean=moved(m.initial_mean))
+
+
+def _covariances(model, variant, steps=200, seed=3):
+    _, inputs, measurements = simulate(model, steps, seed)
+    return np.array([b.cov for b in filter_run(model, inputs, measurements,
+                                               retraction=variant)])
+
+
+@pytest.mark.parametrize("name, variant", [
+    (name, variant) for name, (_, variants) in _LEFT_VARIANTS.items() for variant in variants])
+def test_translating_the_world_leaves_the_left_variants_invariant(name, variant):
+    """Same seed, same noise: every step's P within 1e-8 of the unshifted
+    run's, relative to its largest entry, up to 100 km, and 1e-7 at an
+    ECEF-sized 6.4e6 m, where the positions keep 9 fewer digits."""
+    base = _covariances(_translated(name, 0.0), variant)
+    scale = np.abs(base).max(axis=(1, 2))
+    for distance, tol in ((1e3, 1e-8), (1e5, 1e-8), (6.4e6, 1e-7)):
+        P = _covariances(_translated(name, distance), variant)
+        worst = float((np.abs(P - base).max(axis=(1, 2)) / scale).max())
+        assert worst <= tol, (distance, worst)

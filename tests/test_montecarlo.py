@@ -157,7 +157,7 @@ def test_simulate_and_benchmark_reject_nonpositive_steps():
     with pytest.raises(ValueError, match="steps must be positive"):
         simulate(model, 0, seed=0)
     with pytest.raises(ValueError, match="steps must be positive"):
-        benchmark(model, ["so3_left"], runs=2, seed=0, steps=-1, workers=1)
+        benchmark(model, ["so3_left"], runs=2, seed=0, steps=-1)
 
 
 @pytest.mark.parametrize("count", [2.5, 2.0, True, np.True_, "3", None])
@@ -216,8 +216,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 def test_benchmark_single_run_reduces_to_run_record():
     model = make("localization2d")
-    report = benchmark(model, ["se2_left"], runs=1, seed=11, steps=30,
-                       workers=1)
+    report = benchmark(model, ["se2_left"], runs=1, seed=11, steps=30)
     run_seed = int(np.random.SeedSequence(11).spawn(1)[0].generate_state(1)[0])
     truth, inputs, measurements = simulate(model, 30, run_seed)
     rec = run_record(model, "se2_left", truth, inputs, measurements)
@@ -235,8 +234,7 @@ def test_benchmark_identical_variants_identical_columns():
     retr = model.retraction("se2_right")
     clone = Retraction(name="se2_right_clone", dim=retr.dim, phi=retr.phi,
                        phi_inv=retr.phi_inv, blocks=retr.blocks)
-    report = benchmark(model, [retr, clone], runs=3, seed=5, steps=25,
-                       workers=1)
+    report = benchmark(model, [retr, clone], runs=3, seed=5, steps=25)
     a, b = report.filters
     assert a.name != b.name
     for lbl in a.rmse:
@@ -266,14 +264,14 @@ def test_benchmark_divergent_variant_counted_and_excluded():
 
     bad = Retraction(name="broken", dim=good.dim, phi=good.phi,
                      phi_inv=exploding_phi_inv, blocks=good.blocks)
-    report = benchmark(model, [good, bad], runs=2, seed=1, steps=10, workers=1)
+    report = benchmark(model, [good, bad], runs=2, seed=1, steps=10)
     ok, broken = report.filters
     assert ok.diverged == 0 and ok.valid_runs == 2
     assert broken.diverged == 2 and broken.valid_runs == 0
     assert all(np.isnan(broken.rmse[lbl]).all() for lbl in broken.rmse)
     assert np.isnan(broken.mean_nees).all()
     # the healthy variant's numbers are unaffected by the broken one
-    alone = benchmark(model, [good], runs=2, seed=1, steps=10, workers=1)
+    alone = benchmark(model, [good], runs=2, seed=1, steps=10)
     for lbl in ok.rmse:
         assert np.array_equal(ok.rmse[lbl], alone.filters[0].rmse[lbl])
 
@@ -287,7 +285,7 @@ def test_benchmark_counts_linalg_error_as_divergence():
 
     bad = Retraction(name="singular", dim=good.dim, phi=singular_phi,
                      phi_inv=good.phi_inv, blocks=good.blocks)
-    report = benchmark(model, [good, bad], runs=2, seed=1, steps=10, workers=1)
+    report = benchmark(model, [good, bad], runs=2, seed=1, steps=10)
     ok, broken = report.filters
     assert ok.diverged == 0 and ok.valid_runs == 2
     assert broken.diverged == 2 and broken.valid_runs == 0
@@ -295,7 +293,7 @@ def test_benchmark_counts_linalg_error_as_divergence():
 
 def test_benchmark_report_metadata():
     model = make("localization2d", dt=0.2)
-    report = benchmark(model, ["se2_left"], runs=1, seed=0, steps=8, workers=1)
+    report = benchmark(model, ["se2_left"], runs=1, seed=0, steps=8)
     assert report.model == "localization2d"
     assert report.steps == 8 and report.runs == 1 and report.seed == 0
     assert np.allclose(report.times, 0.2 * np.arange(1, 9), atol=1e-15)
@@ -320,8 +318,7 @@ def test_benchmark_rejects_bad_arguments():
 
 def test_benchmark_distinct_variants_differ():
     model = make("inertial_nav")
-    report = benchmark(model, ["se23_right", "so3xr6"], runs=2, seed=4,
-                       steps=20, workers=1)
+    report = benchmark(model, ["se23_right", "so3xr6"], runs=2, seed=4, steps=20)
     a, b = report.filters
     assert not np.array_equal(a.rmse["pos"], b.rmse["pos"])
 

@@ -164,6 +164,14 @@ def test_mixed_state_names_parts_that_do_not_broadcast():
         mixed_state(np.zeros((2, 3, 3)), np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("group", [np.zeros(4), np.zeros((2, 3)), np.zeros((1, 1))],
+                         ids=["vector", "2x3", "1x1"])
+def test_mixed_state_takes_square_group_elements_only(group):
+    """Not a flat vector of whatever the group part held."""
+    with pytest.raises(DimensionMismatch, match="^expected square matrices of size >= 2"):
+        mixed_state(group, np.zeros(2))
+
+
 def test_mixed_dimension_check():
     retr = mixed_retraction(3, 2, 6)
     state = mixed_state(np.eye(5), np.zeros(6))
